@@ -14,8 +14,11 @@ update + truncated t2 + one bit compare) or one stage-2 verification step
 
 The standard generator gets batch (numpy) kernels for both stages; every
 other instance, and the depth-first enumeration mode, runs on the scalar
-path.  Both paths implement identical semantics and produce identical
-counters, and the tests hold them to that.
+path.  The scalar trivial path, one closed-form candidate at a time, is the
+reference the tests hold the batch kernels to: the same survivors, states
+and counters.  Every full-state check walks the tail through one loop,
+on plain ints for the standard generator and through the instance's t1 and
+output for any other.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from .generator import (
     Keystream,
     State,
     Tf1Params,
+    _out,
+    _rows,
     instance_output,
-    output_word,
-    update,
+    tf1_instance,
 )
 from .word import WordSpec, low_mask
 
@@ -255,14 +259,8 @@ def filter_candidate(
         raise ValueError(f"prefix has {prefix.l} columns; the LSB bridge needs at least {h + 1}")
     if horizon > len(tail_lsbs):
         raise ValueError("horizon exceeds the available tail bits")
-    t1_trunc = instance.t1_trunc
-    t2_trunc = instance.t2_trunc
-    cur = prefix
-    for j in range(horizon):
-        cur = t1_trunc(cur)
-        if ((t2_trunc(cur) >> h) & 1) != tail_lsbs[j]:
-            return False, j + 1
-    return True, horizon
+    survivors, steps, _ = _stage1_scalar(instance, [prefix], tail_lsbs, horizon, 1)
+    return bool(survivors), steps
 
 
 def verify_state(
@@ -281,28 +279,12 @@ def verify_state(
     """
     if zero_index < 0 or n_words < 0 or zero_index + n_words >= len(ks):
         raise ValueError("verification window exceeds the keystream")
-    words = ks.words
-    if words[zero_index] != 0:
-        return False
     if instance is None:
-        spec = params.spec
-        if output_word(state, spec) != 0:
-            return False
-        st = state
-        for j in range(1, n_words + 1):
-            st = update(st, params)
-            if output_word(st, spec) != words[zero_index + j]:
-                return False
-        return True
+        instance = tf1_instance(params)
     _check_params(instance, params)
-    if instance_output(state, instance) != 0:
+    if ks.words[zero_index] != 0 or instance_output(state, instance) != 0:
         return False
-    st = state
-    for j in range(1, n_words + 1):
-        st = instance.t1(st)
-        if instance_output(st, instance) != words[zero_index + j]:
-            return False
-    return True
+    return _walk_tail(state, instance, ks.words, zero_index, zero_index + n_words)[0]
 
 
 def stage2_complete(
@@ -416,39 +398,12 @@ def _check_params(instance: GeneratorInstance, params: Tf1Params | None) -> None
 
 def _state_dtype(bits: int):
     # Unsigned wraparound preserves values mod 2**m whenever m <= container
-    # bits, so uint32 is exact for m <= 32 and uint64 for m <= 64.
+    # bits, so uint32 is exact for m <= 32 and uint64 for m <= 64.  The
+    # batch kernels also pass their constants as scalars of this dtype:
+    # with plain-int operands numpy stops reusing temporaries' buffers in
+    # place, which made stage 1 at w=16 about 10% slower and added a chunk
+    # array to the peak memory.
     return np.uint32 if bits <= 32 else np.uint64
-
-
-def _rows_array(a, b, c, d, mm, c1, c3, cc):
-    """One truncated update step on parallel arrays (mod 2**m via ``mm``)."""
-    p = a & b & c & d
-    s = ((cc + p) & mm) ^ p
-    ta = (a << _one(a)) & mm
-    tc = (c << _one(a)) & mm
-    b1 = b | c1
-    d3 = d | c3
-    sa = s & a
-    sab = sa & b
-    return (
-        a ^ s ^ ((tc * b1) & mm),
-        b ^ sa ^ ((tc * d3) & mm),
-        c ^ sab ^ ((ta * d3) & mm),
-        d ^ (sab & c) ^ ((ta * b1) & mm),
-    )
-
-
-def _one(arr):
-    return arr.dtype.type(1)
-
-
-def _output_array(a, b, c, d, mask, h):
-    one = _one(a)
-    x = (a + c) & mask
-    y = (b + d) & mask
-    sx = (x >> h) | ((x << h) & mask)
-    sy = (y >> h) | ((y << h) & mask)
-    return (sx * (sy | one)) & mask
 
 
 def _run_stage1(
@@ -555,6 +510,11 @@ def _stage1_scalar(
     horizon: int,
     max_survivors: int,
 ) -> tuple[list[ColumnPrefix], int, int]:
+    """The truncated filter: (survivors, filter steps, candidates).
+
+    Each candidate takes one truncated step per tail bit and drops out at
+    the first predicted output LSB that differs from the observed one.
+    """
     h = instance.spec.half
     t1_trunc = instance.t1_trunc
     t2_trunc = instance.t2_trunc
@@ -598,25 +558,21 @@ def _stage1_trivial_batch(
     """
     dtype = _state_dtype(k)
     km = low_mask(k)
-    mm = dtype(km)
-    c1 = dtype(params.c1 & km)
-    c3 = dtype(params.c3 & km)
-    cc = dtype(params.c & km)
+    mm, c1, c3, cc = (dtype(v & km) for v in (km, params.c1, params.c3, params.c))
     top = dtype(k - 1)
     survivors: list[ColumnPrefix] = []
     steps = 0
     for cs in range(lo, hi, _CHUNK):
         ce = min(cs + _CHUNK, hi)
         idx = np.arange(cs, ce, dtype=np.uint64)
-        a = (idx >> np.uint64(2 * k)).astype(dtype)
-        b = ((idx >> np.uint64(k)) & np.uint64(km)).astype(dtype)
-        d = (idx & np.uint64(km)).astype(dtype)
-        c = (dtype(0) - a) & mm
+        a = (idx >> (2 * k)).astype(dtype)
+        b = ((idx >> k) & km).astype(dtype)
+        d = (idx & km).astype(dtype)
+        c = (0 - a) & mm
         for j in range(horizon):
             steps += int(a.size)
-            a, b, c, d = _rows_array(a, b, c, d, mm, c1, c3, cc)
-            pred = ((a + c) & mm) >> top
-            keep = pred == tail_bits[j]
+            a, b, c, d = _rows(a, b, c, d, mm, c1, c3, cc)
+            keep = (((a + c) & mm) >> top) == tail_bits[j]
             if not keep.all():
                 idx = idx[keep]
                 a, b, c, d = a[keep], b[keep], c[keep], d[keep]
@@ -664,7 +620,7 @@ def _stage2_for_survivor(
     verifs = 0
     for st in candidates:
         cands += 1
-        ok, n = _verify_tail_counted(st, instance, words, zero_index, tail_len)
+        ok, n = _walk_tail(st, instance, words, zero_index, zero_index + tail_len)
         verifs += n
         if ok:
             states.append(st)
@@ -687,33 +643,34 @@ def _trivial_completions(survivor: ColumnPrefix, spec: WordSpec) -> Iterator[Sta
                 yield State(a, b, c, (dh << k) | d0)
 
 
-def _verify_tail_counted(
+def _walk_tail(
     state: State,
     instance: GeneratorInstance,
-    words: tuple[int, ...],
-    zero_index: int,
-    tail_len: int,
+    words: Sequence[int],
+    lo: int,
+    hi: int,
 ) -> tuple[bool, int]:
-    """Walk the full tail from ``state``; count output words computed."""
+    """Roll ``state``, the emitter of words[lo], forward and match words[lo+1 .. hi].
+
+    Returns (matched, output words computed); a mismatch ends the walk.
+    The standard generator walks on plain ints, any other instance through
+    its t1 and output.
+    """
     if instance.tf1_native:
-        params = instance.params
-        spec = instance.spec
-        st = state
-        n = 0
-        for j in range(1, tail_len + 1):
-            st = update(st, params)
-            n += 1
-            if output_word(st, spec) != words[zero_index + j]:
-                return False, n
-        return True, n
-    st = state
-    n = 0
-    for j in range(1, tail_len + 1):
-        st = instance.t1(st)
-        n += 1
-        if instance_output(st, instance) != words[zero_index + j]:
-            return False, n
-    return True, n
+        p = instance.params
+        m, h, c1, c3, cc = p.spec.mask, p.spec.half, p.c1, p.c3, p.c
+        a, b, c, d = state.a, state.b, state.c, state.d
+        for j in range(lo + 1, hi + 1):
+            a, b, c, d = _rows(a, b, c, d, m, c1, c3, cc)
+            if _out(a, b, c, d, m, h) != words[j]:
+                return False, j - lo
+        return True, hi - lo
+    t1 = instance.t1
+    for j in range(lo + 1, hi + 1):
+        state = t1(state)
+        if instance_output(state, instance) != words[j]:
+            return False, j - lo
+    return True, hi - lo
 
 
 def _stage2_trivial_batch(
@@ -737,11 +694,8 @@ def _stage2_trivial_batch(
     hb = w - k
     total = 1 << (3 * hb)
     dtype = _state_dtype(w)
-    mask = dtype(spec.mask)
-    c1 = dtype(params.c1)
-    c3 = dtype(params.c3)
-    cc = dtype(params.c)
-    h = dtype(spec.half)
+    mask, h = dtype(spec.mask), dtype(spec.half)
+    c1, c3, cc = dtype(params.c1), dtype(params.c3), dtype(params.c)
     a0, b0, _, d0 = survivor.words()
     hm = low_mask(hb)
 
@@ -750,16 +704,16 @@ def _stage2_trivial_batch(
     for cs in range(0, total, _CHUNK):
         ce = min(cs + _CHUNK, total)
         idx = np.arange(cs, ce, dtype=np.uint64)
-        a = (((idx >> np.uint64(2 * hb)) << np.uint64(k)) | np.uint64(a0)).astype(dtype)
-        b = ((((idx >> np.uint64(hb)) & np.uint64(hm)) << np.uint64(k)) | np.uint64(b0)).astype(dtype)
-        d = (((idx & np.uint64(hm)) << np.uint64(k)) | np.uint64(d0)).astype(dtype)
-        c = (dtype(0) - a) & mask
+        a = (((idx >> (2 * hb)) << k) | a0).astype(dtype)
+        b = ((((idx >> hb) & hm) << k) | b0).astype(dtype)
+        d = (((idx & hm) << k) | d0).astype(dtype)
+        c = (0 - a) & mask
         oa, ob, oc, od = a, b, c, d
         alive = True
         for j in range(1, n_window + 1):
             verifs += int(a.size)
-            a, b, c, d = _rows_array(a, b, c, d, mask, c1, c3, cc)
-            keep = _output_array(a, b, c, d, mask, h) == words[zero_index + j]
+            a, b, c, d = _rows(a, b, c, d, mask, c1, c3, cc)
+            keep = _out(a, b, c, d, mask, h) == words[zero_index + j]
             if not keep.all():
                 a, b, c, d = a[keep], b[keep], c[keep], d[keep]
                 oa, ob, oc, od = oa[keep], ob[keep], oc[keep], od[keep]
@@ -771,30 +725,11 @@ def _stage2_trivial_batch(
         # window survivors finish the tail one state at a time
         rolled = np.stack([a, b, c, d]).T.tolist()
         origin = np.stack([oa, ob, oc, od]).T.tolist()
-        for (ra, rb, rc, rd), orig in zip(rolled, origin):
-            st = State(int(ra), int(rb), int(rc), int(rd))
-            ok, n = _continue_tail_counted(st, params, spec, words, zero_index, n_window, tail_len)
+        end = zero_index + tail_len
+        for row, orig in zip(rolled, origin):
+            ok, n = _walk_tail(State(*row), instance, words, zero_index + n_window, end)
             verifs += n
             if ok:
-                states.append(State(*(int(v) for v in orig)))
+                states.append(State(*orig))
     states.sort()
     return states, total, verifs
-
-
-def _continue_tail_counted(
-    state: State,
-    params: Tf1Params,
-    spec: WordSpec,
-    words: tuple[int, ...],
-    zero_index: int,
-    start_word: int,
-    tail_len: int,
-) -> tuple[bool, int]:
-    st = state
-    n = 0
-    for j in range(start_word + 1, tail_len + 1):
-        st = update(st, params)
-        n += 1
-        if output_word(st, spec) != words[zero_index + j]:
-            return False, n
-    return True, n

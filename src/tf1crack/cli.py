@@ -2,9 +2,9 @@
 
 Binary layout: magic "TF1K", version 0x01, width byte, flags 0x00, 8-byte
 little-endian word count, then each word in ceil(w/8) little-endian bytes.
-Hex layout: one lowercase w/4-digit word per line; lines starting with '#'
-are comments.  Hex files carry no header, so the width is inferred from the
-digit count.
+Hex layout: one lowercase ceil(w/4)-digit word per line; lines starting
+with '#' are comments.  When 4 does not divide w, the first line is the
+header "# w=N"; otherwise the width is inferred from the digit count.
 
 Exit codes: 0 success, 1 attack-level failure (no zero word, hopeless tail,
 survivor overflow, mismatched constants), 2 usage or input-format problems.
@@ -13,6 +13,7 @@ survivor overflow, mismatched constants), 2 usage or input-format problems.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -46,6 +47,7 @@ __all__ = [
 
 MAGIC = b"TF1K"
 VERSION = 1
+_HEX_HEADER = re.compile(r"#\s*w=(\d+)")
 
 # Every machine-report key, in emission order; recovered_1.. follow
 # recovered_0 when more than one state is found.  --workers never changes
@@ -106,7 +108,8 @@ def write_keystream(ks: Keystream, destination, fmt: str = "bin") -> int:
         return len(data)
     if fmt == "hex":
         digits = ks.spec.hex_digits
-        text = "".join(f"{word:0{digits}x}\n" for word in ks.words)
+        header = "" if 4 * digits == ks.spec.width else f"# w={ks.spec.width}\n"
+        text = header + "".join(f"{word:0{digits}x}\n" for word in ks.words)
         if destination == "-":
             sys.stdout.write(text)
             return len(text.encode())
@@ -149,27 +152,34 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
         return Keystream(spec, tuple(words))
     if fmt == "hex":
         words = []
-        digits = None
         spec = None
         with open(source) as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
-                if not line or line.startswith("#"):
+                header = _HEX_HEADER.fullmatch(line) if spec is None else None
+                if not header and (not line or line.startswith("#")):
                     continue
-                if digits is None:
-                    digits = len(line)
+                if spec is None:
                     try:
-                        spec = WordSpec(digits * 4)
+                        spec = WordSpec(int(header.group(1)) if header else len(line) * 4)
                     except ValueError as exc:
                         raise FormatError(f"{source}:{lineno}: {exc}") from None
+                    digits, mask = spec.hex_digits, spec.mask
+                    if header:
+                        continue
                 if len(line) != digits:
                     raise FormatError(
                         f"{source}:{lineno}: expected {digits} hex digits, got {len(line)}"
                     )
                 try:
-                    words.append(int(line, 16))
+                    word = int(line, 16)
                 except ValueError:
                     raise FormatError(f"{source}:{lineno}: not hexadecimal: {line!r}") from None
+                if word > mask:
+                    raise FormatError(
+                        f"{source}:{lineno}: word {word:#x} is above the width-{spec.width} mask"
+                    )
+                words.append(word)
         if spec is None:
             raise FormatError(f"{source}: no data lines; width cannot be inferred")
         return Keystream(spec, tuple(words))

@@ -167,22 +167,44 @@ def compute_s(state: State, params: Tf1Params) -> int:
 
 def update(state: State, params: Tf1Params) -> State:
     """One step of the state map; all rows read the old state."""
-    mask = params.spec.mask
     a, b, c, d = state.a, state.b, state.c, state.d
+    return State(*_rows(a, b, c, d, params.spec.mask, params.c1, params.c3, params.c))
+
+
+def _rows(a, b, c, d, m, c1, c3, cc):
+    """The four update rows mod 2**l, where m = 2**l - 1.
+
+    The only copy of the TF-1 update.  Inputs and constants must already be
+    reduced mod 2**l; they may be Python ints or numpy unsigned arrays whose
+    dtype holds l bits, since numpy 2 gives plain-int operands the array's
+    dtype (NEP 50).  Because every row is a T-function, rows taken mod 2**l
+    are exactly the truncated update.
+    """
     p = a & b & c & d
-    s = ((params.c + p) & mask) ^ p
-    ta = (a << 1) & mask
-    tc = (c << 1) & mask
-    b_or_c1 = b | params.c1
-    d_or_c3 = d | params.c3
+    s = ((cc + p) & m) ^ p
+    ta = a << 1  # doubled words only enter products, which are reduced
+    tc = c << 1
+    b1 = b | c1
+    d3 = d | c3
     sa = s & a
     sab = sa & b
-    return State(
-        a ^ s ^ ((tc * b_or_c1) & mask),
-        b ^ sa ^ ((tc * d_or_c3) & mask),
-        c ^ sab ^ ((ta * d_or_c3) & mask),
-        d ^ (sab & c) ^ ((ta * b_or_c1) & mask),
+    return (
+        a ^ s ^ ((tc * b1) & m),
+        b ^ sa ^ ((tc * d3) & m),
+        c ^ sab ^ ((ta * d3) & m),
+        d ^ (sab & c) ^ ((ta * b1) & m),
     )
+
+
+def _out(a, b, c, d, m, h):
+    """The output word S(a+c) * (S(b+d) | 1) mod 2**w, with m = 2**w - 1 and h = w/2.
+
+    The only copy of the output formula; ints or numpy arrays, as for ``_rows``.
+    """
+    x = (a + c) & m
+    y = (b + d) & m
+    # bits that x << h and y << h carry above column w vanish in the reduced product
+    return (((x >> h) | (x << h)) * ((y >> h) | (y << h) | 1)) & m
 
 
 def t2_tf1(state: State, spec: WordSpec) -> int:
@@ -196,13 +218,7 @@ def output_word(state: State, spec: WordSpec) -> int:
     The second factor is odd, so the output is zero exactly when a+c wraps
     to zero.
     """
-    mask = spec.mask
-    h = spec.half
-    x = (state.a + state.c) & mask
-    sx = (x >> h) | ((x << h) & mask)
-    y = (state.b + state.d) & mask
-    sy = (y >> h) | ((y << h) & mask)
-    return (sx * (sy | 1)) & mask
+    return _out(state.a, state.b, state.c, state.d, spec.mask, spec.half)
 
 
 def generate(seed: State, params: Tf1Params, n: int) -> Keystream:
@@ -213,27 +229,13 @@ def generate(seed: State, params: Tf1Params, n: int) -> Keystream:
     mask = spec.mask
     h = spec.half
     c1, c3, cc = params.c1, params.c3, params.c
-    a, b, c, d = seed.a, seed.b, seed.c, seed.d
+    a, b, c, d = seed.words()
+    rows, emit = _rows, _out
     out = []
     append = out.append
     for _ in range(n):
-        p = a & b & c & d
-        s = ((cc + p) & mask) ^ p
-        ta = (a << 1) & mask
-        tc = (c << 1) & mask
-        b1 = b | c1
-        d3 = d | c3
-        sa = s & a
-        sab = sa & b
-        a, b, c, d = (
-            a ^ s ^ ((tc * b1) & mask),
-            b ^ sa ^ ((tc * d3) & mask),
-            c ^ sab ^ ((ta * d3) & mask),
-            d ^ (sab & c) ^ ((ta * b1) & mask),
-        )
-        x = (a + c) & mask
-        y = (b + d) & mask
-        append((((x >> h) | ((x << h) & mask)) * (((y >> h) | ((y << h) & mask)) | 1)) & mask)
+        a, b, c, d = rows(a, b, c, d, mask, c1, c3, cc)
+        append(emit(a, b, c, d, mask, h))
     return Keystream(spec, tuple(out))
 
 
@@ -252,21 +254,7 @@ def truncated_update(prefix: ColumnPrefix, params: Tf1Params) -> ColumnPrefix:
     """
     m = low_mask(prefix.l)
     a, b, c, d = prefix.a_low, prefix.b_low, prefix.c_low, prefix.d_low
-    p = a & b & c & d
-    s = ((params.c + p) & m) ^ p
-    ta = (a << 1) & m
-    tc = (c << 1) & m
-    b1 = b | (params.c1 & m)
-    d3 = d | (params.c3 & m)
-    sa = s & a
-    sab = sa & b
-    return ColumnPrefix(
-        prefix.l,
-        a ^ s ^ ((tc * b1) & m),
-        b ^ sa ^ ((tc * d3) & m),
-        c ^ sab ^ ((ta * d3) & m),
-        d ^ (sab & c) ^ ((ta * b1) & m),
-    )
+    return ColumnPrefix(prefix.l, *_rows(a, b, c, d, m, params.c1 & m, params.c3 & m, params.c & m))
 
 
 def truncated_t2(prefix: ColumnPrefix, instance: GeneratorInstance | None = None) -> int:
@@ -314,10 +302,10 @@ def tf1_instance(params: Tf1Params) -> GeneratorInstance:
         spec=spec,
         params=params,
         t1=lambda state: update(state, params),
-        t2=lambda state: (state.a + state.c) & mask,
+        t2=lambda state: t2_tf1(state, spec),
         f=f,
         t1_trunc=lambda prefix: truncated_update(prefix, params),
-        t2_trunc=lambda prefix: (prefix.a_low + prefix.c_low) & low_mask(prefix.l),
+        t2_trunc=truncated_t2,
         trivial_t2_preimages=True,
         tf1_native=True,
     )

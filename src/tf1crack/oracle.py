@@ -15,13 +15,12 @@ from typing import Iterator
 import numpy as np
 
 from .attack import AttackReport
-from .generator import Keystream, State, Tf1Params, output_word, update
+from .generator import Keystream, State, Tf1Params, _out, output_word, update
 from .word import WordSpec
 
 __all__ = ["BudgetExceeded", "OracleResult", "brute_force_consistent_states", "compare_with_report"]
 
 _DEFAULT_BUDGET = 1 << 16  # covers w=4 exhaustively
-_SCALAR_SPACE = 1 << 16  # widths whose full space is walked one state at a time
 
 
 class BudgetExceeded(Exception):
@@ -68,8 +67,7 @@ def brute_force_consistent_states(
 
     words = ks.words
     consistent: list[State] = []
-    scan = _scan_zero_states_scalar if space <= _SCALAR_SPACE else _scan_zero_states_chunked
-    for st in scan(spec):
+    for st in _scan_zero_states_chunked(spec):
         rolled = st
         ok = True
         for j in range(1, window + 1):
@@ -119,27 +117,17 @@ def _scan_zero_states_scalar(spec: WordSpec) -> Iterator[State]:
 
 
 def _scan_zero_states_chunked(spec: WordSpec) -> Iterator[State]:
-    """Same zero-output scan, batched so the w=8 space stays affordable.
+    """Same zero-output scan on numpy chunks; the oracle's scan at every width.
 
     States are indexed (a << 3w) | (b << 2w) | (c << w) | d and visited in
     the same ascending order as the scalar walk.
     """
     w = spec.width
-    mask = np.uint64(spec.mask)
-    h = np.uint64(spec.half)
-    one = np.uint64(1)
+    m = spec.mask
     space = 1 << (4 * w)
     chunk = 1 << 22
     for start in range(0, space, chunk):
         idx = np.arange(start, min(start + chunk, space), dtype=np.uint64)
-        a = idx >> np.uint64(3 * w)
-        b = (idx >> np.uint64(2 * w)) & mask
-        c = (idx >> np.uint64(w)) & mask
-        d = idx & mask
-        x = (a + c) & mask
-        sx = (x >> h) | ((x << h) & mask)
-        y = (b + d) & mask
-        sy = (y >> h) | ((y << h) & mask)
-        out = (sx * (sy | one)) & mask
+        out = _out(idx >> (3 * w), (idx >> (2 * w)) & m, (idx >> w) & m, idx & m, m, spec.half)
         for i in idx[out == 0].tolist():
-            yield State(i >> (3 * w), (i >> (2 * w)) & spec.mask, (i >> w) & spec.mask, i & spec.mask)
+            yield State(i >> (3 * w), (i >> (2 * w)) & m, (i >> w) & m, i & m)

@@ -43,7 +43,7 @@ class WordSpec:
 
     @property
     def hex_digits(self) -> int:
-        return self.width // 4
+        return (self.width + 3) // 4
 
     def check_word(self, x: int, name: str = "word") -> int:
         if not 0 <= x <= self.mask:

@@ -209,6 +209,26 @@ def test_verify_state_instance_path():
     assert not verify_state(State(1, 0, 3, 0), P4, ks, zero_index, 2, instance=inst)
 
 
+def test_verify_state_routes_agree():
+    # instance=None, the standard instance (plain-int walk) and its twin
+    # without the native flag (walk through t1 and the instance output)
+    ks, zero_index, true_state = make_run(W8, P8, seed=3, n=4096)
+    native = tf1_instance(P8)
+    twin = dataclasses.replace(native, tf1_native=False)
+    routes = (None, native, twin)
+    tail = len(ks) - zero_index - 1
+    # random states with a+c = 0 emit the zero word, so every route walks the tail
+    zero_emitters = [State(s.a, s.b, -s.a & W8.mask, s.d) for s in random_states(W8, 17, 1000)]
+    for st in [true_state] + zero_emitters:
+        for n_words in (tail, 2):
+            assert len({verify_state(st, P8, ks, zero_index, n_words, i) for i in routes}) == 1
+    assert verify_state(true_state, P8, ks, zero_index, tail, native)
+    survivor = state_prefix(true_state, 5)
+    assert stage2_complete(survivor, P8, native, ks, zero_index) == stage2_complete(
+        survivor, P8, twin, ks, zero_index
+    )
+
+
 def test_stage2_complete_contains_truth():
     ks, zero_index, true_state = make_run(W8, P8, seed=7, n=8192)
     inst = tf1_instance(P8)

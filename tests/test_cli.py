@@ -99,9 +99,15 @@ def test_hex_rejects_malformed(tmp_path):
     path.write_text("zz\n")
     with pytest.raises(FormatError):
         read_keystream(path, "hex")
-    path.write_text("# only comments\n")
-    with pytest.raises(FormatError):
-        read_keystream(path, "hex")
+    for text in (
+        "# only comments\n",
+        "# w=10\nfff\n",  # above the width-10 mask
+        "# w=10\n12\n34\n",  # w=10 needs 3 digits
+        "# w=7\n12\n",  # not a valid width
+    ):
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_keystream(path, "hex")
 
 
 def test_hex_skips_comments_and_blank_lines(tmp_path):

@@ -3,8 +3,10 @@ import dataclasses
 import pytest
 
 from tf1crack import (
+    AttackConfig,
     Keystream,
     State,
+    Tf1Params,
     WordSpec,
     default_params,
     find_zero_outputs,
@@ -94,6 +96,26 @@ def test_zero_scan_strategies_agree():
     chunked = list(_scan_zero_states_chunked(W4))
     assert scalar == chunked
     assert len(scalar) == 4096  # one c per (a, b, d): states with a+c = 0 mod 16
+
+
+def test_attack_matches_oracle_over_random_constants():
+    # trivial mode, dfs mode and the scalar twin of the standard instance
+    rng = SplitMix64(2026)
+    for _ in range(24):
+        params = Tf1Params(rng.below(16), rng.below(16), rng.below(16) | 1, W4)
+        inst = tf1_instance(params)
+        twin = dataclasses.replace(inst, tf1_native=False)
+        ks = generate(state_from_seed(rng.next64(), W4), params, 512)
+        while not find_zero_outputs(Keystream(W4, ks.words[:-1]), 1):
+            ks = generate(state_from_seed(rng.next64(), W4), params, 512)
+        reports = [
+            recover(ks, instance, cfg=AttackConfig(enumeration_mode=mode))
+            for instance, mode in ((inst, "trivial"), (inst, "dfs"), (twin, "trivial"))
+        ]
+        oracle = brute_force_consistent_states(
+            ks, reports[0].zero_index, params, reports[0].verified_words
+        )
+        assert all(compare_with_report(report, oracle) for report in reports)
 
 
 def test_compare_with_report():
