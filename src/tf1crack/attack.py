@@ -19,6 +19,26 @@ reference the tests hold the batch kernels to: the same survivors, states
 and counters.  Every full-state check walks the tail through one loop,
 on plain ints for the standard generator and through the instance's t1 and
 output for any other.
+
+The stage-1 kernel is lane-sliced.  Since the update is a T-function, the
+top column L = k-1 of a k-column step is the prefix's own top bits, put
+through fixed xors and ands, xored with terms that the lower columns alone
+decide:
+
+    a'_L = a_L ^ s_L ^ x_a,           b'_L = b_L ^ (s_L & a_L) ^ x_b,
+    c'_L = c_L ^ (s_L & a_L & b_L) ^ x_c,
+    d'_L = d_L ^ (s_L & a_L & b_L & c_L) ^ x_d,
+
+where s_L (the top bit of the step word s) and the x terms (top bits of
+the doubled products) depend only on columns below L.  So the 8 candidates
+that share their lower k-1 columns, and differ in the top bits of a, b and
+d (the zero fixes c_L = c_rep,L ^ a_L), share one trajectory of them.  The
+kernel steps each lower prefix once and carries the 8 candidates' top bits
+as the bits of unsigned masks; d_L needs none, as it reaches no other
+word's column L.  A candidate's predicted output LSB is
+a'_L ^ c'_L ^ carry_L(a'_low + c'_low); it drops out at its first
+mismatch.  Each step adds the popcount of the alive mask taken before it,
+so ``stage1_filter_steps`` counts exactly what the scalar path counts.
 """
 
 from __future__ import annotations
@@ -52,6 +72,7 @@ __all__ = [
     "AttackConfig",
     "OpCounters",
     "AttackReport",
+    "even_c_note",
     "find_zero_outputs",
     "enumerate_trivial_preimages",
     "enumerate_preimages_dfs",
@@ -62,7 +83,9 @@ __all__ = [
     "predicted_work",
 ]
 
-_CHUNK = 1 << 20  # batch kernel granularity; never affects results
+# candidates per batch-kernel chunk (stage 1 takes _CHUNK >> 3 lower prefixes
+# of 8 candidates each); never affects results
+_CHUNK = 1 << 20
 
 
 class AttackError(Exception):
@@ -153,6 +176,13 @@ class AttackReport:
 def predicted_work(spec: WordSpec) -> int:
     """Expected attack operations, 16 * 2**(1.5 w), exact for even widths."""
     return 16 << (3 * spec.width // 2)
+
+
+def even_c_note(params: Tf1Params) -> str:
+    """Empty for an odd C; for an even C, why the stream may hold no zero word."""
+    if params.c % 2:
+        return ""
+    return f"C = {params.c:#x} is even, and an even C can trap the state in short zero-free cycles"
 
 
 def find_zero_outputs(ks: Keystream, limit: int | None = None) -> list[int]:
@@ -339,9 +369,10 @@ def recover(
 
     zeros = find_zero_outputs(ks, cfg.max_zero_positions)
     if not zeros:
+        note = even_c_note(params)
         raise NeedMoreKeystream(
             f"no zero output in {len(ks)} words; expect about one per 2^{spec.width} "
-            f"= {1 << spec.width} words"
+            f"= {1 << spec.width} words" + (f"; {note}" if note else "")
         )
 
     counters = OpCounters()
@@ -399,7 +430,7 @@ def _check_params(instance: GeneratorInstance, params: Tf1Params | None) -> None
 def _state_dtype(bits: int):
     # Unsigned wraparound preserves values mod 2**m whenever m <= container
     # bits, so uint32 is exact for m <= 32 and uint64 for m <= 64.  The
-    # batch kernels also pass their constants as scalars of this dtype:
+    # batch kernels also pass their constants as scalars of their word dtype:
     # with plain-int operands numpy stops reusing temporaries' buffers in
     # place, which made stage 1 at w=16 about 10% slower and added a chunk
     # array to the peak memory.
@@ -415,12 +446,11 @@ def _run_stage1(
 ) -> tuple[list[ColumnPrefix], int, int]:
     """Dispatch stage 1; returns (survivors sorted by (a,b,c,d), steps, candidates)."""
     if cfg.enumeration_mode == "trivial":
-        total = 1 << (3 * k)
         if instance.tf1_native and 3 * k <= 62:
-            parts = _split_range(total, cfg.workers)
+            parts = _split_range(1 << (3 * (k - 1)), cfg.workers)
             results = _map_workers(
                 parts,
-                lambda lo_hi: _stage1_trivial_batch(
+                lambda lo_hi: _stage1_lanes(
                     lo_hi[0], lo_hi[1], k, instance.params, tail_bits, horizon, cfg.max_survivors
                 ),
                 cfg.workers,
@@ -430,7 +460,7 @@ def _run_stage1(
             for part_survivors, part_steps in results:
                 survivors.extend(part_survivors)
                 steps += part_steps
-            cands = total
+            cands = 1 << (3 * k)
         else:
             survivors, steps, cands = _stage1_scalar(
                 instance, enumerate_trivial_preimages(k, 0), tail_bits, horizon, cfg.max_survivors
@@ -541,7 +571,7 @@ def _stage1_scalar(
     return survivors, steps, cands
 
 
-def _stage1_trivial_batch(
+def _stage1_lanes(
     lo: int,
     hi: int,
     k: int,
@@ -550,37 +580,75 @@ def _stage1_trivial_batch(
     horizon: int,
     max_survivors: int,
 ) -> tuple[list[ColumnPrefix], int]:
-    """Batch stage 1 over candidate indices [lo, hi) of the 2**(3k) space.
+    """Lane-sliced stage 1 over lower-prefix indices [lo, hi) of 2**(3(k-1)).
 
-    Index i encodes (a, b, d) as (i >> 2k, (i >> k) & km, i & km) with
-    c = -a mod 2**k.  Same candidate order and identical per-candidate step
-    accounting as the scalar path.
+    Index i encodes the low L = k-1 columns of (a, b, d) as (i >> 2L,
+    (i >> L) & lm, i & lm), with c = -a.  Each array element is one lower
+    prefix, stepped once per tail bit with a zero top column in a, b and c;
+    the top bits of a', b' and c' then read x_a ^ s_L, x_b and x_c, and the
+    top bit of s is s_L (see the module docstring).  The 8 candidates over the prefix
+    are lanes: bit (a_L << 2) | (b_L << 1) | d_L of the masks la, lb and
+    lc holds that candidate's top bits, with c_L = c_rep,L ^ a_L where
+    c_rep = -a on k columns.  d_L reaches no other word's column L (it
+    enters only through p, whose top bit s_L ignores, and through products,
+    whose top bit reads lower columns of d), so d keeps its top bit
+    uncleared and has no mask: lanes 2j and 2j+1 live and die together.
+    A lane predicts the output LSB
+    a'_L ^ c'_L ^ carry_L(a'_low + c'_low) and leaves ``alive`` at its
+    first mismatch; a prefix leaves the arrays once its mask is 0.  Each
+    step adds popcount(alive) taken before it, which is the scalar path's
+    per-candidate count.  Returns (survivors, filter steps).
     """
-    dtype = _state_dtype(k)
+    low = k - 1
+    lm = low_mask(low)
     km = low_mask(k)
-    mm, c1, c3, cc = (dtype(v & km) for v in (km, params.c1, params.c3, params.c))
-    top = dtype(k - 1)
+    # the narrowest dtype for k columns and 8 lanes (uint16 at w=16 runs ~1.4x
+    # faster than uint32); wraparound keeps every row exact mod 2**k
+    dtype = np.min_scalar_type(km | 0xFF).type
+    mm, c1, c3, cc, top = (dtype(v & km) for v in (km, params.c1, params.c3, params.c, low))
     survivors: list[ColumnPrefix] = []
     steps = 0
-    for cs in range(lo, hi, _CHUNK):
-        ce = min(cs + _CHUNK, hi)
-        idx = np.arange(cs, ce, dtype=np.uint64)
-        a = (idx >> (2 * k)).astype(dtype)
-        b = ((idx >> k) & km).astype(dtype)
-        d = (idx & km).astype(dtype)
+    for cs in range(lo, hi, _CHUNK >> 3):
+        idx = np.arange(cs, min(cs + (_CHUNK >> 3), hi), dtype=_state_dtype(3 * low))
+        a = (idx >> (2 * low)).astype(dtype)
+        b = ((idx >> low) & lm).astype(dtype)
+        d = (idx & lm).astype(dtype)
         c = (0 - a) & mm
+        la = np.full(idx.size, 0xF0, dtype)
+        lb = np.full(idx.size, 0xCC, dtype)
+        lc = la ^ (0 - (c >> top))
+        c &= lm
+        alive = np.full(idx.size, 0xFF, dtype)
         for j in range(horizon):
-            steps += int(a.size)
-            a, b, c, d = _rows(a, b, c, d, mm, c1, c3, cc)
-            keep = (((a + c) & mm) >> top) == tail_bits[j]
-            if not keep.all():
-                idx = idx[keep]
-                a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-            if idx.size == 0:
+            steps += int(np.bitwise_count(alive).sum())
+            a, b, c, d, s = _rows(a, b, c, d, mm, c1, c3, cc)
+            sa = (0 - (s >> top)) & la
+            lc ^= (sa & lb) ^ (0 - (c >> top))
+            lb ^= sa ^ (0 - (b >> top))
+            la ^= 0 - (a >> top)
+            a &= lm
+            b &= lm
+            c &= lm
+            pred = la ^ lc ^ (0 - ((a + c) >> top))
+            alive &= pred if tail_bits[j] else ~pred
+            live = np.count_nonzero(alive)
+            if live == 0:
                 break
-        for i in idx.tolist():
-            ia = i >> (2 * k)
-            survivors.append(ColumnPrefix(k, ia, (i >> k) & km, (0 - ia) & km, i & km))
+            if 2 * live < alive.size:
+                # drop dead prefixes once half are gone; take() on the live
+                # positions runs about 4x faster than a boolean mask here
+                keep = np.flatnonzero(alive)
+                idx, alive = idx.take(keep), alive.take(keep)
+                a, b, c, d = a.take(keep), b.take(keep), c.take(keep), d.take(keep)
+                la, lb, lc = la.take(keep), lb.take(keep), lc.take(keep)
+        keep = np.flatnonzero(alive)
+        for i, lanes in zip(idx.take(keep).tolist(), alive.take(keep).tolist()):
+            ia, ib, id_ = i >> (2 * low), (i >> low) & lm, i & lm
+            for lane in range(8):
+                if lanes >> lane & 1:
+                    a = ia | (lane >> 2) << low
+                    b = ib | (lane >> 1 & 1) << low
+                    survivors.append(ColumnPrefix(k, a, b, (0 - a) & km, id_ | (lane & 1) << low))
         if len(survivors) > max_survivors:
             raise SurvivorOverflow(
                 f"stage-1 survivors exceed the cap of {max_survivors}; "
@@ -661,7 +729,7 @@ def _walk_tail(
         m, h, c1, c3, cc = p.spec.mask, p.spec.half, p.c1, p.c3, p.c
         a, b, c, d = state.a, state.b, state.c, state.d
         for j in range(lo + 1, hi + 1):
-            a, b, c, d = _rows(a, b, c, d, m, c1, c3, cc)
+            a, b, c, d, _ = _rows(a, b, c, d, m, c1, c3, cc)
             if _out(a, b, c, d, m, h) != words[j]:
                 return False, j - lo
         return True, hi - lo
@@ -707,12 +775,14 @@ def _stage2_trivial_batch(
         a = (((idx >> (2 * hb)) << k) | a0).astype(dtype)
         b = ((((idx >> hb) & hm) << k) | b0).astype(dtype)
         d = (((idx & hm) << k) | d0).astype(dtype)
+        del idx  # held through the window, it adds a chunk of uint64 to the peak
         c = (0 - a) & mask
         oa, ob, oc, od = a, b, c, d
         alive = True
         for j in range(1, n_window + 1):
             verifs += int(a.size)
-            a, b, c, d = _rows(a, b, c, d, mask, c1, c3, cc)
+            # [:4] lets s go at once; held in a name it adds two chunk arrays to the peak
+            a, b, c, d = _rows(a, b, c, d, mask, c1, c3, cc)[:4]
             keep = _out(a, b, c, d, mask, h) == words[zero_index + j]
             if not keep.all():
                 a, b, c, d = a[keep], b[keep], c[keep], d[keep]

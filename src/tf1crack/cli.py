@@ -405,6 +405,9 @@ def _cmd_check(args) -> int:
     ks = generate(state_from_seed(args.random_seed, spec), params, args.count)
     zeros, rate = zero_frequency(ks)
     print(f"words={len(ks)} zeros={zeros} rate={rate:.3e} expected_rate={2 ** -spec.width:.3e}")
+    note = attack_mod.even_c_note(params)
+    if note:
+        print(f"note: {note}")
     return 0
 
 

@@ -161,24 +161,29 @@ class GeneratorInstance:
 
 def compute_s(state: State, params: Tf1Params) -> int:
     """Per-step word s = (C + p) xor p with p = a & b & c & d."""
-    p = state.a & state.b & state.c & state.d
-    return ((params.c + p) & params.spec.mask) ^ p
+    return _rows(*state.words(), params.spec.mask, params.c1, params.c3, params.c)[4]
 
 
 def update(state: State, params: Tf1Params) -> State:
     """One step of the state map; all rows read the old state."""
     a, b, c, d = state.a, state.b, state.c, state.d
-    return State(*_rows(a, b, c, d, params.spec.mask, params.c1, params.c3, params.c))
+    return State(*_rows(a, b, c, d, params.spec.mask, params.c1, params.c3, params.c)[:4])
 
 
 def _rows(a, b, c, d, m, c1, c3, cc):
-    """The four update rows mod 2**l, where m = 2**l - 1.
+    """The four update rows mod 2**l, where m = 2**l - 1, and the step word s.
 
     The only copy of the TF-1 update.  Inputs and constants must already be
     reduced mod 2**l; they may be Python ints or numpy unsigned arrays whose
     dtype holds l bits, since numpy 2 gives plain-int operands the array's
     dtype (NEP 50).  Because every row is a T-function, rows taken mod 2**l
     are exactly the truncated update.
+
+    Returns (a', b', c', d', s), where s = ((C + p) mod 2**l) xor p with
+    p = a & b & c & d is the per-step word the rows share.  Most callers
+    drop s; the lane-sliced stage-1 kernel reads its top column.  Handing it
+    back costs nothing, where a separate helper call would add about 7% to
+    every generated word.
     """
     p = a & b & c & d
     s = ((cc + p) & m) ^ p
@@ -193,6 +198,7 @@ def _rows(a, b, c, d, m, c1, c3, cc):
         b ^ sa ^ ((tc * d3) & m),
         c ^ sab ^ ((ta * d3) & m),
         d ^ (sab & c) ^ ((ta * b1) & m),
+        s,
     )
 
 
@@ -234,7 +240,7 @@ def generate(seed: State, params: Tf1Params, n: int) -> Keystream:
     out = []
     append = out.append
     for _ in range(n):
-        a, b, c, d = rows(a, b, c, d, mask, c1, c3, cc)
+        a, b, c, d, _ = rows(a, b, c, d, mask, c1, c3, cc)
         append(emit(a, b, c, d, mask, h))
     return Keystream(spec, tuple(out))
 
@@ -254,7 +260,8 @@ def truncated_update(prefix: ColumnPrefix, params: Tf1Params) -> ColumnPrefix:
     """
     m = low_mask(prefix.l)
     a, b, c, d = prefix.a_low, prefix.b_low, prefix.c_low, prefix.d_low
-    return ColumnPrefix(prefix.l, *_rows(a, b, c, d, m, params.c1 & m, params.c3 & m, params.c & m))
+    a, b, c, d, _ = _rows(a, b, c, d, m, params.c1 & m, params.c3 & m, params.c & m)
+    return ColumnPrefix(prefix.l, a, b, c, d)
 
 
 def truncated_t2(prefix: ColumnPrefix, instance: GeneratorInstance | None = None) -> int:

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from tf1crack import attack
 from tf1crack import (
     AttackConfig,
     ColumnPrefix,
@@ -336,6 +337,19 @@ def test_recover_needs_a_zero():
         recover(ks, tf1_instance(P8))
 
 
+EVEN_C4 = Tf1Params(c1=P4.c1, c3=P4.c3, c=8, spec=W4)
+
+
+def test_recover_names_even_c_when_no_zero():
+    ks = generate(state_from_seed(1, W4), EVEN_C4, 1024)
+    assert not find_zero_outputs(ks)
+    with pytest.raises(NeedMoreKeystream, match="even C can trap the state in short zero-free cycles"):
+        recover(ks, tf1_instance(EVEN_C4))
+    with pytest.raises(NeedMoreKeystream) as odd:
+        recover(Keystream(W4, (1, 2, 3)), tf1_instance(P4))
+    assert "even" not in str(odd.value)
+
+
 def test_recover_insufficient_tail():
     ks = Keystream(W8, (1, 2, 3, 0))
     with pytest.raises(InsufficientTail):
@@ -354,6 +368,88 @@ def test_recover_survivor_overflow():
     cfg = AttackConfig(filter_horizon=1, max_survivors=4)
     with pytest.raises(SurvivorOverflow):
         recover(ks, tf1_instance(P4), cfg=cfg)
+
+
+def test_survivor_cap_inside_one_lower_prefix():
+    # caps of 1..7 fall inside the 8 lanes of one lower prefix; the batch
+    # kernel must raise exactly when the scalar path does
+    cases = [(W4, P4, 1, 512), (W8, P8, 5, 4096)]
+    for spec, params, seed, n in cases:
+        ks, _, _ = make_run(spec, params, seed, n)
+        inst = tf1_instance(params)
+        twin = dataclasses.replace(inst, tf1_native=False)
+        full = recover(ks, inst).counters.stage1_survivors
+        checks = [(1, range(1, 8))] + ([(None, (full - 1, full))] if spec is W4 else [])
+        for horizon, caps in checks:
+            for cap in caps:
+                outcomes = []
+                for instance, workers in ((twin, 1), (inst, 1), (inst, 3)):
+                    cfg = AttackConfig(filter_horizon=horizon, max_survivors=cap, workers=workers)
+                    try:
+                        outcomes.append(report_core(recover(ks, instance, cfg=cfg)))
+                    except SurvivorOverflow:
+                        outcomes.append("overflow")
+                assert outcomes[0] == outcomes[1] == outcomes[2], (spec, horizon, cap)
+                assert (outcomes[0] == "overflow") == (horizon == 1 or cap < full)
+
+
+def _lane_candidates(lo, hi, k):
+    """The 8 top-column variants of lower prefixes [lo, hi), as the kernel indexes them."""
+    low = k - 1
+    lm = (1 << low) - 1
+    for i in range(lo, hi):
+        for top in range(8):
+            a = (i >> (2 * low)) | ((top >> 2) << low)
+            b = ((i >> low) & lm) | (((top >> 1) & 1) << low)
+            d = (i & lm) | ((top & 1) << low)
+            yield ColumnPrefix(k, a, b, (0 - a) & ((1 << k) - 1), d)
+
+
+def test_stage1_lanes_matches_scalar_over_random_constants():
+    # 12 constant sets (odd C, top bits of C1 and C3 set) at w = 6..12; the
+    # last set of each width cuts the stream 3 words after its zero, which
+    # clamps the horizon to 3.  Full range at w <= 8, with 1 and 3 workers;
+    # at w >= 10 the lower-prefix range that holds the true state.
+    rng = SplitMix64(4242)
+    for w in (6, 8, 10, 12):
+        spec = WordSpec(w)
+        k = spec.half + 1
+        top = 1 << (w - 1)
+        for n_set in range(3):
+            params = Tf1Params(
+                rng.below(1 << w) | top, rng.below(1 << w) | top, rng.below(1 << w) | 1, spec
+            )
+            inst = tf1_instance(params)
+            twin = dataclasses.replace(inst, tf1_native=False)
+            seed = rng.next64()
+            ks = generate(state_from_seed(seed, spec), params, 16 << w)
+            while not find_zero_outputs(Keystream(spec, ks.words[:-3]), 1):
+                seed = rng.next64()
+                ks = generate(state_from_seed(seed, spec), params, 16 << w)
+            zero = find_zero_outputs(ks, 1)[0]
+            if n_set == 2:
+                ks = Keystream(spec, ks.words[: zero + 4])
+            horizon = min(3 * k, len(ks) - zero - 1)
+            bits = [ks.words[zero + 1 + j] & 1 for j in range(horizon)]
+            if w <= 8:
+                want = attack._run_stage1(twin, k, bits, horizon, AttackConfig(max_survivors=1 << 20))
+                for workers in (1, 3):
+                    cfg = AttackConfig(max_survivors=1 << 20, workers=workers)
+                    assert attack._run_stage1(inst, k, bits, horizon, cfg) == want
+                continue
+            truth = roll_forward(state_from_seed(seed, spec), params, zero + 1)
+            low = k - 1
+            lm = (1 << low) - 1
+            at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
+            lo = max(0, at - 256)
+            hi = lo + 512
+            sv, steps = attack._stage1_lanes(lo, hi, k, params, bits, horizon, 1 << 20)
+            want_sv, want_steps, _ = attack._stage1_scalar(
+                twin, _lane_candidates(lo, hi, k), bits, horizon, 1 << 20
+            )
+            assert sorted(p.words() for p in sv) == sorted(p.words() for p in want_sv)
+            assert steps == want_steps
+            assert state_prefix(truth, k) in sv
 
 
 def test_recover_moves_past_a_corrupted_zero_position():

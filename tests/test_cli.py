@@ -187,6 +187,30 @@ def test_run_attack_no_zero_is_exit_1(tmp_path, capsys):
     assert "NeedMoreKeystream" in capsys.readouterr().err
 
 
+EVEN_C = "5:5:8"  # the w=4 defaults with C = 8; seed 1 gives no zero in 1024 words
+
+
+def test_run_attack_even_c_without_zero_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "even.bin"
+    assert run(["gen", "--w", "4", "--random-seed", "1", "--constants", EVEN_C,
+                "--count", "1024", "--out", str(path), "--format", "bin"]) == 0
+    assert 0 not in read_keystream(path).words
+    capsys.readouterr()
+    rc = run(["attack", "--in", str(path), "--constants", EVEN_C])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "NeedMoreKeystream" in err and "even C can trap the state" in err
+
+
+def test_run_check_stats_names_even_c(capsys):
+    assert run(["check", "stats", "--w", "4", "--constants", EVEN_C, "--count", "1024"]) == 0
+    out = capsys.readouterr().out
+    assert "zeros=0" in out
+    assert "note: C = 0x8 is even, and an even C can trap the state in short zero-free cycles" in out
+    assert run(["check", "stats", "--w", "4", "--count", "1024"]) == 0
+    assert "note:" not in capsys.readouterr().out
+
+
 def test_run_attack_width_mismatch_is_exit_2(tmp_path, capsys):
     path = tmp_path / "m.bin"
     write_keystream(Keystream(W8, (0, 1)), path, "bin")

@@ -98,24 +98,35 @@ def test_zero_scan_strategies_agree():
     assert len(scalar) == 4096  # one c per (a, b, d): states with a+c = 0 mod 16
 
 
-def test_attack_matches_oracle_over_random_constants():
+def _check_random_constants_against_oracle(spec, seed, n_sets, n_words, budget=None):
     # trivial mode, dfs mode and the scalar twin of the standard instance
-    rng = SplitMix64(2026)
-    for _ in range(24):
-        params = Tf1Params(rng.below(16), rng.below(16), rng.below(16) | 1, W4)
+    rng = SplitMix64(seed)
+    size = 1 << spec.width
+    for _ in range(n_sets):
+        params = Tf1Params(rng.below(size), rng.below(size), rng.below(size) | 1, spec)
         inst = tf1_instance(params)
         twin = dataclasses.replace(inst, tf1_native=False)
-        ks = generate(state_from_seed(rng.next64(), W4), params, 512)
-        while not find_zero_outputs(Keystream(W4, ks.words[:-1]), 1):
-            ks = generate(state_from_seed(rng.next64(), W4), params, 512)
+        ks = generate(state_from_seed(rng.next64(), spec), params, n_words)
+        while not find_zero_outputs(Keystream(spec, ks.words[:-1]), 1):
+            ks = generate(state_from_seed(rng.next64(), spec), params, n_words)
         reports = [
             recover(ks, instance, cfg=AttackConfig(enumeration_mode=mode))
             for instance, mode in ((inst, "trivial"), (inst, "dfs"), (twin, "trivial"))
         ]
         oracle = brute_force_consistent_states(
-            ks, reports[0].zero_index, params, reports[0].verified_words
+            ks, reports[0].zero_index, params, reports[0].verified_words, budget
         )
         assert all(compare_with_report(report, oracle) for report in reports)
+
+
+def test_attack_matches_oracle_over_random_constants():
+    _check_random_constants_against_oracle(W4, 2026, 24, 512)
+
+
+@pytest.mark.slow
+def test_attack_matches_oracle_over_random_constants_w6():
+    # opt-in (pytest -m slow): a 2^24-state oracle scan per set
+    _check_random_constants_against_oracle(WordSpec(6), 2027, 13, 1024, budget=1 << 24)
 
 
 def test_compare_with_report():
