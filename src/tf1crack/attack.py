@@ -12,13 +12,14 @@ Work is counted in attack operations: one stage-1 filter step (truncated
 update + truncated t2 + one bit compare) or one stage-2 verification step
 (full update + output compare).  The expected total is about 16 * 2**(1.5w).
 
-The standard generator gets batch (numpy) kernels for both stages; every
-other instance, and the depth-first enumeration mode, runs on the scalar
-path.  The scalar trivial path, one closed-form candidate at a time, is the
-reference the tests hold the batch kernels to: the same survivors, states
-and counters.  Every full-state check walks the tail through one loop,
-on plain ints for the standard generator and through the instance's t1 and
-output for any other.
+Each enumeration mode has one path.  ``trivial`` mode, for the standard
+generator only, runs the batch (numpy) kernels on the closed form c = -a.
+``dfs`` mode, for any instance, runs the scalar path: depth-first
+preimages, one truncated filter and one tail walk.  The tests hold the
+batch kernels to ``dfs`` mode on the same instance (the same survivors,
+states and counters) and both modes to the exhaustive oracle.  Every
+full-state check walks the tail through one loop, on plain ints for the
+standard generator and through the instance's t1 and output for any other.
 
 The stage-1 kernel is lane-sliced.  Since the update is a T-function, the
 top column L = k-1 of a k-column step is the prefix's own top bits, put
@@ -38,7 +39,7 @@ as the bits of unsigned masks; d_L needs none, as it reaches no other
 word's column L.  A candidate's predicted output LSB is
 a'_L ^ c'_L ^ carry_L(a'_low + c'_low); it drops out at its first
 mismatch.  Each step adds the popcount of the alive mask taken before it,
-so ``stage1_filter_steps`` counts exactly what the scalar path counts.
+so ``stage1_filter_steps`` counts exactly what the scalar filter counts.
 """
 
 from __future__ import annotations
@@ -334,6 +335,7 @@ def stage2_complete(
     """
     _check_params(instance, params)
     cfg = cfg or AttackConfig()
+    _check_mode(instance, cfg)
     tail_len = len(ks) - zero_index - 1
     if tail_len < 0:
         raise ValueError("zero_index out of range")
@@ -361,8 +363,7 @@ def recover(
     if len(ks) == 0:
         raise ValueError("keystream is empty")
     cfg = cfg or AttackConfig()
-    if cfg.enumeration_mode == "trivial" and not instance.trivial_t2_preimages:
-        raise ValueError("trivial enumeration needs the additive t2; use enumeration_mode='dfs'")
+    _check_mode(instance, cfg)
     spec = params.spec
     k = spec.half + 1
     base_horizon = cfg.filter_horizon if cfg.filter_horizon is not None else 3 * k
@@ -427,6 +428,25 @@ def _check_params(instance: GeneratorInstance, params: Tf1Params | None) -> None
         raise ValueError("explicit params disagree with the instance's params")
 
 
+def _check_mode(instance: GeneratorInstance, cfg: AttackConfig) -> None:
+    """Reject trivial mode where its batch kernels do not apply: an instance
+    other than the standard generator, or a width whose 2**(3(k-1)) stage-1
+    lower prefixes overflow the kernels' uint64 index."""
+    if cfg.enumeration_mode != "trivial":
+        return
+    if not instance.tf1_native:
+        raise ValueError(
+            "trivial enumeration needs the standard generator; use enumeration_mode='dfs'"
+        )
+    w = instance.spec.width
+    k = instance.spec.half + 1
+    if 3 * (k - 1) > 64:
+        raise ValueError(
+            f"w={w} is too wide for trivial mode: its 2^{3 * k} stage-1 candidates "
+            "overflow the kernels' 64-bit candidate index (w <= 42)"
+        )
+
+
 def _state_dtype(bits: int):
     # Unsigned wraparound preserves values mod 2**m whenever m <= container
     # bits, so uint32 is exact for m <= 32 and uint64 for m <= 64.  The
@@ -444,44 +464,38 @@ def _run_stage1(
     horizon: int,
     cfg: AttackConfig,
 ) -> tuple[list[ColumnPrefix], int, int]:
-    """Dispatch stage 1; returns (survivors sorted by (a,b,c,d), steps, candidates)."""
+    """Dispatch stage 1; returns (survivors sorted by (a,b,c,d), steps, candidates).
+
+    Trivial mode splits the lower-prefix range of the lane kernel among the
+    workers, dfs mode the one-column roots of the depth-first enumeration.
+    """
     if cfg.enumeration_mode == "trivial":
-        if instance.tf1_native and 3 * k <= 62:
-            parts = _split_range(1 << (3 * (k - 1)), cfg.workers)
-            results = _map_workers(
-                parts,
-                lambda lo_hi: _stage1_lanes(
-                    lo_hi[0], lo_hi[1], k, instance.params, tail_bits, horizon, cfg.max_survivors
-                ),
-                cfg.workers,
-            )
-            survivors: list[ColumnPrefix] = []
-            steps = 0
-            for part_survivors, part_steps in results:
-                survivors.extend(part_survivors)
-                steps += part_steps
-            cands = 1 << (3 * k)
-        else:
-            survivors, steps, cands = _stage1_scalar(
-                instance, enumerate_trivial_preimages(k, 0), tail_bits, horizon, cfg.max_survivors
-            )
+        parts = _split_range(1 << (3 * (k - 1)), cfg.workers)
+
+        def run_part(part):
+            lo, hi = part
+            return _stage1_lanes(lo, hi, k, instance.params, tail_bits, horizon, cfg.max_survivors)
+
     else:
-        roots = _dfs_roots(instance, k)
-        parts = _split_items(roots, cfg.workers)
-        results = _map_workers(
-            parts,
-            lambda part: _stage1_scalar(
-                instance, _dfs_from_roots(instance, part, k), tail_bits, horizon, cfg.max_survivors
-            ),
-            cfg.workers,
-        )
-        survivors = []
-        steps = 0
-        cands = 0
-        for part_survivors, part_steps, part_cands in results:
-            survivors.extend(part_survivors)
-            steps += part_steps
-            cands += part_cands
+        roots = list(enumerate_preimages_dfs(instance, 1, 1))
+        parts = _split_range(len(roots), cfg.workers)
+
+        def run_part(part):
+            lo, hi = part
+            candidates = (
+                prefix
+                for root in roots[lo:hi]
+                for prefix in enumerate_preimages_dfs(instance, 2, k, known=root)
+            )
+            return _stage1_scalar(instance, candidates, tail_bits, horizon, cfg.max_survivors)
+
+    survivors: list[ColumnPrefix] = []
+    steps = 0
+    cands = 0
+    for part_survivors, part_steps, part_cands in _map_workers(parts, run_part, cfg.workers):
+        survivors.extend(part_survivors)
+        steps += part_steps
+        cands += part_cands
     if len(survivors) > cfg.max_survivors:
         raise SurvivorOverflow(
             f"{len(survivors)} stage-1 survivors exceed the cap of {cfg.max_survivors}; "
@@ -492,7 +506,6 @@ def _run_stage1(
 
 
 def _map_workers(parts, fn, workers: int):
-    parts = [p for p in parts if p is not None]
     if workers == 1 or len(parts) <= 1:
         return [fn(p) for p in parts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -503,34 +516,6 @@ def _map_workers(parts, fn, workers: int):
 def _split_range(total: int, workers: int):
     bounds = [total * i // workers for i in range(workers + 1)]
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-
-def _split_items(items, workers: int):
-    if not items:
-        return []
-    n = min(workers, len(items))
-    bounds = [len(items) * i // n for i in range(n + 1)]
-    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-
-def _dfs_roots(instance: GeneratorInstance, k: int) -> list[ColumnPrefix]:
-    """Valid one-column prefixes of the zero-target constraint, in extension order."""
-    roots = []
-    for ext in range(16):
-        cand = ColumnPrefix(1, (ext >> 3) & 1, (ext >> 2) & 1, (ext >> 1) & 1, ext & 1)
-        if (instance.t2_trunc(cand) & 1) == 0:
-            roots.append(cand)
-    return roots
-
-
-def _dfs_from_roots(
-    instance: GeneratorInstance, roots: Sequence[ColumnPrefix], k: int
-) -> Iterator[ColumnPrefix]:
-    for root in roots:
-        if k == 1:
-            yield root
-        else:
-            yield from enumerate_preimages_dfs(instance, 2, k, known=root, target=0)
 
 
 def _stage1_scalar(
@@ -579,7 +564,7 @@ def _stage1_lanes(
     tail_bits: list[int],
     horizon: int,
     max_survivors: int,
-) -> tuple[list[ColumnPrefix], int]:
+) -> tuple[list[ColumnPrefix], int, int]:
     """Lane-sliced stage 1 over lower-prefix indices [lo, hi) of 2**(3(k-1)).
 
     Index i encodes the low L = k-1 columns of (a, b, d) as (i >> 2L,
@@ -596,8 +581,8 @@ def _stage1_lanes(
     A lane predicts the output LSB
     a'_L ^ c'_L ^ carry_L(a'_low + c'_low) and leaves ``alive`` at its
     first mismatch; a prefix leaves the arrays once its mask is 0.  Each
-    step adds popcount(alive) taken before it, which is the scalar path's
-    per-candidate count.  Returns (survivors, filter steps).
+    step adds popcount(alive) taken before it, which is the scalar filter's
+    per-candidate count.  Returns (survivors, filter steps, candidates).
     """
     low = k - 1
     lm = low_mask(low)
@@ -654,7 +639,7 @@ def _stage1_lanes(
                 f"stage-1 survivors exceed the cap of {max_survivors}; "
                 "increase the filter horizon or supply a longer tail"
             )
-    return survivors, steps
+    return survivors, steps, 8 * (hi - lo)
 
 
 def _stage2_for_survivor(
@@ -666,23 +651,14 @@ def _stage2_for_survivor(
     tail_len: int,
 ) -> tuple[list[State], int, int]:
     """Returns (verified states sorted, candidates enumerated, verification steps)."""
-    spec = instance.spec
-    w = spec.width
+    w = instance.spec.width
     k = survivor.l
     n_window = min(cfg.verify_words, tail_len)
     if cfg.enumeration_mode == "trivial":
-        if not instance.trivial_t2_preimages:
-            raise ValueError("trivial completion needs the additive t2; use enumeration_mode='dfs'")
-        if instance.tf1_native and 3 * (w - k) <= 62:
-            return _stage2_trivial_batch(
-                survivor, instance, words, zero_index, n_window, tail_len
-            )
-        candidates = _trivial_completions(survivor, spec)
-    else:
-        candidates = (
-            State(*p.words())
-            for p in enumerate_preimages_dfs(instance, k + 1, w, known=survivor, target=0)
-        )
+        return _stage2_trivial_batch(survivor, instance, words, zero_index, n_window, tail_len)
+    candidates = (
+        State(*p.words()) for p in enumerate_preimages_dfs(instance, k + 1, w, known=survivor)
+    )
     states: list[State] = []
     cands = 0
     verifs = 0
@@ -694,21 +670,6 @@ def _stage2_for_survivor(
             states.append(st)
     states.sort()
     return states, cands, verifs
-
-
-def _trivial_completions(survivor: ColumnPrefix, spec: WordSpec) -> Iterator[State]:
-    k = survivor.l
-    w = spec.width
-    mask = spec.mask
-    hb = w - k
-    a0, b0, _, d0 = survivor.words()
-    for ah in range(1 << hb):
-        a = (ah << k) | a0
-        c = (0 - a) & mask  # low k columns match the survivor's c by construction
-        for bh in range(1 << hb):
-            b = (bh << k) | b0
-            for dh in range(1 << hb):
-                yield State(a, b, c, (dh << k) | d0)
 
 
 def _walk_tail(

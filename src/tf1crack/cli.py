@@ -419,7 +419,10 @@ def _cmd_oracle(args) -> int:
     else:
         zeros = attack_mod.find_zero_outputs(ks, 1)
         if not zeros:
-            raise attack_mod.NeedMoreKeystream("no zero output word in the keystream")
+            note = attack_mod.even_c_note(params)
+            raise attack_mod.NeedMoreKeystream(
+                "no zero output word in the keystream" + (f"; {note}" if note else "")
+            )
         zero_index = zeros[0]
     tail = len(ks) - zero_index - 1
     window = tail if args.window is None else args.window

@@ -141,10 +141,11 @@ class GeneratorInstance:
 
     The truncated forms must agree with the low-l columns of the full maps on
     every input; ``tfcheck.check_truncation_consistency`` verifies exactly
-    that.  ``trivial_t2_preimages`` marks t2 as the plain column sum a+c,
-    whose constrained prefixes have the closed form c = (target - a) mod 2^l.
-    ``tf1_native`` additionally marks the full standard generator, enabling
-    the attack's batch kernels; any other instance runs on the scalar path.
+    that.  ``tf1_native`` marks the standard generator, whose t2 is the plain
+    column sum a+c with the closed-form preimages c = (target - a) mod 2^l;
+    the attack's ``trivial`` mode, its batch kernels and the plain-int tail
+    walk serve it alone.  Any instance, this one included, runs the scalar
+    ``dfs`` mode, which the tests use as the reference for the kernels.
     """
 
     name: str
@@ -155,7 +156,6 @@ class GeneratorInstance:
     f: Callable[[State], int]
     t1_trunc: Callable[[ColumnPrefix], ColumnPrefix]
     t2_trunc: Callable[[ColumnPrefix], int]
-    trivial_t2_preimages: bool = False
     tf1_native: bool = field(default=False, repr=False)
 
 
@@ -313,7 +313,6 @@ def tf1_instance(params: Tf1Params) -> GeneratorInstance:
         f=f,
         t1_trunc=lambda prefix: truncated_update(prefix, params),
         t2_trunc=truncated_t2,
-        trivial_t2_preimages=True,
         tf1_native=True,
     )
 
@@ -345,7 +344,6 @@ def demo_generalized_instance(spec: WordSpec, params: Tf1Params) -> GeneratorIns
         f=lambda state: state.b ^ state.d,
         t1_trunc=lambda prefix: truncated_update(prefix, params),
         t2_trunc=t2_trunc,
-        trivial_t2_preimages=False,
     )
 
 

@@ -212,7 +212,8 @@ def test_verify_state_instance_path():
 
 def test_verify_state_routes_agree():
     # instance=None, the standard instance (plain-int walk) and its twin
-    # without the native flag (walk through t1 and the instance output)
+    # without the native flag (walk through t1 and the instance output);
+    # stage 2 of the batch kernel against the twin's scalar dfs completion
     ks, zero_index, true_state = make_run(W8, P8, seed=3, n=4096)
     native = tf1_instance(P8)
     twin = dataclasses.replace(native, tf1_native=False)
@@ -226,7 +227,7 @@ def test_verify_state_routes_agree():
     assert verify_state(true_state, P8, ks, zero_index, tail, native)
     survivor = state_prefix(true_state, 5)
     assert stage2_complete(survivor, P8, native, ks, zero_index) == stage2_complete(
-        survivor, P8, twin, ks, zero_index
+        survivor, P8, twin, ks, zero_index, AttackConfig(enumeration_mode="dfs")
     )
 
 
@@ -282,24 +283,21 @@ def test_recover_counter_laws_trivial_mode():
     assert 1.5 <= c.stage1_filter_steps / c.stage1_candidates <= 3.0
 
 
-def test_recover_scalar_path_matches_batch_path():
-    inst = tf1_instance(P8)
-    scalar_inst = dataclasses.replace(inst, tf1_native=False)
-    ks, _, _ = make_run(W8, P8, seed=5, n=4096)
-    assert report_core(recover(ks, inst)) == report_core(recover(ks, scalar_inst))
-
-
 def test_recover_dfs_mode_matches_trivial_mode():
-    inst = tf1_instance(P4)
-    for seed in (1, 4):
-        ks, _, _ = make_run(W4, P4, seed=seed, n=512)
+    # dfs mode is the scalar reference for both batch kernels; the two
+    # random-constant w=8 streams keep one above the oracle's width
+    rng = SplitMix64(808)
+    random8 = [
+        Tf1Params(rng.below(256), rng.below(256), rng.below(256) | 1, W8) for _ in range(2)
+    ]
+    cases = [(W4, P4, 1, 512), (W4, P4, 4, 512), (W8, P8, 5, 4096)]
+    cases += [(W8, params, 1 + i, 8192) for i, params in enumerate(random8)]
+    for spec, params, seed, n in cases:
+        ks, _, _ = make_run(spec, params, seed=seed, n=n)
+        inst = tf1_instance(params)
         triv = recover(ks, inst, cfg=AttackConfig(enumeration_mode="trivial"))
         dfs = recover(ks, inst, cfg=AttackConfig(enumeration_mode="dfs"))
         assert report_core(triv) == report_core(dfs)
-    ks, _, _ = make_run(W8, P8, seed=5, n=4096)
-    triv = recover(ks, tf1_instance(P8))
-    dfs = recover(ks, tf1_instance(P8), cfg=AttackConfig(enumeration_mode="dfs"))
-    assert report_core(triv) == report_core(dfs)
 
 
 def test_recover_demo_instance_dfs():
@@ -372,21 +370,25 @@ def test_recover_survivor_overflow():
 
 def test_survivor_cap_inside_one_lower_prefix():
     # caps of 1..7 fall inside the 8 lanes of one lower prefix; the batch
-    # kernel must raise exactly when the scalar path does
+    # kernel must raise exactly when the scalar dfs path does
     cases = [(W4, P4, 1, 512), (W8, P8, 5, 4096)]
     for spec, params, seed, n in cases:
         ks, _, _ = make_run(spec, params, seed, n)
         inst = tf1_instance(params)
-        twin = dataclasses.replace(inst, tf1_native=False)
         full = recover(ks, inst).counters.stage1_survivors
         checks = [(1, range(1, 8))] + ([(None, (full - 1, full))] if spec is W4 else [])
         for horizon, caps in checks:
             for cap in caps:
                 outcomes = []
-                for instance, workers in ((twin, 1), (inst, 1), (inst, 3)):
-                    cfg = AttackConfig(filter_horizon=horizon, max_survivors=cap, workers=workers)
+                for mode, workers in (("dfs", 1), ("trivial", 1), ("trivial", 3)):
+                    cfg = AttackConfig(
+                        filter_horizon=horizon,
+                        max_survivors=cap,
+                        enumeration_mode=mode,
+                        workers=workers,
+                    )
                     try:
-                        outcomes.append(report_core(recover(ks, instance, cfg=cfg)))
+                        outcomes.append(report_core(recover(ks, inst, cfg=cfg)))
                     except SurvivorOverflow:
                         outcomes.append("overflow")
                 assert outcomes[0] == outcomes[1] == outcomes[2], (spec, horizon, cap)
@@ -408,8 +410,9 @@ def _lane_candidates(lo, hi, k):
 def test_stage1_lanes_matches_scalar_over_random_constants():
     # 12 constant sets (odd C, top bits of C1 and C3 set) at w = 6..12; the
     # last set of each width cuts the stream 3 words after its zero, which
-    # clamps the horizon to 3.  Full range at w <= 8, with 1 and 3 workers;
-    # at w >= 10 the lower-prefix range that holds the true state.
+    # clamps the horizon to 3.  Full range at w <= 8, with 1 and 3 workers,
+    # against dfs mode; at w >= 10 the lower-prefix range that holds the
+    # true state, against the scalar filter on the same candidates.
     rng = SplitMix64(4242)
     for w in (6, 8, 10, 12):
         spec = WordSpec(w)
@@ -420,7 +423,6 @@ def test_stage1_lanes_matches_scalar_over_random_constants():
                 rng.below(1 << w) | top, rng.below(1 << w) | top, rng.below(1 << w) | 1, spec
             )
             inst = tf1_instance(params)
-            twin = dataclasses.replace(inst, tf1_native=False)
             seed = rng.next64()
             ks = generate(state_from_seed(seed, spec), params, 16 << w)
             while not find_zero_outputs(Keystream(spec, ks.words[:-3]), 1):
@@ -432,7 +434,8 @@ def test_stage1_lanes_matches_scalar_over_random_constants():
             horizon = min(3 * k, len(ks) - zero - 1)
             bits = [ks.words[zero + 1 + j] & 1 for j in range(horizon)]
             if w <= 8:
-                want = attack._run_stage1(twin, k, bits, horizon, AttackConfig(max_survivors=1 << 20))
+                dfs = AttackConfig(enumeration_mode="dfs", max_survivors=1 << 20)
+                want = attack._run_stage1(inst, k, bits, horizon, dfs)
                 for workers in (1, 3):
                     cfg = AttackConfig(max_survivors=1 << 20, workers=workers)
                     assert attack._run_stage1(inst, k, bits, horizon, cfg) == want
@@ -443,12 +446,11 @@ def test_stage1_lanes_matches_scalar_over_random_constants():
             at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
             lo = max(0, at - 256)
             hi = lo + 512
-            sv, steps = attack._stage1_lanes(lo, hi, k, params, bits, horizon, 1 << 20)
-            want_sv, want_steps, _ = attack._stage1_scalar(
-                twin, _lane_candidates(lo, hi, k), bits, horizon, 1 << 20
+            sv, steps, cands = attack._stage1_lanes(lo, hi, k, params, bits, horizon, 1 << 20)
+            want = attack._stage1_scalar(inst, _lane_candidates(lo, hi, k), bits, horizon, 1 << 20)
+            assert (sorted(p.words() for p in sv), steps, cands) == (
+                sorted(p.words() for p in want[0]), want[1], want[2]
             )
-            assert sorted(p.words() for p in sv) == sorted(p.words() for p in want_sv)
-            assert steps == want_steps
             assert state_prefix(truth, k) in sv
 
 
@@ -474,6 +476,38 @@ def test_recover_horizon_clamped_on_short_tail():
     report = recover(short, tf1_instance(P8))
     assert report.horizon == 7 and report.horizon_clamped
     assert roll_forward(start, P8, zero + 1) in report.recovered
+
+
+def test_trivial_mode_width_limit():
+    # past w=42 the 2^(3(k-1)) lower prefixes overflow the uint64 index;
+    # recover and stage2_complete refuse before any work
+    for w in (44, 64):
+        spec = WordSpec(w)
+        with pytest.raises(ValueError, match=f"w={w} is too wide"):
+            recover(Keystream(spec, (0, 1)), tf1_instance(default_params(spec)))
+    p64 = default_params(WordSpec(64))
+    ks = Keystream(WordSpec(64), (0, 1))
+    with pytest.raises(ValueError, match=r"2\^99 stage-1 candidates"):
+        stage2_complete(ColumnPrefix(33, 0, 0, 0, 0), p64, tf1_instance(p64), ks, 0)
+    # w=42 is accepted, and the kernels still decode the top of their ranges
+    w42 = WordSpec(42)
+    p42 = default_params(w42)
+    inst = tf1_instance(p42)
+    s = next(random_states(w42, 42, 1))
+    truth = State(s.a, s.b, -s.a & w42.mask, s.d)  # emits the zero word
+    ks = Keystream(w42, (0,) + generate(truth, p42, 4).words)
+    last = state_prefix(truth, 41)
+    got = stage2_complete(last, p42, inst, ks, 0)
+    assert truth in got
+    assert got == stage2_complete(last, p42, inst, ks, 0, AttackConfig(enumeration_mode="dfs"))
+    k = 22
+    hi = 1 << (3 * (k - 1))
+    bits = [1, 1, 1, 1, 1]  # 4 of the 32 candidates survive
+    got = attack._stage1_lanes(hi - 4, hi, k, p42, bits, 5, 64)
+    want = attack._stage1_scalar(inst, _lane_candidates(hi - 4, hi, k), bits, 5, 64)
+    assert (sorted(p.words() for p in got[0]), got[1], got[2]) == (
+        sorted(p.words() for p in want[0]), want[1], want[2]
+    )
 
 
 def test_recover_rejects_mismatched_inputs():

@@ -196,10 +196,11 @@ def test_run_attack_even_c_without_zero_is_exit_1(tmp_path, capsys):
                 "--count", "1024", "--out", str(path), "--format", "bin"]) == 0
     assert 0 not in read_keystream(path).words
     capsys.readouterr()
-    rc = run(["attack", "--in", str(path), "--constants", EVEN_C])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "NeedMoreKeystream" in err and "even C can trap the state" in err
+    for command in ("attack", "oracle"):
+        rc = run([command, "--in", str(path), "--constants", EVEN_C])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "NeedMoreKeystream" in err and "even C can trap the state" in err
 
 
 def test_run_check_stats_names_even_c(capsys):
@@ -215,6 +216,10 @@ def test_run_attack_width_mismatch_is_exit_2(tmp_path, capsys):
     path = tmp_path / "m.bin"
     write_keystream(Keystream(W8, (0, 1)), path, "bin")
     assert run(["attack", "--in", str(path), "--w", "16"]) == 2
+    # past w=42, trivial mode's candidate index would overflow
+    write_keystream(Keystream(WordSpec(64), (0, 1)), path, "bin")
+    assert run(["attack", "--in", str(path)]) == 2
+    assert "w=64 is too wide for trivial mode" in capsys.readouterr().err
 
 
 def test_run_attack_missing_file_is_exit_2(tmp_path, capsys):

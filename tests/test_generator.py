@@ -173,7 +173,7 @@ def test_demo_instance_values():
     assert inst.t2(State(0, 0xF, 0, 0xF)) == 0xF
     assert inst.t2(State(1, 3, 0, 2)) == 3
     assert inst.f(State(1, 3, 0, 2)) == 1
-    assert not inst.trivial_t2_preimages
+    assert not inst.tf1_native
 
 
 def test_demo_instance_truncation_consistency():
