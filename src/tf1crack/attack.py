@@ -40,13 +40,23 @@ word's column L.  A candidate's predicted output LSB is
 a'_L ^ c'_L ^ carry_L(a'_low + c'_low); it drops out at its first
 mismatch.  Each step adds the popcount of the alive mask taken before it,
 so ``stage1_filter_steps`` counts exactly what the scalar filter counts.
+
+The stage-2 kernel is column-wise.  The next output is S(x) * (S(y) | 1)
+with x = a'+c' and y = b'+d', and a product's low columns read only its
+factors' low columns, so output column t < h = w/2 reads only columns
+h..h+t of x and y.  The kernel extends all survivors of a zero position one
+column j at a time, 8 ways (the bits of a, b and d; c = -a), and keeps an
+extension while output columns 0..j-h of the first tail word match; at
+full width the whole word must.  Those completions walk the rest of the
+tail.  Each candidate is charged min(first mismatching word, tail length),
+so every dropped one counts one step, as in a walk from every completion.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -85,7 +95,8 @@ __all__ = [
 ]
 
 # candidates per batch-kernel chunk (stage 1 takes _CHUNK >> 3 lower prefixes
-# of 8 candidates each); never affects results
+# of 8 candidates each, stage 2 extends at most _CHUNK >> 7 prefixes by one
+# column); never affects results
 _CHUNK = 1 << 20
 
 
@@ -118,6 +129,11 @@ class AttackConfig:
     known; it is silently clamped to the available tail (the report flags
     the clamp).  ``workers`` partitions stage 1 into that many candidate
     sub-ranges; reports are identical for any worker count.
+
+    ``verify_words`` changes nothing: stage 2 checks every completion
+    against the whole tail.  The field and its check stay only because the
+    benchmark's traced probe (``perfbench/workloads.py``) reads it to cut
+    its stage-2 window; both go with the next change to the benchmark.
     """
 
     filter_horizon: int | None = None
@@ -328,19 +344,23 @@ def stage2_complete(
 ) -> list[State]:
     """Extend a stage-1 survivor to full states and keep the ones that check out.
 
-    Enumerates columns k+1..w consistent with a zero inner word over the full
-    width (closed form in trivial mode, depth-first otherwise), verifies each
-    candidate against ``cfg.verify_words`` outputs, and confirms the rest of
-    the tail.  Only exact matches are returned.
+    The survivor holds l columns (1 <= l < w) of a state that emits the zero
+    word at ``zero_index``, and a word must follow it.  Trivial mode adds one
+    column at a time and drops an extension at the first column where it
+    disagrees with the next word; dfs mode walks the tail from every
+    completion.  Both return the completions that reproduce the tail, sorted.
     """
     _check_params(instance, params)
     cfg = cfg or AttackConfig()
     _check_mode(instance, cfg)
-    tail_len = len(ks) - zero_index - 1
-    if tail_len < 0:
-        raise ValueError("zero_index out of range")
-    states, _, _ = _stage2_for_survivor(survivor, instance, ks.words, zero_index, cfg, tail_len)
-    return states
+    w = instance.spec.width
+    if not 1 <= survivor.l < w:
+        raise ValueError(f"survivor has {survivor.l} columns; stage 2 needs 1 to {w - 1} at w={w}")
+    if instance.t2_trunc(survivor.validate(instance.spec)):
+        raise ValueError("survivor violates the zero inner word on its own columns")
+    if not 0 <= zero_index < len(ks) - 1:
+        raise ValueError("zero_index must leave at least one keystream word after it")
+    return _run_stage2([survivor], instance, ks.words, zero_index, cfg, len(ks) - zero_index - 1)[0]
 
 
 def recover(
@@ -390,14 +410,10 @@ def recover(
         counters.stage1_candidates += cands
         counters.stage1_filter_steps += steps
         counters.stage1_survivors += len(survivors)
-        found: list[State] = []
-        for sv in survivors:
-            states, cand2, verif2 = _stage2_for_survivor(sv, instance, words, z, cfg, tail_len)
-            counters.stage2_candidates += cand2
-            counters.stage2_verifications += verif2
-            found.extend(states)
+        found, cand2, verif2 = _run_stage2(survivors, instance, words, z, cfg, tail_len)
+        counters.stage2_candidates += cand2
+        counters.stage2_verifications += verif2
         if found:
-            found.sort()
             return AttackReport(
                 zero_index=z,
                 recovered=tuple(found),
@@ -642,34 +658,84 @@ def _stage1_lanes(
     return survivors, steps, 8 * (hi - lo)
 
 
-def _stage2_for_survivor(
-    survivor: ColumnPrefix,
+def _run_stage2(
+    survivors: list[ColumnPrefix],
     instance: GeneratorInstance,
     words: tuple[int, ...],
     zero_index: int,
     cfg: AttackConfig,
     tail_len: int,
 ) -> tuple[list[State], int, int]:
-    """Returns (verified states sorted, candidates enumerated, verification steps)."""
-    w = instance.spec.width
-    k = survivor.l
-    n_window = min(cfg.verify_words, tail_len)
+    """Dispatch stage 2; returns (verified states sorted, candidates, verification steps).
+
+    dfs mode walks the tail from every completion, trivial mode only from
+    the column kernel's; the others mismatch at the first word: one step.
+    """
     if cfg.enumeration_mode == "trivial":
-        return _stage2_trivial_batch(survivor, instance, words, zero_index, n_window, tail_len)
-    candidates = (
-        State(*p.words()) for p in enumerate_preimages_dfs(instance, k + 1, w, known=survivor)
-    )
+        cands, walked = _stage2_columns(survivors, instance.params, words[zero_index + 1])
+    else:
+        cands, walked = None, (
+            State(*p.words())
+            for sv in survivors
+            for p in enumerate_preimages_dfs(instance, sv.l + 1, instance.spec.width, known=sv)
+        )
     states: list[State] = []
-    cands = 0
-    verifs = 0
-    for st in candidates:
-        cands += 1
+    n_walked = verifs = 0
+    for n_walked, st in enumerate(walked, 1):
         ok, n = _walk_tail(st, instance, words, zero_index, zero_index + tail_len)
         verifs += n
         if ok:
             states.append(st)
+    cands = n_walked if cands is None else cands
     states.sort()
-    return states, cands, verifs
+    return states, cands, verifs + cands - n_walked
+
+
+def _stage2_columns(
+    survivors: list[ColumnPrefix], params: Tf1Params, first: int
+) -> tuple[int, list[State]]:
+    """Column-wise completion of l-column survivors for the standard
+    generator: (candidates, the completions whose next output is ``first``).
+
+    Column j = l .. w-1 steps each extension with ``_rows`` mod 2**(j+1) and
+    compares the output columns it pins (see the module docstring).  A
+    frontier of more than _CHUNK >> 7 prefixes is split and finished piece
+    by piece, whatever the survivor count (_CHUNK >> 3 took 60 MB at w=16).
+    """
+    if not survivors:
+        return 0, []
+    spec = params.spec
+    w, l = spec.width, survivors[0].l
+    dtype = _state_dtype(w)
+    mask, h = dtype(spec.mask), dtype(spec.half)
+    lanes = np.arange(8, dtype=dtype)
+    ea, eb, ed = lanes >> 2, (lanes >> 1) & 1, lanes & 1
+    step = _CHUNK >> 7
+    a, b, _, d = (np.array(v, dtype) for v in zip(*(sv.words() for sv in survivors)))
+    frontier = [(l, a, b, d)]
+    out: list[State] = []
+    while frontier:
+        j, a, b, d = frontier.pop()
+        if a.size > step:
+            for i in range(0, a.size, step):
+                frontier.append((j, a[i : i + step], b[i : i + step], d[i : i + step]))
+            continue
+        a = (a[:, None] | (ea << j)).ravel()
+        b = (b[:, None] | (eb << j)).ravel()
+        d = (d[:, None] | (ed << j)).ravel()
+        m = low_mask(j + 1)
+        mm, c1, c3, cc = (dtype(v & m) for v in (m, params.c1, params.c3, params.c))
+        nxt = _rows(a, b, (0 - a) & mm, d, mm, c1, c3, cc)[:4]
+        # j+1 columns pin output columns 0..j-h, and all of them at full width
+        cols = dtype(spec.mask if j == w - 1 else low_mask(max(j + 1 - spec.half, 0)))
+        keep = np.flatnonzero((_out(*nxt, mask, h) & cols) == first & cols)
+        a, b, d = a.take(keep), b.take(keep), d.take(keep)
+        del nxt, keep  # held into the next column or piece, they add to its peak
+        if j + 1 < w:
+            frontier.append((j + 1, a, b, d))
+        else:
+            out += (State(*row) for row in np.stack([a, b, (0 - a) & mask, d]).T.tolist())
+    return len(survivors) << (3 * (w - l)), out
 
 
 def _walk_tail(
@@ -700,67 +766,3 @@ def _walk_tail(
         if instance_output(state, instance) != words[j]:
             return False, j - lo
     return True, hi - lo
-
-
-def _stage2_trivial_batch(
-    survivor: ColumnPrefix,
-    instance: GeneratorInstance,
-    words: tuple[int, ...],
-    zero_index: int,
-    n_window: int,
-    tail_len: int,
-) -> tuple[list[State], int, int]:
-    """Batch completion and verification for the standard generator.
-
-    The first ``n_window`` verification steps run on arrays; window
-    survivors walk the rest of the tail on the scalar path.  Step counts
-    match the scalar implementation exactly.
-    """
-    params = instance.params
-    spec = instance.spec
-    w = spec.width
-    k = survivor.l
-    hb = w - k
-    total = 1 << (3 * hb)
-    dtype = _state_dtype(w)
-    mask, h = dtype(spec.mask), dtype(spec.half)
-    c1, c3, cc = dtype(params.c1), dtype(params.c3), dtype(params.c)
-    a0, b0, _, d0 = survivor.words()
-    hm = low_mask(hb)
-
-    states: list[State] = []
-    verifs = 0
-    for cs in range(0, total, _CHUNK):
-        ce = min(cs + _CHUNK, total)
-        idx = np.arange(cs, ce, dtype=np.uint64)
-        a = (((idx >> (2 * hb)) << k) | a0).astype(dtype)
-        b = ((((idx >> hb) & hm) << k) | b0).astype(dtype)
-        d = (((idx & hm) << k) | d0).astype(dtype)
-        del idx  # held through the window, it adds a chunk of uint64 to the peak
-        c = (0 - a) & mask
-        oa, ob, oc, od = a, b, c, d
-        alive = True
-        for j in range(1, n_window + 1):
-            verifs += int(a.size)
-            # [:4] lets s go at once; held in a name it adds two chunk arrays to the peak
-            a, b, c, d = _rows(a, b, c, d, mask, c1, c3, cc)[:4]
-            keep = _out(a, b, c, d, mask, h) == words[zero_index + j]
-            if not keep.all():
-                a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-                oa, ob, oc, od = oa[keep], ob[keep], oc[keep], od[keep]
-            if a.size == 0:
-                alive = False
-                break
-        if not alive:
-            continue
-        # window survivors finish the tail one state at a time
-        rolled = np.stack([a, b, c, d]).T.tolist()
-        origin = np.stack([oa, ob, oc, od]).T.tolist()
-        end = zero_index + tail_len
-        for row, orig in zip(rolled, origin):
-            ok, n = _walk_tail(State(*row), instance, words, zero_index + n_window, end)
-            verifs += n
-            if ok:
-                states.append(State(*orig))
-    states.sort()
-    return states, total, verifs

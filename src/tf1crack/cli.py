@@ -254,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--format", choices=("bin", "hex"), default="bin")
     atk.add_argument("--mode", choices=("trivial", "dfs"), default="trivial")
     atk.add_argument("--horizon", type=int, help="stage-1 filter depth (default 3*(w/2+1))")
-    atk.add_argument("--verify-words", type=int, default=4)
     atk.add_argument("--max-survivors", type=int, default=4096)
     atk.add_argument("--max-zero-positions", type=int, default=8)
     atk.add_argument("--report", choices=("machine", "human"), default="human")
@@ -365,7 +364,6 @@ def _cmd_attack(args) -> int:
     params = _params_for(args, ks.spec)
     cfg = AttackConfig(
         filter_horizon=args.horizon,
-        verify_words=args.verify_words,
         max_survivors=args.max_survivors,
         max_zero_positions=args.max_zero_positions,
         enumeration_mode=args.mode,

@@ -16,7 +16,7 @@ at all; the output is ``S(t2(A)) * (f(A) | 1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .rng import SplitMix64
 from .word import WordSpec, low_mask, swap_halves

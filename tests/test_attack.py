@@ -31,6 +31,7 @@ from tf1crack import (
 )
 from tf1crack.generator import state_prefix
 from tf1crack.rng import SplitMix64
+from tf1crack.word import low_mask
 
 from helpers import random_states, report_core, roll_forward
 
@@ -246,6 +247,62 @@ def test_stage2_complete_inconsistent_survivor_is_empty():
     inst = tf1_instance(P8)
     wrong = dataclasses.replace(state_prefix(true_state, 5), b_low=true_state.b & 0x1F ^ 1)
     assert stage2_complete(wrong, P8, inst, ks, zero_index, AttackConfig()) == []
+
+
+def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
+    # the column kernel against dfs mode (states, candidates, verifications)
+    # for tails of 1..3 words (2 at w=12), on the true prefix, a wrong survivor and
+    # random zero-consistent prefixes in one array, the wrong one alone,
+    # and all again with _CHUNK so small that the frontier is split; at w=6
+    # also from 2 columns, below the first pinned output column
+    rng = SplitMix64(5151)
+    trivial, dfs = AttackConfig(), AttackConfig(enumeration_mode="dfs")
+    for w in (6, 8, 10, 12):
+        spec = WordSpec(w)
+        params = Tf1Params(rng.below(1 << w), rng.below(1 << w), rng.below(1 << w) | 1, spec)
+        inst = tf1_instance(params)
+        s = next(random_states(spec, rng.next64(), 1))
+        truth = State(s.a, s.b, -s.a & spec.mask, s.d)  # emits the zero word
+        words = (0,) + generate(truth, params, 3).words
+        k = spec.half + 1
+        wrong = dataclasses.replace(state_prefix(truth, k), b_low=truth.b & low_mask(k) ^ 1)
+        survivors = [state_prefix(truth, k), wrong]
+        survivor_sets = [survivors]
+        if w <= 10:
+            for r in random_states(spec, rng.next64(), 3):
+                survivors.append(state_prefix(State(r.a, r.b, -r.a & spec.mask, r.d), k))
+            survivor_sets.append([wrong])
+        if w == 6:
+            survivor_sets.append([state_prefix(truth, 2)])
+        for svs in survivor_sets:
+            for tail in (1, 2, 3) if w < 12 else (2,):
+                want = attack._run_stage2(svs, inst, words, 0, dfs, tail)
+                assert attack._run_stage2(svs, inst, words, 0, trivial, tail) == want
+                with monkeypatch.context() as patch:
+                    patch.setattr(attack, "_CHUNK", 1 << 10)
+                    assert attack._run_stage2(svs, inst, words, 0, trivial, tail) == want
+                assert (truth in want[0]) == (svs is survivors or svs[0].l == 2)
+
+
+def test_stage2_complete_rejects_malformed_survivor():
+    ks, zero_index, true_state = make_run(W8, P8, seed=7, n=8192)
+    inst = tf1_instance(P8)
+    for mode in ("trivial", "dfs"):
+        cfg = AttackConfig(enumeration_mode=mode)
+        for l in (0, 8, 9):
+            with pytest.raises(ValueError, match=f"survivor has {l} columns; stage 2 needs 1 to 7"):
+                stage2_complete(ColumnPrefix(l, 0, 0, 0, 0), P8, inst, ks, zero_index, cfg)
+        survivor = state_prefix(true_state, 5)
+        for z in (len(ks) - 1, len(ks), -1):
+            with pytest.raises(ValueError, match="at least one keystream word after it"):
+                stage2_complete(survivor, P8, inst, ks, z, cfg)
+        # a c that breaks the zero, and a word wider than the survivor's 5 columns
+        bad_c = dataclasses.replace(survivor, c_low=survivor.c_low ^ 1)
+        with pytest.raises(ValueError, match="violates the zero inner word"):
+            stage2_complete(bad_c, P8, inst, ks, zero_index, cfg)
+        wide_a = dataclasses.replace(survivor, a_low=survivor.a_low | 32)
+        with pytest.raises(ValueError, match="does not fit in 5 columns"):
+            stage2_complete(wide_a, P8, inst, ks, zero_index, cfg)
 
 
 def test_recover_w4_certified_by_oracle():
