@@ -19,7 +19,8 @@ preimages, one truncated filter and one tail walk.  The tests hold the
 batch kernels to ``dfs`` mode on the same instance (the same survivors,
 states and counters) and both modes to the exhaustive oracle.  Every
 full-state check walks the tail through one loop, on plain ints for the
-standard generator and through the instance's t1 and output for any other.
+standard generator and through the instance's word functions for any other.
+A truncated evaluation passes low_mask(l) to the same word functions.
 
 The stage-1 kernel is lane-sliced.  Since the update is a T-function, the
 top column L = k-1 of a k-column step is the prefix's own top bits, put
@@ -67,6 +68,7 @@ from .generator import (
     Keystream,
     State,
     Tf1Params,
+    _instance_out,
     _out,
     _rows,
     instance_output,
@@ -258,28 +260,26 @@ def enumerate_preimages_dfs(
     else:
         if known is None or known.l != l - 1:
             raise ValueError(f"known prefix must cover exactly {l - 1} columns")
-        known.validate(instance.spec)
-        got = instance.t2_trunc(known)
+        base = known.validate(instance.spec).words()
         m = low_mask(l - 1)
-        if (got & m) != (target & m):
+        if instance.t2_words(*base, m) != (target & m):
             raise ValueError("known prefix violates the constraint on its own columns")
-        base = known.words()
 
-    t2_trunc = instance.t2_trunc
+    t2_words = instance.t2_words
 
     def walk(a: int, b: int, c: int, d: int, col: int) -> Iterator[ColumnPrefix]:
         shift = col - 1
         want = (target >> shift) & 1
+        m = low_mask(col)
         for ext in range(16):
             na = a | (((ext >> 3) & 1) << shift)
             nb = b | (((ext >> 2) & 1) << shift)
             nc = c | (((ext >> 1) & 1) << shift)
             nd = d | ((ext & 1) << shift)
-            cand = ColumnPrefix(col, na, nb, nc, nd)
-            if ((t2_trunc(cand) >> shift) & 1) != want:
+            if ((t2_words(na, nb, nc, nd, m) >> shift) & 1) != want:
                 continue
             if col == k:
-                yield cand
+                yield ColumnPrefix(col, na, nb, nc, nd)
             else:
                 yield from walk(na, nb, nc, nd, col + 1)
 
@@ -356,7 +356,7 @@ def stage2_complete(
     w = instance.spec.width
     if not 1 <= survivor.l < w:
         raise ValueError(f"survivor has {survivor.l} columns; stage 2 needs 1 to {w - 1} at w={w}")
-    if instance.t2_trunc(survivor.validate(instance.spec)):
+    if instance.t2_words(*survivor.validate(instance.spec).words(), low_mask(survivor.l)):
         raise ValueError("survivor violates the zero inner word on its own columns")
     if not 0 <= zero_index < len(ks) - 1:
         raise ValueError("zero_index must leave at least one keystream word after it")
@@ -512,13 +512,17 @@ def _run_stage1(
         survivors.extend(part_survivors)
         steps += part_steps
         cands += part_cands
-    if len(survivors) > cfg.max_survivors:
-        raise SurvivorOverflow(
-            f"{len(survivors)} stage-1 survivors exceed the cap of {cfg.max_survivors}; "
-            "increase the filter horizon or supply a longer tail"
-        )
+    _check_cap(survivors, cfg.max_survivors)
     survivors.sort(key=ColumnPrefix.words)
     return survivors, steps, cands
+
+
+def _check_cap(survivors: list[ColumnPrefix], cap: int) -> None:
+    if len(survivors) > cap:
+        raise SurvivorOverflow(
+            f"{len(survivors)} stage-1 survivors exceed the cap of {cap}; "
+            "increase the filter horizon or supply a longer tail"
+        )
 
 
 def _map_workers(parts, fn, workers: int):
@@ -547,28 +551,22 @@ def _stage1_scalar(
     the first predicted output LSB that differs from the observed one.
     """
     h = instance.spec.half
-    t1_trunc = instance.t1_trunc
-    t2_trunc = instance.t2_trunc
+    t1_words, t2_words = instance.t1_words, instance.t2_words
     survivors: list[ColumnPrefix] = []
     steps = 0
     cands = 0
     for prefix in candidates:
         cands += 1
-        cur = prefix
-        alive = True
+        m = low_mask(prefix.l)
+        a, b, c, d = prefix.words()
         for j in range(horizon):
-            cur = t1_trunc(cur)
+            a, b, c, d = t1_words(a, b, c, d, m)
             steps += 1
-            if ((t2_trunc(cur) >> h) & 1) != tail_bits[j]:
-                alive = False
+            if ((t2_words(a, b, c, d, m) >> h) & 1) != tail_bits[j]:
                 break
-        if alive:
+        else:
             survivors.append(prefix)
-            if len(survivors) > max_survivors:
-                raise SurvivorOverflow(
-                    f"stage-1 survivors exceed the cap of {max_survivors}; "
-                    "increase the filter horizon or supply a longer tail"
-                )
+            _check_cap(survivors, max_survivors)
     return survivors, steps, cands
 
 
@@ -650,11 +648,7 @@ def _stage1_lanes(
                     a = ia | (lane >> 2) << low
                     b = ib | (lane >> 1 & 1) << low
                     survivors.append(ColumnPrefix(k, a, b, (0 - a) & km, id_ | (lane & 1) << low))
-        if len(survivors) > max_survivors:
-            raise SurvivorOverflow(
-                f"stage-1 survivors exceed the cap of {max_survivors}; "
-                "increase the filter horizon or supply a longer tail"
-            )
+        _check_cap(survivors, max_survivors)
     return survivors, steps, 8 * (hi - lo)
 
 
@@ -749,7 +743,7 @@ def _walk_tail(
 
     Returns (matched, output words computed); a mismatch ends the walk.
     The standard generator walks on plain ints, any other instance through
-    its t1 and output.
+    its word functions.
     """
     if instance.tf1_native:
         p = instance.params
@@ -760,9 +754,10 @@ def _walk_tail(
             if _out(a, b, c, d, m, h) != words[j]:
                 return False, j - lo
         return True, hi - lo
-    t1 = instance.t1
+    t1_words, m = instance.t1_words, instance.spec.mask
+    a, b, c, d = state.words()
     for j in range(lo + 1, hi + 1):
-        state = t1(state)
-        if instance_output(state, instance) != words[j]:
+        a, b, c, d = t1_words(a, b, c, d, m)
+        if _instance_out(instance, a, b, c, d) != words[j]:
             return False, j - lo
     return True, hi - lo

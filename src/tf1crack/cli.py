@@ -25,6 +25,7 @@ from .generator import (
     State,
     Tf1Params,
     default_params,
+    demo_generalized_instance,
     generate,
     state_from_seed,
     tf1_instance,
@@ -186,48 +187,46 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
     raise ValueError(f"unknown format {fmt!r}; expected 'bin' or 'hex'")
 
 
-def parse_state(text: str, spec: WordSpec) -> State:
-    """Parse "a:b:c:d" in hex, each field at most the width mask."""
+def _parse_hex_fields(text: str, spec: WordSpec, what: str, names) -> list[int]:
+    """Colon-separated hex fields, one per name, each at most the width mask."""
     parts = text.split(":")
-    if len(parts) != 4:
-        raise ParseError(f"state needs 4 colon-separated fields, got {len(parts)}: {text!r}")
+    if len(parts) != len(names):
+        raise ParseError(
+            f"{what}: expected {len(names)} colon-separated fields {':'.join(names)}, "
+            f"got {len(parts)}: {text!r}"
+        )
     values = []
-    for name, part in zip("abcd", parts):
+    for name, part in zip(names, parts):
         try:
             value = int(part, 16)
         except ValueError:
-            raise ParseError(f"field {name} is not hexadecimal: {part!r}") from None
+            raise ParseError(f"{what}: field {name} is not hexadecimal: {part!r}") from None
         if not 0 <= value <= spec.mask:
-            raise ParseError(f"field {name}={part} exceeds the width-{spec.width} mask")
+            raise ParseError(f"{what}: field {name}={part} exceeds the width-{spec.width} mask")
         values.append(value)
-    return State(*values)
+    return values
+
+
+def _hex_fields(values, spec: WordSpec) -> str:
+    return ":".join(f"{v:0{spec.hex_digits}x}" for v in values)
+
+
+def parse_state(text: str, spec: WordSpec) -> State:
+    """Parse "a:b:c:d" in hex, each field at most the width mask."""
+    return State(*_parse_hex_fields(text, spec, "state", "abcd"))
 
 
 def format_state(state: State, spec: WordSpec) -> str:
-    d = spec.hex_digits
-    return ":".join(f"{v:0{d}x}" for v in state.words())
+    return _hex_fields(state.words(), spec)
 
 
 def _parse_constants(text: str, spec: WordSpec) -> Tf1Params:
     """Constants flag value "C1:C3:C" in hex."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"constants need 3 colon-separated fields C1:C3:C, got {len(parts)}")
-    values = []
-    for name, part in zip(("C1", "C3", "C"), parts):
-        try:
-            value = int(part, 16)
-        except ValueError:
-            raise ParseError(f"constant {name} is not hexadecimal: {part!r}") from None
-        if not 0 <= value <= spec.mask:
-            raise ParseError(f"constant {name}={part} exceeds the width-{spec.width} mask")
-        values.append(value)
-    return Tf1Params(c1=values[0], c3=values[1], c=values[2], spec=spec)
+    return Tf1Params(*_parse_hex_fields(text, spec, "constants", ("C1", "C3", "C")), spec)
 
 
 def _format_constants(params: Tf1Params) -> str:
-    d = params.spec.hex_digits
-    return ":".join(f"{v:0{d}x}" for v in (params.c1, params.c3, params.c))
+    return _hex_fields((params.c1, params.c3, params.c), params.spec)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,8 +387,6 @@ def _cmd_check(args) -> int:
             bad += rep.failures
         return 0 if bad == 0 else 1
     if args.what == "trunc":
-        from .generator import demo_generalized_instance
-
         bad = 0
         for name, inst in (
             ("tf1", tf1_instance(params)),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .rng import SplitMix64
-from .word import WordSpec, low_mask, swap_halves
+from .word import WordSpec, low_mask
 
 __all__ = [
     "State",
@@ -139,24 +139,35 @@ class Keystream:
 class GeneratorInstance:
     """A generalized-family member: t1 and t2 are T-functions, f is arbitrary.
 
-    The truncated forms must agree with the low-l columns of the full maps on
-    every input; ``tfcheck.check_truncation_consistency`` verifies exactly
-    that.  ``tf1_native`` marks the standard generator, whose t2 is the plain
-    column sum a+c with the closed-form preimages c = (target - a) mod 2^l;
-    the attack's ``trivial`` mode, its batch kernels and the plain-int tail
-    walk serve it alone.  Any instance, this one included, runs the scalar
-    ``dfs`` mode, which the tests use as the reference for the kernels.
+    Each map has one definition, on words.  ``t1_words(a, b, c, d, m)``
+    returns the four updated words and ``t2_words(a, b, c, d, m)`` the inner
+    word, both mod 2**l where m = 2**l - 1, from inputs already reduced
+    mod 2**l.  As the maps are T-functions, m = ``spec.mask`` gives the full
+    map and m = low_mask(l) its truncation to l columns;
+    ``tfcheck.check_truncation_consistency`` tests exactly that.
+    ``f_words(a, b, c, d)`` is the odd-making factor, at full width only.
+    The built-in instances also take numpy unsigned arrays whose dtype holds
+    w bits, as ``_rows`` does.  ``tf1_native`` marks the standard generator,
+    whose t2 is the plain column sum a+c with the closed-form preimages
+    c = (target - a) mod 2^l; the attack's ``trivial`` mode, its batch
+    kernels and the plain-int tail walk serve it alone.  Any instance, this
+    one included, runs the scalar ``dfs`` mode, which the tests use as the
+    reference for the kernels.
     """
 
     name: str
     spec: WordSpec
     params: Tf1Params
-    t1: Callable[[State], State]
-    t2: Callable[[State], int]
-    f: Callable[[State], int]
-    t1_trunc: Callable[[ColumnPrefix], ColumnPrefix]
-    t2_trunc: Callable[[ColumnPrefix], int]
+    t1_words: Callable[..., tuple]
+    t2_words: Callable[..., int]
+    f_words: Callable[..., int]
     tf1_native: bool = field(default=False, repr=False)
+
+    def t1(self, state: State) -> State:
+        return State(*self.t1_words(*state.words(), self.spec.mask))
+
+    def t2(self, state: State) -> int:
+        return self.t2_words(*state.words(), self.spec.mask)
 
 
 def compute_s(state: State, params: Tf1Params) -> int:
@@ -173,10 +184,11 @@ def update(state: State, params: Tf1Params) -> State:
 def _rows(a, b, c, d, m, c1, c3, cc):
     """The four update rows mod 2**l, where m = 2**l - 1, and the step word s.
 
-    The only copy of the TF-1 update.  Inputs and constants must already be
-    reduced mod 2**l; they may be Python ints or numpy unsigned arrays whose
-    dtype holds l bits, since numpy 2 gives plain-int operands the array's
-    dtype (NEP 50).  Because every row is a T-function, rows taken mod 2**l
+    The only copy of the TF-1 update.  Inputs must already be reduced mod
+    2**l; constants need not be, as they enter only reduced sums and
+    products.  Inputs may be Python ints or numpy unsigned arrays whose
+    dtype also holds the constants, since numpy 2 gives plain-int operands
+    the array's dtype (NEP 50).  Because every row is a T-function, rows taken mod 2**l
     are exactly the truncated update.
 
     Returns (a', b', c', d', s), where s = ((C + p) mod 2**l) xor p with
@@ -258,17 +270,18 @@ def truncated_update(prefix: ColumnPrefix, params: Tf1Params) -> ColumnPrefix:
     every row is built from operations whose column k depends only on
     columns <= k.
     """
-    m = low_mask(prefix.l)
-    a, b, c, d = prefix.a_low, prefix.b_low, prefix.c_low, prefix.d_low
-    a, b, c, d, _ = _rows(a, b, c, d, m, params.c1 & m, params.c3 & m, params.c & m)
+    a, b, c, d, _ = _rows(*prefix.words(), low_mask(prefix.l), params.c1, params.c3, params.c)
     return ColumnPrefix(prefix.l, a, b, c, d)
+
+
+def _t2_sum(a, b, c, d, m):
+    return (a + c) & m
 
 
 def truncated_t2(prefix: ColumnPrefix, instance: GeneratorInstance | None = None) -> int:
     """Low l columns of the inner word; defaults to the standard sum a+c."""
-    if instance is not None:
-        return instance.t2_trunc(prefix)
-    return (prefix.a_low + prefix.c_low) & low_mask(prefix.l)
+    t2_words = _t2_sum if instance is None else instance.t2_words
+    return t2_words(*prefix.words(), low_mask(prefix.l))
 
 
 def predicted_output_lsb(
@@ -289,8 +302,13 @@ def predicted_output_lsb(
     h = instance.spec.half
     if prefix.l <= h:
         raise ValueError(f"prefix has {prefix.l} columns; need at least {h + 1}")
-    nxt = instance.t1_trunc(prefix)
-    return (instance.t2_trunc(nxt) >> h) & 1
+    m = low_mask(prefix.l)
+    return (instance.t2_words(*instance.t1_words(*prefix.words(), m), m) >> h) & 1
+
+
+def _t1_rows(params: Tf1Params):
+    c1, c3, cc = params.c1, params.c3, params.c
+    return lambda a, b, c, d, m: _rows(a, b, c, d, m, c1, c3, cc)[:4]
 
 
 def tf1_instance(params: Tf1Params) -> GeneratorInstance:
@@ -299,22 +317,13 @@ def tf1_instance(params: Tf1Params) -> GeneratorInstance:
     Here t2 is a+c and f is S(b+d), reproducing the usual output word.
     """
     spec = params.spec
-    mask = spec.mask
+    mask, h = spec.mask, spec.half
 
-    def f(state: State) -> int:
-        return swap_halves((state.b + state.d) & mask, spec)
+    def f_words(a, b, c, d):
+        y = (b + d) & mask
+        return ((y >> h) | (y << h)) & mask
 
-    return GeneratorInstance(
-        name="tf1",
-        spec=spec,
-        params=params,
-        t1=lambda state: update(state, params),
-        t2=lambda state: t2_tf1(state, spec),
-        f=f,
-        t1_trunc=lambda prefix: truncated_update(prefix, params),
-        t2_trunc=truncated_t2,
-        tf1_native=True,
-    )
+    return GeneratorInstance("tf1", spec, params, _t1_rows(params), _t2_sum, f_words, tf1_native=True)
 
 
 def demo_generalized_instance(spec: WordSpec, params: Tf1Params) -> GeneratorInstance:
@@ -326,42 +335,39 @@ def demo_generalized_instance(spec: WordSpec, params: Tf1Params) -> GeneratorIns
     """
     if params.spec != spec:
         raise ValueError("params were built for a different word spec")
-    mask = spec.mask
-
-    def t2(state: State) -> int:
-        return ((state.a + state.c) & mask) ^ (state.b & state.d)
-
-    def t2_trunc(prefix: ColumnPrefix) -> int:
-        m = low_mask(prefix.l)
-        return ((prefix.a_low + prefix.c_low) & m) ^ (prefix.b_low & prefix.d_low)
-
     return GeneratorInstance(
-        name="demo",
-        spec=spec,
-        params=params,
-        t1=lambda state: update(state, params),
-        t2=t2,
-        f=lambda state: state.b ^ state.d,
-        t1_trunc=lambda prefix: truncated_update(prefix, params),
-        t2_trunc=t2_trunc,
+        "demo",
+        spec,
+        params,
+        _t1_rows(params),
+        lambda a, b, c, d, m: ((a + c) & m) ^ (b & d),
+        lambda a, b, c, d: b ^ d,
     )
+
+
+def _instance_out(instance: GeneratorInstance, a, b, c, d):
+    """S(t2) * (f | 1) mod 2**w on full-width words, as ``_out`` for any instance."""
+    m, h = instance.spec.mask, instance.spec.half
+    x = instance.t2_words(a, b, c, d, m)
+    # bits that x << h carries above column w vanish in the reduced product
+    return (((x >> h) | (x << h)) * (instance.f_words(a, b, c, d) | 1)) & m
 
 
 def instance_output(state: State, instance: GeneratorInstance) -> int:
     """Output word of a generalized instance: S(t2(A)) * (f(A) | 1)."""
-    spec = instance.spec
-    return (swap_halves(instance.t2(state), spec) * (instance.f(state) | 1)) & spec.mask
+    return _instance_out(instance, *state.words())
 
 
 def generate_from_instance(seed: State, instance: GeneratorInstance, n: int) -> Keystream:
-    """Like ``generate`` but through an instance's t1/t2/f."""
+    """Like ``generate`` but through an instance's word functions."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    state = seed
+    t1_words, m = instance.t1_words, instance.spec.mask
+    a, b, c, d = seed.words()
     out = []
     for _ in range(n):
-        state = instance.t1(state)
-        out.append(instance_output(state, instance))
+        a, b, c, d = t1_words(a, b, c, d, m)
+        out.append(_instance_out(instance, a, b, c, d))
     return Keystream(instance.spec, tuple(out))
 
 

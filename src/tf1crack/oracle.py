@@ -52,7 +52,7 @@ def brute_force_consistent_states(
     spec = params.spec
     w = spec.width
     if w > 8:
-        raise ValueError("the exhaustive oracle is limited to widths 4 and 8 by design")
+        raise ValueError(f"the exhaustive oracle is limited to w <= 8 by design, got w={w}")
     if zero_index < 0 or window < 0 or zero_index + window >= len(ks):
         raise ValueError("verification window exceeds the keystream")
     if ks.words[zero_index] != 0:

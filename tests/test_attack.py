@@ -358,14 +358,21 @@ def test_recover_dfs_mode_matches_trivial_mode():
 
 
 def test_recover_demo_instance_dfs():
-    inst = demo_generalized_instance(W4, P4)
-    start = state_from_seed(11, W4)
-    ks = generate_from_instance(start, inst, 512)
-    report = recover(ks, inst, cfg=AttackConfig(enumeration_mode="dfs"))
-    true_state = start
-    for _ in range(report.zero_index + 1):
-        true_state = inst.t1(true_state)
-    assert true_state in report.recovered
+    # no oracle covers the demo instance at w=8, so its zero index, counters
+    # and recovered count are pinned
+    cases = [(W4, P4, 512, None), (W8, P8, 4096, (399, (32768, 65304, 6, 3072, 6816), 1))]
+    for spec, params, n, pinned in cases:
+        inst = demo_generalized_instance(spec, params)
+        start = state_from_seed(11, spec)
+        ks = generate_from_instance(start, inst, n)
+        report = recover(ks, inst, cfg=AttackConfig(enumeration_mode="dfs"))
+        true_state = start
+        for _ in range(report.zero_index + 1):
+            true_state = inst.t1(true_state)
+        assert true_state in report.recovered
+        if pinned is not None:
+            got = (report.zero_index, tuple(vars(report.counters).values()), len(report.recovered))
+            assert got == pinned
 
 
 def test_recover_demo_instance_rejects_trivial_mode():

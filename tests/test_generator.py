@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from tf1crack import (
     update,
 )
 from tf1crack.generator import (
+    _instance_out,
     compute_s,
     instance_output,
     predicted_output_lsb,
@@ -172,7 +174,7 @@ def test_demo_instance_values():
     assert inst.t2(State(0, 5, 0, 0)) == 0
     assert inst.t2(State(0, 0xF, 0, 0xF)) == 0xF
     assert inst.t2(State(1, 3, 0, 2)) == 3
-    assert inst.f(State(1, 3, 0, 2)) == 1
+    assert inst.f_words(1, 3, 0, 2) == 1
     assert not inst.tf1_native
 
 
@@ -183,12 +185,30 @@ def test_demo_instance_truncation_consistency():
     rng = SplitMix64(4)
     for st in random_states(W8, 21, 2_000):
         l = 1 + rng.below(8)
-        assert inst.t2_trunc(state_prefix(st, l)) == inst.t2(st) & low_mask(l)
+        assert truncated_t2(state_prefix(st, l), inst) == inst.t2(st) & low_mask(l)
 
 
 def test_demo_instance_spec_mismatch():
     with pytest.raises(ValueError):
         demo_generalized_instance(W8, params4())
+
+
+def test_instance_word_functions_take_numpy_arrays():
+    # the contract stays array-generic: on a uint64 array each built-in map
+    # gives the words it gives on ints, at full width and truncated
+    for spec in (W16, WordSpec(64)):
+        params = default_params(spec)
+        states = [st.words() for st in random_states(spec, 5, 64)]
+        for inst in (tf1_instance(params), demo_generalized_instance(spec, params)):
+            for m in (spec.mask, low_mask(spec.half + 1)):
+                ints = [[v & m for v in st] for st in states]
+                arrays = [np.array(col, dtype=np.uint64) for col in zip(*ints)]
+                want = [list(col) for col in zip(*(inst.t1_words(*st, m) for st in ints))]
+                assert [col.tolist() for col in inst.t1_words(*arrays, m)] == want
+                assert inst.t2_words(*arrays, m).tolist() == [inst.t2_words(*st, m) for st in ints]
+            full = [np.array(col, dtype=np.uint64) for col in zip(*states)]
+            assert inst.f_words(*full).tolist() == [inst.f_words(*st) for st in states]
+            assert _instance_out(inst, *full).tolist() == [_instance_out(inst, *st) for st in states]
 
 
 def test_tf1_instance_reproduces_generator():

@@ -83,7 +83,7 @@ def test_oracle_validation():
         brute_force_consistent_states(ks, zero, P4, len(ks) - zero)  # window too long
     with pytest.raises(ValueError):
         brute_force_consistent_states(ks, zero + 1, P4, 1)  # not a zero word there
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="limited to w <= 8"):
         brute_force_consistent_states(ks, zero, default_params(WordSpec(16)), 1)
     with pytest.raises(BudgetExceeded):
         w8 = WordSpec(8)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tf1crack import (
@@ -80,6 +82,20 @@ def test_truncation_consistency_holds():
         for inst in (tf1_instance(params), demo_generalized_instance(spec, params)):
             report = check_truncation_consistency(inst, spec, 3_000, rng_seed=2)
             assert report.ok
+
+
+def test_truncation_consistency_catches_a_map_that_is_not_a_tfunction():
+    # column k of this t2 reads column k+1 of b, which a truncation drops
+    inst = dataclasses.replace(
+        tf1_instance(default_params(W8)), t2_words=lambda a, b, c, d, m: ((a + c) & m) ^ (b >> 1)
+    )
+    report = check_truncation_consistency(inst, W8, 2_000, rng_seed=1)
+    assert report.failures > 0
+    x, l = report.first_witness
+    assert isinstance(x, State) and 1 <= l < 8
+    m = (1 << l) - 1
+    low = [v & m for v in x.words()]
+    assert inst.t2_words(*low, m) != inst.t2(x) & m
 
 
 def test_truncation_consistency_spec_mismatch():
