@@ -12,15 +12,21 @@ Work is counted in attack operations: one stage-1 filter step (truncated
 update + truncated t2 + one bit compare) or one stage-2 verification step
 (full update + output compare).  The expected total is about 16 * 2**(1.5w).
 
-Each enumeration mode has one path.  ``trivial`` mode, for the standard
-generator only, runs the batch (numpy) kernels on the closed form c = -a.
-``dfs`` mode, for any instance, runs the scalar path: depth-first
-preimages, one truncated filter and one tail walk.  The tests hold the
-batch kernels to ``dfs`` mode on the same instance (the same survivors,
-states and counters) and both modes to the exhaustive oracle.  Every
-full-state check walks the tail through one loop, on plain ints for the
-standard generator and through the instance's word functions for any other.
-A truncated evaluation passes low_mask(l) to the same word functions.
+Each enumeration mode has one path, and both share one column enumerator
+on arrays: it extends column prefixes one column at a time, keeping the
+extensions whose new column of the truncated t2 matches the target (about
+8 of the 16), and serves the t2 preimages, dfs-mode stage 1 and stage 2 in
+both modes.  ``trivial`` mode, for the standard generator only, takes its
+stage-1 candidates in the closed form c = -a through the lane-sliced
+kernel below.  ``dfs`` mode, for any instance, takes them from the column
+enumerator and prunes them with a plain array filter on the instance's word
+functions.  The exhaustive oracle is the reference up to w = 8.  Above it
+the tests hold the lane kernel to the plain filter on the same candidates
+and trivial mode's pruned stage 2 to dfs mode's, which does not prune.
+Every full-state check walks the tail through one loop, on plain ints for
+the standard generator and through the instance's word functions for any
+other.  A truncated evaluation passes low_mask(l) to the same word
+functions.
 
 The stage-1 kernel is lane-sliced.  Since the update is a T-function, the
 top column L = k-1 of a k-column step is the prefix's own top bits, put
@@ -40,17 +46,18 @@ as the bits of unsigned masks; d_L needs none, as it reaches no other
 word's column L.  A candidate's predicted output LSB is
 a'_L ^ c'_L ^ carry_L(a'_low + c'_low); it drops out at its first
 mismatch.  Each step adds the popcount of the alive mask taken before it,
-so ``stage1_filter_steps`` counts exactly what the scalar filter counts.
+so ``stage1_filter_steps`` counts exactly what the plain filter counts.
 
-The stage-2 kernel is column-wise.  The next output is S(x) * (S(y) | 1)
-with x = a'+c' and y = b'+d', and a product's low columns read only its
-factors' low columns, so output column t < h = w/2 reads only columns
-h..h+t of x and y.  The kernel extends all survivors of a zero position one
-column j at a time, 8 ways (the bits of a, b and d; c = -a), and keeps an
-extension while output columns 0..j-h of the first tail word match; at
-full width the whole word must.  Those completions walk the rest of the
-tail.  Each candidate is charged min(first mismatching word, tail length),
-so every dropped one counts one step, as in a walk from every completion.
+Stage 2 completes the survivors of a zero position with the column
+enumerator.  In trivial mode it also prunes on the first tail word.  The
+next output is S(x) * (S(y) | 1) with x = a'+c' and y = b'+d',
+and a product's low columns read only its factors' low columns, so output
+column t < h = w/2 reads only columns h..h+t of x and y.  So at column j an
+extension is kept while output columns 0..j-h of the first tail word
+match; at full width the whole word must.  In either mode only the
+completions that emit the first tail word walk the rest of the tail.  Each
+candidate is charged min(first mismatching word, tail length), so every
+other one counts one step, as in a walk from every completion.
 """
 
 from __future__ import annotations
@@ -96,9 +103,9 @@ __all__ = [
     "predicted_work",
 ]
 
-# candidates per batch-kernel chunk (stage 1 takes _CHUNK >> 3 lower prefixes
-# of 8 candidates each, stage 2 extends at most _CHUNK >> 7 prefixes by one
-# column); never affects results
+# candidates per batch-kernel chunk (the lane kernel takes _CHUNK >> 3 lower
+# prefixes of 8 candidates each, the column enumerator extends at most
+# _CHUNK >> 10 prefixes by one column, 16 ways); never affects results
 _CHUNK = 1 << 20
 
 
@@ -241,14 +248,14 @@ def enumerate_preimages_dfs(
     known: ColumnPrefix | None = None,
     target: int = 0,
 ) -> Iterator[ColumnPrefix]:
-    """Depth-first extension of a known (l-1)-column prefix to k columns.
+    """Extension of a known (l-1)-column prefix to k columns, in depth-first order.
 
     Column by column, all 16 one-bit extensions of (a, b, c, d) are tried
     and an extension is kept when the new column of the truncated t2 equals
-    the corresponding target bit.  Memory stays bounded by the tree depth;
-    nothing is materialized.  Works for any T-function t2, at about
-    2**(3(k-l)) operations when roughly half the extensions survive per
-    column.
+    the corresponding target bit.  The column enumerator runs on arrays and
+    splits a large frontier into pieces, so memory stays bounded.  Works for
+    any T-function t2, at about 2**(3(k-l)) operations when roughly half the
+    extensions survive per column.
     """
     w = instance.spec.width
     if not 1 <= l <= k <= w:
@@ -264,26 +271,9 @@ def enumerate_preimages_dfs(
         m = low_mask(l - 1)
         if instance.t2_words(*base, m) != (target & m):
             raise ValueError("known prefix violates the constraint on its own columns")
-
-    t2_words = instance.t2_words
-
-    def walk(a: int, b: int, c: int, d: int, col: int) -> Iterator[ColumnPrefix]:
-        shift = col - 1
-        want = (target >> shift) & 1
-        m = low_mask(col)
-        for ext in range(16):
-            na = a | (((ext >> 3) & 1) << shift)
-            nb = b | (((ext >> 2) & 1) << shift)
-            nc = c | (((ext >> 1) & 1) << shift)
-            nd = d | ((ext & 1) << shift)
-            if ((t2_words(na, nb, nc, nd, m) >> shift) & 1) != want:
-                continue
-            if col == k:
-                yield ColumnPrefix(col, na, nb, nc, nd)
-            else:
-                yield from walk(na, nb, nc, nd, col + 1)
-
-    yield from walk(*base, l)
+    for batch in _columns(instance, _to_arrays(instance.spec, [base]), l - 1, k, target):
+        for row in _to_tuples(batch):
+            yield ColumnPrefix(k, *row)
 
 
 def filter_candidate(
@@ -306,8 +296,9 @@ def filter_candidate(
         raise ValueError(f"prefix has {prefix.l} columns; the LSB bridge needs at least {h + 1}")
     if horizon > len(tail_lsbs):
         raise ValueError("horizon exceeds the available tail bits")
-    survivors, steps, _ = _stage1_scalar(instance, [prefix], tail_lsbs, horizon, 1)
-    return bool(survivors), steps
+    batch = _to_arrays(instance.spec, [prefix.validate(instance.spec).words()])
+    keep, steps = _filter(instance, batch, prefix.l, tail_lsbs, horizon)
+    return bool(keep.size), steps
 
 
 def verify_state(
@@ -324,11 +315,12 @@ def verify_state(
     must be zero (so must the keystream word there) and rolling it forward
     must reproduce ks[zero_index+1 .. zero_index+n_words].
     """
-    if zero_index < 0 or n_words < 0 or zero_index + n_words >= len(ks):
-        raise ValueError("verification window exceeds the keystream")
     if instance is None:
         instance = tf1_instance(params)
     _check_params(instance, params)
+    _check_width(ks, instance.spec)
+    if zero_index < 0 or n_words < 0 or zero_index + n_words >= len(ks):
+        raise ValueError("verification window exceeds the keystream")
     if ks.words[zero_index] != 0 or instance_output(state, instance) != 0:
         return False
     return _walk_tail(state, instance, ks.words, zero_index, zero_index + n_words)[0]
@@ -345,12 +337,13 @@ def stage2_complete(
     """Extend a stage-1 survivor to full states and keep the ones that check out.
 
     The survivor holds l columns (1 <= l < w) of a state that emits the zero
-    word at ``zero_index``, and a word must follow it.  Trivial mode adds one
-    column at a time and drops an extension at the first column where it
-    disagrees with the next word; dfs mode walks the tail from every
-    completion.  Both return the completions that reproduce the tail, sorted.
+    word at ``zero_index``, and a word must follow it.  Both modes add one
+    column at a time; trivial mode also drops an extension at the first
+    column where it disagrees with the next word.  Both return the
+    completions that reproduce the tail, sorted.
     """
     _check_params(instance, params)
+    _check_width(ks, instance.spec)
     cfg = cfg or AttackConfig()
     _check_mode(instance, cfg)
     w = instance.spec.width
@@ -378,8 +371,7 @@ def recover(
     t0 = time.perf_counter()
     _check_params(instance, params)
     params = instance.params
-    if ks.spec != instance.spec:
-        raise ValueError("keystream width differs from the instance width")
+    _check_width(ks, instance.spec)
     if len(ks) == 0:
         raise ValueError("keystream is empty")
     cfg = cfg or AttackConfig()
@@ -444,6 +436,11 @@ def _check_params(instance: GeneratorInstance, params: Tf1Params | None) -> None
         raise ValueError("explicit params disagree with the instance's params")
 
 
+def _check_width(ks: Keystream, spec: WordSpec) -> None:
+    if ks.spec != spec:
+        raise ValueError("keystream width differs from the instance width")
+
+
 def _check_mode(instance: GeneratorInstance, cfg: AttackConfig) -> None:
     """Reject trivial mode where its batch kernels do not apply: an instance
     other than the standard generator, or a width whose 2**(3(k-1)) stage-1
@@ -465,11 +462,12 @@ def _check_mode(instance: GeneratorInstance, cfg: AttackConfig) -> None:
 
 def _state_dtype(bits: int):
     # Unsigned wraparound preserves values mod 2**m whenever m <= container
-    # bits, so uint32 is exact for m <= 32 and uint64 for m <= 64.  The
-    # batch kernels also pass their constants as scalars of their word dtype:
-    # with plain-int operands numpy stops reusing temporaries' buffers in
-    # place, which made stage 1 at w=16 about 10% slower and added a chunk
-    # array to the peak memory.
+    # bits, so uint32 is exact for m <= 32 and uint64 for m <= 64.  The lane
+    # kernel also passes its constants as scalars of its word dtype: with
+    # plain-int operands numpy stops reusing temporaries' buffers in place,
+    # which made stage 1 at w=16 about 10% slower and added a chunk array to
+    # the peak memory.  The column enumerator and the plain filter call the
+    # instance's word functions, whose constants are plain ints.
     return np.uint32 if bits <= 32 else np.uint64
 
 
@@ -483,7 +481,7 @@ def _run_stage1(
     """Dispatch stage 1; returns (survivors sorted by (a,b,c,d), steps, candidates).
 
     Trivial mode splits the lower-prefix range of the lane kernel among the
-    workers, dfs mode the one-column roots of the depth-first enumeration.
+    workers, dfs mode the one-column roots of the column enumerator.
     """
     if cfg.enumeration_mode == "trivial":
         parts = _split_range(1 << (3 * (k - 1)), cfg.workers)
@@ -493,17 +491,21 @@ def _run_stage1(
             return _stage1_lanes(lo, hi, k, instance.params, tail_bits, horizon, cfg.max_survivors)
 
     else:
-        roots = list(enumerate_preimages_dfs(instance, 1, 1))
+        roots = [r.words() for r in enumerate_preimages_dfs(instance, 1, 1)]
         parts = _split_range(len(roots), cfg.workers)
 
         def run_part(part):
             lo, hi = part
-            candidates = (
-                prefix
-                for root in roots[lo:hi]
-                for prefix in enumerate_preimages_dfs(instance, 2, k, known=root)
-            )
-            return _stage1_scalar(instance, candidates, tail_bits, horizon, cfg.max_survivors)
+            survivors: list[ColumnPrefix] = []
+            steps = cands = 0
+            for batch in _columns(instance, _to_arrays(instance.spec, roots[lo:hi]), 1, k):
+                keep, n = _filter(instance, batch, k, tail_bits, horizon)
+                cands += batch[0].size
+                steps += n
+                survivors += (ColumnPrefix(k, *row) for row in _to_tuples(batch, keep))
+                # the count at which a one-at-a-time filter stops
+                _check_cap(survivors[: cfg.max_survivors + 1], cfg.max_survivors)
+            return survivors, steps, cands
 
     survivors: list[ColumnPrefix] = []
     steps = 0
@@ -538,38 +540,6 @@ def _split_range(total: int, workers: int):
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
-def _stage1_scalar(
-    instance: GeneratorInstance,
-    candidates: Iterator[ColumnPrefix],
-    tail_bits: list[int],
-    horizon: int,
-    max_survivors: int,
-) -> tuple[list[ColumnPrefix], int, int]:
-    """The truncated filter: (survivors, filter steps, candidates).
-
-    Each candidate takes one truncated step per tail bit and drops out at
-    the first predicted output LSB that differs from the observed one.
-    """
-    h = instance.spec.half
-    t1_words, t2_words = instance.t1_words, instance.t2_words
-    survivors: list[ColumnPrefix] = []
-    steps = 0
-    cands = 0
-    for prefix in candidates:
-        cands += 1
-        m = low_mask(prefix.l)
-        a, b, c, d = prefix.words()
-        for j in range(horizon):
-            a, b, c, d = t1_words(a, b, c, d, m)
-            steps += 1
-            if ((t2_words(a, b, c, d, m) >> h) & 1) != tail_bits[j]:
-                break
-        else:
-            survivors.append(prefix)
-            _check_cap(survivors, max_survivors)
-    return survivors, steps, cands
-
-
 def _stage1_lanes(
     lo: int,
     hi: int,
@@ -595,7 +565,7 @@ def _stage1_lanes(
     A lane predicts the output LSB
     a'_L ^ c'_L ^ carry_L(a'_low + c'_low) and leaves ``alive`` at its
     first mismatch; a prefix leaves the arrays once its mask is 0.  Each
-    step adds popcount(alive) taken before it, which is the scalar filter's
+    step adds popcount(alive) taken before it, which is the plain filter's
     per-candidate count.  Returns (survivors, filter steps, candidates).
     """
     low = k - 1
@@ -660,76 +630,117 @@ def _run_stage2(
     cfg: AttackConfig,
     tail_len: int,
 ) -> tuple[list[State], int, int]:
-    """Dispatch stage 2; returns (verified states sorted, candidates, verification steps).
+    """Complete the survivors; returns (verified states sorted, candidates, verification steps).
 
-    dfs mode walks the tail from every completion, trivial mode only from
-    the column kernel's; the others mismatch at the first word: one step.
+    The column enumerator builds the completions in both modes.  Trivial
+    mode also prunes them on the first tail word and counts its candidates
+    in closed form.  Only the completions that emit the first tail word
+    walk the tail; every other one mismatches at that word: one step.
     """
-    if cfg.enumeration_mode == "trivial":
-        cands, walked = _stage2_columns(survivors, instance.params, words[zero_index + 1])
-    else:
-        cands, walked = None, (
-            State(*p.words())
-            for sv in survivors
-            for p in enumerate_preimages_dfs(instance, sv.l + 1, instance.spec.width, known=sv)
-        )
+    if not survivors:
+        return [], 0, 0
+    spec, l = instance.spec, survivors[0].l
+    first = words[zero_index + 1]
+    trivial = cfg.enumeration_mode == "trivial"
+    prefixes = _to_arrays(spec, [sv.words() for sv in survivors])
+    batches = _columns(instance, prefixes, l, spec.width, first=first if trivial else None)
     states: list[State] = []
-    n_walked = verifs = 0
-    for n_walked, st in enumerate(walked, 1):
-        ok, n = _walk_tail(st, instance, words, zero_index, zero_index + tail_len)
-        verifs += n
-        if ok:
-            states.append(st)
-    cands = n_walked if cands is None else cands
+    n_leaves = n_walked = verifs = 0
+    for batch in batches:
+        n_leaves += batch[0].size
+        emits = _instance_out(instance, *instance.t1_words(*batch, spec.mask)) == first
+        for row in _to_tuples(batch, np.flatnonzero(emits)):
+            st = State(*row)
+            ok, n = _walk_tail(st, instance, words, zero_index, zero_index + tail_len)
+            n_walked += 1
+            verifs += n
+            if ok:
+                states.append(st)
+    cands = len(survivors) << (3 * (spec.width - l)) if trivial else n_leaves
     states.sort()
     return states, cands, verifs + cands - n_walked
 
 
-def _stage2_columns(
-    survivors: list[ColumnPrefix], params: Tf1Params, first: int
-) -> tuple[int, list[State]]:
-    """Column-wise completion of l-column survivors for the standard
-    generator: (candidates, the completions whose next output is ``first``).
+def _columns(
+    instance: GeneratorInstance,
+    words: tuple,
+    l: int,
+    k: int,
+    target: int = 0,
+    first: int | None = None,
+) -> Iterator[tuple]:
+    """Extend l-column prefixes to k columns; yields batches of (a, b, c, d) arrays.
 
-    Column j = l .. w-1 steps each extension with ``_rows`` mod 2**(j+1) and
-    compares the output columns it pins (see the module docstring).  A
-    frontier of more than _CHUNK >> 7 prefixes is split and finished piece
-    by piece, whatever the survivor count (_CHUNK >> 3 took 60 MB at w=16).
+    ``words`` holds the prefixes' four words as arrays of the state dtype.
+    Column j = l .. k-1 tries the 16 one-bit extensions of each prefix and
+    keeps one when column j of its t2_words mod 2**(j+1) equals bit j of
+    ``target``.  With ``first`` (the standard generator only), an extension
+    is also dropped at the first output column where its next output
+    disagrees with ``first``: j+1 columns pin output columns 0..j-h, and
+    the whole word at full width (see the module docstring).  The t2 test
+    comes before the update step, which then runs on half as many words.
+    A frontier of more than _CHUNK >> 10 prefixes is split and finished
+    piece by piece; batches come in depth-first order.
     """
-    if not survivors:
-        return 0, []
-    spec = params.spec
-    w, l = spec.width, survivors[0].l
-    dtype = _state_dtype(w)
-    mask, h = dtype(spec.mask), dtype(spec.half)
-    lanes = np.arange(8, dtype=dtype)
-    ea, eb, ed = lanes >> 2, (lanes >> 1) & 1, lanes & 1
-    step = _CHUNK >> 7
-    a, b, _, d = (np.array(v, dtype) for v in zip(*(sv.words() for sv in survivors)))
-    frontier = [(l, a, b, d)]
-    out: list[State] = []
+    spec = instance.spec
+    h = spec.half
+    ext = np.arange(16, dtype=_state_dtype(spec.width))
+    bits = (ext >> 3, (ext >> 2) & 1, (ext >> 1) & 1, ext & 1)
+    step = _CHUNK >> 10
+    frontier = [(l, words)]
     while frontier:
-        j, a, b, d = frontier.pop()
-        if a.size > step:
-            for i in range(0, a.size, step):
-                frontier.append((j, a[i : i + step], b[i : i + step], d[i : i + step]))
-            continue
-        a = (a[:, None] | (ea << j)).ravel()
-        b = (b[:, None] | (eb << j)).ravel()
-        d = (d[:, None] | (ed << j)).ravel()
-        m = low_mask(j + 1)
-        mm, c1, c3, cc = (dtype(v & m) for v in (m, params.c1, params.c3, params.c))
-        nxt = _rows(a, b, (0 - a) & mm, d, mm, c1, c3, cc)[:4]
-        # j+1 columns pin output columns 0..j-h, and all of them at full width
-        cols = dtype(spec.mask if j == w - 1 else low_mask(max(j + 1 - spec.half, 0)))
-        keep = np.flatnonzero((_out(*nxt, mask, h) & cols) == first & cols)
-        a, b, d = a.take(keep), b.take(keep), d.take(keep)
-        del nxt, keep  # held into the next column or piece, they add to its peak
-        if j + 1 < w:
-            frontier.append((j + 1, a, b, d))
+        j, pre = frontier.pop()
+        n = pre[0].size
+        if j == k:
+            yield pre
+        elif n > step:
+            # the last piece goes on the stack first, so the first is finished first
+            for i in reversed(range(0, n, step)):
+                frontier.append((j, tuple(v[i : i + step] for v in pre)))
         else:
-            out += (State(*row) for row in np.stack([a, b, (0 - a) & mask, d]).T.tolist())
-    return len(survivors) << (3 * (w - l)), out
+            m = low_mask(j + 1)
+            x = tuple((v[:, None] | (e << j)).ravel() for v, e in zip(pre, bits))
+            keep = np.flatnonzero(((instance.t2_words(*x, m) >> j) & 1) == (target >> j) & 1)
+            x = tuple(v.take(keep) for v in x)
+            if first is not None and j >= h:
+                cols = spec.mask if j == spec.width - 1 else low_mask(j + 1 - h)
+                out = _out(*instance.t1_words(*x, m), spec.mask, h)
+                keep = np.flatnonzero((out & cols) == first & cols)
+                x = tuple(v.take(keep) for v in x)
+            if x[0].size:
+                frontier.append((j + 1, x))
+
+
+def _filter(
+    instance: GeneratorInstance, batch: tuple, l: int, tail_bits: Sequence[int], horizon: int
+) -> tuple[np.ndarray, int]:
+    """The truncated filter on a batch of l-column candidates (a, b, c, d
+    arrays): (positions of the survivors in the batch, filter steps).
+
+    Each candidate takes one truncated step per tail bit and drops out at
+    the first predicted output LSB that differs from the observed one.
+    """
+    h, m = instance.spec.half, low_mask(l)
+    pos = np.arange(batch[0].size)
+    steps = 0
+    for bit in tail_bits[:horizon]:
+        if not pos.size:
+            break
+        batch = instance.t1_words(*batch, m)
+        steps += pos.size
+        keep = np.flatnonzero(((instance.t2_words(*batch, m) >> h) & 1) == bit)
+        pos, batch = pos.take(keep), tuple(v.take(keep) for v in batch)
+    return pos, steps
+
+
+def _to_arrays(spec: WordSpec, rows) -> tuple:
+    """Four arrays of the state dtype from a non-empty list of (a, b, c, d) rows."""
+    return tuple(np.array(col, _state_dtype(spec.width)) for col in zip(*rows))
+
+
+def _to_tuples(batch: tuple, keep=None):
+    """The (a, b, c, d) rows of a batch, or of its positions ``keep``, as ints."""
+    return zip(*(v.tolist() if keep is None else v.take(keep).tolist() for v in batch))
 
 
 def _walk_tail(

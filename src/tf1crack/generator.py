@@ -146,13 +146,14 @@ class GeneratorInstance:
     map and m = low_mask(l) its truncation to l columns;
     ``tfcheck.check_truncation_consistency`` tests exactly that.
     ``f_words(a, b, c, d)`` is the odd-making factor, at full width only.
-    The built-in instances also take numpy unsigned arrays whose dtype holds
-    w bits, as ``_rows`` does.  ``tf1_native`` marks the standard generator,
-    whose t2 is the plain column sum a+c with the closed-form preimages
-    c = (target - a) mod 2^l; the attack's ``trivial`` mode, its batch
-    kernels and the plain-int tail walk serve it alone.  Any instance, this
-    one included, runs the scalar ``dfs`` mode, which the tests use as the
-    reference for the kernels.
+    All three must take numpy unsigned arrays whose dtype holds w bits as
+    well as ints, as ``_rows`` does: the attack's column enumerator and its
+    stage-1 filter call them on arrays.  ``tf1_native`` marks the standard
+    generator, whose t2 is the plain column sum a+c with the closed-form
+    preimages c = (target - a) mod 2^l; the attack's ``trivial`` mode, its
+    lane-sliced stage-1 kernel and the plain-int tail walk serve it alone.
+    Any instance, this one included, runs ``dfs`` mode, which the tests use
+    as the reference for the trivial-mode kernels.
     """
 
     name: str

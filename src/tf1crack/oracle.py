@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .attack import AttackReport
+from .attack import AttackReport, _check_width
 from .generator import Keystream, State, Tf1Params, _out, output_word, update
 from .word import WordSpec
 
@@ -53,6 +53,7 @@ def brute_force_consistent_states(
     w = spec.width
     if w > 8:
         raise ValueError(f"the exhaustive oracle is limited to w <= 8 by design, got w={w}")
+    _check_width(ks, spec)
     if zero_index < 0 or window < 0 or zero_index + window >= len(ks):
         raise ValueError("verification window exceeds the keystream")
     if ks.words[zero_index] != 0:

@@ -92,19 +92,30 @@ def test_dfs_equals_trivial_for_additive_t2(target):
     assert triv == dfs
 
 
-def test_dfs_equals_brute_force_for_demo_instance():
+def test_dfs_equals_brute_force_for_demo_instance(monkeypatch):
+    # in depth-first order: ascending in the (a, b, c, d) bits of column 0,
+    # then of column 1, and so on; also with the frontier split into pieces
+    # of 64 prefixes
     inst = demo_generalized_instance(W4, P4)
+
+    def dfs_key(words):
+        return [(v >> j) & 1 for j in range(4) for v in words]
+
     for target in (0, 6, 11):
-        brute = set()
+        brute = []
         for a in range(16):
             for b in range(16):
                 for c in range(16):
                     for d in range(16):
                         if inst.t2(State(a, b, c, d)) == target:
-                            brute.add((a, b, c, d))
-        dfs = {p.words() for p in enumerate_preimages_dfs(inst, 1, 4, None, target)}
+                            brute.append((a, b, c, d))
+        brute.sort(key=dfs_key)
+        assert len(brute) == 1 << 12
+        dfs = [p.words() for p in enumerate_preimages_dfs(inst, 1, 4, None, target)]
         assert dfs == brute
-        assert len(dfs) == 1 << 12
+        with monkeypatch.context() as patch:
+            patch.setattr(attack, "_CHUNK", 1 << 16)
+            assert [p.words() for p in enumerate_preimages_dfs(inst, 1, 4, None, target)] == brute
 
 
 def test_dfs_branching_factor_is_half_the_extensions():
@@ -175,6 +186,8 @@ def test_filter_candidate_vacuous_and_errors():
         filter_candidate(ColumnPrefix(4, 0, 0, 0, 0), P8, inst, [1], 1)
     with pytest.raises(ValueError):
         filter_candidate(prefix, P4, inst, [1], 1)  # params disagree with instance
+    with pytest.raises(ValueError, match="does not fit in 5 columns"):
+        filter_candidate(dataclasses.replace(prefix, a_low=32), P8, inst, [1], 1)
 
 
 def test_verify_state():
@@ -214,7 +227,7 @@ def test_verify_state_instance_path():
 def test_verify_state_routes_agree():
     # instance=None, the standard instance (plain-int walk) and its twin
     # without the native flag (walk through t1 and the instance output);
-    # stage 2 of the batch kernel against the twin's scalar dfs completion
+    # trivial-mode stage 2 against the twin's dfs-mode completion
     ks, zero_index, true_state = make_run(W8, P8, seed=3, n=4096)
     native = tf1_instance(P8)
     twin = dataclasses.replace(native, tf1_native=False)
@@ -341,26 +354,39 @@ def test_recover_counter_laws_trivial_mode():
 
 
 def test_recover_dfs_mode_matches_trivial_mode():
-    # dfs mode is the scalar reference for both batch kernels; the two
-    # random-constant w=8 streams keep one above the oracle's width
+    # dfs mode is the reference for both batch kernels; the two
+    # random-constant w=8 streams keep one above the oracle's width, and the
+    # w=12 stream of `tf1crack bench --w 12` is pinned to its zero index,
+    # counters and recovered count
     rng = SplitMix64(808)
     random8 = [
         Tf1Params(rng.below(256), rng.below(256), rng.below(256) | 1, W8) for _ in range(2)
     ]
-    cases = [(W4, P4, 1, 512), (W4, P4, 4, 512), (W8, P8, 5, 4096)]
-    cases += [(W8, params, 1 + i, 8192) for i, params in enumerate(random8)]
-    for spec, params, seed, n in cases:
+    cases = [(W4, P4, 1, 512, None), (W4, P4, 4, 512, None), (W8, P8, 5, 4096, None)]
+    cases += [(W8, params, 1 + i, 8192, None) for i, params in enumerate(random8)]
+    w12 = WordSpec(12)
+    pinned12 = (1233, (2097152, 4056488, 48, 1572864, 1592230), 1)
+    cases += [(w12, default_params(w12), 1, 16384, pinned12)]
+    for spec, params, seed, n, pinned in cases:
         ks, _, _ = make_run(spec, params, seed=seed, n=n)
         inst = tf1_instance(params)
         triv = recover(ks, inst, cfg=AttackConfig(enumeration_mode="trivial"))
         dfs = recover(ks, inst, cfg=AttackConfig(enumeration_mode="dfs"))
         assert report_core(triv) == report_core(dfs)
+        if pinned is not None:
+            got = (dfs.zero_index, tuple(vars(dfs.counters).values()), len(dfs.recovered))
+            assert got == pinned
 
 
 def test_recover_demo_instance_dfs():
-    # no oracle covers the demo instance at w=8, so its zero index, counters
-    # and recovered count are pinned
-    cases = [(W4, P4, 512, None), (W8, P8, 4096, (399, (32768, 65304, 6, 3072, 6816), 1))]
+    # no oracle covers the demo instance at w=8 or w=10, so its zero index,
+    # counters and recovered count are pinned
+    w10 = WordSpec(10)
+    cases = [
+        (W4, P4, 512, None),
+        (W8, P8, 4096, (399, (32768, 65304, 6, 3072, 6816), 1)),
+        (w10, default_params(w10), 4096, (399, (262144, 521462, 3, 12288, 16090), 1)),
+    ]
     for spec, params, n, pinned in cases:
         inst = demo_generalized_instance(spec, params)
         start = state_from_seed(11, spec)
@@ -434,7 +460,7 @@ def test_recover_survivor_overflow():
 
 def test_survivor_cap_inside_one_lower_prefix():
     # caps of 1..7 fall inside the 8 lanes of one lower prefix; the batch
-    # kernel must raise exactly when the scalar dfs path does
+    # kernel must raise exactly when the dfs path does
     cases = [(W4, P4, 1, 512), (W8, P8, 5, 4096)]
     for spec, params, seed, n in cases:
         ks, _, _ = make_run(spec, params, seed, n)
@@ -471,12 +497,20 @@ def _lane_candidates(lo, hi, k):
             yield ColumnPrefix(k, a, b, (0 - a) & ((1 << k) - 1), d)
 
 
-def test_stage1_lanes_matches_scalar_over_random_constants():
+def _dfs_filter(inst, candidates, bits, horizon):
+    """dfs mode's array filter on the candidates: (survivor words sorted, steps, candidates)."""
+    cands = list(candidates)
+    batch = attack._to_arrays(inst.spec, [p.words() for p in cands])
+    keep, steps = attack._filter(inst, batch, cands[0].l, bits, horizon)
+    return sorted(cands[i].words() for i in keep.tolist()), steps, len(cands)
+
+
+def test_stage1_lanes_matches_dfs_filter_over_random_constants():
     # 12 constant sets (odd C, top bits of C1 and C3 set) at w = 6..12; the
     # last set of each width cuts the stream 3 words after its zero, which
     # clamps the horizon to 3.  Full range at w <= 8, with 1 and 3 workers,
     # against dfs mode; at w >= 10 the lower-prefix range that holds the
-    # true state, against the scalar filter on the same candidates.
+    # true state, against dfs mode's array filter on the same candidates.
     rng = SplitMix64(4242)
     for w in (6, 8, 10, 12):
         spec = WordSpec(w)
@@ -511,10 +545,8 @@ def test_stage1_lanes_matches_scalar_over_random_constants():
             lo = max(0, at - 256)
             hi = lo + 512
             sv, steps, cands = attack._stage1_lanes(lo, hi, k, params, bits, horizon, 1 << 20)
-            want = attack._stage1_scalar(inst, _lane_candidates(lo, hi, k), bits, horizon, 1 << 20)
-            assert (sorted(p.words() for p in sv), steps, cands) == (
-                sorted(p.words() for p in want[0]), want[1], want[2]
-            )
+            want = _dfs_filter(inst, _lane_candidates(lo, hi, k), bits, horizon)
+            assert (sorted(p.words() for p in sv), steps, cands) == want
             assert state_prefix(truth, k) in sv
 
 
@@ -568,10 +600,24 @@ def test_trivial_mode_width_limit():
     hi = 1 << (3 * (k - 1))
     bits = [1, 1, 1, 1, 1]  # 4 of the 32 candidates survive
     got = attack._stage1_lanes(hi - 4, hi, k, p42, bits, 5, 64)
-    want = attack._stage1_scalar(inst, _lane_candidates(hi - 4, hi, k), bits, 5, 64)
-    assert (sorted(p.words() for p in got[0]), got[1], got[2]) == (
-        sorted(p.words() for p in want[0]), want[1], want[2]
-    )
+    want = _dfs_filter(inst, _lane_candidates(hi - 4, hi, k), bits, 5)
+    assert (sorted(p.words() for p in got[0]), got[1], got[2]) == want
+
+
+def test_keystream_width_mismatch_is_rejected():
+    # w=4 constants on a w=8 stream: every public call that reads the stream refuses it
+    from tf1crack import brute_force_consistent_states
+
+    ks8, zero_index, _ = make_run(W8, P8, seed=7, n=8192)
+    msg = "keystream width differs from the instance width"
+    with pytest.raises(ValueError, match=msg):
+        verify_state(State(1, 0, 15, 0), P4, ks8, zero_index, 0)
+    with pytest.raises(ValueError, match=msg):
+        stage2_complete(ColumnPrefix(3, 1, 0, 7, 0), P4, tf1_instance(P4), ks8, zero_index)
+    with pytest.raises(ValueError, match=msg):
+        brute_force_consistent_states(ks8, zero_index, P4, 1)
+    with pytest.raises(ValueError, match=msg):
+        recover(ks8, tf1_instance(P4))
 
 
 def test_recover_rejects_mismatched_inputs():

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tf1crack
 from tf1crack import Keystream, WordSpec, default_params, generate, state_from_seed
 from tf1crack.cli import (
     FormatError,
@@ -288,3 +294,19 @@ def test_run_gen_bad_constants_is_exit_2(capsys):
                 "--constants", "d5:15"]) == 2
     assert run(["gen", "--w", "8", "--random-seed", "1", "--count", "4",
                 "--constants", "d5:15:100"]) == 2
+
+
+def test_python_m_runs_the_command_line():
+    # both module entry points run the command line from a plain checkout
+    src = str(Path(tf1crack.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    want = [f"{w:02x}" for w in generate(state_from_seed(1, W8), default_params(W8), 2).words]
+    for module in ("tf1crack", "tf1crack.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "gen", "--w", "8", "--random-seed", "1", "--count", "2"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout.split()) == (0, want), proc.stderr
