@@ -6,7 +6,11 @@ for the first w/2+1 columns of the state at the zero position and prunes
 each against the least significant bits of the following outputs, one
 truncated step per bit.  Stage 2 extends each survivor to the remaining
 columns, still constrained by the zero, and keeps exactly the full states
-that reproduce the observed tail.
+that reproduce the observed tail.  Survivors travel from stage 1 to stage 2
+as four arrays of the state dtype, their (a, b, c, d) words sorted by
+(a, b, c, d), with no Python object per survivor.  ``ColumnPrefix`` is the
+type of the public edge only: the two enumerators, ``filter_candidate``
+and ``stage2_complete`` take or yield one prefix at a time.
 
 Work is counted in attack operations: one stage-1 filter step (truncated
 update + truncated t2 + one bit compare) or one stage-2 verification step
@@ -272,7 +276,7 @@ def enumerate_preimages_dfs(
         if instance.t2_words(*base, m) != (target & m):
             raise ValueError("known prefix violates the constraint on its own columns")
     for batch in _columns(instance, _to_arrays(instance.spec, [base]), l - 1, k, target):
-        for row in _to_tuples(batch):
+        for row in zip(*(v.tolist() for v in batch)):
             yield ColumnPrefix(k, *row)
 
 
@@ -294,8 +298,10 @@ def filter_candidate(
     h = instance.spec.half
     if prefix.l <= h:
         raise ValueError(f"prefix has {prefix.l} columns; the LSB bridge needs at least {h + 1}")
-    if horizon > len(tail_lsbs):
-        raise ValueError("horizon exceeds the available tail bits")
+    if not 0 <= horizon <= len(tail_lsbs):
+        raise ValueError(f"horizon {horizon} is outside 0..{len(tail_lsbs)}, the tail bits given")
+    if any(bit not in (0, 1) for bit in tail_lsbs):
+        raise ValueError("tail bits must be 0 or 1")
     batch = _to_arrays(instance.spec, [prefix.validate(instance.spec).words()])
     keep, steps = _filter(instance, batch, prefix.l, tail_lsbs, horizon)
     return bool(keep.size), steps
@@ -353,7 +359,9 @@ def stage2_complete(
         raise ValueError("survivor violates the zero inner word on its own columns")
     if not 0 <= zero_index < len(ks) - 1:
         raise ValueError("zero_index must leave at least one keystream word after it")
-    return _run_stage2([survivor], instance, ks.words, zero_index, cfg, len(ks) - zero_index - 1)[0]
+    prefix = _to_arrays(instance.spec, [survivor.words()])
+    tail_len = len(ks) - zero_index - 1
+    return _run_stage2(prefix, survivor.l, instance, ks.words, zero_index, cfg, tail_len)[0]
 
 
 def recover(
@@ -401,8 +409,8 @@ def recover(
         survivors, steps, cands = _run_stage1(instance, k, tail_bits, horizon, cfg)
         counters.stage1_candidates += cands
         counters.stage1_filter_steps += steps
-        counters.stage1_survivors += len(survivors)
-        found, cand2, verif2 = _run_stage2(survivors, instance, words, z, cfg, tail_len)
+        counters.stage1_survivors += survivors[0].size
+        found, cand2, verif2 = _run_stage2(survivors, k, instance, words, z, cfg, tail_len)
         counters.stage2_candidates += cand2
         counters.stage2_verifications += verif2
         if found:
@@ -477,52 +485,52 @@ def _run_stage1(
     tail_bits: list[int],
     horizon: int,
     cfg: AttackConfig,
-) -> tuple[list[ColumnPrefix], int, int]:
-    """Dispatch stage 1; returns (survivors sorted by (a,b,c,d), steps, candidates).
+) -> tuple[tuple, int, int]:
+    """Dispatch stage 1; returns (survivors, steps, candidates).
 
-    Trivial mode splits the lower-prefix range of the lane kernel among the
-    workers, dfs mode the one-column roots of the column enumerator.
+    The survivors are four arrays of the state dtype, the (a, b, c, d)
+    words of the k-column prefixes, sorted by (a, b, c, d).  Trivial mode
+    splits the lower-prefix range of the lane kernel among the workers, dfs
+    mode the one-column roots of the column enumerator.
     """
+    spec, cap = instance.spec, cfg.max_survivors
     if cfg.enumeration_mode == "trivial":
         parts = _split_range(1 << (3 * (k - 1)), cfg.workers)
 
         def run_part(part):
             lo, hi = part
-            return _stage1_lanes(lo, hi, k, instance.params, tail_bits, horizon, cfg.max_survivors)
+            return _stage1_lanes(lo, hi, k, instance.params, tail_bits, horizon, cap)
 
     else:
-        roots = [r.words() for r in enumerate_preimages_dfs(instance, 1, 1)]
-        parts = _split_range(len(roots), cfg.workers)
+        roots = _concat(spec, list(_columns(instance, _to_arrays(spec, [(0, 0, 0, 0)]), 0, 1)))
+        parts = _split_range(roots[0].size, cfg.workers)
 
         def run_part(part):
             lo, hi = part
-            survivors: list[ColumnPrefix] = []
-            steps = cands = 0
-            for batch in _columns(instance, _to_arrays(instance.spec, roots[lo:hi]), 1, k):
-                keep, n = _filter(instance, batch, k, tail_bits, horizon)
+            kept = []
+            n = steps = cands = 0
+            for batch in _columns(instance, tuple(v[lo:hi] for v in roots), 1, k):
+                keep, n_steps = _filter(instance, batch, k, tail_bits, horizon)
                 cands += batch[0].size
-                steps += n
-                survivors += (ColumnPrefix(k, *row) for row in _to_tuples(batch, keep))
+                steps += n_steps
+                kept.append(tuple(v.take(keep) for v in batch))
+                n += keep.size
                 # the count at which a one-at-a-time filter stops
-                _check_cap(survivors[: cfg.max_survivors + 1], cfg.max_survivors)
-            return survivors, steps, cands
+                _check_cap(min(n, cap + 1), cap)
+            return _concat(spec, kept), steps, cands
 
-    survivors: list[ColumnPrefix] = []
-    steps = 0
-    cands = 0
-    for part_survivors, part_steps, part_cands in _map_workers(parts, run_part, cfg.workers):
-        survivors.extend(part_survivors)
-        steps += part_steps
-        cands += part_cands
-    _check_cap(survivors, cfg.max_survivors)
-    survivors.sort(key=ColumnPrefix.words)
-    return survivors, steps, cands
+    results = _map_workers(parts, run_part, cfg.workers)
+    survivors = _concat(spec, [r[0] for r in results])
+    _check_cap(survivors[0].size, cap)
+    order = np.lexsort(survivors[::-1])
+    steps, cands = (sum(r[i] for r in results) for i in (1, 2))
+    return tuple(v.take(order) for v in survivors), steps, cands
 
 
-def _check_cap(survivors: list[ColumnPrefix], cap: int) -> None:
-    if len(survivors) > cap:
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
         raise SurvivorOverflow(
-            f"{len(survivors)} stage-1 survivors exceed the cap of {cap}; "
+            f"{n} stage-1 survivors exceed the cap of {cap}; "
             "increase the filter horizon or supply a longer tail"
         )
 
@@ -548,7 +556,7 @@ def _stage1_lanes(
     tail_bits: list[int],
     horizon: int,
     max_survivors: int,
-) -> tuple[list[ColumnPrefix], int, int]:
+) -> tuple[tuple, int, int]:
     """Lane-sliced stage 1 over lower-prefix indices [lo, hi) of 2**(3(k-1)).
 
     Index i encodes the low L = k-1 columns of (a, b, d) as (i >> 2L,
@@ -566,7 +574,10 @@ def _stage1_lanes(
     a'_L ^ c'_L ^ carry_L(a'_low + c'_low) and leaves ``alive`` at its
     first mismatch; a prefix leaves the arrays once its mask is 0.  Each
     step adds popcount(alive) taken before it, which is the plain filter's
-    per-candidate count.  Returns (survivors, filter steps, candidates).
+    per-candidate count.  Each chunk checks the cap on its running
+    popcount of the final masks before it decodes their lanes, with numpy,
+    into the words of k-column prefixes.  Returns (survivors as four
+    arrays of the state dtype, filter steps, candidates).
     """
     low = k - 1
     lm = low_mask(low)
@@ -575,8 +586,9 @@ def _stage1_lanes(
     # faster than uint32); wraparound keeps every row exact mod 2**k
     dtype = np.min_scalar_type(km | 0xFF).type
     mm, c1, c3, cc, top = (dtype(v & km) for v in (km, params.c1, params.c3, params.c, low))
-    survivors: list[ColumnPrefix] = []
-    steps = 0
+    word = _state_dtype(params.spec.width)
+    kept = []
+    n = steps = 0
     for cs in range(lo, hi, _CHUNK >> 3):
         idx = np.arange(cs, min(cs + (_CHUNK >> 3), hi), dtype=_state_dtype(3 * low))
         a = (idx >> (2 * low)).astype(dtype)
@@ -610,20 +622,19 @@ def _stage1_lanes(
                 idx, alive = idx.take(keep), alive.take(keep)
                 a, b, c, d = a.take(keep), b.take(keep), c.take(keep), d.take(keep)
                 la, lb, lc = la.take(keep), lb.take(keep), lc.take(keep)
-        keep = np.flatnonzero(alive)
-        for i, lanes in zip(idx.take(keep).tolist(), alive.take(keep).tolist()):
-            ia, ib, id_ = i >> (2 * low), (i >> low) & lm, i & lm
-            for lane in range(8):
-                if lanes >> lane & 1:
-                    a = ia | (lane >> 2) << low
-                    b = ib | (lane >> 1 & 1) << low
-                    survivors.append(ColumnPrefix(k, a, b, (0 - a) & km, id_ | (lane & 1) << low))
-        _check_cap(survivors, max_survivors)
-    return survivors, steps, 8 * (hi - lo)
+        n += int(np.bitwise_count(alive).sum())
+        _check_cap(n, max_survivors)
+        rows, lanes = np.nonzero((alive[:, None] >> np.arange(8, dtype=dtype)) & 1)
+        i, lane = idx.take(rows), lanes.astype(idx.dtype)
+        # lane bit 2, 1, 0 is the top bit of a, b, d; idx holds their low columns
+        a, b, d = ((i >> (t * low)) & lm | ((lane >> t) & 1) << low for t in (2, 1, 0))
+        kept.append(tuple(v.astype(word) for v in (a, b, (0 - a) & km, d)))
+    return _concat(params.spec, kept), steps, 8 * (hi - lo)
 
 
 def _run_stage2(
-    survivors: list[ColumnPrefix],
+    prefixes: tuple,
+    l: int,
     instance: GeneratorInstance,
     words: tuple[int, ...],
     zero_index: int,
@@ -632,31 +643,30 @@ def _run_stage2(
 ) -> tuple[list[State], int, int]:
     """Complete the survivors; returns (verified states sorted, candidates, verification steps).
 
+    ``prefixes`` holds the survivors' four words as arrays of the state
+    dtype, all of them l-column prefixes, as ``_run_stage1`` returns them.
     The column enumerator builds the completions in both modes.  Trivial
     mode also prunes them on the first tail word and counts its candidates
     in closed form.  Only the completions that emit the first tail word
     walk the tail; every other one mismatches at that word: one step.
     """
-    if not survivors:
-        return [], 0, 0
-    spec, l = instance.spec, survivors[0].l
+    spec = instance.spec
     first = words[zero_index + 1]
     trivial = cfg.enumeration_mode == "trivial"
-    prefixes = _to_arrays(spec, [sv.words() for sv in survivors])
     batches = _columns(instance, prefixes, l, spec.width, first=first if trivial else None)
     states: list[State] = []
     n_leaves = n_walked = verifs = 0
     for batch in batches:
         n_leaves += batch[0].size
         emits = _instance_out(instance, *instance.t1_words(*batch, spec.mask)) == first
-        for row in _to_tuples(batch, np.flatnonzero(emits)):
+        for row in zip(*(v[emits].tolist() for v in batch)):
             st = State(*row)
             ok, n = _walk_tail(st, instance, words, zero_index, zero_index + tail_len)
             n_walked += 1
             verifs += n
             if ok:
                 states.append(st)
-    cands = len(survivors) << (3 * (spec.width - l)) if trivial else n_leaves
+    cands = prefixes[0].size << (3 * (spec.width - l)) if trivial else n_leaves
     states.sort()
     return states, cands, verifs + cands - n_walked
 
@@ -738,9 +748,10 @@ def _to_arrays(spec: WordSpec, rows) -> tuple:
     return tuple(np.array(col, _state_dtype(spec.width)) for col in zip(*rows))
 
 
-def _to_tuples(batch: tuple, keep=None):
-    """The (a, b, c, d) rows of a batch, or of its positions ``keep``, as ints."""
-    return zip(*(v.tolist() if keep is None else v.take(keep).tolist() for v in batch))
+def _concat(spec: WordSpec, batches: list) -> tuple:
+    """One batch of four state-dtype arrays from a list of batches, which may be empty."""
+    empty = np.empty(0, _state_dtype(spec.width))
+    return tuple(np.concatenate([empty, *(b[i] for b in batches)]) for i in range(4))
 
 
 def _walk_tail(

@@ -434,6 +434,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     spec = WordSpec(args.w)
     params = _params_for(args, spec)
+    cfg = AttackConfig(enumeration_mode=args.mode, workers=args.workers)
     print(f"w={spec.width}")
     work = predicted_work(spec)
     print(f"predicted_ops={work}")
@@ -450,7 +451,6 @@ def _cmd_bench(args) -> int:
         seed += 1
     print(f"keystream_words={count}")
     print(f"stream_seed={seed}")
-    cfg = AttackConfig(enumeration_mode=args.mode, workers=args.workers)
     report = recover(ks, tf1_instance(params), params, cfg)
     c = report.counters
     measured = c.total_operations()

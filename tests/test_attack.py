@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -188,6 +189,10 @@ def test_filter_candidate_vacuous_and_errors():
         filter_candidate(prefix, P4, inst, [1], 1)  # params disagree with instance
     with pytest.raises(ValueError, match="does not fit in 5 columns"):
         filter_candidate(dataclasses.replace(prefix, a_low=32), P8, inst, [1], 1)
+    with pytest.raises(ValueError, match=r"horizon -1 is outside 0\.\.1"):
+        filter_candidate(prefix, P8, inst, [1], -1)
+    with pytest.raises(ValueError, match="tail bits must be 0 or 1"):
+        filter_candidate(prefix, P8, inst, [2, 2, 2], 3)
 
 
 def test_verify_state():
@@ -288,12 +293,13 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
         if w == 6:
             survivor_sets.append([state_prefix(truth, 2)])
         for svs in survivor_sets:
+            prefixes, l = attack._to_arrays(spec, [p.words() for p in svs]), svs[0].l
             for tail in (1, 2, 3) if w < 12 else (2,):
-                want = attack._run_stage2(svs, inst, words, 0, dfs, tail)
-                assert attack._run_stage2(svs, inst, words, 0, trivial, tail) == want
+                want = attack._run_stage2(prefixes, l, inst, words, 0, dfs, tail)
+                assert attack._run_stage2(prefixes, l, inst, words, 0, trivial, tail) == want
                 with monkeypatch.context() as patch:
                     patch.setattr(attack, "_CHUNK", 1 << 10)
-                    assert attack._run_stage2(svs, inst, words, 0, trivial, tail) == want
+                    assert attack._run_stage2(prefixes, l, inst, words, 0, trivial, tail) == want
                 assert (truth in want[0]) == (svs is survivors or svs[0].l == 2)
 
 
@@ -456,6 +462,23 @@ def test_recover_survivor_overflow():
     cfg = AttackConfig(filter_horizon=1, max_survivors=4)
     with pytest.raises(SurvivorOverflow):
         recover(ks, tf1_instance(P4), cfg=cfg)
+    # w=12 at horizon 1: about half of the candidates survive, and both
+    # modes must refuse before they build anything per survivor.  Trivial
+    # mode counts the survivors of its first chunk, dfs mode stops at cap+1.
+    w12 = WordSpec(12)
+    p12 = default_params(w12)
+    ks = generate(state_from_seed(1, w12), p12, 16384)
+    counts = {"trivial": 477184, "dfs": 4097}
+    for mode, workers in (("trivial", 1), ("trivial", 2), ("dfs", 1), ("dfs", 2)):
+        cfg = AttackConfig(filter_horizon=1, enumeration_mode=mode, workers=workers)
+        t0 = time.perf_counter()
+        with pytest.raises(SurvivorOverflow) as err:
+            recover(ks, tf1_instance(p12), cfg=cfg)
+        assert time.perf_counter() - t0 < 1.0, (mode, workers)
+        assert str(err.value) == (
+            f"{counts[mode]} stage-1 survivors exceed the cap of 4096; "
+            "increase the filter horizon or supply a longer tail"
+        )
 
 
 def test_survivor_cap_inside_one_lower_prefix():
@@ -483,6 +506,11 @@ def test_survivor_cap_inside_one_lower_prefix():
                         outcomes.append("overflow")
                 assert outcomes[0] == outcomes[1] == outcomes[2], (spec, horizon, cap)
                 assert (outcomes[0] == "overflow") == (horizon == 1 or cap < full)
+
+
+def _rows(prefixes):
+    """The (a, b, c, d) rows of four prefix arrays, as stage 1 returns them, as int tuples."""
+    return list(zip(*(v.tolist() for v in prefixes)))
 
 
 def _lane_candidates(lo, hi, k):
@@ -533,10 +561,12 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             bits = [ks.words[zero + 1 + j] & 1 for j in range(horizon)]
             if w <= 8:
                 dfs = AttackConfig(enumeration_mode="dfs", max_survivors=1 << 20)
-                want = attack._run_stage1(inst, k, bits, horizon, dfs)
+                sv, steps, cands = attack._run_stage1(inst, k, bits, horizon, dfs)
+                want = (_rows(sv), steps, cands)
                 for workers in (1, 3):
                     cfg = AttackConfig(max_survivors=1 << 20, workers=workers)
-                    assert attack._run_stage1(inst, k, bits, horizon, cfg) == want
+                    sv, steps, cands = attack._run_stage1(inst, k, bits, horizon, cfg)
+                    assert (_rows(sv), steps, cands) == want
                 continue
             truth = roll_forward(state_from_seed(seed, spec), params, zero + 1)
             low = k - 1
@@ -546,8 +576,8 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             hi = lo + 512
             sv, steps, cands = attack._stage1_lanes(lo, hi, k, params, bits, horizon, 1 << 20)
             want = _dfs_filter(inst, _lane_candidates(lo, hi, k), bits, horizon)
-            assert (sorted(p.words() for p in sv), steps, cands) == want
-            assert state_prefix(truth, k) in sv
+            assert (sorted(_rows(sv)), steps, cands) == want
+            assert state_prefix(truth, k).words() in _rows(sv)
 
 
 def test_recover_moves_past_a_corrupted_zero_position():
@@ -601,7 +631,7 @@ def test_trivial_mode_width_limit():
     bits = [1, 1, 1, 1, 1]  # 4 of the 32 candidates survive
     got = attack._stage1_lanes(hi - 4, hi, k, p42, bits, 5, 64)
     want = _dfs_filter(inst, _lane_candidates(hi - 4, hi, k), bits, 5)
-    assert (sorted(p.words() for p in got[0]), got[1], got[2]) == want
+    assert (sorted(_rows(got[0])), got[1], got[2]) == want
 
 
 def test_keystream_width_mismatch_is_rejected():

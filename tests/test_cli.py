@@ -289,6 +289,13 @@ def test_run_bench_small_width_measures(capsys):
     assert "measured_ops=" in out and "measured_over_predicted=" in out
 
 
+def test_run_bench_bad_config_fails_before_generating(capsys):
+    assert run(["bench", "--w", "16", "--workers", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "keystream_words=" not in captured.out
+    assert "workers must be >= 1" in captured.err
+
+
 def test_run_gen_bad_constants_is_exit_2(capsys):
     assert run(["gen", "--w", "8", "--random-seed", "1", "--count", "4",
                 "--constants", "d5:15"]) == 2
