@@ -217,6 +217,8 @@ def even_c_note(params: Tf1Params) -> str:
 
 def find_zero_outputs(ks: Keystream, limit: int | None = None) -> list[int]:
     """Ascending positions of exact-zero output words, at most ``limit``."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     out = []
     for i, word in enumerate(ks.words):
         if word == 0:

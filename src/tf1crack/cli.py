@@ -4,10 +4,13 @@ Binary layout: magic "TF1K", version 0x01, width byte, flags 0x00, 8-byte
 little-endian word count, then each word in ceil(w/8) little-endian bytes.
 Hex layout: one lowercase ceil(w/4)-digit word per line; lines starting
 with '#' are comments.  When 4 does not divide w, the first line is the
-header "# w=N"; otherwise the width is inferred from the digit count.
+header "# w=N"; otherwise the width is inferred from the digit count.  The
+reader takes exactly ceil(w/4) digits [0-9a-fA-F] per line: no sign, prefix
+or underscore.
 
 Exit codes: 0 success, 1 attack-level failure (no zero word, hopeless tail,
-survivor overflow, mismatched constants), 2 usage or input-format problems.
+survivor overflow, mismatched constants), 2 usage or input-format problems,
+including an oracle scan above its budget.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .generator import (
     state_from_seed,
     tf1_instance,
 )
-from .oracle import brute_force_consistent_states
+from .oracle import BudgetExceeded, brute_force_consistent_states
 from .tfcheck import check_tfunction_property, check_truncation_consistency, zero_frequency
 from .word import WordSpec
 
@@ -49,6 +52,7 @@ __all__ = [
 MAGIC = b"TF1K"
 VERSION = 1
 _HEX_HEADER = re.compile(r"#\s*w=(\d+)")
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 # Every machine-report key, in emission order; recovered_1.. follow
 # recovered_0 when more than one state is found.  --workers never changes
@@ -158,8 +162,10 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 header = _HEX_HEADER.fullmatch(line) if spec is None else None
-                if not header and (not line or line.startswith("#")):
-                    continue
+                if not header and (not line or line.strip(_HEX_DIGITS)):  # int() alone takes 0x, +, _
+                    if not line or line.startswith("#"):
+                        continue
+                    raise FormatError(f"{source}:{lineno}: not hexadecimal: {line!r}")
                 if spec is None:
                     try:
                         spec = WordSpec(int(header.group(1)) if header else len(line) * 4)
@@ -172,10 +178,7 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
                     raise FormatError(
                         f"{source}:{lineno}: expected {digits} hex digits, got {len(line)}"
                     )
-                try:
-                    word = int(line, 16)
-                except ValueError:
-                    raise FormatError(f"{source}:{lineno}: not hexadecimal: {line!r}") from None
+                word = int(line, 16)
                 if word > mask:
                     raise FormatError(
                         f"{source}:{lineno}: word {word:#x} is above the width-{spec.width} mask"
@@ -268,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--random-seed", type=int, default=1, help="stats: seed for the stream")
 
     orc = sub.add_parser("oracle", help="exhaustive consistency scan (w=4; w=8 with --budget)")
-    orc.add_argument("--w", type=int, default=4)
+    orc.add_argument("--w", type=int, help="expected width; must match the file")
     orc.add_argument("--constants")
     orc.add_argument("--in", dest="infile", required=True)
     orc.add_argument("--format", choices=("bin", "hex"), default="bin")
@@ -486,7 +489,7 @@ def run(argv=None) -> int:
     except attack_mod.AttackError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, ParseError, ValueError) as exc:
+    except (FormatError, ParseError, ValueError, BudgetExceeded) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -8,7 +8,9 @@ frozen into a regression test.
 
 from __future__ import annotations
 
-__all__ = ["mix64", "SplitMix64", "trial_rng"]
+import numpy as np
+
+__all__ = ["mix64", "SplitMix64", "trial_rng", "trial_draws"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -16,8 +18,12 @@ _TRIAL_STRIDE = 0xD1342543DE82EF95  # distinct odd stride keeps per-trial stream
 
 
 def mix64(x: int) -> int:
-    """splitmix64 finalizer: bijective 64-bit avalanche mix."""
-    x &= _MASK64
+    """splitmix64 finalizer: bijective 64-bit avalanche mix.
+
+    Takes an int or a uint64 array, which it leaves as it is; the array
+    arithmetic wraps mod 2**64, so both give the same values.
+    """
+    x = x & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
@@ -49,3 +55,14 @@ def trial_rng(seed: int, index: int) -> SplitMix64:
     trial's randomness: stream i depends only on (seed, i).
     """
     return SplitMix64((mix64(seed) + index * _TRIAL_STRIDE) & _MASK64)
+
+
+def trial_draws(seed: int, start: int, stop: int, n: int) -> list[list[int]]:
+    """The first ``n`` draws of ``trial_rng(seed, i)`` for every i in [start, stop).
+
+    Returns ``n`` lists of plain ints; entry t of list j is draw j of trial
+    ``start + t``.  All trials are mixed at once on uint64 arrays, and each
+    value equals the one the trial's own ``SplitMix64`` would give.
+    """
+    base = np.arange(start, stop, dtype=np.uint64) * _TRIAL_STRIDE + mix64(seed)
+    return [mix64(base + ((j + 1) * _GOLDEN & _MASK64)).tolist() for j in range(n)]

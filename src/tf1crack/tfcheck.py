@@ -8,7 +8,9 @@ lengths instead.
 
 All checks are deterministic: trial i of a run seeded with s draws from a
 stream that depends only on (s, i), so trials can be partitioned across
-workers in any way without changing the report.
+workers in any way without changing the report.  Both property checks run
+through one trial loop, which takes its draws in batches of trials from
+``rng.trial_draws`` and evaluates each trial on plain ints.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .generator import (
     tf1_instance,
     update,
 )
-from .rng import trial_rng
+from .rng import trial_draws
 from .word import WordSpec, low_mask
 
 __all__ = [
@@ -54,15 +56,32 @@ class PropertyReport:
         return self.failures == 0
 
 
-def _random_state(rng, mask: int) -> State:
-    return State(rng.next64() & mask, rng.next64() & mask, rng.next64() & mask, rng.next64() & mask)
+_BATCH = 1 << 12  # trials per trial_draws call; bounds the plain ints held at once
+
+
+def _run_trials(trials: int, rng_seed: int, n_draws: int, trial: Callable) -> PropertyReport:
+    """Call ``trial(*draws)`` with the first ``n_draws`` draws of each trial's
+    stream; ``trial`` returns None on success and a witness on failure."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    failures = 0
+    witness = None
+    for start in range(0, trials, _BATCH):
+        for draws in zip(*trial_draws(rng_seed, start, min(start + _BATCH, trials), n_draws)):
+            found = trial(*draws)
+            if found is not None:
+                failures += 1
+                if witness is None:
+                    witness = found
+    return PropertyReport(trials=trials, failures=failures, first_witness=witness)
 
 
 def _agree_low_columns(x, y, k: int) -> bool:
-    m = low_mask(k)
     if isinstance(x, State):
-        return all((xv & m) == (yv & m) for xv, yv in zip(x.words(), y.words()))
-    return (x & m) == (y & m)
+        diff = (x.a ^ y.a) | (x.b ^ y.b) | (x.c ^ y.c) | (x.d ^ y.d)
+    else:
+        diff = x ^ y
+    return diff & low_mask(k) == 0
 
 
 def check_tfunction_property(
@@ -79,30 +98,20 @@ def check_tfunction_property(
     1..k.  ``target`` is one of "t1", "t2", "t2_demo" or any callable from
     State to State or to a word.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     fn = _resolve_target(target, spec, params)
     w = spec.width
     mask = spec.mask
-    failures = 0
-    witness = None
-    for i in range(trials):
-        rng = trial_rng(rng_seed, i)
-        x = _random_state(rng, mask)
-        k = 1 + rng.below(w)
+
+    def trial(a, b, c, d, k_draw, ya, yb, yc, yd):
+        k = 1 + k_draw % w
         keep = low_mask(k)
         flip = mask & ~keep
-        y = State(
-            (x.a & keep) | (rng.next64() & flip),
-            (x.b & keep) | (rng.next64() & flip),
-            (x.c & keep) | (rng.next64() & flip),
-            (x.d & keep) | (rng.next64() & flip),
-        )
-        if not _agree_low_columns(fn(x), fn(y), k):
-            failures += 1
-            if witness is None:
-                witness = (x, y, k)
-    return PropertyReport(trials=trials, failures=failures, first_witness=witness)
+        x = State(a & mask, b & mask, c & mask, d & mask)
+        y = State((a & keep) | (ya & flip), (b & keep) | (yb & flip),
+                  (c & keep) | (yc & flip), (d & keep) | (yd & flip))
+        return None if _agree_low_columns(fn(x), fn(y), k) else (x, y, k)
+
+    return _run_trials(trials, rng_seed, 9, trial)
 
 
 def _resolve_target(target, spec: WordSpec, params: Tf1Params) -> Callable:
@@ -125,28 +134,22 @@ def check_truncation_consistency(
 ) -> PropertyReport:
     """At mask low_mask(l), each word function must give the low l columns
     of its full-width value, as the attack's truncations assume."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if instance.spec != spec:
         raise ValueError("instance was built for a different word spec")
     w = spec.width
     mask = spec.mask
     t1_words, t2_words = instance.t1_words, instance.t2_words
-    failures = 0
-    witness = None
-    for i in range(trials):
-        rng = trial_rng(rng_seed, i)
-        x = _random_state(rng, mask)
-        l = 1 + rng.below(w)
+
+    def trial(a, b, c, d, l_draw):
+        x = (a & mask, b & mask, c & mask, d & mask)
+        l = 1 + l_draw % w
         m = low_mask(l)
-        low = [v & m for v in x.words()]
-        t1_ok = tuple(t1_words(*low, m)) == tuple(v & m for v in t1_words(*x.words(), mask))
-        t2_ok = t2_words(*low, m) == t2_words(*x.words(), mask) & m
-        if not (t1_ok and t2_ok):
-            failures += 1
-            if witness is None:
-                witness = (x, l)
-    return PropertyReport(trials=trials, failures=failures, first_witness=witness)
+        low = [v & m for v in x]
+        t1_ok = list(t1_words(*low, m)) == [v & m for v in t1_words(*x, mask)]
+        t2_ok = t2_words(*low, m) == t2_words(*x, mask) & m
+        return None if t1_ok and t2_ok else (State(*x), l)
+
+    return _run_trials(trials, rng_seed, 5, trial)
 
 
 def zero_frequency(ks: Keystream) -> tuple[int, float]:

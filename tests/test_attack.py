@@ -675,6 +675,9 @@ def test_attack_config_validation():
         AttackConfig(max_survivors=0)
     with pytest.raises(ValueError):
         AttackConfig(max_zero_positions=0)
+    for limit in (0, -1):  # the same bound on the scan itself
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            find_zero_outputs(Keystream(W8, (1, 0, 2, 0, 0)), limit)
     with pytest.raises(ValueError):
         AttackConfig(enumeration_mode="both")
     with pytest.raises(ValueError):

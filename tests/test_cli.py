@@ -27,6 +27,12 @@ W16 = WordSpec(16)
 BIN_EXAMPLE = bytes.fromhex("54 46 31 4b 01 08 00 02 00 00 00 00 00 00 00 10 00".replace(" ", ""))
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(tf1crack.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_bin_layout_matches_documented_bytes(tmp_path):
     path = tmp_path / "ks.bin"
     n = write_keystream(Keystream(W8, (0x10, 0x00)), path, "bin")
@@ -114,6 +120,13 @@ def test_hex_rejects_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(FormatError):
             read_keystream(path, "hex")
+    # int(line, 16) would take these as 18, -1, 291 and 255
+    for line in ("0x12", "-001", "1_23", "+0ff"):
+        path.write_text(f"00AB\n{line}\n")
+        with pytest.raises(FormatError, match=":2: not hexadecimal"):
+            read_keystream(path, "hex")
+    path.write_text("00AB\n00ff\n")  # either case is a digit
+    assert read_keystream(path, "hex") == Keystream(W16, (0xAB, 0xFF))
 
 
 def test_hex_skips_comments_and_blank_lines(tmp_path):
@@ -270,6 +283,24 @@ def test_run_oracle_command(tmp_path, capsys):
     assert "consistent_count=" in out
 
 
+def test_run_oracle_w8_without_budget_is_exit_2(tmp_path):
+    # --w follows the file, and the missing budget is a usage error, not a crash
+    ks = generate(state_from_seed(1, W8), default_params(W8), 2048)
+    assert 0 in ks.words
+    path = tmp_path / "k8.bin"
+    write_keystream(ks, path, "bin")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tf1crack", "oracle", "--in", str(path)],
+        capture_output=True,
+        text=True,
+        env=_checkout_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "BudgetExceeded" in proc.stderr and "2^32" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_bench_large_width_prints_prediction_only(capsys):
     rc = run(["bench", "--w", "32"])
     assert rc == 0
@@ -305,15 +336,13 @@ def test_run_gen_bad_constants_is_exit_2(capsys):
 
 def test_python_m_runs_the_command_line():
     # both module entry points run the command line from a plain checkout
-    src = str(Path(tf1crack.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     want = [f"{w:02x}" for w in generate(state_from_seed(1, W8), default_params(W8), 2).words]
     for module in ("tf1crack", "tf1crack.cli"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "gen", "--w", "8", "--random-seed", "1", "--count", "2"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_checkout_env(),
             timeout=120,
         )
         assert (proc.returncode, proc.stdout.split()) == (0, want), proc.stderr
