@@ -66,8 +66,9 @@ other one counts one step, as in a walk from every completion.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -107,10 +108,16 @@ __all__ = [
     "predicted_work",
 ]
 
-# candidates per batch-kernel chunk (the lane kernel takes _CHUNK >> 3 lower
-# prefixes of 8 candidates each, the column enumerator extends at most
-# _CHUNK >> 10 prefixes by one column, 16 ways); never affects results
-_CHUNK = 1 << 20
+# lower prefixes (of 8 candidates each) per lane-kernel chunk.  At w=16 a
+# uint16 row is then 64 KB, and once a caller has generated or read its
+# stream, glibc keeps a chunk's temporaries on the heap for the next chunk.
+# At 2^17 it unmapped or trimmed them after every chunk, which faulted them
+# back in: about 150,000 minor faults per w=16 stage 1.  Below 2^15 numpy's
+# per-call overhead dominates.  Never affects results.
+_CHUNK = 1 << 15
+# prefixes per column-enumerator piece, each extended 16 ways by one column;
+# never affects results
+_PIECE = 1 << 10
 
 
 class AttackError(Exception):
@@ -141,7 +148,9 @@ class AttackConfig:
     ``filter_horizon=None`` means 3*(w/2+1), resolved once the width is
     known; it is silently clamped to the available tail (the report flags
     the clamp).  ``workers`` partitions stage 1 into that many candidate
-    sub-ranges; reports are identical for any worker count.
+    sub-ranges, run in forked processes, at most ``os.cpu_count()`` at a
+    time; one worker runs in the calling process.  Reports, and the
+    ``SurvivorOverflow`` message, are identical for any worker count.
 
     ``verify_words`` changes nothing: stage 2 checks every completion
     against the whole tail.  The field and its check stay only because the
@@ -492,8 +501,13 @@ def _run_stage1(
 
     The survivors are four arrays of the state dtype, the (a, b, c, d)
     words of the k-column prefixes, sorted by (a, b, c, d).  Trivial mode
-    splits the lower-prefix range of the lane kernel among the workers, dfs
-    mode the one-column roots of the column enumerator.
+    splits the lower-prefix range of the lane kernel into ``cfg.workers``
+    parts, dfs mode the one-column roots of the column enumerator; the
+    parts run in forked processes, at most ``os.cpu_count()`` at a time,
+    or in this process for one worker.  A part stops once its own
+    survivors pass the cap.  The merge, in range order, raises
+    ``SurvivorOverflow`` with cap + 1, the count at which a one-at-a-time
+    filter stops, so the message depends on neither the split nor the mode.
     """
     spec, cap = instance.spec, cfg.max_survivors
     if cfg.enumeration_mode == "trivial":
@@ -517,32 +531,45 @@ def _run_stage1(
                 steps += n_steps
                 kept.append(tuple(v.take(keep) for v in batch))
                 n += keep.size
-                # the count at which a one-at-a-time filter stops
-                _check_cap(min(n, cap + 1), cap)
+                if n > cap:
+                    break
             return _concat(spec, kept), steps, cands
 
     results = _map_workers(parts, run_part, cfg.workers)
     survivors = _concat(spec, [r[0] for r in results])
-    _check_cap(survivors[0].size, cap)
+    if survivors[0].size > cap:
+        raise SurvivorOverflow(
+            f"{cap + 1} stage-1 survivors exceed the cap of {cap}; "
+            "increase the filter horizon or supply a longer tail"
+        )
     order = np.lexsort(survivors[::-1])
     steps, cands = (sum(r[i] for r in results) for i in (1, 2))
     return tuple(v.take(order) for v in survivors), steps, cands
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise SurvivorOverflow(
-            f"{n} stage-1 survivors exceed the cap of {cap}; "
-            "increase the filter horizon or supply a longer tail"
-        )
+# a forked worker's task, set as the worker starts
+_TASK = None
 
 
-def _map_workers(parts, fn, workers: int):
-    if workers == 1 or len(parts) <= 1:
+def _set_task(fn) -> None:
+    global _TASK
+    _TASK = fn
+
+
+def _run_task(part):
+    return _TASK(part)
+
+
+def _map_workers(parts, fn, workers: int) -> list:
+    """[fn(part) for part in parts], in range order, with the parts spread
+    over at most min(workers, os.cpu_count()) forked processes."""
+    procs = min(workers, len(parts), os.cpu_count() or 1)
+    if procs <= 1:
         return [fn(p) for p in parts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, p) for p in parts]
-        return [f.result() for f in futures]  # range order, not completion order
+    # fork, not spawn: an instance's word functions are closures and lambdas,
+    # which do not pickle, so each worker inherits fn instead
+    with multiprocessing.get_context("fork").Pool(procs, _set_task, (fn,)) as pool:
+        return pool.map(_run_task, parts, chunksize=1)
 
 
 def _split_range(total: int, workers: int):
@@ -576,10 +603,12 @@ def _stage1_lanes(
     a'_L ^ c'_L ^ carry_L(a'_low + c'_low) and leaves ``alive`` at its
     first mismatch; a prefix leaves the arrays once its mask is 0.  Each
     step adds popcount(alive) taken before it, which is the plain filter's
-    per-candidate count.  Each chunk checks the cap on its running
-    popcount of the final masks before it decodes their lanes, with numpy,
-    into the words of k-column prefixes.  Returns (survivors as four
-    arrays of the state dtype, filter steps, candidates).
+    per-candidate count.  Each chunk of _CHUNK lower prefixes decodes the
+    lanes of its final masks, with numpy, into the words of k-column
+    prefixes; the kernel stops after the chunk at which the running
+    popcount passes ``max_survivors``, and the caller raises.  Returns
+    (survivors as four arrays of the state dtype, filter steps,
+    candidates).
     """
     low = k - 1
     lm = low_mask(low)
@@ -591,8 +620,8 @@ def _stage1_lanes(
     word = _state_dtype(params.spec.width)
     kept = []
     n = steps = 0
-    for cs in range(lo, hi, _CHUNK >> 3):
-        idx = np.arange(cs, min(cs + (_CHUNK >> 3), hi), dtype=_state_dtype(3 * low))
+    for cs in range(lo, hi, _CHUNK):
+        idx = np.arange(cs, min(cs + _CHUNK, hi), dtype=_state_dtype(3 * low))
         a = (idx >> (2 * low)).astype(dtype)
         b = ((idx >> low) & lm).astype(dtype)
         d = (idx & lm).astype(dtype)
@@ -625,12 +654,13 @@ def _stage1_lanes(
                 a, b, c, d = a.take(keep), b.take(keep), c.take(keep), d.take(keep)
                 la, lb, lc = la.take(keep), lb.take(keep), lc.take(keep)
         n += int(np.bitwise_count(alive).sum())
-        _check_cap(n, max_survivors)
         rows, lanes = np.nonzero((alive[:, None] >> np.arange(8, dtype=dtype)) & 1)
         i, lane = idx.take(rows), lanes.astype(idx.dtype)
         # lane bit 2, 1, 0 is the top bit of a, b, d; idx holds their low columns
         a, b, d = ((i >> (t * low)) & lm | ((lane >> t) & 1) << low for t in (2, 1, 0))
         kept.append(tuple(v.astype(word) for v in (a, b, (0 - a) & km, d)))
+        if n > max_survivors:
+            break
     return _concat(params.spec, kept), steps, 8 * (hi - lo)
 
 
@@ -691,24 +721,23 @@ def _columns(
     disagrees with ``first``: j+1 columns pin output columns 0..j-h, and
     the whole word at full width (see the module docstring).  The t2 test
     comes before the update step, which then runs on half as many words.
-    A frontier of more than _CHUNK >> 10 prefixes is split and finished
-    piece by piece; batches come in depth-first order.
+    A frontier of more than _PIECE prefixes is split and finished piece by
+    piece; batches come in depth-first order.
     """
     spec = instance.spec
     h = spec.half
     ext = np.arange(16, dtype=_state_dtype(spec.width))
     bits = (ext >> 3, (ext >> 2) & 1, (ext >> 1) & 1, ext & 1)
-    step = _CHUNK >> 10
     frontier = [(l, words)]
     while frontier:
         j, pre = frontier.pop()
         n = pre[0].size
         if j == k:
             yield pre
-        elif n > step:
+        elif n > _PIECE:
             # the last piece goes on the stack first, so the first is finished first
-            for i in reversed(range(0, n, step)):
-                frontier.append((j, tuple(v[i : i + step] for v in pre)))
+            for i in reversed(range(0, n, _PIECE)):
+                frontier.append((j, tuple(v[i : i + _PIECE] for v in pre)))
         else:
             m = low_mask(j + 1)
             x = tuple((v[:, None] | (e << j)).ravel() for v, e in zip(pre, bits))

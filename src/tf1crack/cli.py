@@ -54,6 +54,13 @@ VERSION = 1
 _HEX_HEADER = re.compile(r"#\s*w=(\d+)")
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 
+
+def _is_hex(text: str) -> bool:
+    """True iff ``text`` is one or more hex digits, of either case.  int(text,
+    16) alone also takes a sign, a 0x prefix, _ separators and spaces."""
+    return bool(text) and not text.strip(_HEX_DIGITS)
+
+
 # Every machine-report key, in emission order; recovered_1.. follow
 # recovered_0 when more than one state is found.  --workers never changes
 # anything but elapsed_ms.
@@ -162,7 +169,7 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 header = _HEX_HEADER.fullmatch(line) if spec is None else None
-                if not header and (not line or line.strip(_HEX_DIGITS)):  # int() alone takes 0x, +, _
+                if not header and not _is_hex(line):
                     if not line or line.startswith("#"):
                         continue
                     raise FormatError(f"{source}:{lineno}: not hexadecimal: {line!r}")
@@ -200,10 +207,9 @@ def _parse_hex_fields(text: str, spec: WordSpec, what: str, names) -> list[int]:
         )
     values = []
     for name, part in zip(names, parts):
-        try:
-            value = int(part, 16)
-        except ValueError:
-            raise ParseError(f"{what}: field {name} is not hexadecimal: {part!r}") from None
+        if not _is_hex(part):
+            raise ParseError(f"{what}: field {name} is not hexadecimal: {part!r}")
+        value = int(part, 16)
         if not 0 <= value <= spec.mask:
             raise ParseError(f"{what}: field {name}={part} exceeds the width-{spec.width} mask")
         values.append(value)

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
 import time
 
 import pytest
@@ -115,7 +119,7 @@ def test_dfs_equals_brute_force_for_demo_instance(monkeypatch):
         dfs = [p.words() for p in enumerate_preimages_dfs(inst, 1, 4, None, target)]
         assert dfs == brute
         with monkeypatch.context() as patch:
-            patch.setattr(attack, "_CHUNK", 1 << 16)
+            patch.setattr(attack, "_PIECE", 64)
             assert [p.words() for p in enumerate_preimages_dfs(inst, 1, 4, None, target)] == brute
 
 
@@ -271,7 +275,7 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
     # the column kernel against dfs mode (states, candidates, verifications)
     # for tails of 1..3 words (2 at w=12), on the true prefix, a wrong survivor and
     # random zero-consistent prefixes in one array, the wrong one alone,
-    # and all again with _CHUNK so small that the frontier is split; at w=6
+    # and all again with _PIECE so small that the frontier is split; at w=6
     # also from 2 columns, below the first pinned output column
     rng = SplitMix64(5151)
     trivial, dfs = AttackConfig(), AttackConfig(enumeration_mode="dfs")
@@ -298,7 +302,7 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
                 want = attack._run_stage2(prefixes, l, inst, words, 0, dfs, tail)
                 assert attack._run_stage2(prefixes, l, inst, words, 0, trivial, tail) == want
                 with monkeypatch.context() as patch:
-                    patch.setattr(attack, "_CHUNK", 1 << 10)
+                    patch.setattr(attack, "_PIECE", 1)
                     assert attack._run_stage2(prefixes, l, inst, words, 0, trivial, tail) == want
                 assert (truth in want[0]) == (svs is survivors or svs[0].l == 2)
 
@@ -425,6 +429,94 @@ def test_recover_worker_counts_do_not_change_reports():
     assert report_core(dfs[0]) == report_core(dfs[1])
 
 
+def test_recover_forked_workers_run_lambda_instances():
+    # the demo instance's word functions are lambdas, which do not pickle;
+    # the forked workers inherit them instead
+    w10 = WordSpec(10)
+    inst = demo_generalized_instance(w10, default_params(w10))
+    ks = generate_from_instance(state_from_seed(11, w10), inst, 4096)
+    reports = [
+        report_core(recover(ks, inst, cfg=AttackConfig(enumeration_mode="dfs", workers=n)))
+        for n in (1, 2, 3)
+    ]
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: the parts run in this process")
+def test_map_workers_forks():
+    pids = attack._map_workers([(0, 1), (1, 2)], lambda part: (part, os.getpid()), 2)
+    assert [part for part, _ in pids] == [(0, 1), (1, 2)]
+    assert os.getpid() not in {pid for _, pid in pids}
+    assert attack._map_workers([(0, 1), (1, 2)], lambda part: os.getpid(), 1) == [os.getpid()] * 2
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # 64 parts, yet no more than os.cpu_count() forks, and the 1-worker reports
+    ks, _, _ = make_run(W8, P8, seed=42, n=8192)
+    inst = tf1_instance(P8)
+    cpus = os.cpu_count() or 1
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for mode in ("trivial", "dfs"):
+        want = report_core(recover(ks, inst, cfg=AttackConfig(enumeration_mode=mode)))
+        assert not forks
+        got = report_core(recover(ks, inst, cfg=AttackConfig(enumeration_mode=mode, workers=64)))
+        assert got == want, mode
+        assert len(forks) <= cpus and (forks or cpus == 1), mode
+        forks.clear()
+
+
+@pytest.mark.slow
+def test_w16_two_workers_give_the_pinned_counters():
+    # opt-in (pytest -m slow): the documented w=16 stream, on forked workers
+    spec = WordSpec(16)
+    params = default_params(spec)
+    ks = generate(state_from_seed(1, spec), params, 1 << 18)
+    inst = tf1_instance(params)
+    two = recover(ks, inst, cfg=AttackConfig(workers=2))
+    assert two.zero_index == 103179
+    assert tuple(vars(two.counters).values()) == (134217728, 270245956, 32, 67108864, 67268658)
+    assert report_core(two) == report_core(recover(ks, inst))
+
+
+STAGE1_TWICE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from tf1crack import AttackConfig, WordSpec, attack, default_params, generate, state_from_seed
+from tf1crack import tf1_instance
+spec = WordSpec(14)
+params = default_params(spec)
+generate(state_from_seed(1, spec), params, 1 << 16)
+k = spec.half + 1
+bits = [(0x5A3C96 >> j) & 1 for j in range(3 * k)]
+attack._run_stage1(tf1_instance(params), k, bits, 3 * k, AttackConfig())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+attack._run_stage1(tf1_instance(params), k, bits, 3 * k, AttackConfig())
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc's heap trimming")
+def test_stage1_chunks_do_not_page_fault():
+    # A fresh process, so that no earlier test has moved glibc's heap
+    # thresholds, generates a w=14 stream as a caller does before the
+    # attack, then runs stage 1 twice.  The lane kernel's temporaries stay
+    # on the heap from chunk to chunk: the second call takes a few dozen
+    # minor faults.  With chunks of 2^17 lower prefixes glibc trimmed the
+    # heap after every chunk, and the call took about 15,800.
+    src = os.path.dirname(os.path.dirname(attack.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", STAGE1_TWICE, src], capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 2000, out.stdout
+
+
 def test_recover_needs_a_zero():
     ks = Keystream(W8, (1, 2, 3, 4))
     with pytest.raises(NeedMoreKeystream):
@@ -463,22 +555,24 @@ def test_recover_survivor_overflow():
     with pytest.raises(SurvivorOverflow):
         recover(ks, tf1_instance(P4), cfg=cfg)
     # w=12 at horizon 1: about half of the candidates survive, and both
-    # modes must refuse before they build anything per survivor.  Trivial
-    # mode counts the survivors of its first chunk, dfs mode stops at cap+1.
+    # modes must refuse before they build anything per survivor.  Each part
+    # stops once its own survivors pass the cap, and the message gives
+    # cap + 1, the count at which a one-at-a-time filter stops, in both
+    # modes and for every worker count.
     w12 = WordSpec(12)
     p12 = default_params(w12)
     ks = generate(state_from_seed(1, w12), p12, 16384)
-    counts = {"trivial": 477184, "dfs": 4097}
-    for mode, workers in (("trivial", 1), ("trivial", 2), ("dfs", 1), ("dfs", 2)):
-        cfg = AttackConfig(filter_horizon=1, enumeration_mode=mode, workers=workers)
-        t0 = time.perf_counter()
-        with pytest.raises(SurvivorOverflow) as err:
-            recover(ks, tf1_instance(p12), cfg=cfg)
-        assert time.perf_counter() - t0 < 1.0, (mode, workers)
-        assert str(err.value) == (
-            f"{counts[mode]} stage-1 survivors exceed the cap of 4096; "
-            "increase the filter horizon or supply a longer tail"
-        )
+    for mode in ("trivial", "dfs"):
+        for workers in (1, 2, 3, 8):
+            cfg = AttackConfig(filter_horizon=1, enumeration_mode=mode, workers=workers)
+            t0 = time.perf_counter()
+            with pytest.raises(SurvivorOverflow) as err:
+                recover(ks, tf1_instance(p12), cfg=cfg)
+            assert time.perf_counter() - t0 < 1.0, (mode, workers)
+            assert str(err.value) == (
+                "4097 stage-1 survivors exceed the cap of 4096; "
+                "increase the filter horizon or supply a longer tail"
+            )
 
 
 def test_survivor_cap_inside_one_lower_prefix():

@@ -144,6 +144,13 @@ def test_parse_state():
         parse_state("100:0:0:0", W8)
     with pytest.raises(ParseError):
         parse_state("gg:0:0:0", W8)
+    # int(part, 16) would take these as 1, 0, 16 and 2; each field is
+    # checked as the hex reader checks a line
+    for text, name in (("0x1:0:0:0", "a"), ("1:-0:0:0", "b"), ("1:0:1_0:0", "c"),
+                       ("1:0:0:+2", "d"), ("1:0: 1:0", "c"), ("1::0:0", "b")):
+        with pytest.raises(ParseError, match=f"field {name} is not hexadecimal"):
+            parse_state(text, W8)
+    assert parse_state("FF:A0:0b:1C", W8) == State(0xFF, 0xA0, 0x0B, 0x1C)
     assert format_state(State(1, 0, 0, 0), W8) == "01:00:00:00"
 
 
@@ -332,6 +339,12 @@ def test_run_gen_bad_constants_is_exit_2(capsys):
                 "--constants", "d5:15"]) == 2
     assert run(["gen", "--w", "8", "--random-seed", "1", "--count", "4",
                 "--constants", "d5:15:100"]) == 2
+    capsys.readouterr()
+    assert run(["gen", "--w", "8", "--random-seed", "1", "--count", "4",
+                "--constants", "0x5:+3:1_1"]) == 2
+    assert "field C1 is not hexadecimal" in capsys.readouterr().err
+    assert run(["gen", "--w", "8", "--random-seed", "1", "--count", "4",
+                "--constants", "D5:15:01"]) == 0
 
 
 def test_python_m_runs_the_command_line():
