@@ -52,6 +52,13 @@ a'_L ^ c'_L ^ carry_L(a'_low + c'_low); it drops out at its first
 mismatch.  Each step adds the popcount of the alive mask taken before it,
 so ``stage1_filter_steps`` counts exactly what the plain filter counts.
 
+Stage 1 runs in parts, one range of lower prefixes (trivial mode) or of
+one-column roots (dfs mode) each.  A part is a generator of batches
+(survivors, filter steps, candidates): one per lane-kernel chunk, or one
+per filtered column-enumerator batch.  One part loop, in ``_run_stage1``,
+sums the batches and stops a part once its survivors pass the cap, so the
+counters and the cap are applied in one place for both modes.
+
 Stage 2 completes the survivors of a zero position with the column
 enumerator.  In trivial mode it also prunes on the first tail word.  The
 next output is S(x) * (S(y) | 1) with x = a'+c' and y = b'+d',
@@ -275,6 +282,8 @@ def enumerate_preimages_dfs(
     w = instance.spec.width
     if not 1 <= l <= k <= w:
         raise ValueError(f"need 1 <= l <= k <= {w}, got l={l}, k={k}")
+    if not 0 <= target <= low_mask(k):
+        raise ValueError(f"target {target:#x} does not fit in {k} columns")
     if l == 1:
         if known is not None:
             raise ValueError("known prefix must be omitted when l == 1")
@@ -340,7 +349,7 @@ def verify_state(
         raise ValueError("verification window exceeds the keystream")
     if ks.words[zero_index] != 0 or instance_output(state, instance) != 0:
         return False
-    return _walk_tail(state, instance, ks.words, zero_index, zero_index + n_words)[0]
+    return _walk_tail(state, instance, ks.words[: zero_index + n_words + 1], zero_index)[0]
 
 
 def stage2_complete(
@@ -370,9 +379,10 @@ def stage2_complete(
         raise ValueError("survivor violates the zero inner word on its own columns")
     if not 0 <= zero_index < len(ks) - 1:
         raise ValueError("zero_index must leave at least one keystream word after it")
+    if ks.words[zero_index] != 0:
+        raise ValueError(f"keystream word at {zero_index} is not zero")
     prefix = _to_arrays(instance.spec, [survivor.words()])
-    tail_len = len(ks) - zero_index - 1
-    return _run_stage2(prefix, survivor.l, instance, ks.words, zero_index, cfg, tail_len)[0]
+    return _run_stage2(prefix, survivor.l, instance, ks.words, zero_index, cfg)[0]
 
 
 def recover(
@@ -407,21 +417,22 @@ def recover(
             f"= {1 << spec.width} words" + (f"; {note}" if note else "")
         )
 
-    counters = OpCounters()
     words = ks.words
-    saw_usable_tail = False
-    for z in zeros:
+    usable = [z for z in zeros if z < len(words) - 1]
+    if not usable:
+        raise InsufficientTail(
+            "every zero output is the last keystream word; at least one word must follow"
+        )
+    counters = OpCounters()
+    for z in usable:
         tail_len = len(words) - z - 1
-        if tail_len < 1:
-            continue
-        saw_usable_tail = True
         horizon = min(base_horizon, tail_len)
         tail_bits = [words[z + 1 + j] & 1 for j in range(horizon)]
         survivors, steps, cands = _run_stage1(instance, k, tail_bits, horizon, cfg)
         counters.stage1_candidates += cands
         counters.stage1_filter_steps += steps
         counters.stage1_survivors += survivors[0].size
-        found, cand2, verif2 = _run_stage2(survivors, k, instance, words, z, cfg, tail_len)
+        found, cand2, verif2 = _run_stage2(survivors, k, instance, words, z, cfg)
         counters.stage2_candidates += cand2
         counters.stage2_verifications += verif2
         if found:
@@ -436,10 +447,6 @@ def recover(
                 verified_words=tail_len,
                 mode=cfg.enumeration_mode,
             )
-    if not saw_usable_tail:
-        raise InsufficientTail(
-            "every zero output is the last keystream word; at least one word must follow"
-        )
     raise ParamsMismatch(
         "no candidate state reproduces the keystream at any zero position; "
         "the constants or the instance do not match the stream"
@@ -504,36 +511,41 @@ def _run_stage1(
     splits the lower-prefix range of the lane kernel into ``cfg.workers``
     parts, dfs mode the one-column roots of the column enumerator; the
     parts run in forked processes, at most ``os.cpu_count()`` at a time,
-    or in this process for one worker.  A part stops once its own
-    survivors pass the cap.  The merge, in range order, raises
-    ``SurvivorOverflow`` with cap + 1, the count at which a one-at-a-time
-    filter stops, so the message depends on neither the split nor the mode.
+    or in this process for one worker.  Each mode gives a part as a
+    generator of (survivors, steps, candidates) batches, and ``run_part``
+    is the one loop for both: it keeps each batch's survivors, sums its
+    steps and candidates, and stops once the part's survivors pass the
+    cap.  The merge, in range order, raises ``SurvivorOverflow`` with
+    cap + 1, the count at which a one-at-a-time filter stops, so the
+    message depends on neither the split nor the mode.
     """
     spec, cap = instance.spec, cfg.max_survivors
     if cfg.enumeration_mode == "trivial":
         parts = _split_range(1 << (3 * (k - 1)), cfg.workers)
 
-        def run_part(part):
-            lo, hi = part
-            return _stage1_lanes(lo, hi, k, instance.params, tail_bits, horizon, cap)
+        def batches(lo, hi):
+            return _stage1_lanes(lo, hi, k, instance.params, tail_bits, horizon)
 
     else:
         roots = _concat(spec, list(_columns(instance, _to_arrays(spec, [(0, 0, 0, 0)]), 0, 1)))
         parts = _split_range(roots[0].size, cfg.workers)
 
-        def run_part(part):
-            lo, hi = part
-            kept = []
-            n = steps = cands = 0
+        def batches(lo, hi):
             for batch in _columns(instance, tuple(v[lo:hi] for v in roots), 1, k):
-                keep, n_steps = _filter(instance, batch, k, tail_bits, horizon)
-                cands += batch[0].size
-                steps += n_steps
-                kept.append(tuple(v.take(keep) for v in batch))
-                n += keep.size
-                if n > cap:
-                    break
-            return _concat(spec, kept), steps, cands
+                keep, steps = _filter(instance, batch, k, tail_bits, horizon)
+                yield tuple(v.take(keep) for v in batch), steps, batch[0].size
+
+    def run_part(part):
+        kept = []
+        n = steps = cands = 0
+        for survivors, n_steps, n_cands in batches(*part):
+            kept.append(survivors)
+            steps += n_steps
+            cands += n_cands
+            n += survivors[0].size
+            if n > cap:
+                break
+        return _concat(spec, kept), steps, cands
 
     results = _map_workers(parts, run_part, cfg.workers)
     survivors = _concat(spec, [r[0] for r in results])
@@ -584,8 +596,7 @@ def _stage1_lanes(
     params: Tf1Params,
     tail_bits: list[int],
     horizon: int,
-    max_survivors: int,
-) -> tuple[tuple, int, int]:
+) -> Iterator[tuple]:
     """Lane-sliced stage 1 over lower-prefix indices [lo, hi) of 2**(3(k-1)).
 
     Index i encodes the low L = k-1 columns of (a, b, d) as (i >> 2L,
@@ -605,10 +616,9 @@ def _stage1_lanes(
     step adds popcount(alive) taken before it, which is the plain filter's
     per-candidate count.  Each chunk of _CHUNK lower prefixes decodes the
     lanes of its final masks, with numpy, into the words of k-column
-    prefixes; the kernel stops after the chunk at which the running
-    popcount passes ``max_survivors``, and the caller raises.  Returns
-    (survivors as four arrays of the state dtype, filter steps,
-    candidates).
+    prefixes, and yields (its survivors as four arrays of the state dtype,
+    its filter steps, its candidates: 8 per lower prefix).  The caller
+    sums the chunks and applies the survivor cap.
     """
     low = k - 1
     lm = low_mask(low)
@@ -618,10 +628,9 @@ def _stage1_lanes(
     dtype = np.min_scalar_type(km | 0xFF).type
     mm, c1, c3, cc, top = (dtype(v & km) for v in (km, params.c1, params.c3, params.c, low))
     word = _state_dtype(params.spec.width)
-    kept = []
-    n = steps = 0
     for cs in range(lo, hi, _CHUNK):
-        idx = np.arange(cs, min(cs + _CHUNK, hi), dtype=_state_dtype(3 * low))
+        end = min(cs + _CHUNK, hi)
+        idx = np.arange(cs, end, dtype=_state_dtype(3 * low))
         a = (idx >> (2 * low)).astype(dtype)
         b = ((idx >> low) & lm).astype(dtype)
         d = (idx & lm).astype(dtype)
@@ -631,6 +640,7 @@ def _stage1_lanes(
         lc = la ^ (0 - (c >> top))
         c &= lm
         alive = np.full(idx.size, 0xFF, dtype)
+        steps = 0
         for j in range(horizon):
             steps += int(np.bitwise_count(alive).sum())
             a, b, c, d, s = _rows(a, b, c, d, mm, c1, c3, cc)
@@ -653,15 +663,11 @@ def _stage1_lanes(
                 idx, alive = idx.take(keep), alive.take(keep)
                 a, b, c, d = a.take(keep), b.take(keep), c.take(keep), d.take(keep)
                 la, lb, lc = la.take(keep), lb.take(keep), lc.take(keep)
-        n += int(np.bitwise_count(alive).sum())
         rows, lanes = np.nonzero((alive[:, None] >> np.arange(8, dtype=dtype)) & 1)
         i, lane = idx.take(rows), lanes.astype(idx.dtype)
         # lane bit 2, 1, 0 is the top bit of a, b, d; idx holds their low columns
         a, b, d = ((i >> (t * low)) & lm | ((lane >> t) & 1) << low for t in (2, 1, 0))
-        kept.append(tuple(v.astype(word) for v in (a, b, (0 - a) & km, d)))
-        if n > max_survivors:
-            break
-    return _concat(params.spec, kept), steps, 8 * (hi - lo)
+        yield tuple(v.astype(word) for v in (a, b, (0 - a) & km, d)), steps, 8 * (end - cs)
 
 
 def _run_stage2(
@@ -671,36 +677,35 @@ def _run_stage2(
     words: tuple[int, ...],
     zero_index: int,
     cfg: AttackConfig,
-    tail_len: int,
 ) -> tuple[list[State], int, int]:
     """Complete the survivors; returns (verified states sorted, candidates, verification steps).
 
     ``prefixes`` holds the survivors' four words as arrays of the state
     dtype, all of them l-column prefixes, as ``_run_stage1`` returns them.
-    The column enumerator builds the completions in both modes.  Trivial
-    mode also prunes them on the first tail word and counts its candidates
-    in closed form.  Only the completions that emit the first tail word
-    walk the tail; every other one mismatches at that word: one step.
+    The tail is ``words`` after ``zero_index``, to its end.  The column
+    enumerator builds the completions in both modes.  Trivial mode also
+    prunes them on the first tail word and counts its candidates in closed
+    form.  Every candidate costs one step for the first tail word; only the
+    completions that emit it walk the rest of the tail, at one more step a
+    word.
     """
     spec = instance.spec
     first = words[zero_index + 1]
     trivial = cfg.enumeration_mode == "trivial"
     batches = _columns(instance, prefixes, l, spec.width, first=first if trivial else None)
     states: list[State] = []
-    n_leaves = n_walked = verifs = 0
+    n_leaves = verifs = 0
     for batch in batches:
         n_leaves += batch[0].size
         emits = _instance_out(instance, *instance.t1_words(*batch, spec.mask)) == first
         for row in zip(*(v[emits].tolist() for v in batch)):
             st = State(*row)
-            ok, n = _walk_tail(st, instance, words, zero_index, zero_index + tail_len)
-            n_walked += 1
-            verifs += n
+            ok, n = _walk_tail(st, instance, words, zero_index)
+            verifs += n - 1
             if ok:
                 states.append(st)
     cands = prefixes[0].size << (3 * (spec.width - l)) if trivial else n_leaves
-    states.sort()
-    return states, cands, verifs + cands - n_walked
+    return sorted(states), cands, verifs + cands
 
 
 def _columns(
@@ -790,9 +795,8 @@ def _walk_tail(
     instance: GeneratorInstance,
     words: Sequence[int],
     lo: int,
-    hi: int,
 ) -> tuple[bool, int]:
-    """Roll ``state``, the emitter of words[lo], forward and match words[lo+1 .. hi].
+    """Roll ``state``, the emitter of words[lo], forward and match words[lo+1 ..].
 
     Returns (matched, output words computed); a mismatch ends the walk.
     The standard generator walks on plain ints, any other instance through
@@ -802,15 +806,15 @@ def _walk_tail(
         p = instance.params
         m, h, c1, c3, cc = p.spec.mask, p.spec.half, p.c1, p.c3, p.c
         a, b, c, d = state.a, state.b, state.c, state.d
-        for j in range(lo + 1, hi + 1):
+        for j in range(lo + 1, len(words)):
             a, b, c, d, _ = _rows(a, b, c, d, m, c1, c3, cc)
             if _out(a, b, c, d, m, h) != words[j]:
                 return False, j - lo
-        return True, hi - lo
+        return True, len(words) - 1 - lo
     t1_words, m = instance.t1_words, instance.spec.mask
     a, b, c, d = state.words()
-    for j in range(lo + 1, hi + 1):
+    for j in range(lo + 1, len(words)):
         a, b, c, d = t1_words(a, b, c, d, m)
         if _instance_out(instance, a, b, c, d) != words[j]:
             return False, j - lo
-    return True, hi - lo
+    return True, len(words) - 1 - lo

@@ -102,8 +102,14 @@ def write_keystream(ks: Keystream, destination, fmt: str = "bin") -> int:
     """Serialize a keystream; returns the byte count written.
 
     ``destination`` may be a path or '-' for stdout (hex only makes sense
-    there).
+    there).  A word outside the width raises ValueError before anything
+    is written.
     """
+    words, mask = ks.words, ks.spec.mask
+    # C-level min/max first; the index is looked for only on failure
+    if words and (min(words) < 0 or max(words) > mask):
+        i = next(i for i, word in enumerate(words) if not 0 <= word <= mask)
+        raise ValueError(f"word {i} is {words[i]:#x}, outside the width-{ks.spec.width} range")
     if fmt == "bin":
         payload = bytearray()
         payload += MAGIC
@@ -452,12 +458,17 @@ def _cmd_bench(args) -> int:
         print("measurement skipped: keystreams of 2^w words are impractical above w=16 here")
         return 0
     count = args.count if args.count is not None else min(4 << spec.width, 1 << 20)
-    seed = args.random_seed
-    for _ in range(64):
+    first = args.random_seed
+    for seed in range(first, first + 64):
         ks = generate(state_from_seed(seed, spec), params, count)
-        if any(word == 0 for word in ks.words[:-1]):
+        if 0 in ks.words[:-1]:
             break
-        seed += 1
+    else:
+        note = attack_mod.even_c_note(params)
+        raise attack_mod.NeedMoreKeystream(
+            f"no zero output before the last of {count} words for stream seeds {first}..{seed}"
+            + (f"; {note}" if note else "")
+        )
     print(f"keystream_words={count}")
     print(f"stream_seed={seed}")
     report = recover(ks, tf1_instance(params), params, cfg)

@@ -153,6 +153,10 @@ def test_dfs_validation():
     with pytest.raises(ValueError):
         # (a+c) bit 1 is 1, target bit 1 is 0
         list(enumerate_preimages_dfs(inst, 2, 3, known=ColumnPrefix(1, 1, 0, 0, 0)))
+    # the same target check, and message, as enumerate_trivial_preimages
+    for target, shown in ((16, "0x10"), (-1, "-0x1")):
+        with pytest.raises(ValueError, match=f"target {shown} does not fit in 4 columns"):
+            list(enumerate_preimages_dfs(inst, 1, 4, target=target))
 
 
 def test_filter_candidate_true_state_survives():
@@ -299,11 +303,12 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
         for svs in survivor_sets:
             prefixes, l = attack._to_arrays(spec, [p.words() for p in svs]), svs[0].l
             for tail in (1, 2, 3) if w < 12 else (2,):
-                want = attack._run_stage2(prefixes, l, inst, words, 0, dfs, tail)
-                assert attack._run_stage2(prefixes, l, inst, words, 0, trivial, tail) == want
+                window = words[: 1 + tail]
+                want = attack._run_stage2(prefixes, l, inst, window, 0, dfs)
+                assert attack._run_stage2(prefixes, l, inst, window, 0, trivial) == want
                 with monkeypatch.context() as patch:
                     patch.setattr(attack, "_PIECE", 1)
-                    assert attack._run_stage2(prefixes, l, inst, words, 0, trivial, tail) == want
+                    assert attack._run_stage2(prefixes, l, inst, window, 0, trivial) == want
                 assert (truth in want[0]) == (svs is survivors or svs[0].l == 2)
 
 
@@ -326,6 +331,15 @@ def test_stage2_complete_rejects_malformed_survivor():
         wide_a = dataclasses.replace(survivor, a_low=survivor.a_low | 32)
         with pytest.raises(ValueError, match="does not fit in 5 columns"):
             stage2_complete(wide_a, P8, inst, ks, zero_index, cfg)
+    # a state that emits zero, behind a keystream word that is not zero
+    s = next(random_states(W8, 99, 1))
+    truth = State(s.a, s.b, -s.a & W8.mask, s.d)
+    ks = Keystream(W8, (0x5A,) + generate(truth, P8, 64).words)
+    assert not verify_state(truth, P8, ks, 0, 64)
+    for mode in ("trivial", "dfs"):
+        cfg = AttackConfig(enumeration_mode=mode)
+        with pytest.raises(ValueError, match="keystream word at 0 is not zero"):
+            stage2_complete(state_prefix(truth, 5), None, inst, ks, 0, cfg)
 
 
 def test_recover_w4_certified_by_oracle():
@@ -619,6 +633,13 @@ def _lane_candidates(lo, hi, k):
             yield ColumnPrefix(k, a, b, (0 - a) & ((1 << k) - 1), d)
 
 
+def _lanes(lo, hi, k, params, bits, horizon):
+    """_stage1_lanes over [lo, hi), batches summed: (survivor words sorted, steps, candidates)."""
+    batches = list(attack._stage1_lanes(lo, hi, k, params, bits, horizon))
+    rows = sorted(row for sv, _, _ in batches for row in _rows(sv))
+    return rows, sum(b[1] for b in batches), sum(b[2] for b in batches)
+
+
 def _dfs_filter(inst, candidates, bits, horizon):
     """dfs mode's array filter on the candidates: (survivor words sorted, steps, candidates)."""
     cands = list(candidates)
@@ -668,10 +689,9 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
             lo = max(0, at - 256)
             hi = lo + 512
-            sv, steps, cands = attack._stage1_lanes(lo, hi, k, params, bits, horizon, 1 << 20)
-            want = _dfs_filter(inst, _lane_candidates(lo, hi, k), bits, horizon)
-            assert (sorted(_rows(sv)), steps, cands) == want
-            assert state_prefix(truth, k).words() in _rows(sv)
+            got = _lanes(lo, hi, k, params, bits, horizon)
+            assert got == _dfs_filter(inst, _lane_candidates(lo, hi, k), bits, horizon)
+            assert state_prefix(truth, k).words() in got[0]
 
 
 def test_recover_moves_past_a_corrupted_zero_position():
@@ -723,9 +743,8 @@ def test_trivial_mode_width_limit():
     k = 22
     hi = 1 << (3 * (k - 1))
     bits = [1, 1, 1, 1, 1]  # 4 of the 32 candidates survive
-    got = attack._stage1_lanes(hi - 4, hi, k, p42, bits, 5, 64)
-    want = _dfs_filter(inst, _lane_candidates(hi - 4, hi, k), bits, 5)
-    assert (sorted(_rows(got[0])), got[1], got[2]) == want
+    got = _lanes(hi - 4, hi, k, p42, bits, 5)
+    assert got == _dfs_filter(inst, _lane_candidates(hi - 4, hi, k), bits, 5)
 
 
 def test_keystream_width_mismatch_is_rejected():

@@ -92,6 +92,21 @@ def test_bin_rejects_malformed(tmp_path):
         read_keystream(path, "bin")
 
 
+def test_write_rejects_words_outside_the_width(tmp_path):
+    # each would write a file that read_keystream rejects, or fail halfway
+    cases = [
+        (W8, (1, 300, 2), "word 1 is 0x12c"),
+        (W8, (5, 7, -1), "word 2 is -0x1"),
+        (WordSpec(6), (100,), "word 0 is 0x64"),
+    ]
+    for spec, words, shown in cases:
+        for fmt in ("bin", "hex"):
+            path = tmp_path / f"out.{fmt}"
+            with pytest.raises(ValueError, match=f"{shown}, outside the width-{spec.width} range"):
+                write_keystream(Keystream(spec, words), path, fmt)
+            assert not path.exists()
+
+
 def test_bin_rejects_word_above_mask(tmp_path):
     path = tmp_path / "w4.bin"
     write_keystream(Keystream(W4, (1, 2)), path, "bin")
@@ -325,6 +340,16 @@ def test_run_bench_small_width_measures(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "measured_ops=" in out and "measured_over_predicted=" in out
+
+
+def test_run_bench_names_the_seeds_it_tried(capsys):
+    # none of the 64 three-word streams from seed 5 on has a zero before its last word
+    assert run(["bench", "--w", "8", "--count", "3", "--random-seed", "5"]) == 1
+    captured = capsys.readouterr()
+    assert "stream_seed=" not in captured.out
+    assert captured.err == (
+        "NeedMoreKeystream: no zero output before the last of 3 words for stream seeds 5..68\n"
+    )
 
 
 def test_run_bench_bad_config_fails_before_generating(capsys):
