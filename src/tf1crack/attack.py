@@ -105,6 +105,7 @@ __all__ = [
     "OpCounters",
     "AttackReport",
     "even_c_note",
+    "no_zero_error",
     "find_zero_outputs",
     "enumerate_trivial_preimages",
     "enumerate_preimages_dfs",
@@ -231,6 +232,12 @@ def even_c_note(params: Tf1Params) -> str:
     return f"C = {params.c:#x} is even, and an even C can trap the state in short zero-free cycles"
 
 
+def no_zero_error(params: Tf1Params, message: str) -> NeedMoreKeystream:
+    """``NeedMoreKeystream(message)``, with ``even_c_note`` appended when it applies."""
+    note = even_c_note(params)
+    return NeedMoreKeystream(message + (f"; {note}" if note else ""))
+
+
 def find_zero_outputs(ks: Keystream, limit: int | None = None) -> list[int]:
     """Ascending positions of exact-zero output words, at most ``limit``."""
     if limit is not None and limit < 1:
@@ -323,7 +330,7 @@ def filter_candidate(
     if any(bit not in (0, 1) for bit in tail_lsbs):
         raise ValueError("tail bits must be 0 or 1")
     batch = _to_arrays(instance.spec, [prefix.validate(instance.spec).words()])
-    keep, steps = _filter(instance, batch, prefix.l, tail_lsbs, horizon)
+    keep, steps = _filter(instance, batch, prefix.l, tail_lsbs[:horizon])
     return bool(keep.size), steps
 
 
@@ -339,12 +346,15 @@ def verify_state(
 
     The state is the post-update state at ``zero_index``; its own output
     must be zero (so must the keystream word there) and rolling it forward
-    must reproduce ks[zero_index+1 .. zero_index+n_words].
+    must reproduce ks[zero_index+1 .. zero_index+n_words].  A state word
+    outside the width raises ValueError.
     """
     if instance is None:
         instance = tf1_instance(params)
     _check_params(instance, params)
     _check_width(ks, instance.spec)
+    for name, word in zip("abcd", state.words()):
+        instance.spec.check_word(word, name)
     if zero_index < 0 or n_words < 0 or zero_index + n_words >= len(ks):
         raise ValueError("verification window exceeds the keystream")
     if ks.words[zero_index] != 0 or instance_output(state, instance) != 0:
@@ -411,11 +421,8 @@ def recover(
 
     zeros = find_zero_outputs(ks, cfg.max_zero_positions)
     if not zeros:
-        note = even_c_note(params)
-        raise NeedMoreKeystream(
-            f"no zero output in {len(ks)} words; expect about one per 2^{spec.width} "
-            f"= {1 << spec.width} words" + (f"; {note}" if note else "")
-        )
+        raise no_zero_error(params, f"no zero output in {len(ks)} words; expect about one per "
+                            f"2^{spec.width} = {1 << spec.width} words")
 
     words = ks.words
     usable = [z for z in zeros if z < len(words) - 1]
@@ -428,7 +435,7 @@ def recover(
         tail_len = len(words) - z - 1
         horizon = min(base_horizon, tail_len)
         tail_bits = [words[z + 1 + j] & 1 for j in range(horizon)]
-        survivors, steps, cands = _run_stage1(instance, k, tail_bits, horizon, cfg)
+        survivors, steps, cands = _run_stage1(instance, k, tail_bits, cfg)
         counters.stage1_candidates += cands
         counters.stage1_filter_steps += steps
         counters.stage1_survivors += survivors[0].size
@@ -501,7 +508,6 @@ def _run_stage1(
     instance: GeneratorInstance,
     k: int,
     tail_bits: list[int],
-    horizon: int,
     cfg: AttackConfig,
 ) -> tuple[tuple, int, int]:
     """Dispatch stage 1; returns (survivors, steps, candidates).
@@ -524,7 +530,7 @@ def _run_stage1(
         parts = _split_range(1 << (3 * (k - 1)), cfg.workers)
 
         def batches(lo, hi):
-            return _stage1_lanes(lo, hi, k, instance.params, tail_bits, horizon)
+            return _stage1_lanes(lo, hi, k, instance.params, tail_bits)
 
     else:
         roots = _concat(spec, list(_columns(instance, _to_arrays(spec, [(0, 0, 0, 0)]), 0, 1)))
@@ -532,7 +538,7 @@ def _run_stage1(
 
         def batches(lo, hi):
             for batch in _columns(instance, tuple(v[lo:hi] for v in roots), 1, k):
-                keep, steps = _filter(instance, batch, k, tail_bits, horizon)
+                keep, steps = _filter(instance, batch, k, tail_bits)
                 yield tuple(v.take(keep) for v in batch), steps, batch[0].size
 
     def run_part(part):
@@ -595,7 +601,6 @@ def _stage1_lanes(
     k: int,
     params: Tf1Params,
     tail_bits: list[int],
-    horizon: int,
 ) -> Iterator[tuple]:
     """Lane-sliced stage 1 over lower-prefix indices [lo, hi) of 2**(3(k-1)).
 
@@ -641,7 +646,7 @@ def _stage1_lanes(
         c &= lm
         alive = np.full(idx.size, 0xFF, dtype)
         steps = 0
-        for j in range(horizon):
+        for bit in tail_bits:
             steps += int(np.bitwise_count(alive).sum())
             a, b, c, d, s = _rows(a, b, c, d, mm, c1, c3, cc)
             sa = (0 - (s >> top)) & la
@@ -652,7 +657,7 @@ def _stage1_lanes(
             b &= lm
             c &= lm
             pred = la ^ lc ^ (0 - ((a + c) >> top))
-            alive &= pred if tail_bits[j] else ~pred
+            alive &= pred if bit else ~pred
             live = np.count_nonzero(alive)
             if live == 0:
                 break
@@ -758,7 +763,7 @@ def _columns(
 
 
 def _filter(
-    instance: GeneratorInstance, batch: tuple, l: int, tail_bits: Sequence[int], horizon: int
+    instance: GeneratorInstance, batch: tuple, l: int, tail_bits: Sequence[int]
 ) -> tuple[np.ndarray, int]:
     """The truncated filter on a batch of l-column candidates (a, b, c, d
     arrays): (positions of the survivors in the batch, filter steps).
@@ -769,7 +774,7 @@ def _filter(
     h, m = instance.spec.half, low_mask(l)
     pos = np.arange(batch[0].size)
     steps = 0
-    for bit in tail_bits[:horizon]:
+    for bit in tail_bits:
         if not pos.size:
             break
         batch = instance.t1_words(*batch, m)

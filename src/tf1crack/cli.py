@@ -3,10 +3,10 @@
 Binary layout: magic "TF1K", version 0x01, width byte, flags 0x00, 8-byte
 little-endian word count, then each word in ceil(w/8) little-endian bytes.
 Hex layout: one lowercase ceil(w/4)-digit word per line; lines starting
-with '#' are comments.  When 4 does not divide w, the first line is the
-header "# w=N"; otherwise the width is inferred from the digit count.  The
-reader takes exactly ceil(w/4) digits [0-9a-fA-F] per line: no sign, prefix
-or underscore.
+with '#' are comments.  When 4 does not divide w, or the stream is empty,
+the first line is the header "# w=N"; otherwise the width is inferred from
+the digit count.  The reader takes exactly ceil(w/4) digits [0-9a-fA-F] per
+line: no sign, prefix or underscore.
 
 Exit codes: 0 success, 1 attack-level failure (no zero word, hopeless tail,
 survivor overflow, mismatched constants), 2 usage or input-format problems,
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-import time
 from pathlib import Path
 
 from . import attack as attack_mod
@@ -105,35 +104,31 @@ def write_keystream(ks: Keystream, destination, fmt: str = "bin") -> int:
     there).  A word outside the width raises ValueError before anything
     is written.
     """
-    words, mask = ks.words, ks.spec.mask
+    spec, words = ks.spec, ks.words
     # C-level min/max first; the index is looked for only on failure
-    if words and (min(words) < 0 or max(words) > mask):
-        i = next(i for i, word in enumerate(words) if not 0 <= word <= mask)
-        raise ValueError(f"word {i} is {words[i]:#x}, outside the width-{ks.spec.width} range")
+    if words and (min(words) < 0 or max(words) > spec.mask):
+        i = next(i for i, word in enumerate(words) if not 0 <= word <= spec.mask)
+        raise ValueError(f"word {i} is {words[i]:#x}, outside the width-{spec.width} range")
     if fmt == "bin":
-        payload = bytearray()
-        payload += MAGIC
-        payload += bytes([VERSION, ks.spec.width, 0])
-        payload += len(ks.words).to_bytes(8, "little")
-        nb = _word_bytes(ks.spec.width)
-        for word in ks.words:
-            payload += word.to_bytes(nb, "little")
-        data = bytes(payload)
-        if destination == "-":
-            sys.stdout.buffer.write(data)
-            return len(data)
+        data = bytearray()
+        data += MAGIC
+        data += bytes([VERSION, spec.width, 0])
+        data += len(words).to_bytes(8, "little")
+        nb = _word_bytes(spec.width)
+        for word in words:
+            data += word.to_bytes(nb, "little")
+    elif fmt == "hex":
+        digits = spec.hex_digits
+        header = f"# w={spec.width}\n" if 4 * digits != spec.width or not words else ""
+        data = (header + "".join(f"{word:0{digits}x}\n" for word in words)).encode()
+    else:
+        raise ValueError(f"unknown format {fmt!r}; expected 'bin' or 'hex'")
+    if destination == "-":
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:
         Path(destination).write_bytes(data)
-        return len(data)
-    if fmt == "hex":
-        digits = ks.spec.hex_digits
-        header = "" if 4 * digits == ks.spec.width else f"# w={ks.spec.width}\n"
-        text = header + "".join(f"{word:0{digits}x}\n" for word in ks.words)
-        if destination == "-":
-            sys.stdout.write(text)
-            return len(text.encode())
-        Path(destination).write_text(text)
-        return len(text.encode())
-    raise ValueError(f"unknown format {fmt!r}; expected 'bin' or 'hex'")
+    return len(data)
 
 
 def read_keystream(source, fmt: str = "bin") -> Keystream:
@@ -250,85 +245,83 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generate TF-1 keystreams and recover internal states from them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several subcommands share, each declared once
+    constants = argparse.ArgumentParser(add_help=False)
+    constants.add_argument("--constants", help="update constants C1:C3:C in hex (default: built-ins)")
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("--w", type=int, help="expected width; must match the file")
+    infile.add_argument("--in", dest="infile", required=True, help="keystream path")
+    infile.add_argument("--format", choices=("bin", "hex"), default="bin")
+    runner = argparse.ArgumentParser(add_help=False)
+    runner.add_argument("--mode", choices=("trivial", "dfs"), default="trivial")
+    runner.add_argument("--workers", type=int, default=1)
 
-    gen = sub.add_parser("gen", help="generate a keystream")
+    gen = sub.add_parser("gen", parents=[constants], help="generate a keystream")
     gen.add_argument("--w", type=int, required=True, help="word width in bits (even, 4..64)")
     seed = gen.add_mutually_exclusive_group(required=True)
     seed.add_argument("--seed-state", help="initial state a:b:c:d in hex")
     seed.add_argument("--random-seed", type=int, help="64-bit integer expanded via splitmix64")
-    gen.add_argument("--constants", help="update constants C1:C3:C in hex (default: built-ins)")
     gen.add_argument("--count", type=int, required=True, help="number of output words")
     gen.add_argument("--out", default="-", help="output path, or - for stdout")
     gen.add_argument("--format", choices=("bin", "hex"), default="hex")
 
-    atk = sub.add_parser("attack", help="recover internal states from a keystream file")
-    atk.add_argument("--w", type=int, help="expected width; must match the file")
-    atk.add_argument("--constants", help="update constants C1:C3:C in hex (default: built-ins)")
-    atk.add_argument("--in", dest="infile", required=True, help="keystream path")
-    atk.add_argument("--format", choices=("bin", "hex"), default="bin")
-    atk.add_argument("--mode", choices=("trivial", "dfs"), default="trivial")
+    atk = sub.add_parser("attack", parents=[constants, infile, runner],
+                         help="recover internal states from a keystream file")
     atk.add_argument("--horizon", type=int, help="stage-1 filter depth (default 3*(w/2+1))")
     atk.add_argument("--max-survivors", type=int, default=4096)
     atk.add_argument("--max-zero-positions", type=int, default=8)
     atk.add_argument("--report", choices=("machine", "human"), default="human")
-    atk.add_argument("--workers", type=int, default=1)
 
-    chk = sub.add_parser("check", help="run structural or statistical checks")
+    chk = sub.add_parser("check", parents=[constants], help="run structural or statistical checks")
     chk.add_argument("what", choices=("tfunc", "trunc", "stats"))
     chk.add_argument("--w", type=int, required=True)
-    chk.add_argument("--constants")
     chk.add_argument("--trials", type=int, default=10_000)
     chk.add_argument("--rng-seed", type=int, default=1)
     chk.add_argument("--count", type=int, default=1_000_000, help="stats: words to generate")
     chk.add_argument("--random-seed", type=int, default=1, help="stats: seed for the stream")
 
-    orc = sub.add_parser("oracle", help="exhaustive consistency scan (w=4; w=8 with --budget)")
-    orc.add_argument("--w", type=int, help="expected width; must match the file")
-    orc.add_argument("--constants")
-    orc.add_argument("--in", dest="infile", required=True)
-    orc.add_argument("--format", choices=("bin", "hex"), default="bin")
+    orc = sub.add_parser("oracle", parents=[constants, infile],
+                         help="exhaustive consistency scan (w=4; w=8 with --budget)")
     orc.add_argument("--zero-index", type=int, help="default: first zero word")
     orc.add_argument("--window", type=int, help="words to verify (default: whole tail)")
     orc.add_argument("--budget", type=int, help="state-space cap override (needed for w=8)")
 
-    ben = sub.add_parser("bench", help="measure attack operation counts against the prediction")
+    ben = sub.add_parser("bench", parents=[constants, runner],
+                         help="measure attack operation counts against the prediction")
     ben.add_argument("--w", type=int, required=True)
-    ben.add_argument("--constants")
     ben.add_argument("--count", type=int, help="keystream length (default 4 * 2^w, capped at 2^20)")
     ben.add_argument("--random-seed", type=int, default=1)
-    ben.add_argument("--mode", choices=("trivial", "dfs"), default="trivial")
-    ben.add_argument("--workers", type=int, default=1)
 
     return parser
 
 
 def _params_for(args, spec: WordSpec) -> Tf1Params:
-    if getattr(args, "constants", None):
-        return _parse_constants(args.constants, spec)
-    return default_params(spec)
+    return _parse_constants(args.constants, spec) if args.constants else default_params(spec)
+
+
+def _print_fields(pairs) -> None:
+    """One key=value line per pair: the machine-readable output of every command."""
+    for key, value in pairs:
+        print(f"{key}={value}")
+
+
+def _numbered(prefix: str, states, spec: WordSpec) -> list:
+    return [(f"{prefix}_{i}", format_state(st, spec)) for i, st in enumerate(states)]
 
 
 def _print_machine_report(report: AttackReport, params: Tf1Params) -> None:
-    c = report.counters
-    lines = [
+    _print_fields([
         ("w", params.spec.width),
         ("constants", _format_constants(params)),
         ("mode", report.mode),
         ("zero_index", report.zero_index),
         ("horizon", report.horizon),
-        ("stage1_candidates", c.stage1_candidates),
-        ("stage1_filter_steps", c.stage1_filter_steps),
-        ("stage1_survivors", c.stage1_survivors),
-        ("stage2_candidates", c.stage2_candidates),
-        ("stage2_verifications", c.stage2_verifications),
+        *vars(report.counters).items(),
         ("recovered_count", len(report.recovered)),
-    ]
-    for key, value in lines:
-        print(f"{key}={value}")
-    for i, st in enumerate(report.recovered):
-        print(f"recovered_{i}={format_state(st, params.spec)}")
-    print(f"predicted_ops={report.predicted_ops}")
-    print(f"elapsed_ms={int(report.elapsed * 1000)}")
+        *_numbered("recovered", report.recovered, params.spec),
+        ("predicted_ops", report.predicted_ops),
+        ("elapsed_ms", int(report.elapsed * 1000)),
+    ])
 
 
 def _print_human_report(report: AttackReport, params: Tf1Params) -> None:
@@ -394,31 +387,28 @@ def _cmd_attack(args) -> int:
 def _cmd_check(args) -> int:
     spec = WordSpec(args.w)
     params = _params_for(args, spec)
+    if args.what == "stats":
+        ks = generate(state_from_seed(args.random_seed, spec), params, args.count)
+        zeros, rate = zero_frequency(ks)
+        print(f"words={len(ks)} zeros={zeros} rate={rate:.3e} expected_rate={2 ** -spec.width:.3e}")
+        note = attack_mod.even_c_note(params)
+        if note:
+            print(f"note: {note}")
+        return 0
     if args.what == "tfunc":
-        bad = 0
-        for target in ("t1", "t2", "t2_demo"):
-            rep = check_tfunction_property(target, spec, params, args.trials, args.rng_seed)
-            print(f"target={target} trials={rep.trials} failures={rep.failures}")
-            bad += rep.failures
-        return 0 if bad == 0 else 1
-    if args.what == "trunc":
-        bad = 0
-        for name, inst in (
-            ("tf1", tf1_instance(params)),
-            ("demo", demo_generalized_instance(spec, params)),
-        ):
-            rep = check_truncation_consistency(inst, spec, args.trials, args.rng_seed)
-            print(f"instance={name} trials={rep.trials} failures={rep.failures}")
-            bad += rep.failures
-        return 0 if bad == 0 else 1
-    # stats
-    ks = generate(state_from_seed(args.random_seed, spec), params, args.count)
-    zeros, rate = zero_frequency(ks)
-    print(f"words={len(ks)} zeros={zeros} rate={rate:.3e} expected_rate={2 ** -spec.width:.3e}")
-    note = attack_mod.even_c_note(params)
-    if note:
-        print(f"note: {note}")
-    return 0
+        reports = [
+            (f"target={t}", check_tfunction_property(t, spec, params, args.trials, args.rng_seed))
+            for t in ("t1", "t2", "t2_demo")
+        ]
+    else:
+        demo = demo_generalized_instance(spec, params)
+        reports = [
+            (f"instance={name}", check_truncation_consistency(inst, spec, args.trials, args.rng_seed))
+            for name, inst in (("tf1", tf1_instance(params)), ("demo", demo))
+        ]
+    for label, rep in reports:
+        print(f"{label} trials={rep.trials} failures={rep.failures}")
+    return 0 if all(rep.ok for _, rep in reports) else 1
 
 
 def _cmd_oracle(args) -> int:
@@ -429,20 +419,18 @@ def _cmd_oracle(args) -> int:
     else:
         zeros = attack_mod.find_zero_outputs(ks, 1)
         if not zeros:
-            note = attack_mod.even_c_note(params)
-            raise attack_mod.NeedMoreKeystream(
-                "no zero output word in the keystream" + (f"; {note}" if note else "")
-            )
+            raise attack_mod.no_zero_error(params, "no zero output word in the keystream")
         zero_index = zeros[0]
     tail = len(ks) - zero_index - 1
     window = tail if args.window is None else args.window
     result = brute_force_consistent_states(ks, zero_index, params, window, args.budget)
-    print(f"zero_index={result.zero_index}")
-    print(f"window={result.window}")
-    print(f"states_scanned={result.states_scanned}")
-    print(f"consistent_count={len(result.consistent_states)}")
-    for i, st in enumerate(result.consistent_states):
-        print(f"consistent_{i}={format_state(st, ks.spec)}")
+    _print_fields([
+        ("zero_index", result.zero_index),
+        ("window", result.window),
+        ("states_scanned", result.states_scanned),
+        ("consistent_count", len(result.consistent_states)),
+        *_numbered("consistent", result.consistent_states, ks.spec),
+    ])
     return 0
 
 
@@ -450,10 +438,8 @@ def _cmd_bench(args) -> int:
     spec = WordSpec(args.w)
     params = _params_for(args, spec)
     cfg = AttackConfig(enumeration_mode=args.mode, workers=args.workers)
-    print(f"w={spec.width}")
-    work = predicted_work(spec)
-    print(f"predicted_ops={work}")
-    print(f"predicted_ops_log2={3 * spec.width // 2 + 4}")
+    work, log2 = predicted_work(spec), 3 * spec.width // 2 + 4
+    _print_fields([("w", spec.width), ("predicted_ops", work), ("predicted_ops_log2", log2)])
     if spec.width > 16:
         print("measurement skipped: keystreams of 2^w words are impractical above w=16 here")
         return 0
@@ -464,24 +450,17 @@ def _cmd_bench(args) -> int:
         if 0 in ks.words[:-1]:
             break
     else:
-        note = attack_mod.even_c_note(params)
-        raise attack_mod.NeedMoreKeystream(
-            f"no zero output before the last of {count} words for stream seeds {first}..{seed}"
-            + (f"; {note}" if note else "")
-        )
-    print(f"keystream_words={count}")
-    print(f"stream_seed={seed}")
+        raise attack_mod.no_zero_error(params, f"no zero output before the last of {count} "
+                                       f"words for stream seeds {first}..{seed}")
+    _print_fields([("keystream_words", count), ("stream_seed", seed)])
     report = recover(ks, tf1_instance(params), params, cfg)
-    c = report.counters
-    measured = c.total_operations()
-    print(f"stage1_candidates={c.stage1_candidates}")
-    print(f"stage1_filter_steps={c.stage1_filter_steps}")
-    print(f"stage1_survivors={c.stage1_survivors}")
-    print(f"stage2_candidates={c.stage2_candidates}")
-    print(f"stage2_verifications={c.stage2_verifications}")
-    print(f"measured_ops={measured}")
-    print(f"measured_over_predicted={measured / work:.4f}")
-    print(f"elapsed_ms={int(report.elapsed * 1000)}")
+    measured = report.counters.total_operations()
+    _print_fields([
+        *vars(report.counters).items(),
+        ("measured_ops", measured),
+        ("measured_over_predicted", f"{measured / work:.4f}"),
+        ("elapsed_ms", int(report.elapsed * 1000)),
+    ])
     return 0
 
 

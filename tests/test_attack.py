@@ -215,6 +215,24 @@ def test_verify_state():
         verify_state(true_state, P4, ks, -1, 1)
 
 
+def test_verify_state_rejects_words_outside_the_width():
+    # the update rows read only the low w bits, so each of these states
+    # would walk the tail exactly like the true one
+    ks = generate(state_from_seed(5, W8), P8, 4096)
+    report = recover(ks, tf1_instance(P8))
+    (st,) = report.recovered
+    z = report.zero_index
+    tail = len(ks) - z - 1
+    assert verify_state(st, P8, ks, z, tail)
+    for bad, shown in (
+        (State(st.a + 256, st.b, st.c - 256, st.d), f"a {st.a + 256:#x}"),
+        (State(st.a - 256, st.b + 512, st.c, st.d), f"a {st.a - 256:#x}"),
+        (State(st.a, st.b, st.c, st.d + 256), f"d {st.d + 256:#x}"),
+    ):
+        with pytest.raises(ValueError, match=f"{shown} out of range for width 8"):
+            verify_state(bad, P8, ks, z, tail)
+
+
 def test_verify_state_false_positive_rate():
     ks, zero_index, true_state = make_run(W8, P8, seed=3, n=4096)
     hits = 0
@@ -509,9 +527,9 @@ params = default_params(spec)
 generate(state_from_seed(1, spec), params, 1 << 16)
 k = spec.half + 1
 bits = [(0x5A3C96 >> j) & 1 for j in range(3 * k)]
-attack._run_stage1(tf1_instance(params), k, bits, 3 * k, AttackConfig())
+attack._run_stage1(tf1_instance(params), k, bits, AttackConfig())
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-attack._run_stage1(tf1_instance(params), k, bits, 3 * k, AttackConfig())
+attack._run_stage1(tf1_instance(params), k, bits, AttackConfig())
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -633,18 +651,18 @@ def _lane_candidates(lo, hi, k):
             yield ColumnPrefix(k, a, b, (0 - a) & ((1 << k) - 1), d)
 
 
-def _lanes(lo, hi, k, params, bits, horizon):
+def _lanes(lo, hi, k, params, bits):
     """_stage1_lanes over [lo, hi), batches summed: (survivor words sorted, steps, candidates)."""
-    batches = list(attack._stage1_lanes(lo, hi, k, params, bits, horizon))
+    batches = list(attack._stage1_lanes(lo, hi, k, params, bits))
     rows = sorted(row for sv, _, _ in batches for row in _rows(sv))
     return rows, sum(b[1] for b in batches), sum(b[2] for b in batches)
 
 
-def _dfs_filter(inst, candidates, bits, horizon):
+def _dfs_filter(inst, candidates, bits):
     """dfs mode's array filter on the candidates: (survivor words sorted, steps, candidates)."""
     cands = list(candidates)
     batch = attack._to_arrays(inst.spec, [p.words() for p in cands])
-    keep, steps = attack._filter(inst, batch, cands[0].l, bits, horizon)
+    keep, steps = attack._filter(inst, batch, cands[0].l, bits)
     return sorted(cands[i].words() for i in keep.tolist()), steps, len(cands)
 
 
@@ -676,11 +694,11 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             bits = [ks.words[zero + 1 + j] & 1 for j in range(horizon)]
             if w <= 8:
                 dfs = AttackConfig(enumeration_mode="dfs", max_survivors=1 << 20)
-                sv, steps, cands = attack._run_stage1(inst, k, bits, horizon, dfs)
+                sv, steps, cands = attack._run_stage1(inst, k, bits, dfs)
                 want = (_rows(sv), steps, cands)
                 for workers in (1, 3):
                     cfg = AttackConfig(max_survivors=1 << 20, workers=workers)
-                    sv, steps, cands = attack._run_stage1(inst, k, bits, horizon, cfg)
+                    sv, steps, cands = attack._run_stage1(inst, k, bits, cfg)
                     assert (_rows(sv), steps, cands) == want
                 continue
             truth = roll_forward(state_from_seed(seed, spec), params, zero + 1)
@@ -689,8 +707,8 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
             lo = max(0, at - 256)
             hi = lo + 512
-            got = _lanes(lo, hi, k, params, bits, horizon)
-            assert got == _dfs_filter(inst, _lane_candidates(lo, hi, k), bits, horizon)
+            got = _lanes(lo, hi, k, params, bits)
+            assert got == _dfs_filter(inst, _lane_candidates(lo, hi, k), bits)
             assert state_prefix(truth, k).words() in got[0]
 
 
@@ -743,8 +761,8 @@ def test_trivial_mode_width_limit():
     k = 22
     hi = 1 << (3 * (k - 1))
     bits = [1, 1, 1, 1, 1]  # 4 of the 32 candidates survive
-    got = _lanes(hi - 4, hi, k, p42, bits, 5)
-    assert got == _dfs_filter(inst, _lane_candidates(hi - 4, hi, k), bits, 5)
+    got = _lanes(hi - 4, hi, k, p42, bits)
+    assert got == _dfs_filter(inst, _lane_candidates(hi - 4, hi, k), bits)
 
 
 def test_keystream_width_mismatch_is_rejected():

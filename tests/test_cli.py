@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tf1crack
-from tf1crack import Keystream, WordSpec, default_params, generate, state_from_seed
+from tf1crack import Keystream, Tf1Params, WordSpec, default_params, generate, state_from_seed
 from tf1crack.cli import (
     FormatError,
     ParseError,
@@ -46,6 +47,10 @@ def test_hex_layout(tmp_path):
     write_keystream(Keystream(W16, (0x3412, 0x0001)), path, "hex")
     assert path.read_text() == "3412\n0001\n"
     assert read_keystream(path, "hex") == Keystream(W16, (0x3412, 0x0001))
+    # an empty stream has no digits to infer the width from, so it gets the header
+    write_keystream(Keystream(W16, ()), path, "hex")
+    assert path.read_text() == "# w=16\n"
+    assert read_keystream(path, "hex") == Keystream(W16, ())
 
 
 def test_roundtrip_many_random_keystreams(tmp_path):
@@ -61,9 +66,8 @@ def test_roundtrip_many_random_keystreams(tmp_path):
         ks = Keystream(spec, words)
         write_keystream(ks, path_bin, "bin")
         assert read_keystream(path_bin, "bin") == ks
-        if words:  # hex cannot express an empty stream (width is inferred)
-            write_keystream(ks, path_hex, "hex")
-            assert read_keystream(path_hex, "hex") == ks
+        write_keystream(ks, path_hex, "hex")
+        assert read_keystream(path_hex, "hex") == ks
 
 
 def test_bin_rejects_malformed(tmp_path):
@@ -384,3 +388,118 @@ def test_python_m_runs_the_command_line():
             timeout=120,
         )
         assert (proc.returncode, proc.stdout.split()) == (0, want), proc.stderr
+
+
+EVEN_C_NOTE = "C = {} is even, and an even C can trap the state in short zero-free cycles"
+
+# (command line, exit code, stdout, stderr) for every printer, byte for byte;
+# elapsed_ms and the human report's seconds are scrubbed to "*"
+PINNED_OUTPUT = [
+    ("attack --in {ks8} --report machine", 0, """\
+w=8
+constants=d5:15:a9
+mode=trivial
+zero_index=168
+horizon=15
+stage1_candidates=32768
+stage1_filter_steps=62802
+stage1_survivors=8
+stage2_candidates=4096
+stage2_verifications=8242
+recovered_count=1
+recovered_0=93:ec:6d:c6
+predicted_ops=65536
+elapsed_ms=*
+""", ""),
+    ("attack --in {ks8} --report human", 0, """\
+width 8, constants d5:15:a9, mode trivial
+zero output at index 168; verified against the following 3927 words
+stage 1: 32768 candidates, horizon 15, 62802 filter steps, 8 survivors
+stage 2: 4096 completions, 8242 verification steps
+operations: 71044 counted vs 65536 predicted (ratio 1.084)
+recovered 1 state(s) in *s:
+  93:ec:6d:c6
+""", ""),
+    ("oracle --in {k4}", 0, """\
+zero_index=20
+window=235
+states_scanned=65536
+consistent_count=1
+consistent_0=c:8:4:4
+""", ""),
+    ("oracle --in {k4} --window 8", 0, """\
+zero_index=20
+window=8
+states_scanned=65536
+consistent_count=1
+consistent_0=c:8:4:4
+""", ""),
+    ("check tfunc --w 8 --trials 300", 0, """\
+target=t1 trials=300 failures=0
+target=t2 trials=300 failures=0
+target=t2_demo trials=300 failures=0
+""", ""),
+    ("check trunc --w 8 --trials 300", 0, """\
+instance=tf1 trials=300 failures=0
+instance=demo trials=300 failures=0
+""", ""),
+    ("check stats --w 8 --count 20000", 0, """\
+words=20000 zeros=88 rate=4.400e-03 expected_rate=3.906e-03
+""", ""),
+    (f"check stats --w 4 --count 1024 --constants {EVEN_C}", 0, f"""\
+words=1024 zeros=0 rate=0.000e+00 expected_rate=6.250e-02
+note: {EVEN_C_NOTE.format("0x8")}
+""", ""),
+    ("bench --w 8 --count 4096", 0, """\
+w=8
+predicted_ops=65536
+predicted_ops_log2=16
+keystream_words=4096
+stream_seed=1
+stage1_candidates=32768
+stage1_filter_steps=68136
+stage1_survivors=8
+stage2_candidates=4096
+stage2_verifications=8196
+measured_ops=76332
+measured_over_predicted=1.1647
+elapsed_ms=*
+""", ""),
+    ("bench --w 32", 0, """\
+w=32
+predicted_ops=4503599627370496
+predicted_ops_log2=52
+measurement skipped: keystreams of 2^w words are impractical above w=16 here
+""", ""),
+    ("gen --w 8 --random-seed 1 --count 8", 0, "ee\ne2\n33\n66\n7c\n6c\nf3\ncd\n", ""),
+    (f"attack --in {{even}} --constants {EVEN_C}", 1, "", f"""\
+NeedMoreKeystream: no zero output in 1024 words; expect about one per 2^4 = 16 words; \
+{EVEN_C_NOTE.format("0x8")}
+"""),
+    (f"oracle --in {{even}} --constants {EVEN_C}", 1, "", f"""\
+NeedMoreKeystream: no zero output word in the keystream; {EVEN_C_NOTE.format("0x8")}
+"""),
+    # none of the 64 four-word streams from seed 26 on has a zero before its last word
+    ("bench --w 8 --count 4 --random-seed 26 --constants d5:15:a8", 1, """\
+w=8
+predicted_ops=65536
+predicted_ops_log2=16
+""", f"""\
+NeedMoreKeystream: no zero output before the last of 4 words for stream seeds 26..89; \
+{EVEN_C_NOTE.format("0xa8")}
+"""),
+]
+
+
+def test_pinned_output_of_every_command(tmp_path, capsysbinary):
+    paths = {name: tmp_path / f"{name}.bin" for name in ("ks8", "k4", "even")}
+    write_keystream(generate(state_from_seed(5, W8), default_params(W8), 4096), paths["ks8"])
+    write_keystream(generate(state_from_seed(1, W4), default_params(W4), 256), paths["k4"])
+    even = generate(state_from_seed(1, W4), Tf1Params(5, 5, 8, W4), 1024)
+    write_keystream(even, paths["even"])
+    for line, code, out, err in PINNED_OUTPUT:
+        rc = run(line.format(**paths).split())
+        captured = capsysbinary.readouterr()
+        got = re.sub(rb"elapsed_ms=\d+", b"elapsed_ms=*", captured.out)
+        got = re.sub(rb" in \d+\.\d{3}s:", b" in *s:", got)
+        assert (rc, got, captured.err) == (code, out.encode(), err.encode()), line
