@@ -27,10 +27,10 @@ enumerator and prunes them with a plain array filter on the instance's word
 functions.  The exhaustive oracle is the reference up to w = 8.  Above it
 the tests hold the lane kernel to the plain filter on the same candidates
 and trivial mode's pruned stage 2 to dfs mode's, which does not prune.
-Every full-state check walks the tail through one loop, on plain ints for
-the standard generator and through the instance's word functions for any
-other.  A truncated evaluation passes low_mask(l) to the same word
-functions.
+Every full-state check reads the generator's one output stream,
+``_stream``, which steps plain ints for the standard generator and the
+instance's word functions for any other.  A truncated evaluation passes
+low_mask(l) to the same word functions.
 
 The stage-1 kernel is lane-sliced.  Since the update is a T-function, the
 top column L = k-1 of a k-column step is the prefix's own top bits, put
@@ -90,6 +90,7 @@ from .generator import (
     _instance_out,
     _out,
     _rows,
+    _stream,
     instance_output,
     tf1_instance,
 )
@@ -803,23 +804,12 @@ def _walk_tail(
 ) -> tuple[bool, int]:
     """Roll ``state``, the emitter of words[lo], forward and match words[lo+1 ..].
 
-    Returns (matched, output words computed); a mismatch ends the walk.
-    The standard generator walks on plain ints, any other instance through
-    its word functions.
+    Returns (matched, output words computed): (False, j) at the first
+    mismatch, at words[lo+j], else (True, len(words) - 1 - lo).  The words
+    come from the generator's one output stream, one per tail word read.
     """
-    if instance.tf1_native:
-        p = instance.params
-        m, h, c1, c3, cc = p.spec.mask, p.spec.half, p.c1, p.c3, p.c
-        a, b, c, d = state.a, state.b, state.c, state.d
-        for j in range(lo + 1, len(words)):
-            a, b, c, d, _ = _rows(a, b, c, d, m, c1, c3, cc)
-            if _out(a, b, c, d, m, h) != words[j]:
-                return False, j - lo
-        return True, len(words) - 1 - lo
-    t1_words, m = instance.t1_words, instance.spec.mask
-    a, b, c, d = state.words()
+    stream = _stream(state, instance)
     for j in range(lo + 1, len(words)):
-        a, b, c, d = t1_words(a, b, c, d, m)
-        if _instance_out(instance, a, b, c, d) != words[j]:
+        if next(stream) != words[j]:
             return False, j - lo
     return True, len(words) - 1 - lo

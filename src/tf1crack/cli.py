@@ -445,13 +445,17 @@ def _cmd_bench(args) -> int:
         return 0
     count = args.count if args.count is not None else min(4 << spec.width, 1 << 20)
     first = args.random_seed
+    # recover attacks the first zero first; with fewer words after it than
+    # the default horizon, too many stage-1 survivors remain, so redraw
+    horizon = 3 * (spec.half + 1)
     for seed in range(first, first + 64):
         ks = generate(state_from_seed(seed, spec), params, count)
-        if 0 in ks.words[:-1]:
+        zeros = attack_mod.find_zero_outputs(ks, 1)
+        if zeros and zeros[0] + horizon < count:
             break
     else:
-        raise attack_mod.no_zero_error(params, f"no zero output before the last of {count} "
-                                       f"words for stream seeds {first}..{seed}")
+        raise attack_mod.no_zero_error(params, f"no zero output with at least {horizon} words "
+                                       f"after it in {count} words for stream seeds {first}..{seed}")
     _print_fields([("keystream_words", count), ("stream_seed", seed)])
     report = recover(ks, tf1_instance(params), params, cfg)
     measured = report.counters.total_operations()

@@ -16,7 +16,8 @@ at all; the output is ``S(t2(A)) * (f(A) | 1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from .rng import SplitMix64
 from .word import WordSpec, low_mask
@@ -151,7 +152,8 @@ class GeneratorInstance:
     stage-1 filter call them on arrays.  ``tf1_native`` marks the standard
     generator, whose t2 is the plain column sum a+c with the closed-form
     preimages c = (target - a) mod 2^l; the attack's ``trivial`` mode, its
-    lane-sliced stage-1 kernel and the plain-int tail walk serve it alone.
+    lane-sliced stage-1 kernel and the plain-int branch of ``_stream``, the
+    one output stream, serve it alone.
     Any instance, this one included, runs ``dfs`` mode, which the tests use
     as the reference for the trivial-mode kernels.
     """
@@ -242,20 +244,7 @@ def output_word(state: State, spec: WordSpec) -> int:
 
 def generate(seed: State, params: Tf1Params, n: int) -> Keystream:
     """Run n update+emit steps from ``seed``; the seed itself emits nothing."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    spec = params.spec
-    mask = spec.mask
-    h = spec.half
-    c1, c3, cc = params.c1, params.c3, params.c
-    a, b, c, d = seed.words()
-    rows, emit = _rows, _out
-    out = []
-    append = out.append
-    for _ in range(n):
-        a, b, c, d, _ = rows(a, b, c, d, mask, c1, c3, cc)
-        append(emit(a, b, c, d, mask, h))
-    return Keystream(spec, tuple(out))
+    return generate_from_instance(seed, tf1_instance(params), n)
 
 
 def state_prefix(state: State, l: int) -> ColumnPrefix:
@@ -363,13 +352,30 @@ def generate_from_instance(seed: State, instance: GeneratorInstance, n: int) -> 
     """Like ``generate`` but through an instance's word functions."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    t1_words, m = instance.t1_words, instance.spec.mask
-    a, b, c, d = seed.words()
-    out = []
-    for _ in range(n):
+    return Keystream(instance.spec, tuple(islice(_stream(seed, instance), n)))
+
+
+def _stream(state: State, instance: GeneratorInstance) -> Iterator[int]:
+    """The output words after ``state``, without end: one update and one emit each.
+
+    The only step-and-emit loop: generation, the attack's tail walk and the
+    oracle's window all read it.  The standard generator steps plain ints
+    through ``_rows`` and ``_out`` with its constants in locals; any other
+    instance steps through its ``t1_words`` and ``_instance_out``.
+    """
+    m = instance.spec.mask
+    a, b, c, d = state.words()
+    if instance.tf1_native:
+        p = instance.params
+        h, c1, c3, cc = p.spec.half, p.c1, p.c3, p.c
+        rows, emit = _rows, _out
+        while True:
+            a, b, c, d, _ = rows(a, b, c, d, m, c1, c3, cc)
+            yield emit(a, b, c, d, m, h)
+    t1_words = instance.t1_words
+    while True:
         a, b, c, d = t1_words(a, b, c, d, m)
-        out.append(_instance_out(instance, a, b, c, d))
-    return Keystream(instance.spec, tuple(out))
+        yield _instance_out(instance, a, b, c, d)
 
 
 def state_from_seed(seed: int, spec: WordSpec) -> State:

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .attack import AttackReport, _check_width
-from .generator import Keystream, State, Tf1Params, _out, output_word, update
+from .generator import Keystream, State, Tf1Params, _out, _stream, output_word, tf1_instance
 from .word import WordSpec
 
 __all__ = ["BudgetExceeded", "OracleResult", "brute_force_consistent_states", "compare_with_report"]
@@ -66,18 +66,13 @@ def brute_force_consistent_states(
             "pass an explicit budget to allow it"
         )
 
-    words = ks.words
-    consistent: list[State] = []
-    for st in _scan_zero_states_chunked(spec):
-        rolled = st
-        ok = True
-        for j in range(1, window + 1):
-            rolled = update(rolled, params)
-            if output_word(rolled, spec) != words[zero_index + j]:
-                ok = False
-                break
-        if ok:
-            consistent.append(st)
+    inst = tf1_instance(params)
+    window_words = ks.words[zero_index + 1 : zero_index + window + 1]
+    consistent = [
+        st
+        for st in _scan_zero_states_chunked(spec)
+        if all(word == out for word, out in zip(window_words, _stream(st, inst)))
+    ]
     consistent.sort()
     return OracleResult(
         consistent_states=consistent,

@@ -276,6 +276,23 @@ def test_verify_state_routes_agree():
     )
 
 
+def test_walk_tail_counts_the_words_it_computes():
+    # (True, words after lo) on a match, (False, j) at a mismatch at lo + j
+    for inst in (tf1_instance(P8), demo_generalized_instance(W8, P8)):
+        start = state_from_seed(21, W8)
+        words = generate_from_instance(start, inst, 40).words
+        emitters = [start]
+        for _ in words:
+            emitters.append(inst.t1(emitters[-1]))
+        lo = 9  # emitters[i + 1] emits words[i]
+        tail = len(words) - 1 - lo
+        assert attack._walk_tail(emitters[lo + 1], inst, words, lo) == (True, tail)
+        for j in (1, tail // 2, tail):
+            flipped = words[: lo + j] + (words[lo + j] ^ 1,) + words[lo + j + 1 :]
+            assert attack._walk_tail(emitters[lo + 1], inst, flipped, lo) == (False, j)
+        assert attack._walk_tail(emitters[-1], inst, words, len(words) - 1) == (True, 0)
+
+
 def test_stage2_complete_contains_truth():
     ks, zero_index, true_state = make_run(W8, P8, seed=7, n=8192)
     inst = tf1_instance(P8)

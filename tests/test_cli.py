@@ -347,13 +347,24 @@ def test_run_bench_small_width_measures(capsys):
 
 
 def test_run_bench_names_the_seeds_it_tried(capsys):
-    # none of the 64 three-word streams from seed 5 on has a zero before its last word
+    # a three-word stream cannot hold a zero with the 15-word default horizon after it
     assert run(["bench", "--w", "8", "--count", "3", "--random-seed", "5"]) == 1
     captured = capsys.readouterr()
     assert "stream_seed=" not in captured.out
     assert captured.err == (
-        "NeedMoreKeystream: no zero output before the last of 3 words for stream seeds 5..68\n"
+        "NeedMoreKeystream: no zero output with at least 15 words after it in 3 words "
+        "for stream seeds 5..68\n"
     )
+
+
+def test_run_bench_redraws_a_stream_whose_zero_has_a_short_tail(capsys):
+    # stream seed 60's only zero is word 16 of 20, 3 words short of the
+    # 15-word horizon; attacking it would overflow the survivor cap
+    ks = generate(state_from_seed(60, W8), default_params(W8), 20)
+    assert [i for i, word in enumerate(ks) if word == 0] == [16]
+    assert run(["bench", "--w", "8", "--count", "20", "--random-seed", "60"]) == 0
+    captured = capsys.readouterr()
+    assert "stream_seed=98\n" in captured.out and captured.err == ""
 
 
 def test_run_bench_bad_config_fails_before_generating(capsys):
@@ -479,13 +490,14 @@ NeedMoreKeystream: no zero output in 1024 words; expect about one per 2^4 = 16 w
     (f"oracle --in {{even}} --constants {EVEN_C}", 1, "", f"""\
 NeedMoreKeystream: no zero output word in the keystream; {EVEN_C_NOTE.format("0x8")}
 """),
-    # none of the 64 four-word streams from seed 26 on has a zero before its last word
+    # a four-word stream cannot hold a zero with the 15-word default horizon after it
     ("bench --w 8 --count 4 --random-seed 26 --constants d5:15:a8", 1, """\
 w=8
 predicted_ops=65536
 predicted_ops_log2=16
 """, f"""\
-NeedMoreKeystream: no zero output before the last of 4 words for stream seeds 26..89; \
+NeedMoreKeystream: no zero output with at least 15 words after it in 4 words for stream \
+seeds 26..89; \
 {EVEN_C_NOTE.format("0xa8")}
 """),
 ]

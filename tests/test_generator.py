@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,13 @@ def test_generate_matches_stepwise_evaluation():
     for word in ks.words:
         st = update(st, params)
         assert output_word(st, W16) == word
+    # the word-function branch of the output stream, on the demo instance
+    inst = demo_generalized_instance(W16, params)
+    ks = generate_from_instance(seed, inst, 50)
+    st = seed
+    for word in ks.words:
+        st = inst.t1(st)
+        assert instance_output(st, inst) == word
 
 
 def test_truncated_update_full_width_equals_update():
@@ -217,7 +226,10 @@ def test_tf1_instance_reproduces_generator():
     for st in random_states(W8, 3, 300):
         assert instance_output(st, inst) == output_word(st, W8)
     seed = state_from_seed(8, W8)
-    assert generate_from_instance(seed, inst, 64) == generate(seed, params, 64)
+    want = generate(seed, params, 64)
+    # the plain-int branch of the output stream and the word-function branch
+    for instance in (inst, dataclasses.replace(inst, tf1_native=False)):
+        assert generate_from_instance(seed, instance, 64) == want
 
 
 def test_state_from_seed_deterministic():
