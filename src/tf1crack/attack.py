@@ -32,25 +32,40 @@ Every full-state check reads the generator's one output stream,
 instance's word functions for any other.  A truncated evaluation passes
 low_mask(l) to the same word functions.
 
-The stage-1 kernel is lane-sliced.  Since the update is a T-function, the
-top column L = k-1 of a k-column step is the prefix's own top bits, put
-through fixed xors and ands, xored with terms that the lower columns alone
-decide:
+The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
+T = k-1.  The update is a T-function, so the candidates that share the low
+k-2 columns of (a, b, d), with c = -a, share the trajectory of those
+columns, and their top bits follow from it through a few xors and ands.
+Step the lower columns alone, with columns U and T of every word cleared,
+let a'_U, s_T and so on be the bits that this step leaves at columns U and
+T, and write a candidate's true bits in capitals.  The per-step word
+s = (C + p) ^ p loses p_U at column U and p_T at column T, so S_U = s_U
+for every candidate, and p_U reaches column T only through the carry of
+C + p: with P = A_U & B_U & C_U & D_U, S_T = s_T ^ (s_U & P).  A doubled
+product reads an input's column U only at its output column T, through
+terms such as C_U·(b | C1)_0 and c_0·(B_U | C1_U) in 2c·(b | C1).  With
+b1_0 = (b | C1)_0 and d3_0 = (d | C3)_0, and a_0, c_0, b1_0 and d3_0 read
+before the step:
 
-    a'_L = a_L ^ s_L ^ x_a,           b'_L = b_L ^ (s_L & a_L) ^ x_b,
-    c'_L = c_L ^ (s_L & a_L & b_L) ^ x_c,
-    d'_L = d_L ^ (s_L & a_L & b_L & c_L) ^ x_d,
+    A_U' = A_U ^ a'_U
+    B_U' = B_U ^ (s_U & A_U) ^ b'_U
+    C_U' = C_U ^ (s_U & A_U & B_U) ^ c'_U
+    D_U' = D_U ^ (s_U & A_U & B_U & C_U) ^ d'_U
+    A_T' = A_T ^ (s_U & P) ^ a'_T ^ (C_U & b1_0) ^ (c_0 & B_U & ~C1_U)
+    B_T' = B_T ^ (S_T & A_T) ^ b'_T ^ (C_U & d3_0) ^ (c_0 & D_U & ~C3_U)
+    C_T' = C_T ^ (S_T & A_T & B_T) ^ c'_T ^ (A_U & d3_0) ^ (a_0 & D_U & ~C3_U)
 
-where s_L (the top bit of the step word s) and the x terms (top bits of
-the doubled products) depend only on columns below L.  So the 8 candidates
-that share their lower k-1 columns, and differ in the top bits of a, b and
-d (the zero fixes c_L = c_rep,L ^ a_L), share one trajectory of them.  The
-kernel steps each lower prefix once and carries the 8 candidates' top bits
-as the bits of unsigned masks; d_L needs none, as it reaches no other
-word's column L.  A candidate's predicted output LSB is
-a'_L ^ c'_L ^ carry_L(a'_low + c'_low); it drops out at its first
-mismatch.  Each step adds the popcount of the alive mask taken before it,
-so ``stage1_filter_steps`` counts exactly what the plain filter counts.
+D_T reaches nothing: it enters p_T, which cancels, and the products at
+column T only through the zero column 0 of 2a and 2c.  The kernel steps
+each lower prefix once and carries the 32 settings of (a_U, b_U, d_U, a_T,
+b_T) as the lanes of 32-bit masks; each lane stands for 2 candidates,
+d_T = 0 and 1.  The zero gives the start masks: c = -a makes C_U = A_U ^ nz
+and C_T = A_T ^ (nz | A_U), where nz is set when the low columns of a are
+not all 0.  A candidate's predicted output LSB is
+A_T' ^ C_T' ^ maj(A_U', C_U', carry into U of a'_low + c'_low); it drops
+out at its first mismatch.  Each step adds 2·popcount of the alive mask
+taken before it, so ``stage1_filter_steps`` counts exactly what the plain
+filter counts.  Three columns would need 256 lanes.
 
 Stage 1 runs in parts, one range of lower prefixes (trivial mode) or of
 one-column roots (dfs mode) each.  A part is a generator of batches
@@ -117,13 +132,21 @@ __all__ = [
     "predicted_work",
 ]
 
-# lower prefixes (of 8 candidates each) per lane-kernel chunk.  At w=16 a
-# uint16 row is then 64 KB, and once a caller has generated or read its
-# stream, glibc keeps a chunk's temporaries on the heap for the next chunk.
-# At 2^17 it unmapped or trimmed them after every chunk, which faulted them
-# back in: about 150,000 minor faults per w=16 stage 1.  Below 2^15 numpy's
-# per-call overhead dominates.  Never affects results.
-_CHUNK = 1 << 15
+# lower prefixes (of 64 candidates each) per lane-kernel chunk.  The masks
+# (32 bytes a prefix) live in one buffer per call, so a chunk frees only its
+# temporaries, about 600 KB at 2^14 (tracemalloc puts a w=14 chunk's peak,
+# masks included, at 1.1 MB).  Once a caller has generated or read its
+# stream, glibc keeps them on the heap for the next chunk: the second w=14
+# stage 1 of test_stage1_chunks_do_not_page_fault takes 6-230 minor faults,
+# against 1,620 with the masks allocated per chunk.  At w=16, stage 1 took
+# 0.36-0.43 s at 2^14 and 0.50-0.69 s at 2^13 (2-vCPU Xeon VM), where
+# numpy's per-call overhead weighs more.  Never affects results.
+_CHUNK = 1 << 14
+# the lane kernel's start masks for a_U, b_U, d_U, a_T and b_T: the lanes
+# whose bit 2, 1, 0, 4 or 3 is set, as int32 (see _stage1_lanes)
+_LANE_MASKS = np.array(
+    [sum(1 << lane for lane in range(32) if lane >> j & 1) for j in (2, 1, 0, 4, 3)], np.uint32
+).view(np.int32)
 # prefixes per column-enumerator piece, each extended 16 ways by one column;
 # never affects results
 _PIECE = 1 << 10
@@ -477,8 +500,8 @@ def _check_width(ks: Keystream, spec: WordSpec) -> None:
 
 def _check_mode(instance: GeneratorInstance, cfg: AttackConfig) -> None:
     """Reject trivial mode where its batch kernels do not apply: an instance
-    other than the standard generator, or a width whose 2**(3(k-1)) stage-1
-    lower prefixes overflow the kernels' uint64 index."""
+    other than the standard generator, or a width whose 2**(3(k-2)) stage-1
+    lower prefixes overflow the lane kernel's uint64 index."""
     if cfg.enumeration_mode != "trivial":
         return
     if not instance.tf1_native:
@@ -487,10 +510,10 @@ def _check_mode(instance: GeneratorInstance, cfg: AttackConfig) -> None:
         )
     w = instance.spec.width
     k = instance.spec.half + 1
-    if 3 * (k - 1) > 64:
+    if 3 * (k - 2) > 64:
         raise ValueError(
             f"w={w} is too wide for trivial mode: its 2^{3 * k} stage-1 candidates "
-            "overflow the kernels' 64-bit candidate index (w <= 42)"
+            "overflow the kernels' 64-bit candidate index (w <= 44)"
         )
 
 
@@ -528,7 +551,7 @@ def _run_stage1(
     """
     spec, cap = instance.spec, cfg.max_survivors
     if cfg.enumeration_mode == "trivial":
-        parts = _split_range(1 << (3 * (k - 1)), cfg.workers)
+        parts = _split_range(1 << (3 * (k - 2)), cfg.workers)
 
         def batches(lo, hi):
             return _stage1_lanes(lo, hi, k, instance.params, tail_bits)
@@ -603,62 +626,114 @@ def _stage1_lanes(
     params: Tf1Params,
     tail_bits: list[int],
 ) -> Iterator[tuple]:
-    """Lane-sliced stage 1 over lower-prefix indices [lo, hi) of 2**(3(k-1)).
+    """Lane-sliced stage 1 over lower-prefix indices [lo, hi) of 2**(3(k-2)).
 
-    Index i encodes the low L = k-1 columns of (a, b, d) as (i >> 2L,
+    Index i encodes the low L = k-2 columns of (a, b, d) as (i >> 2L,
     (i >> L) & lm, i & lm), with c = -a.  Each array element is one lower
-    prefix, stepped once per tail bit with a zero top column in a, b and c;
-    the top bits of a', b' and c' then read x_a ^ s_L, x_b and x_c, and the
-    top bit of s is s_L (see the module docstring).  The 8 candidates over the prefix
-    are lanes: bit (a_L << 2) | (b_L << 1) | d_L of the masks la, lb and
-    lc holds that candidate's top bits, with c_L = c_rep,L ^ a_L where
-    c_rep = -a on k columns.  d_L reaches no other word's column L (it
-    enters only through p, whose top bit s_L ignores, and through products,
-    whose top bit reads lower columns of d), so d keeps its top bit
-    uncleared and has no mask: lanes 2j and 2j+1 live and die together.
-    A lane predicts the output LSB
-    a'_L ^ c'_L ^ carry_L(a'_low + c'_low) and leaves ``alive`` at its
-    first mismatch; a prefix leaves the arrays once its mask is 0.  Each
-    step adds popcount(alive) taken before it, which is the plain filter's
-    per-candidate count.  Each chunk of _CHUNK lower prefixes decodes the
-    lanes of its final masks, with numpy, into the words of k-column
-    prefixes, and yields (its survivors as four arrays of the state dtype,
-    its filter steps, its candidates: 8 per lower prefix).  The caller
-    sums the chunks and applies the survivor cap.
+    prefix, stepped once per tail bit with columns U = k-2 and T = k-1 of
+    a, b, c and d cleared before the step; the bits that the step leaves
+    in those columns, and the column-0 bits before it, update the lane
+    masks by the rules of the module docstring.  Lane bit 4, 3, 2, 1, 0
+    of the masks AU .. CT is a candidate's a_T, b_T, a_U, b_U, d_U, and
+    each lane stands for the 2 candidates d_T = 0 and 1, which live and
+    die together.  The rows keep the narrowest unsigned dtype for k
+    columns; the masks are int32, so that a row bit sign-extended in the
+    signed view of the row dtype promotes to 32 set bits.  C1 and C3 enter
+    the masks only through their bits 0 and U, which pick the terms below
+    in Python.  A lane leaves ``alive`` at its first mismatch, and a prefix
+    leaves the arrays once its mask is 0.  Each step adds 2·popcount(alive)
+    taken before it, which is the plain filter's per-candidate count.  Each
+    chunk of _CHUNK lower prefixes decodes the lanes of its final masks
+    into the words of k-column prefixes, and yields (its survivors as four
+    arrays of the state dtype, its filter steps, its candidates: 64 per
+    lower prefix).  The caller sums the chunks and applies the survivor cap.
     """
-    low = k - 1
-    lm = low_mask(low)
-    km = low_mask(k)
-    # the narrowest dtype for k columns and 8 lanes (uint16 at w=16 runs ~1.4x
-    # faster than uint32); wraparound keeps every row exact mod 2**k
-    dtype = np.min_scalar_type(km | 0xFF).type
-    mm, c1, c3, cc, top = (dtype(v & km) for v in (km, params.c1, params.c3, params.c, low))
+    low = k - 2
+    lm, km = low_mask(low), low_mask(k)
+    # the narrowest dtype for k columns; wraparound keeps every row exact mod 2**k
+    dtype = np.min_scalar_type(km).type
+    signed = np.dtype(f"i{np.dtype(dtype).itemsize}")
+    top = 8 * signed.itemsize - 1
+    mm, c1, c3, cc, lmd = (dtype(v & km) for v in (km, params.c1, params.c3, params.c, lm))
+    to_u, to_t, to_0 = (dtype(top - col) for col in (low, k - 1, 0))
+    c1_0, c3_0 = params.c1 & 1, params.c3 & 1
+    c1_u, c3_u = (params.c1 >> low) & 1, (params.c3 >> low) & 1
     word = _state_dtype(params.spec.width)
+
+    def bit(x, to_sign):
+        # the column of x that to_sign shifts into the sign bit, as 0 or -1
+        return (x << to_sign).view(signed) >> top
+
+    # the masks live in one buffer for the whole call, so that a chunk frees
+    # only its temporaries (see _CHUNK)
+    masks = np.empty((8, min(_CHUNK, hi - lo)), np.int32)
     for cs in range(lo, hi, _CHUNK):
         end = min(cs + _CHUNK, hi)
         idx = np.arange(cs, end, dtype=_state_dtype(3 * low))
         a = (idx >> (2 * low)).astype(dtype)
         b = ((idx >> low) & lm).astype(dtype)
         d = (idx & lm).astype(dtype)
-        c = (0 - a) & mm
-        la = np.full(idx.size, 0xF0, dtype)
-        lb = np.full(idx.size, 0xCC, dtype)
-        lc = la ^ (0 - (c >> top))
-        c &= lm
-        alive = np.full(idx.size, 0xFF, dtype)
+        c = (0 - a) & lmd
+        au, bu, du, at, bt, cu, ct, alive = masks[:, : idx.size]
+        masks[:5, : idx.size] = _LANE_MASKS[:, None]
+        alive.fill(-1)
+        nz = np.negative((a != 0).view(np.int8))
+        np.bitwise_xor(nz, au, out=cu)
+        np.bitwise_or(nz, au, out=ct)
+        ct ^= at
         steps = 0
-        for bit in tail_bits:
-            steps += int(np.bitwise_count(alive).sum())
+        for obs in tail_bits:
+            steps += 2 * int(np.bitwise_count(alive.view(np.uint32)).sum())
+            c_0 = None if c1_u and c3_u else bit(c, to_0)
+            a_0 = None if c3_u else bit(a, to_0)
+            cu_b1 = cu if c1_0 else cu & bit(b, to_0)
+            d3_0 = None if c3_0 else bit(d, to_0)
             a, b, c, d, s = _rows(a, b, c, d, mm, c1, c3, cc)
-            sa = (0 - (s >> top)) & la
-            lc ^= (sa & lb) ^ (0 - (c >> top))
-            lb ^= sa ^ (0 - (b >> top))
-            la ^= 0 - (a >> top)
-            a &= lm
-            b &= lm
-            c &= lm
-            pred = la ^ lc ^ (0 - ((a + c) >> top))
-            alive &= pred if bit else ~pred
+            s_u = bit(s, to_u)
+            sa = s_u & au
+            sab = sa & bu
+            sp = sab & cu
+            sp &= du
+            # the T masks first, as they read the U masks from before the
+            # step; sat = S_T & A_T takes A_T before it changes
+            sat = bit(s, to_t) ^ sp
+            sat &= at
+            at ^= sp
+            ct ^= sat & bt
+            ct ^= bit(c, to_t)
+            ct ^= au if d3_0 is None else au & d3_0
+            bt ^= sat
+            bt ^= bit(b, to_t)
+            bt ^= cu if d3_0 is None else cu & d3_0
+            at ^= bit(a, to_t)
+            at ^= cu_b1
+            if not c1_u:
+                at ^= c_0 & bu
+            if not c3_u:
+                bt ^= c_0 & du
+                ct ^= a_0 & du
+            du ^= sab & cu
+            du ^= bit(d, to_u)
+            cu ^= sab
+            cu ^= bit(c, to_u)
+            bu ^= sa
+            bu ^= bit(b, to_u)
+            au ^= bit(a, to_u)
+            a &= lmd
+            b &= lmd
+            c &= lmd
+            d &= lmd
+            # output LSB: A_T' ^ C_T' ^ maj(A_U', C_U', carry into U)
+            pred = au ^ cu
+            pred &= bit(a + c, to_u)
+            pred ^= au & cu
+            pred ^= at
+            pred ^= ct
+            if not obs:
+                np.invert(pred, out=pred)
+            alive &= pred
+            # free the step's temporaries before the next step allocates its own
+            del sa, sab, sp, sat, pred
             live = np.count_nonzero(alive)
             if live == 0:
                 break
@@ -666,14 +741,17 @@ def _stage1_lanes(
                 # drop dead prefixes once half are gone; take() on the live
                 # positions runs about 4x faster than a boolean mask here
                 keep = np.flatnonzero(alive)
-                idx, alive = idx.take(keep), alive.take(keep)
-                a, b, c, d = a.take(keep), b.take(keep), c.take(keep), d.take(keep)
-                la, lb, lc = la.take(keep), lb.take(keep), lc.take(keep)
-        rows, lanes = np.nonzero((alive[:, None] >> np.arange(8, dtype=dtype)) & 1)
-        i, lane = idx.take(rows), lanes.astype(idx.dtype)
-        # lane bit 2, 1, 0 is the top bit of a, b, d; idx holds their low columns
-        a, b, d = ((i >> (t * low)) & lm | ((lane >> t) & 1) << low for t in (2, 1, 0))
-        yield tuple(v.astype(word) for v in (a, b, (0 - a) & km, d)), steps, 8 * (end - cs)
+                idx, alive, a, b, c, d = (v.take(keep) for v in (idx, alive, a, b, c, d))
+                au, bu, cu, du, at, bt, ct = (v.take(keep) for v in (au, bu, cu, du, at, bt, ct))
+        # lane bit 4, 3, 2, 1, 0 is a_T, b_T, a_U, b_U, d_U; d_T is 0 or 1
+        live = np.flatnonzero(alive)
+        rows, lanes = np.nonzero((alive.take(live)[:, None] >> np.arange(32, dtype=np.int32)) & 1)
+        i, lane = idx.take(live.take(rows)), lanes.astype(idx.dtype)
+        a = (i >> (2 * low)) | ((lane >> 2) & 1) << low | (lane >> 4) << (k - 1)
+        b = ((i >> low) & lm) | ((lane >> 1) & 1) << low | ((lane >> 3) & 1) << (k - 1)
+        d = (i & lm) | (lane & 1) << low
+        a, b, d = np.tile(a, 2), np.tile(b, 2), np.concatenate([d, d | 1 << (k - 1)])
+        yield tuple(v.astype(word) for v in (a, b, (0 - a) & km, d)), steps, 64 * (end - cs)
 
 
 def _run_stage2(

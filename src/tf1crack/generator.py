@@ -196,9 +196,9 @@ def _rows(a, b, c, d, m, c1, c3, cc):
 
     Returns (a', b', c', d', s), where s = ((C + p) mod 2**l) xor p with
     p = a & b & c & d is the per-step word the rows share.  Most callers
-    drop s; the lane-sliced stage-1 kernel reads its top column.  Handing it
-    back costs nothing, where a separate helper call would add about 7% to
-    every generated word.
+    drop s; the lane-sliced stage-1 kernel reads its top two columns.
+    Handing it back costs nothing, where a separate helper call would add
+    about 7% to every generated word.
     """
     p = a & b & c & d
     s = ((cc + p) & m) ^ p

@@ -534,6 +534,21 @@ def test_w16_two_workers_give_the_pinned_counters():
     assert report_core(two) == report_core(recover(ks, inst))
 
 
+@pytest.mark.slow
+def test_w18_recover_gives_the_pinned_counters():
+    # opt-in (pytest -m slow): a w=18 stream of 2^20 words, 2^30 stage-1
+    # candidates, on 1 and 2 workers
+    spec = WordSpec(18)
+    params = default_params(spec)
+    ks = generate(state_from_seed(1, spec), params, 1 << 20)
+    inst = tf1_instance(params)
+    one = recover(ks, inst)
+    assert one.zero_index == 870763
+    assert one.recovered == (State(15001, 41953, 247143, 187440),)
+    assert tuple(vars(one.counters).values()) == (1073741824, 2145599900, 32, 536870912, 537057324)
+    assert report_core(recover(ks, inst, cfg=AttackConfig(workers=2))) == report_core(one)
+
+
 STAGE1_TWICE = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
@@ -625,8 +640,8 @@ def test_recover_survivor_overflow():
 
 
 def test_survivor_cap_inside_one_lower_prefix():
-    # caps of 1..7 fall inside the 8 lanes of one lower prefix; the batch
-    # kernel must raise exactly when the dfs path does
+    # caps of 1..7 fall inside the 64 candidates of one lower prefix; the
+    # batch kernel must raise exactly when the dfs path does
     cases = [(W4, P4, 1, 512), (W8, P8, 5, 4096)]
     for spec, params, seed, n in cases:
         ks, _, _ = make_run(spec, params, seed, n)
@@ -657,14 +672,15 @@ def _rows(prefixes):
 
 
 def _lane_candidates(lo, hi, k):
-    """The 8 top-column variants of lower prefixes [lo, hi), as the kernel indexes them."""
-    low = k - 1
+    """The 64 candidates over lower prefixes [lo, hi), as the kernel indexes them:
+    every setting of the top two columns of a, b and d, with c = -a."""
+    low = k - 2
     lm = (1 << low) - 1
     for i in range(lo, hi):
-        for top in range(8):
-            a = (i >> (2 * low)) | ((top >> 2) << low)
-            b = ((i >> low) & lm) | (((top >> 1) & 1) << low)
-            d = (i & lm) | ((top & 1) << low)
+        for top in range(64):
+            a = (i >> (2 * low)) | (top >> 4) << low
+            b = ((i >> low) & lm) | ((top >> 2) & 3) << low
+            d = (i & lm) | (top & 3) << low
             yield ColumnPrefix(k, a, b, (0 - a) & ((1 << k) - 1), d)
 
 
@@ -683,12 +699,39 @@ def _dfs_filter(inst, candidates, bits):
     return sorted(cands[i].words() for i in keep.tolist()), steps, len(cands)
 
 
+def _check_lanes(params, bits, truth):
+    """Hold the lane kernel to dfs mode on tail bits that ``truth`` emits.
+
+    At w <= 8, stage 1 over the full range with 1 and 3 workers against dfs
+    mode; at w >= 10, the 64 lower prefixes around the truth's (4096
+    candidates) against dfs mode's array filter on the same candidates.
+    The truth's k columns must survive either way.
+    """
+    spec = params.spec
+    k = spec.half + 1
+    inst = tf1_instance(params)
+    if spec.width <= 8:
+        dfs = AttackConfig(enumeration_mode="dfs", max_survivors=1 << 20)
+        sv, steps, cands = attack._run_stage1(inst, k, bits, dfs)
+        want = (_rows(sv), steps, cands)
+        for workers in (1, 3):
+            cfg = AttackConfig(max_survivors=1 << 20, workers=workers)
+            sv, steps, cands = attack._run_stage1(inst, k, bits, cfg)
+            assert (_rows(sv), steps, cands) == want
+    else:
+        low = k - 2
+        lm = (1 << low) - 1
+        at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
+        lo = min(max(0, at - 32), (1 << (3 * low)) - 64)
+        want = _lanes(lo, lo + 64, k, params, bits)
+        assert want == _dfs_filter(inst, _lane_candidates(lo, lo + 64, k), bits)
+    assert state_prefix(truth, k).words() in want[0]
+
+
 def test_stage1_lanes_matches_dfs_filter_over_random_constants():
     # 12 constant sets (odd C, top bits of C1 and C3 set) at w = 6..12; the
     # last set of each width cuts the stream 3 words after its zero, which
-    # clamps the horizon to 3.  Full range at w <= 8, with 1 and 3 workers,
-    # against dfs mode; at w >= 10 the lower-prefix range that holds the
-    # true state, against dfs mode's array filter on the same candidates.
+    # clamps the horizon to 3.
     rng = SplitMix64(4242)
     for w in (6, 8, 10, 12):
         spec = WordSpec(w)
@@ -698,7 +741,6 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             params = Tf1Params(
                 rng.below(1 << w) | top, rng.below(1 << w) | top, rng.below(1 << w) | 1, spec
             )
-            inst = tf1_instance(params)
             seed = rng.next64()
             ks = generate(state_from_seed(seed, spec), params, 16 << w)
             while not find_zero_outputs(Keystream(spec, ks.words[:-3]), 1):
@@ -709,24 +751,27 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
                 ks = Keystream(spec, ks.words[: zero + 4])
             horizon = min(3 * k, len(ks) - zero - 1)
             bits = [ks.words[zero + 1 + j] & 1 for j in range(horizon)]
-            if w <= 8:
-                dfs = AttackConfig(enumeration_mode="dfs", max_survivors=1 << 20)
-                sv, steps, cands = attack._run_stage1(inst, k, bits, dfs)
-                want = (_rows(sv), steps, cands)
-                for workers in (1, 3):
-                    cfg = AttackConfig(max_survivors=1 << 20, workers=workers)
-                    sv, steps, cands = attack._run_stage1(inst, k, bits, cfg)
-                    assert (_rows(sv), steps, cands) == want
-                continue
-            truth = roll_forward(state_from_seed(seed, spec), params, zero + 1)
-            low = k - 1
-            lm = (1 << low) - 1
-            at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
-            lo = max(0, at - 256)
-            hi = lo + 512
-            got = _lanes(lo, hi, k, params, bits)
-            assert got == _dfs_filter(inst, _lane_candidates(lo, hi, k), bits)
-            assert state_prefix(truth, k).words() in got[0]
+            _check_lanes(params, bits, roll_forward(state_from_seed(seed, spec), params, zero + 1))
+    # The kernel reads C1 and C3 only through their bits 0 and U = k-2,
+    # which choose its terms in Python: all 16 settings of (C1_0, C3_0,
+    # C1_U, C3_U) at w=4, where a lower prefix is one column, and at w=10.
+    # C is even in half of them.  Each case plants a state that emits the
+    # zero word and filters on its next 1 to 3k output LSBs.
+    for w in (4, 10):
+        spec = WordSpec(w)
+        k = spec.half + 1
+        u = k - 2
+        for setting in range(16):
+            fixed = ~((1 << u) | 1)
+            c1 = rng.below(1 << w) & fixed | (setting & 1) | ((setting >> 2) & 1) << u
+            c3 = rng.below(1 << w) & fixed | ((setting >> 1) & 1) | ((setting >> 3) & 1) << u
+            c = rng.below(1 << w) & ~1 | (setting ^ setting >> 1) & 1
+            params = Tf1Params(c1, c3, c, spec)
+            s = next(random_states(spec, rng.next64(), 1))
+            truth = State(s.a, s.b, -s.a & spec.mask, s.d)
+            horizon = 1 + rng.below(3 * k)
+            bits = [word & 1 for word in generate(truth, params, horizon).words]
+            _check_lanes(params, bits, truth)
 
 
 def test_recover_moves_past_a_corrupted_zero_position():
@@ -754,9 +799,9 @@ def test_recover_horizon_clamped_on_short_tail():
 
 
 def test_trivial_mode_width_limit():
-    # past w=42 the 2^(3(k-1)) lower prefixes overflow the uint64 index;
+    # past w=44 the 2^(3(k-2)) lower prefixes overflow the uint64 index;
     # recover and stage2_complete refuse before any work
-    for w in (44, 64):
+    for w in (46, 64):
         spec = WordSpec(w)
         with pytest.raises(ValueError, match=f"w={w} is too wide"):
             recover(Keystream(spec, (0, 1)), tf1_instance(default_params(spec)))
@@ -764,22 +809,23 @@ def test_trivial_mode_width_limit():
     ks = Keystream(WordSpec(64), (0, 1))
     with pytest.raises(ValueError, match=r"2\^99 stage-1 candidates"):
         stage2_complete(ColumnPrefix(33, 0, 0, 0, 0), p64, tf1_instance(p64), ks, 0)
-    # w=42 is accepted, and the kernels still decode the top of their ranges
-    w42 = WordSpec(42)
-    p42 = default_params(w42)
-    inst = tf1_instance(p42)
-    s = next(random_states(w42, 42, 1))
-    truth = State(s.a, s.b, -s.a & w42.mask, s.d)  # emits the zero word
-    ks = Keystream(w42, (0,) + generate(truth, p42, 4).words)
-    last = state_prefix(truth, 41)
-    got = stage2_complete(last, p42, inst, ks, 0)
+    # w=44 is accepted, and the kernels still decode the top of their ranges
+    w44 = WordSpec(44)
+    p44 = default_params(w44)
+    inst = tf1_instance(p44)
+    s = next(random_states(w44, 44, 1))
+    truth = State(s.a, s.b, -s.a & w44.mask, s.d)  # emits the zero word
+    ks = Keystream(w44, (0,) + generate(truth, p44, 4).words)
+    last = state_prefix(truth, 43)
+    got = stage2_complete(last, p44, inst, ks, 0)
     assert truth in got
-    assert got == stage2_complete(last, p42, inst, ks, 0, AttackConfig(enumeration_mode="dfs"))
-    k = 22
-    hi = 1 << (3 * (k - 1))
-    bits = [1, 1, 1, 1, 1]  # 4 of the 32 candidates survive
-    got = _lanes(hi - 4, hi, k, p42, bits)
+    assert got == stage2_complete(last, p44, inst, ks, 0, AttackConfig(enumeration_mode="dfs"))
+    k = 23
+    hi = 1 << (3 * (k - 2))
+    bits = [1, 1, 1, 1, 1]
+    got = _lanes(hi - 4, hi, k, p44, bits)
     assert got == _dfs_filter(inst, _lane_candidates(hi - 4, hi, k), bits)
+    assert len(got[0]) == 8  # of the 256 candidates
 
 
 def test_keystream_width_mismatch_is_rejected():

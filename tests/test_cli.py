@@ -261,7 +261,7 @@ def test_run_attack_width_mismatch_is_exit_2(tmp_path, capsys):
     path = tmp_path / "m.bin"
     write_keystream(Keystream(W8, (0, 1)), path, "bin")
     assert run(["attack", "--in", str(path), "--w", "16"]) == 2
-    # past w=42, trivial mode's candidate index would overflow
+    # past w=44, trivial mode's candidate index would overflow
     write_keystream(Keystream(WordSpec(64), (0, 1)), path, "bin")
     assert run(["attack", "--in", str(path)]) == 2
     assert "w=64 is too wide for trivial mode" in capsys.readouterr().err
