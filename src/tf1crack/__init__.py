@@ -47,6 +47,6 @@ from .tfcheck import (
     cycle_probe,
     zero_frequency,
 )
-from .word import WordSpec, column_bit, mod_arith, swap_halves
+from .word import WordSpec
 
 __version__ = "0.1.0"

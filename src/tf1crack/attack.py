@@ -341,7 +341,7 @@ def filter_candidate(
     """Prune a stage-1 candidate against the next ``horizon`` output LSBs.
 
     Each step applies the truncated update and compares the predicted output
-    LSB (column w/2+1 of the truncated t2) with the observed bit.  Returns
+    LSB (column w/2 of the truncated t2) with the observed bit.  Returns
     (survives, steps_used); a mismatch at step j reports j steps used.  A
     zero horizon is vacuous: everything survives at zero cost.
     """

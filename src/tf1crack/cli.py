@@ -350,8 +350,7 @@ def _cmd_gen(args) -> int:
     else:
         seed = state_from_seed(args.random_seed, spec)
     if args.count < 0:
-        print("count must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("count must be >= 0")
     ks = generate(seed, params, args.count)
     write_keystream(ks, args.out, args.format)
     return 0
@@ -438,7 +437,8 @@ def _cmd_bench(args) -> int:
     spec = WordSpec(args.w)
     params = _params_for(args, spec)
     cfg = AttackConfig(enumeration_mode=args.mode, workers=args.workers)
-    work, log2 = predicted_work(spec), 3 * spec.width // 2 + 4
+    work = predicted_work(spec)
+    log2 = work.bit_length() - 1
     _print_fields([("w", spec.width), ("predicted_ops", work), ("predicted_ops_log2", log2)])
     if spec.width > 16:
         print("measurement skipped: keystreams of 2^w words are impractical above w=16 here")

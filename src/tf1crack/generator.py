@@ -29,14 +29,10 @@ __all__ = [
     "Keystream",
     "GeneratorInstance",
     "default_params",
-    "compute_s",
     "update",
-    "t2_tf1",
     "output_word",
     "generate",
     "state_prefix",
-    "truncated_update",
-    "truncated_t2",
     "predicted_output_lsb",
     "tf1_instance",
     "demo_generalized_instance",
@@ -173,11 +169,6 @@ class GeneratorInstance:
         return self.t2_words(*state.words(), self.spec.mask)
 
 
-def compute_s(state: State, params: Tf1Params) -> int:
-    """Per-step word s = (C + p) xor p with p = a & b & c & d."""
-    return _rows(*state.words(), params.spec.mask, params.c1, params.c3, params.c)[4]
-
-
 def update(state: State, params: Tf1Params) -> State:
     """One step of the state map; all rows read the old state."""
     a, b, c, d = state.a, state.b, state.c, state.d
@@ -224,13 +215,8 @@ def _out(a, b, c, d, m, h):
     """
     x = (a + c) & m
     y = (b + d) & m
-    # bits that x << h and y << h carry above column w vanish in the reduced product
+    # bits that x << h and y << h carry to column w and above vanish in the reduced product
     return (((x >> h) | (x << h)) * ((y >> h) | (y << h) | 1)) & m
-
-
-def t2_tf1(state: State, spec: WordSpec) -> int:
-    """The standard inner word: (a + c) mod 2**w."""
-    return (state.a + state.c) & spec.mask
 
 
 def output_word(state: State, spec: WordSpec) -> int:
@@ -253,25 +239,8 @@ def state_prefix(state: State, l: int) -> ColumnPrefix:
     return ColumnPrefix(l, state.a & m, state.b & m, state.c & m, state.d & m)
 
 
-def truncated_update(prefix: ColumnPrefix, params: Tf1Params) -> ColumnPrefix:
-    """First l columns of the updated state, from the first l columns alone.
-
-    Implemented as the full rows evaluated mod 2**l, which is exact because
-    every row is built from operations whose column k depends only on
-    columns <= k.
-    """
-    a, b, c, d, _ = _rows(*prefix.words(), low_mask(prefix.l), params.c1, params.c3, params.c)
-    return ColumnPrefix(prefix.l, a, b, c, d)
-
-
 def _t2_sum(a, b, c, d, m):
     return (a + c) & m
-
-
-def truncated_t2(prefix: ColumnPrefix, instance: GeneratorInstance | None = None) -> int:
-    """Low l columns of the inner word; defaults to the standard sum a+c."""
-    t2_words = _t2_sum if instance is None else instance.t2_words
-    return t2_words(*prefix.words(), low_mask(prefix.l))
 
 
 def predicted_output_lsb(
@@ -282,7 +251,7 @@ def predicted_output_lsb(
     """LSB of the next output word, computed from a column prefix alone.
 
     The output is S(t2) times an odd factor, so its least significant bit is
-    column h+1 of t2 of the *next* state, where h is the half width.  Any
+    column h of t2 of the *next* state, where h is the half width.  Any
     prefix of at least h+1 columns pins that bit for every extension.
     """
     if instance is None:
@@ -339,7 +308,7 @@ def _instance_out(instance: GeneratorInstance, a, b, c, d):
     """S(t2) * (f | 1) mod 2**w on full-width words, as ``_out`` for any instance."""
     m, h = instance.spec.mask, instance.spec.half
     x = instance.t2_words(a, b, c, d, m)
-    # bits that x << h carries above column w vanish in the reduced product
+    # bits that x << h carries to column w and above vanish in the reduced product
     return (((x >> h) | (x << h)) * (instance.f_words(a, b, c, d) | 1)) & m
 
 

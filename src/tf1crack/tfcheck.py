@@ -94,9 +94,9 @@ def check_tfunction_property(
     """Trial-by-trial check that the target's first k columns ignore the rest.
 
     Each trial draws a state X, a column count k, and a Y that agrees with X
-    on columns 1..k but is redrawn above; the outputs must agree on columns
-    1..k.  ``target`` is one of "t1", "t2", "t2_demo" or any callable from
-    State to State or to a word.
+    on columns 0..k-1 but is redrawn above; the outputs must agree on
+    columns 0..k-1.  ``target`` is one of "t1", "t2", "t2_demo" or any
+    callable from State to State or to a word.
     """
     fn = _resolve_target(target, spec, params)
     w = spec.width
@@ -156,7 +156,7 @@ def zero_frequency(ks: Keystream) -> tuple[int, float]:
     """Count of exact-zero words and their rate; expectation is 2**-w per word."""
     if len(ks) == 0:
         raise ValueError("keystream is empty")
-    zeros = sum(1 for word in ks.words if word == 0)
+    zeros = ks.words.count(0)
     return zeros, zeros / len(ks)
 
 

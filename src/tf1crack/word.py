@@ -1,22 +1,18 @@
 """Width-parametric machine words and the bit conventions shared by all modules.
 
 Arithmetic is unsigned and reduced modulo 2**w after every step.  Bit
-positions are counted as *columns*: column 1 is the least significant bit
-and column w the most significant.  Words of any supported width live in
-plain Python ints; correctness relies on masking, never on container size.
+positions are counted as *columns* from 0: column j is bit j, so column 0 is
+the least significant bit, column w-1 the most significant, and "the first l
+columns" are columns 0..l-1.  Plain Python ints rely on masking alone.  The
+attack's numpy kernels also rely on their unsigned dtype wrapping around
+modulo 2**bits (see ``attack._state_dtype``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "WordSpec",
-    "mod_arith",
-    "swap_halves",
-    "column_bit",
-    "low_mask",
-]
+__all__ = ["WordSpec", "low_mask"]
 
 
 @dataclass(frozen=True)
@@ -52,53 +48,6 @@ class WordSpec:
 
 
 def low_mask(bits: int) -> int:
-    """Mask covering columns 1..bits."""
+    """Mask covering columns 0..bits-1."""
     return (1 << bits) - 1
 
-
-def _shl1(x: int, y: int, mask: int) -> int:
-    return (x << 1) & mask
-
-
-_OPS = {
-    "add": lambda x, y, mask: (x + y) & mask,
-    "mul": lambda x, y, mask: (x * y) & mask,
-    "xor": lambda x, y, mask: x ^ y,
-    "and": lambda x, y, mask: x & y,
-    "or": lambda x, y, mask: x | y,
-    "shl1": _shl1,
-}
-
-
-def mod_arith(op: str, x: int, y: int = 0, spec: WordSpec = None) -> int:
-    """Apply a named word operation, reduced mod 2**w.
-
-    ``shl1`` doubles x and ignores y.  Inputs must already be reduced;
-    out-of-range operands raise ValueError rather than being silently masked.
-    """
-    if spec is None:
-        raise ValueError("mod_arith requires a WordSpec")
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}; expected one of {sorted(_OPS)}") from None
-    spec.check_word(x, "x")
-    spec.check_word(y, "y")
-    return fn(x, y, spec.mask)
-
-
-def swap_halves(x: int, spec: WordSpec) -> int:
-    """Exchange the upper and lower halves of a word.
-
-    Equals x // 2**(w/2) + x * 2**(w/2) mod 2**w, and is an involution.
-    """
-    spec.check_word(x)
-    h = spec.half
-    return (x >> h) | ((x << h) & spec.mask)
-
-
-def column_bit(x: int, k: int, spec: WordSpec | None = None) -> int:
-    """Bit of column k (column 1 is the least significant bit)."""
-    if k < 1 or (spec is not None and k > spec.width):
-        raise ValueError(f"column index {k} out of range")
-    return (x >> (k - 1)) & 1

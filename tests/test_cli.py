@@ -189,6 +189,14 @@ def test_run_gen_random_seed_matches_library(tmp_path, capsys):
     assert read_keystream(out, "bin") == expected
 
 
+def test_run_gen_negative_count_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "g.bin"
+    assert run(["gen", "--w", "8", "--random-seed", "1", "--count", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "ValueError: count must be >= 0\n")
+    assert not out.exists()
+
+
 def test_run_attack_machine_report(tmp_path, capsys):
     from tf1crack.cli import MACHINE_REPORT_KEYS
 
@@ -307,6 +315,21 @@ def test_run_oracle_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "states_scanned=65536" in out
     assert "consistent_count=" in out
+
+
+def test_run_oracle_zero_index(tmp_path, capsys):
+    ks = generate(state_from_seed(1, W4), default_params(W4), 256)
+    path = tmp_path / "k4.bin"
+    write_keystream(ks, path, "bin")
+    first = ks.words.index(0)
+    assert run(["oracle", "--in", str(path)]) == 0
+    default = capsys.readouterr()
+    assert run(["oracle", "--in", str(path), "--zero-index", str(first)]) == 0
+    assert capsys.readouterr() == default
+    nonzero = next(i for i, word in enumerate(ks) if word)
+    assert run(["oracle", "--in", str(path), "--zero-index", str(nonzero)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"ValueError: keystream word at {nonzero} is not zero\n")
 
 
 def test_run_oracle_w8_without_budget_is_exit_2(tmp_path):

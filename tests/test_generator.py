@@ -22,13 +22,10 @@ from tf1crack import (
 )
 from tf1crack.generator import (
     _instance_out,
-    compute_s,
+    _rows,
     instance_output,
     predicted_output_lsb,
     state_prefix,
-    t2_tf1,
-    truncated_t2,
-    truncated_update,
 )
 from tf1crack.word import low_mask
 
@@ -52,10 +49,10 @@ def test_params_validation():
 
 
 def test_compute_s_examples():
-    p = Tf1Params(c1=0, c3=0, c=0x53, spec=W8)
-    assert compute_s(State(0, 7, 9, 3), p) == 0x53  # a=0 forces p=0
-    assert compute_s(State(0xFF, 0xFF, 0xFF, 0xFF), p) == 0xAD
-    assert compute_s(State(0xF, 0xF, 0xF, 0xF), params4()) == 0xF
+    # the step word s = (C + p) xor p, p = a & b & c & d, that the lane kernel reads
+    assert _rows(0, 7, 9, 3, W8.mask, 0, 0, 0x53)[4] == 0x53  # a=0 forces p=0
+    assert _rows(0xFF, 0xFF, 0xFF, 0xFF, W8.mask, 0, 0, 0x53)[4] == 0xAD
+    assert _rows(0xF, 0xF, 0xF, 0xF, W4.mask, 5, 3, 1)[4] == 0xF
 
 
 def test_update_zero_state():
@@ -70,7 +67,7 @@ def test_update_hand_derived_vector():
 
 
 def test_update_prefix_agreement():
-    # two states agreeing on columns 1..3 update to states agreeing there
+    # two states agreeing on columns 0..2 update to states agreeing there
     params = default_params(W8)
     m = low_mask(3)
     x = State(0b10110101, 0b01110010, 0b11010110, 0b00101101)
@@ -80,9 +77,10 @@ def test_update_prefix_agreement():
 
 
 def test_t2_examples():
-    assert t2_tf1(State(0, 9, 0, 4), W8) == 0
-    assert t2_tf1(State(0xFF, 0, 0x01, 0), W8) == 0
-    assert t2_tf1(State(0x12, 0, 0x34, 0), W8) == 0x46
+    inst = tf1_instance(default_params(W8))
+    assert inst.t2(State(0, 9, 0, 4)) == 0
+    assert inst.t2(State(0xFF, 0, 0x01, 0)) == 0
+    assert inst.t2(State(0x12, 0, 0x34, 0)) == 0x46
 
 
 def test_output_word_examples():
@@ -123,34 +121,36 @@ def test_generate_matches_stepwise_evaluation():
 
 def test_truncated_update_full_width_equals_update():
     params = default_params(W8)
+    t1_words = tf1_instance(params).t1_words
     for st in random_states(W8, 5, 200):
-        full = state_prefix(update(st, params), 8)
-        assert truncated_update(state_prefix(st, 8), params) == full
+        assert t1_words(*st.words(), low_mask(8)) == update(st, params).words()
 
 
 def test_truncated_update_single_column_zero_prefix():
     # all-zero one-column prefix with odd C: only the a column turns on
-    params = default_params(W8)
-    out = truncated_update(ColumnPrefix(1, 0, 0, 0, 0), params)
-    assert out == ColumnPrefix(1, 1, 0, 0, 0)
+    t1_words = tf1_instance(default_params(W8)).t1_words
+    assert t1_words(0, 0, 0, 0, low_mask(1)) == (1, 0, 0, 0)
 
 
 def test_truncated_update_is_prefix_of_update():
     params = default_params(W16)
+    t1_words = tf1_instance(params).t1_words
     from tf1crack.rng import SplitMix64
 
     rng = SplitMix64(99)
     for st in random_states(W16, 7, 500):
         l = 1 + rng.below(16)
-        assert truncated_update(state_prefix(st, l), params) == state_prefix(update(st, params), l)
+        low = state_prefix(st, l).words()
+        assert t1_words(*low, low_mask(l)) == state_prefix(update(st, params), l).words()
 
 
 def test_truncated_t2():
-    assert truncated_t2(ColumnPrefix(5, 0x11, 0, 0x0F, 0)) == 0  # (0x11+0x0F) mod 32
+    tf1 = tf1_instance(default_params(W8))
+    assert tf1.t2_words(0x11, 0, 0x0F, 0, low_mask(5)) == 0  # (0x11+0x0F) mod 32
     st = State(0x12, 0, 0x34, 0)
-    assert truncated_t2(state_prefix(st, 8)) == t2_tf1(st, W8)
+    assert tf1.t2_words(*state_prefix(st, 8).words(), low_mask(8)) == tf1.t2(st)
     inst = demo_generalized_instance(W4, params4())
-    assert truncated_t2(ColumnPrefix(4, 1, 3, 0, 2), inst) == ((1 + 0) & 0xF) ^ (3 & 2)
+    assert inst.t2_words(1, 3, 0, 2, low_mask(4)) == ((1 + 0) & 0xF) ^ (3 & 2)
 
 
 def test_predicted_output_lsb_contract():
@@ -194,7 +194,7 @@ def test_demo_instance_truncation_consistency():
     rng = SplitMix64(4)
     for st in random_states(W8, 21, 2_000):
         l = 1 + rng.below(8)
-        assert truncated_t2(state_prefix(st, l), inst) == inst.t2(st) & low_mask(l)
+        assert inst.t2_words(*state_prefix(st, l).words(), low_mask(l)) == inst.t2(st) & low_mask(l)
 
 
 def test_demo_instance_spec_mismatch():

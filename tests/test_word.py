@@ -2,10 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tf1crack import State, default_params, output_word, tf1_instance
 from tf1crack.rng import SplitMix64
-from tf1crack.word import WordSpec, column_bit, mod_arith, swap_halves
+from tf1crack.word import WordSpec
 
 W8 = WordSpec(8)
+
+
+def _swaps(spec):
+    """The program's half swap S, through the two places that compute it.
+
+    The output word of State(x, 0, 0, 0) is S(x + 0) * (S(0 + 0) | 1) = S(x),
+    and tf1's odd-factor word f_words(0, x, 0, 0) is S(x + 0).
+    """
+    f_words = tf1_instance(default_params(spec)).f_words
+    return (lambda x: output_word(State(x, 0, 0, 0), spec), lambda x: f_words(0, x, 0, 0))
 
 
 @pytest.mark.parametrize("width", [4, 8, 16, 32, 64])
@@ -21,86 +32,42 @@ def test_spec_rejects_bad_widths(width):
         WordSpec(width)
 
 
-def test_mod_arith_examples():
-    assert mod_arith("add", 0xFF, 0x01, W8) == 0x00
-    assert mod_arith("mul", 0x80, 0x02, W8) == 0x00
-    for x in (0, 1, 0x5A, 0xFF):
-        assert mod_arith("xor", x, x, W8) == 0
-    assert mod_arith("shl1", 0x81, spec=W8) == 0x02
-    assert mod_arith("and", 0xF0, 0x3C, W8) == 0x30
-    assert mod_arith("or", 0xF0, 0x0C, W8) == 0xFC
-
-
-def test_mod_arith_rejects_bad_input():
-    with pytest.raises(ValueError):
-        mod_arith("sub", 1, 2, W8)
-    with pytest.raises(ValueError):
-        mod_arith("add", 0x100, 0, W8)
-    with pytest.raises(ValueError):
-        mod_arith("add", 0, -1, W8)
-    with pytest.raises(ValueError):
-        mod_arith("add", 1, 2)
-
-
-def test_mod_arith_closure_randomized():
-    for width in (4, 8, 16, 32, 64):
-        spec = WordSpec(width)
-        rng = SplitMix64(width)
-        for _ in range(10_000):
-            x = rng.next64() & spec.mask
-            y = rng.next64() & spec.mask
-            for op in ("add", "mul", "xor", "and", "or", "shl1"):
-                assert mod_arith(op, x, y, spec) <= spec.mask
-
-
 def test_swap_halves_examples():
-    assert swap_halves(0xAB, W8) == 0xBA
-    assert swap_halves(0x00, W8) == 0x00
-    assert swap_halves(0x1234, WordSpec(16)) == 0x3412
+    for swap in _swaps(W8):
+        assert swap(0xAB) == 0xBA
+        assert swap(0x00) == 0x00
+    for swap in _swaps(WordSpec(16)):
+        assert swap(0x1234) == 0x3412
 
 
 def test_swap_halves_matches_definition():
     # S(x) = x // 2^(w/2) + x * 2^(w/2) mod 2^w
     for spec in (WordSpec(4), W8, WordSpec(16)):
         h = spec.half
-        for x in range(0, spec.mask + 1, max(1, spec.mask // 999)):
-            assert swap_halves(x, spec) == ((x >> h) + ((x << h) & spec.mask)) & spec.mask
+        for swap in _swaps(spec):
+            for x in range(0, spec.mask + 1, max(1, spec.mask // 999)):
+                assert swap(x) == ((x >> h) + ((x << h) & spec.mask)) & spec.mask
 
 
 def test_swap_involution_exhaustive_w8():
-    for x in range(256):
-        assert swap_halves(swap_halves(x, W8), W8) == x
+    for swap in _swaps(W8):
+        for x in range(256):
+            assert swap(swap(x)) == x
 
 
 @pytest.mark.parametrize("width", [16, 32, 64])
 def test_swap_involution_random(width):
     spec = WordSpec(width)
+    swaps = _swaps(spec)
     rng = SplitMix64(width + 1)
     for _ in range(10_000):
         x = rng.next64() & spec.mask
-        assert swap_halves(swap_halves(x, spec), spec) == x
+        for swap in swaps:
+            assert swap(swap(x)) == x
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
 @settings(max_examples=300)
 def test_swap_involution_hypothesis(x):
-    spec = WordSpec(64)
-    assert swap_halves(swap_halves(x, spec), spec) == x
-
-
-def test_column_bit_examples():
-    assert column_bit(1, 1) == 1
-    assert column_bit(1, 2) == 0
-    assert column_bit(0x80, 8, W8) == 1
-
-
-def test_column_bit_range():
-    with pytest.raises(ValueError):
-        column_bit(1, 0)
-    with pytest.raises(ValueError):
-        column_bit(1, 9, W8)
-
-
-def test_column_decomposition_exhaustive_w8():
-    for x in range(256):
-        assert sum(column_bit(x, k, W8) << (k - 1) for k in range(1, 9)) == x
+    for swap in _swaps(WordSpec(64)):
+        assert swap(swap(x)) == x
