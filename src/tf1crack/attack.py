@@ -88,6 +88,7 @@ other one counts one step, as in a walk from every completion.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
@@ -267,11 +268,12 @@ def find_zero_outputs(ks: Keystream, limit: int | None = None) -> list[int]:
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
     out = []
-    for i, word in enumerate(ks.words):
-        if word == 0:
+    i = -1
+    # tuple.index scans in C; it raises ValueError past the last zero
+    with contextlib.suppress(ValueError):
+        while limit is None or len(out) < limit:
+            i = ks.words.index(0, i + 1)
             out.append(i)
-            if limit is not None and len(out) >= limit:
-                break
     return out
 
 

@@ -8,6 +8,12 @@ the first line is the header "# w=N"; otherwise the width is inferred from
 the digit count.  The reader takes exactly ceil(w/4) digits [0-9a-fA-F] per
 line: no sign, prefix or underscore.
 
+Both formats are converted through numpy in blocks of 2**16 words.  A hex
+line that holds exactly ceil(w/4) digits and nothing else is decoded in its
+block; every other line (comments, blank or padded lines, bad lines, the
+lines before the width is known) goes through the per-line rule in line
+order, so the first bad line is the one reported.
+
 Exit codes: 0 success, 1 attack-level failure (no zero word, hopeless tail,
 survivor overflow, mismatched constants), 2 usage or input-format problems,
 including an oracle scan above its budget.
@@ -19,6 +25,8 @@ import argparse
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import attack as attack_mod
 from .attack import AttackConfig, AttackReport, predicted_work, recover
@@ -52,6 +60,11 @@ MAGIC = b"TF1K"
 VERSION = 1
 _HEX_HEADER = re.compile(r"#\s*w=(\d+)")
 _HEX_DIGITS = "0123456789abcdefABCDEF"
+_BLOCK = 1 << 16  # words converted per numpy block; never affects results
+_DIGITS = np.frombuffer(_HEX_DIGITS[:16].encode(), np.uint8)
+# byte -> hex digit value, 16 for a byte that is no hex digit
+_NIBBLE = np.full(256, 16, np.uint8)
+_NIBBLE[np.frombuffer(_HEX_DIGITS.encode(), np.uint8)] = [*range(16), *range(10, 16)]
 
 
 def _is_hex(text: str) -> bool:
@@ -97,6 +110,20 @@ def _word_bytes(width: int) -> int:
     return (width + 7) // 8
 
 
+def _container(width: int) -> np.dtype:
+    """The little-endian dtype words of this width are converted through."""
+    return np.dtype("<u4" if width <= 32 else "<u8")
+
+
+def _hex_lines(block: np.ndarray, digits: int) -> bytes:
+    """A block of words as lowercase ``digits``-digit lines, each ending in '\\n'."""
+    out = np.empty((len(block), digits + 1), np.uint8)
+    out[:, digits] = ord("\n")
+    for j in range(digits):
+        out[:, j] = _DIGITS.take((block >> 4 * (digits - 1 - j)) & 15)
+    return out.tobytes()
+
+
 def write_keystream(ks: Keystream, destination, fmt: str = "bin") -> int:
     """Serialize a keystream; returns the byte count written.
 
@@ -109,26 +136,49 @@ def write_keystream(ks: Keystream, destination, fmt: str = "bin") -> int:
     if words and (min(words) < 0 or max(words) > spec.mask):
         i = next(i for i, word in enumerate(words) if not 0 <= word <= spec.mask)
         raise ValueError(f"word {i} is {words[i]:#x}, outside the width-{spec.width} range")
+    dtype = _container(spec.width)
+    blocks = (np.fromiter(words[i : i + _BLOCK], dtype) for i in range(0, len(words), _BLOCK))
     if fmt == "bin":
-        data = bytearray()
-        data += MAGIC
-        data += bytes([VERSION, spec.width, 0])
-        data += len(words).to_bytes(8, "little")
         nb = _word_bytes(spec.width)
-        for word in words:
-            data += word.to_bytes(nb, "little")
+        head = MAGIC + bytes([VERSION, spec.width, 0]) + len(words).to_bytes(8, "little")
+        body = (block.view(np.uint8).reshape(-1, dtype.itemsize)[:, :nb].tobytes() for block in blocks)
     elif fmt == "hex":
         digits = spec.hex_digits
-        header = f"# w={spec.width}\n" if 4 * digits != spec.width or not words else ""
-        data = (header + "".join(f"{word:0{digits}x}\n" for word in words)).encode()
+        head = (f"# w={spec.width}\n" if 4 * digits != spec.width or not words else "").encode()
+        body = (_hex_lines(block, digits) for block in blocks)
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'bin' or 'hex'")
+    data = b"".join([head, *body])
     if destination == "-":
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
     else:
         Path(destination).write_bytes(data)
     return len(data)
+
+
+def _hex_line(source, lineno: int, line: str, spec: WordSpec | None) -> tuple[WordSpec | None, int | None]:
+    """One hex-file line: (the width, known or not yet, and the line's word,
+    or None for a header, comment or blank line)."""
+    line = line.strip()
+    header = _HEX_HEADER.fullmatch(line) if spec is None else None
+    if not header and not _is_hex(line):
+        if not line or line.startswith("#"):
+            return spec, None
+        raise FormatError(f"{source}:{lineno}: not hexadecimal: {line!r}")
+    if spec is None:
+        try:
+            spec = WordSpec(int(header.group(1)) if header else len(line) * 4)
+        except ValueError as exc:
+            raise FormatError(f"{source}:{lineno}: {exc}") from None
+        if header:
+            return spec, None
+    if len(line) != spec.hex_digits:
+        raise FormatError(f"{source}:{lineno}: expected {spec.hex_digits} hex digits, got {len(line)}")
+    word = int(line, 16)
+    if word > spec.mask:
+        raise FormatError(f"{source}:{lineno}: word {word:#x} is above the width-{spec.width} mask")
+    return spec, word
 
 
 def read_keystream(source, fmt: str = "bin") -> Keystream:
@@ -149,52 +199,66 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
             raise FormatError(f"{source}: reserved flags byte is {data[6]:#x}")
         count = int.from_bytes(data[7:15], "little")
         nb = _word_bytes(spec.width)
-        payload = data[15:]
-        if len(payload) < count * nb:
-            raise TruncationError(
-                f"{source}: header promises {count} words, payload holds {len(payload) // nb}"
-            )
-        if len(payload) > count * nb:
-            raise FormatError(f"{source}: {len(payload) - count * nb} trailing bytes")
+        payload = len(data) - 15
+        if payload < count * nb:
+            raise TruncationError(f"{source}: header promises {count} words, payload holds {payload // nb}")
+        if payload > count * nb:
+            raise FormatError(f"{source}: {payload - count * nb} trailing bytes")
+        dtype = _container(spec.width)
+        rows = np.frombuffer(data, np.uint8, offset=15).reshape(count, nb)
         words = []
-        for i in range(count):
-            word = int.from_bytes(payload[i * nb : (i + 1) * nb], "little")
-            if word > spec.mask:
-                raise FormatError(f"{source}: word {i} is {word:#x}, above the width-{spec.width} mask")
-            words.append(word)
-        return Keystream(spec, tuple(words))
+        for start in range(0, count, _BLOCK):
+            wide = np.zeros((min(_BLOCK, count - start), dtype.itemsize), np.uint8)
+            wide[:, :nb] = rows[start : start + _BLOCK]
+            block = wide.view(dtype)[:, 0]
+            above = np.flatnonzero(block > spec.mask)
+            if above.size:
+                i = int(above[0])
+                raise FormatError(
+                    f"{source}: word {start + i} is {int(block[i]):#x}, above the width-{spec.width} mask"
+                )
+            words += block.tolist()
+        return Keystream(spec, words)
     if fmt == "hex":
-        words = []
-        spec = None
-        with open(source) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                header = _HEX_HEADER.fullmatch(line) if spec is None else None
-                if not header and not _is_hex(line):
-                    if not line or line.startswith("#"):
-                        continue
-                    raise FormatError(f"{source}:{lineno}: not hexadecimal: {line!r}")
-                if spec is None:
-                    try:
-                        spec = WordSpec(int(header.group(1)) if header else len(line) * 4)
-                    except ValueError as exc:
-                        raise FormatError(f"{source}:{lineno}: {exc}") from None
-                    digits, mask = spec.hex_digits, spec.mask
-                    if header:
-                        continue
-                if len(line) != digits:
-                    raise FormatError(
-                        f"{source}:{lineno}: expected {digits} hex digits, got {len(line)}"
-                    )
-                word = int(line, 16)
-                if word > mask:
-                    raise FormatError(
-                        f"{source}:{lineno}: word {word:#x} is above the width-{spec.width} mask"
-                    )
-                words.append(word)
+        # read_text decodes and translates line endings as iterating open()
+        # does; line i is text[cuts[i] + 1 : cuts[i + 1]]
+        text = Path(source).read_text().encode()
+        chars = np.frombuffer(text, np.uint8)
+        cuts = np.concatenate(([-1], np.flatnonzero(chars == ord("\n")), [len(text)]))
+        line_count = len(cuts) - 1
+        spec = word = None
+        first = 0
+        while spec is None and first < line_count:
+            spec, word = _hex_line(source, first + 1, text[cuts[first] + 1 : cuts[first + 1]].decode(), None)
+            first += 1
         if spec is None:
             raise FormatError(f"{source}: no data lines; width cannot be inferred")
-        return Keystream(spec, tuple(words))
+        words = [] if word is None else [word]
+        digits, dtype = spec.hex_digits, _container(spec.width)
+        for start in range(first, line_count, _BLOCK):
+            stop = min(start + _BLOCK, line_count)
+            begin, end = cuts[start:stop] + 1, cuts[start + 1 : stop + 1]
+            # regular lines: exactly `digits` hex digits and nothing else
+            fits = np.flatnonzero(end - begin == digits)
+            at = begin[fits]
+            value = np.zeros(len(fits), dtype)
+            seen = np.zeros(len(fits), np.uint8)  # the digit values ORed: 16 marks a non-digit
+            for j in range(digits):
+                nibble = _NIBBLE.take(chars.take(at + j))
+                value <<= 4
+                value |= nibble
+                seen |= nibble
+            block = np.zeros(len(begin), dtype)
+            block[fits] = value
+            keep = np.zeros(len(begin), bool)
+            keep[fits] = (seen < 16) & (value <= spec.mask)
+            # the others, in line order, so the first bad line raises
+            for i in np.flatnonzero(~keep):
+                _, word = _hex_line(source, start + i + 1, text[begin[i] : end[i]].decode(), spec)
+                if word is not None:
+                    block[i], keep[i] = word, True
+            words += block[keep].tolist()
+        return Keystream(spec, words)
     raise ValueError(f"unknown format {fmt!r}; expected 'bin' or 'hex'")
 
 

@@ -63,6 +63,17 @@ def test_find_zero_outputs():
     assert find_zero_outputs(Keystream(W8, (3, 1, 9))) == []
     assert find_zero_outputs(Keystream(W8, (0, 0)), limit=1) == [0]
     assert find_zero_outputs(Keystream(W8, (0, 1, 0, 0)), limit=2) == [0, 2]
+    assert find_zero_outputs(Keystream(W8, (1, 0)), limit=5) == [1]
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        find_zero_outputs(ks, limit=0)
+    # against a plain scan, zeros at both ends included
+    rng = SplitMix64(3)
+    words = (0, *(rng.next64() & 3 for _ in range(500)), 0)
+    every = [i for i, word in enumerate(words) if word == 0]
+    ks = Keystream(W4, words)
+    assert find_zero_outputs(ks) == every
+    for limit in (1, 2, 7, len(every), len(every) + 1):
+        assert find_zero_outputs(ks, limit) == every[:limit]
 
 
 def test_trivial_preimages_single_column():

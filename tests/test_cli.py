@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -112,13 +113,23 @@ def test_write_rejects_words_outside_the_width(tmp_path):
 
 
 def test_bin_rejects_word_above_mask(tmp_path):
-    path = tmp_path / "w4.bin"
-    write_keystream(Keystream(W4, (1, 2)), path, "bin")
+    path = tmp_path / "bad.bin"
+    write_keystream(Keystream(W4, (1, 2, 3, 4, 5)), path, "bin")
     data = bytearray(path.read_bytes())
-    data[-1] = 0x20  # above the w=4 mask
+    data[15 + 4] = data[15 + 2] = 0x20  # above the w=4 mask
     path.write_bytes(bytes(data))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         read_keystream(path, "bin")
+    assert str(err.value) == f"{path}: word 2 is 0x20, above the width-4 mask"
+    # 3-byte words, the bad ones past the first 2**16
+    count = 70000
+    payload = bytearray(3 * count)
+    payload[3 * 69000 + 2] = 0x07
+    payload[3 * 66000 + 2] = 0x04
+    path.write_bytes(b"TF1K\x01\x12\x00" + count.to_bytes(8, "little") + payload)
+    with pytest.raises(FormatError) as err:
+        read_keystream(path, "bin")
+    assert str(err.value) == f"{path}: word 66000 is 0x40000, above the width-18 mask"
 
 
 def test_hex_rejects_malformed(tmp_path):
@@ -152,6 +163,96 @@ def test_hex_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "ok.hex"
     path.write_text("# header comment\n\nab\n10\n")
     assert read_keystream(path, "hex") == Keystream(W8, (0xAB, 0x10))
+
+
+# (w, count, sha256 of the bin file, sha256 of the hex file) of
+# generate(state_from_seed(w, spec), default_params(spec), count).  Widths 18,
+# 40, 48 and 56 give 3-, 5-, 6- and 7-byte words, 10 and 18 hex headers; the
+# 65539-word streams cross the 2**16-word conversion block.
+GOLDEN_FILES = (
+    (4, 3000, "9aa98f819b305d301d554a7c83d6b336e8379e5a90c475344ec3c05203d08515",
+     "04e5aaddd60df5cb047d69cc877af422f64106187eb5dfb966548e1b97c9ff2e"),
+    (10, 65539, "60d9cdecc2ee6ab061b2252cf73fdf10539bab44af02f39c4ab7f604851113be",
+     "a0d3c22debe606e30ecc062d756598c8f1290acf355f8841fa0c2fe82ce24ed0"),
+    (18, 65539, "33e9f03397891a780b42eca792a4e4981896fac3f41708cb383ee9995cad8f08",
+     "2cb5152006065b5aad9510ffe1f0bf1dc154706a661a985c1e992e60bc060c14"),
+    (24, 1500, "da6d53bac050afae8fea71cc1b0e333166c28acfd78c2bfad7b4c82cc7274b07",
+     "53769fefe13d99a59ec6d764661257773c761eb0b2f04d7d84a220b73a862436"),
+    (40, 1000, "eb923f3eb195bc3066bc4920154063e39750825ba7f66d95371bfe58bcf264e8",
+     "614795bf791128ffcf19dd3276a57283dc28ce5a33f6cb3269bdc65f8f59ec19"),
+    (48, 1000, "4fb641f7333691dd735d53779c4e9e13bda5a49b861a56c16d4bed6d4aa87452",
+     "468fba1cad2a13389890b32c3abb64c8ad5cea0772ae62923a38a0b8cf07d11f"),
+    (56, 1000, "8a371372fe48b468d4b873a75cac6147dbd6a456c5389c10ce691bf8c6a30da7",
+     "dff67843b2a6ed9676a50145b39dd9c45040ff00edfbc42c3ff9ebdda9d54a72"),
+    (64, 65539, "0084d7a59778257526ee84db759b96b4d28ceeb659307a9952c5726bd164d5fa",
+     "1d99ee57358853710121f50e9d091e885089469b024d670e2e8a854619e5a100"),
+)
+
+
+@pytest.mark.parametrize("width,count,bin_sha,hex_sha", GOLDEN_FILES, ids=[f"w{c[0]}" for c in GOLDEN_FILES])
+def test_golden_file_bytes(tmp_path, width, count, bin_sha, hex_sha):
+    spec = WordSpec(width)
+    ks = generate(state_from_seed(width, spec), default_params(spec), count)
+    for fmt, sha in (("bin", bin_sha), ("hex", hex_sha)):
+        path = tmp_path / f"golden.{fmt}"
+        n = write_keystream(ks, path, fmt)
+        data = path.read_bytes()
+        assert (n, hashlib.sha256(data).hexdigest()) == (len(data), sha), fmt
+        assert read_keystream(path, fmt) == ks, fmt
+
+
+def test_hex_reader_line_forms(tmp_path):
+    path = tmp_path / "forms.hex"
+    want = Keystream(W16, (0xAB, 0xFF, 0x1234))
+    for data in (
+        b"00ab\r\n00ff\r\n1234\r\n",  # CRLF
+        b"00ab\r00ff\r1234\r",  # lone CR
+        b" 00ab\n\t00ff  \n1234\t\n",  # padded with spaces and tabs
+        b"00ab\n# between\n\n00ff\n  \n# w=8\n1234\n",  # comments, blanks, a late '# w=N'
+        b"00ab\n00ff\n1234",  # no newline after the last word
+        b"00Ab\n00fF\n1234\n",  # mixed case
+        b"# w=16\r\n00ab\r\n00ff\r\n1234",
+    ):
+        path.write_bytes(data)
+        assert read_keystream(path, "hex") == want, data
+
+
+def test_hex_reader_mixed_lines_across_blocks(tmp_path):
+    # regular lines around every kind of other line, past 2**16 lines
+    spec = WordSpec(10)
+    words = [(i * 0x9E3779B1 >> 7) & spec.mask for i in range(70000)]
+    lines = ["# w=10"] + [f"{word:03x}" for word in words]
+    odd = {5: "  {}", 65536: "{}\t", 65537: "# {} note", 69999: "{} ", 70000: ""}
+    for i, form in odd.items():
+        lines[i] = form.format(lines[i])
+    path = tmp_path / "mixed.hex"
+    path.write_text("\r\n".join(lines))
+    kept = [word for i, word in enumerate(words, 1) if i not in (65537, 70000)]
+    assert read_keystream(path, "hex") == Keystream(spec, tuple(kept))
+    lines[69990] = "4ff"  # above the width-10 mask, but after the first bad line
+    lines[65540] = "0x1"
+    path.write_text("\n".join(lines))
+    with pytest.raises(FormatError) as err:
+        read_keystream(path, "hex")
+    assert str(err.value) == f"{path}:65541: not hexadecimal: '0x1'"
+
+
+def test_hex_reader_first_error_wins(tmp_path):
+    path = tmp_path / "bad.hex"
+    cases = [
+        ("# w=10\n001\nfff\n002\nxyz\n", ":3: word 0xfff is above the width-10 mask"),
+        ("# w=10\n001\nxyz\n002\nfff\n", ":3: not hexadecimal: 'xyz'"),
+        ("# w=10\n001\n4ff\n12\n", ":3: word 0x4ff is above the width-10 mask"),
+        ("# w=10\n001\n12\n4ff\n", ":3: expected 3 hex digits, got 2"),
+        ("# w=10\n001\n 4ff \n", ":3: word 0x4ff is above the width-10 mask"),
+        ("00ab\n00ff\n00f\n0x00\n", ":3: expected 4 hex digits, got 3"),
+    ]
+    for text, shown in cases:
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            read_keystream(path, "hex")
+        assert str(err.value) == f"{path}{shown}", text
+
 
 
 def test_parse_state():
