@@ -28,9 +28,9 @@ functions.  The exhaustive oracle is the reference up to w = 8.  Above it
 the tests hold the lane kernel to the plain filter on the same candidates
 and trivial mode's pruned stage 2 to dfs mode's, which does not prune.
 Every full-state check reads the generator's one output stream,
-``_stream``, which steps plain ints for the standard generator and the
-instance's word functions for any other.  A truncated evaluation passes
-low_mask(l) to the same word functions.
+``_stream``, which steps the standard generator on plain ints and in
+column blocks, and any other instance through its word functions.  A
+truncated evaluation passes low_mask(l) to the same word functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
 T = k-1.  The update is a T-function, so the candidates that share the low
@@ -783,7 +783,8 @@ def _run_stage2(
     n_leaves = verifs = 0
     for batch in batches:
         n_leaves += batch[0].size
-        emits = _instance_out(instance, *instance.t1_words(*batch, spec.mask)) == first
+        full = instance.t1_words(*batch, spec.mask)
+        emits = _instance_out(instance.t2_words, instance.f_words, spec.mask, spec.half, *full) == first
         for row in zip(*(v[emits].tolist() for v in batch)):
             st = State(*row)
             ok, n = _walk_tail(st, instance, words, zero_index)
@@ -888,7 +889,7 @@ def _walk_tail(
     mismatch, at words[lo+j], else (True, len(words) - 1 - lo).  The words
     come from the generator's one output stream, one per tail word read.
     """
-    stream = _stream(state, instance)
+    stream = _stream(state, instance, len(words) - 1 - lo)
     for j in range(lo + 1, len(words)):
         if next(stream) != words[j]:
             return False, j - lo

@@ -132,12 +132,17 @@ def write_keystream(ks: Keystream, destination, fmt: str = "bin") -> int:
     is written.
     """
     spec, words = ks.spec, ks.words
-    # C-level min/max first; the index is looked for only on failure
-    if words and (min(words) < 0 or max(words) > spec.mask):
+    dtype = _container(spec.width)
+    # one conversion and one array max; the index is looked for only on
+    # failure, and a negative or container-overflowing word fails the conversion
+    try:
+        array = np.fromiter(words, dtype, len(words))
+    except OverflowError:
+        array = None
+    if array is None or (words and array.max() > spec.mask):
         i = next(i for i, word in enumerate(words) if not 0 <= word <= spec.mask)
         raise ValueError(f"word {i} is {words[i]:#x}, outside the width-{spec.width} range")
-    dtype = _container(spec.width)
-    blocks = (np.fromiter(words[i : i + _BLOCK], dtype) for i in range(0, len(words), _BLOCK))
+    blocks = (array[i : i + _BLOCK] for i in range(0, len(words), _BLOCK))
     if fmt == "bin":
         nb = _word_bytes(spec.width)
         head = MAGIC + bytes([VERSION, spec.width, 0]) + len(words).to_bytes(8, "little")

@@ -11,13 +11,28 @@ attack lives entirely on that fact.
 A generalized instance replaces the update with any T-function t1, the inner
 word with any T-function t2, and the odd-making factor with any function f
 at all; the output is ``S(t2(A)) * (f(A) | 1)``.
+
+The same column structure lets the standard generator's output stream be
+computed one column at a time over a whole block of time.  Clear columns j
+and above of every state in the block and take one step mod 2**(j+1): the
+bits a'_j, b'_j, c'_j, d'_j and s_j that this leaves at column j depend on
+columns 0..j-1 alone, since s = (C + p) ^ p loses p_j, and the doubled
+products read an input column only at the next output column.  Column j of
+the true next state is then the old column j plus a triangle of ands, the
+same as the column-U rules of the attack's lane kernel (see attack.py, with
+U = j): A_j ^= a'_j, B_j ^= s_j & A_j ^ b'_j, C_j ^= s_j & A_j & B_j ^ c'_j
+and D_j ^= s_j & A_j & B_j & C_j ^ d'_j.  Each right-hand side is known at
+every time once the earlier words' columns are, so each of the four is one
+xor-prefix scan over the block.  A block of L steps thus costs w columns of
+about 60 array operations, and the output formula runs once on its arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .rng import SplitMix64
 from .word import WordSpec, low_mask
@@ -46,6 +61,18 @@ __all__ = [
 _DEFAULT_C = 0xB5AD4ECEDA1CE2A9
 _DEFAULT_C1 = 0x84D4C8D2E5B6D6D5
 _DEFAULT_C3 = 0x9E3779B97F4A7C15
+
+# The standard generator's stream steps plain ints for its first 64*w words,
+# about the length at which one column block costs as much as the plain
+# steps it replaces at every width up to _WIDEST, and whenever fewer words
+# remain.  In between it runs column blocks, each as long as the words
+# already emitted, up to _BLOCK words: longer blocks were no faster per word,
+# as their temporaries outgrow the cache.  Above _WIDEST bits the block
+# arrays are uint64, which costs about twice as much per element, and blocks
+# gain little at w=40 and lose from w=48 on (BENCH_gen.json).
+_SWITCH_PER_BIT = 64
+_BLOCK = 1 << 14
+_WIDEST = 32
 
 
 @dataclass(frozen=True, order=True)
@@ -148,8 +175,8 @@ class GeneratorInstance:
     stage-1 filter call them on arrays.  ``tf1_native`` marks the standard
     generator, whose t2 is the plain column sum a+c with the closed-form
     preimages c = (target - a) mod 2^l; the attack's ``trivial`` mode, its
-    lane-sliced stage-1 kernel and the plain-int branch of ``_stream``, the
-    one output stream, serve it alone.
+    lane-sliced stage-1 kernel and the plain-int and column-block branch of
+    ``_stream``, the one output stream, serve it alone.
     Any instance, this one included, runs ``dfs`` mode, which the tests use
     as the reference for the trivial-mode kernels.
     """
@@ -187,9 +214,10 @@ def _rows(a, b, c, d, m, c1, c3, cc):
 
     Returns (a', b', c', d', s), where s = ((C + p) mod 2**l) xor p with
     p = a & b & c & d is the per-step word the rows share.  Most callers
-    drop s; the lane-sliced stage-1 kernel reads its top two columns.
-    Handing it back costs nothing, where a separate helper call would add
-    about 7% to every generated word.
+    drop s.  Two read it: the lane-sliced stage-1 kernel reads its top two
+    columns, and the stream's column blocks (``_column_block``) read its
+    top column.  Handing it back costs nothing, where a separate helper
+    call would add about 7% to every generated word.
     """
     p = a & b & c & d
     s = ((cc + p) & m) ^ p
@@ -304,47 +332,96 @@ def demo_generalized_instance(spec: WordSpec, params: Tf1Params) -> GeneratorIns
     )
 
 
-def _instance_out(instance: GeneratorInstance, a, b, c, d):
-    """S(t2) * (f | 1) mod 2**w on full-width words, as ``_out`` for any instance."""
-    m, h = instance.spec.mask, instance.spec.half
-    x = instance.t2_words(a, b, c, d, m)
+def _instance_out(t2_words, f_words, m: int, h: int, a, b, c, d):
+    """S(t2) * (f | 1) mod 2**w on full-width words, as ``_out`` for any
+    instance's ``t2_words`` and ``f_words``, with m = 2**w - 1 and h = w/2."""
+    x = t2_words(a, b, c, d, m)
     # bits that x << h carries to column w and above vanish in the reduced product
-    return (((x >> h) | (x << h)) * (instance.f_words(a, b, c, d) | 1)) & m
+    return (((x >> h) | (x << h)) * (f_words(a, b, c, d) | 1)) & m
 
 
 def instance_output(state: State, instance: GeneratorInstance) -> int:
     """Output word of a generalized instance: S(t2(A)) * (f(A) | 1)."""
-    return _instance_out(instance, *state.words())
+    spec = instance.spec
+    return _instance_out(instance.t2_words, instance.f_words, spec.mask, spec.half, *state.words())
 
 
 def generate_from_instance(seed: State, instance: GeneratorInstance, n: int) -> Keystream:
     """Like ``generate`` but through an instance's word functions."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Keystream(instance.spec, tuple(islice(_stream(seed, instance), n)))
+    return Keystream(instance.spec, tuple(_stream(seed, instance, n)))
 
 
-def _stream(state: State, instance: GeneratorInstance) -> Iterator[int]:
-    """The output words after ``state``, without end: one update and one emit each.
+def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
+    """The first n output words after ``state``: one update and one emit each.
 
     The only step-and-emit loop: generation, the attack's tail walk and the
-    oracle's window all read it.  The standard generator steps plain ints
-    through ``_rows`` and ``_out`` with its constants in locals; any other
-    instance steps through its ``t1_words`` and ``_instance_out``.
+    oracle's window all read it, each passing the number of words it reads
+    at most.  Any instance but the standard generator steps through its
+    ``t1_words`` and ``_instance_out``.  The standard generator steps plain
+    ints through ``_rows`` and ``_out`` for its first 64*w words, where a
+    wrong candidate state dies, and for its last ones; between them it runs
+    column blocks (``_column_block``), each as long as the words it has
+    emitted so far, up to a cap.  Above ``_WIDEST`` bits it stays on plain
+    ints, as blocks no longer win there.
     """
-    m = instance.spec.mask
+    spec = instance.spec
+    m, h = spec.mask, spec.half
     a, b, c, d = state.words()
-    if instance.tf1_native:
-        p = instance.params
-        h, c1, c3, cc = p.spec.half, p.c1, p.c3, p.c
-        rows, emit = _rows, _out
-        while True:
-            a, b, c, d, _ = rows(a, b, c, d, m, c1, c3, cc)
-            yield emit(a, b, c, d, m, h)
-    t1_words = instance.t1_words
-    while True:
-        a, b, c, d = t1_words(a, b, c, d, m)
-        yield _instance_out(instance, a, b, c, d)
+    if not instance.tf1_native:
+        t1_words, t2_words, f_words = instance.t1_words, instance.t2_words, instance.f_words
+        for _ in range(n):
+            a, b, c, d = t1_words(a, b, c, d, m)
+            yield _instance_out(t2_words, f_words, m, h, a, b, c, d)
+        return
+    p = instance.params
+    c1, c3, cc = p.c1, p.c3, p.c
+    rows, emit = _rows, _out
+    switch = _SWITCH_PER_BIT * spec.width if spec.width <= _WIDEST else n
+    done = 0
+    while done < n:
+        left = n - done
+        if switch <= min(done, left):
+            size = min(done, left, _BLOCK)
+            words, (a, b, c, d) = _column_block((a, b, c, d), p, size)
+            yield from words
+        else:
+            size = min(switch, left)
+            for _ in range(size):
+                a, b, c, d, _ = rows(a, b, c, d, m, c1, c3, cc)
+                yield emit(a, b, c, d, m, h)
+        done += size
+
+
+def _column_block(state: tuple, params: Tf1Params, n: int) -> tuple[list, tuple]:
+    """The output words of the n states after ``state``, and the last of them.
+
+    Column by column, as the module docstring derives: ``words[i][t]``
+    holds the columns found so far of word i at time t, time 0 being
+    ``state``; one ``_rows`` call mod 2**(j+1) on the states at times
+    0..n-1 gives column j's increments, and ``col`` takes word i's column j
+    at times 0..n as an xor-prefix scan of them.  ``s`` turns into s_j &
+    A_j, then s_j & A_j & B_j and so on, as the triangle needs.
+    """
+    spec = params.spec
+    dtype = np.min_scalar_type(spec.mask)
+    words = np.zeros((4, n + 1), dtype)
+    col = np.empty(n + 1, bool)
+    for j in range(spec.width):
+        bit = 1 << j
+        *rows, s = _rows(*words[:, :-1], (bit << 1) - 1, params.c1, params.c3, params.c)
+        s = (s & bit).astype(bool)
+        for i, (word, row) in enumerate(zip(words, rows)):
+            col[0] = state[i] >> j & 1
+            np.not_equal(row & bit, 0, out=col[1:])
+            if i:
+                col[1:] ^= s
+            np.bitwise_xor.accumulate(col, out=col)
+            s &= col[:-1]
+            word |= np.left_shift(col.view(np.uint8), j, dtype=dtype)
+    out = _out(*words[:, 1:], spec.mask, spec.half)
+    return out.tolist(), tuple(words[:, -1].tolist())
 
 
 def state_from_seed(seed: int, spec: WordSpec) -> State:

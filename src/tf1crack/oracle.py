@@ -71,7 +71,7 @@ def brute_force_consistent_states(
     consistent = [
         st
         for st in _scan_zero_states_chunked(spec)
-        if all(word == out for word, out in zip(window_words, _stream(st, inst)))
+        if all(word == out for word, out in zip(window_words, _stream(st, inst, window)))
     ]
     consistent.sort()
     return OracleResult(

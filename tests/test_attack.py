@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from tf1crack import attack
+from tf1crack import attack, generator
 from tf1crack import (
     AttackConfig,
     ColumnPrefix,
@@ -288,17 +288,21 @@ def test_verify_state_routes_agree():
 
 
 def test_walk_tail_counts_the_words_it_computes():
-    # (True, words after lo) on a match, (False, j) at a mismatch at lo + j
+    # (True, words after lo) on a match, (False, j) at a mismatch at lo + j.
+    # The standard generator's stream reads plain ints up to word `switch`
+    # of the walk and column blocks of switch and 2*switch words after it.
+    switch = generator._SWITCH_PER_BIT * W8.width
     for inst in (tf1_instance(P8), demo_generalized_instance(W8, P8)):
         start = state_from_seed(21, W8)
-        words = generate_from_instance(start, inst, 40).words
+        words = generate_from_instance(start, inst, 4 * switch + 110).words
         emitters = [start]
         for _ in words:
             emitters.append(inst.t1(emitters[-1]))
         lo = 9  # emitters[i + 1] emits words[i]
         tail = len(words) - 1 - lo
         assert attack._walk_tail(emitters[lo + 1], inst, words, lo) == (True, tail)
-        for j in (1, tail // 2, tail):
+        blocks = (switch, switch + 1, switch + 7, 2 * switch - 1, 2 * switch, 2 * switch + 1, 4 * switch)
+        for j in (1, 2, tail // 2, *blocks, tail):
             flipped = words[: lo + j] + (words[lo + j] ^ 1,) + words[lo + j + 1 :]
             assert attack._walk_tail(emitters[lo + 1], inst, flipped, lo) == (False, j)
         assert attack._walk_tail(emitters[-1], inst, words, len(words) - 1) == (True, 0)

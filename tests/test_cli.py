@@ -98,17 +98,25 @@ def test_bin_rejects_malformed(tmp_path):
 
 
 def test_write_rejects_words_outside_the_width(tmp_path):
-    # each would write a file that read_keystream rejects, or fail halfway
+    # each would write a file that read_keystream rejects, or fail halfway;
+    # negative and container-overflowing words fail the array conversion,
+    # the others its max, and both name the lowest bad index
+    long = [0] * 70000
+    long[66000], long[69000] = 0x10000, 0x3FFFF  # past the first 2**16 words
     cases = [
         (W8, (1, 300, 2), "word 1 is 0x12c"),
         (W8, (5, 7, -1), "word 2 is -0x1"),
         (WordSpec(6), (100,), "word 0 is 0x64"),
+        (WordSpec(64), (3, 1 << 64, -1), "word 1 is 0x10000000000000000"),
+        (WordSpec(32), (3, 2, 1 << 32), "word 2 is 0x100000000"),
+        (W16, tuple(long), "word 66000 is 0x10000"),
     ]
     for spec, words, shown in cases:
         for fmt in ("bin", "hex"):
             path = tmp_path / f"out.{fmt}"
-            with pytest.raises(ValueError, match=f"{shown}, outside the width-{spec.width} range"):
+            with pytest.raises(ValueError) as err:
                 write_keystream(Keystream(spec, words), path, fmt)
+            assert str(err.value) == f"{shown}, outside the width-{spec.width} range"
             assert not path.exists()
 
 

@@ -20,9 +20,11 @@ from tf1crack import (
     tf1_instance,
     update,
 )
+from tf1crack import generator
 from tf1crack.generator import (
     _instance_out,
     _rows,
+    _stream,
     instance_output,
     predicted_output_lsb,
     state_prefix,
@@ -217,7 +219,8 @@ def test_instance_word_functions_take_numpy_arrays():
                 assert inst.t2_words(*arrays, m).tolist() == [inst.t2_words(*st, m) for st in ints]
             full = [np.array(col, dtype=np.uint64) for col in zip(*states)]
             assert inst.f_words(*full).tolist() == [inst.f_words(*st) for st in states]
-            assert _instance_out(inst, *full).tolist() == [_instance_out(inst, *st) for st in states]
+            out = (inst.t2_words, inst.f_words, spec.mask, spec.half)
+            assert _instance_out(*out, *full).tolist() == [_instance_out(*out, *st) for st in states]
 
 
 def test_tf1_instance_reproduces_generator():
@@ -230,6 +233,45 @@ def test_tf1_instance_reproduces_generator():
     # the plain-int branch of the output stream and the word-function branch
     for instance in (inst, dataclasses.replace(inst, tf1_native=False)):
         assert generate_from_instance(seed, instance, 64) == want
+
+
+def test_column_blocks_match_the_word_function_stream():
+    # The standard generator's stream steps plain ints for `switch` words,
+    # then runs column blocks of switch, 2*switch, 4*switch, ... words, up
+    # to _BLOCK, and plain ints again when fewer than `switch` words are
+    # left; above _WIDEST bits it runs plain ints only.  Up to _WIDEST each
+    # length ends at or next to one of those seams.  Random constants at
+    # every width, C even at every third, and every setting of the low two
+    # bits of C1 and C3 between w=4 and w=34.
+    from tf1crack.rng import SplitMix64
+
+    rng = SplitMix64(2020)
+    for idx, w in enumerate(range(4, 66, 2)):
+        spec = WordSpec(w)
+        draw = [rng.next64() & spec.mask for _ in range(3)]
+        params = Tf1Params(
+            c1=draw[0] & ~3 | idx % 4,
+            c3=draw[1] & ~3 | idx // 4 % 4,
+            c=draw[2] & ~1 | (idx % 3 != 0),
+            spec=spec,
+        )
+        native = tf1_instance(params)
+        reference = dataclasses.replace(native, tf1_native=False)
+        seed = state_from_seed(rng.next64(), spec)
+        s = generator._SWITCH_PER_BIT * w
+        lengths = (0, 1, s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 4 * s, 8 * s + 37)
+        if w > generator._WIDEST:
+            lengths = (0, 1, 257)
+        want = generate_from_instance(seed, reference, lengths[-1]).words
+        for n in lengths:
+            assert tuple(_stream(seed, native, n)) == want[:n], (w, n)
+    # blocks held at the cap: at w=4 they double from 256 words to _BLOCK
+    spec = W4
+    params = Tf1Params(c1=0xA, c3=0x5, c=0x6, spec=spec)
+    seed = state_from_seed(3, spec)
+    n = 3 * generator._BLOCK + 101
+    want = generate_from_instance(seed, dataclasses.replace(tf1_instance(params), tf1_native=False), n)
+    assert generate(seed, params, n) == want
 
 
 def test_state_from_seed_deterministic():
