@@ -1,16 +1,19 @@
 """Two-stage internal-state recovery from a keystream containing a zero word.
 
-A zero output pins the inner T-function word to zero at that position,
-because the other output factor is odd.  Stage 1 enumerates every candidate
-for the first w/2+1 columns of the state at the zero position and prunes
-each against the least significant bits of the following outputs, one
-truncated step per bit.  Stage 2 extends each survivor to the remaining
-columns, still constrained by the zero, and keeps exactly the full states
-that reproduce the observed tail.  Survivors travel from stage 1 to stage 2
-as four arrays of the state dtype, their (a, b, c, d) words sorted by
-(a, b, c, d), with no Python object per survivor.  ``ColumnPrefix`` is the
-type of the public edge only: the two enumerators, ``filter_candidate``
-and ``stage2_complete`` take or yield one prefix at a time.
+An output word S(x) * (S(y) | 1) has an odd second factor, so the zero word
+pins the inner T-function word x = t2 to zero at its position.  An event is
+such a position and the inner word X that its word pins; ``recover`` makes
+one event, X = 0, per zero word and walks them in order.  Stage 1
+enumerates every candidate for the first w/2+1 columns of the state at the
+event, with t2 = X there, and prunes each against the least significant
+bits of the following outputs, one truncated step per bit.  Stage 2
+extends each survivor to the remaining columns, still constrained by X,
+and keeps exactly the full states that reproduce the observed tail.
+Survivors travel from stage 1 to stage 2 as four arrays of the state
+dtype, their (a, b, c, d) words sorted by (a, b, c, d), with no Python
+object per survivor.  ``ColumnPrefix`` is the type of the public edge
+only: the two enumerators, ``filter_candidate`` and ``stage2_complete``
+take or yield one prefix at a time.
 
 Work is counted in attack operations: one stage-1 filter step (truncated
 update + truncated t2 + one bit compare) or one stage-2 verification step
@@ -21,7 +24,7 @@ on arrays: it extends column prefixes one column at a time, keeping the
 extensions whose new column of the truncated t2 matches the target (about
 8 of the 16), and serves the t2 preimages, dfs-mode stage 1 and stage 2 in
 both modes.  ``trivial`` mode, for the standard generator only, takes its
-stage-1 candidates in the closed form c = -a through the lane-sliced
+stage-1 candidates in the closed form c = X - a through the lane-sliced
 kernel below.  ``dfs`` mode, for any instance, takes them from the column
 enumerator and prunes them with a plain array filter on the instance's word
 functions.  The exhaustive oracle is the reference up to w = 8.  Above it
@@ -34,7 +37,7 @@ truncated evaluation passes low_mask(l) to the same word functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
 T = k-1.  The update is a T-function, so the candidates that share the low
-k-2 columns of (a, b, d), with c = -a, share the trajectory of those
+k-2 columns of (a, b, d), with c = X - a, share the trajectory of those
 columns, and their top bits follow from it through a few xors and ands.
 Step the lower columns alone, with columns U and T of every word cleared,
 let a'_U, s_T and so on be the bits that this step leaves at columns U and
@@ -59,13 +62,15 @@ D_T reaches nothing: it enters p_T, which cancels, and the products at
 column T only through the zero column 0 of 2a and 2c.  The kernel steps
 each lower prefix once and carries the 32 settings of (a_U, b_U, d_U, a_T,
 b_T) as the lanes of 32-bit masks; each lane stands for 2 candidates,
-d_T = 0 and 1.  The zero gives the start masks: c = -a makes C_U = A_U ^ nz
-and C_T = A_T ^ (nz | A_U), where nz is set when the low columns of a are
-not all 0.  A candidate's predicted output LSB is
-A_T' ^ C_T' ^ maj(A_U', C_U', carry into U of a'_low + c'_low); it drops
-out at its first mismatch.  Each step adds 2·popcount of the alive mask
-taken before it, so ``stage1_filter_steps`` counts exactly what the plain
-filter counts.  Three columns would need 256 lanes.
+d_T = 0 and 1.  The event gives the start masks: c = X - a subtracts a
+column at a time with borrows, so with L = k-2 and β = [a_low > X_low], the
+borrow out of the low L columns, C_U = X_U ^ A_U ^ β, and C_T = X_T ^ A_T
+^ (A_U & β if X_U else A_U | β), the borrow out of column U.  At X = 0, β
+is set when the low columns of a are not all 0.  A candidate's predicted
+output LSB is A_T' ^ C_T' ^ maj(A_U', C_U', carry into U of a'_low +
+c'_low); it drops out at its first mismatch.  Each step adds 2·popcount
+of the alive mask taken before it, so ``stage1_filter_steps`` counts
+exactly what the plain filter counts.  Three columns would need 256 lanes.
 
 Stage 1 runs in parts, one range of lower prefixes (trivial mode) or of
 one-column roots (dfs mode) each.  A part is a generator of batches
@@ -74,10 +79,10 @@ per filtered column-enumerator batch.  One part loop, in ``_run_stage1``,
 sums the batches and stops a part once its survivors pass the cap, so the
 counters and the cap are applied in one place for both modes.
 
-Stage 2 completes the survivors of a zero position with the column
-enumerator.  In trivial mode it also prunes on the first tail word.  The
-next output is S(x) * (S(y) | 1) with x = a'+c' and y = b'+d',
-and a product's low columns read only its factors' low columns, so output
+Stage 2 completes the survivors of an event with the column enumerator.
+In trivial mode it also prunes on the first tail word.  The next output
+is S(x) * (S(y) | 1) with x = a'+c' and y = b'+d', and a product's low
+columns read only its factors' low columns, so output
 column t < h = w/2 reads only columns h..h+t of x and y.  So at column j an
 extension is kept while output columns 0..j-h of the first tail word
 match; at full width the whole word must.  In either mode only the
@@ -227,11 +232,14 @@ class OpCounters:
 
 @dataclass
 class AttackReport:
-    """Outcome of ``recover``: states at the zero position plus accounting.
+    """Outcome of ``recover``: states at one event plus accounting.
 
-    ``recovered`` holds the post-update states that emit the zero word and
+    ``zero_index`` is the position of the event that gave the states: a
+    zero word, which pins the inner word t2 to X = 0 there.
+    ``recovered`` holds the post-update states that emit that word and
     reproduce every following keystream word (``verified_words`` of them),
-    sorted ascending by (a, b, c, d).  ``elapsed`` is wall seconds.
+    sorted ascending by (a, b, c, d).  The counters sum over every event
+    tried.  ``elapsed`` is wall seconds.
     """
 
     zero_index: int
@@ -368,12 +376,12 @@ def verify_state(
     n_words: int,
     instance: GeneratorInstance | None = None,
 ) -> bool:
-    """True iff ``state`` emits the zero word and the next n_words exactly.
+    """True iff ``state`` emits ks[zero_index] and the next n_words exactly.
 
-    The state is the post-update state at ``zero_index``; its own output
-    must be zero (so must the keystream word there) and rolling it forward
-    must reproduce ks[zero_index+1 .. zero_index+n_words].  A state word
-    outside the width raises ValueError.
+    The state is the post-update state at ``zero_index``: its own output
+    must equal the keystream word there, which need not be zero, and
+    rolling it forward must reproduce ks[zero_index+1 .. zero_index+n_words].
+    A state word outside the width raises ValueError.
     """
     if instance is None:
         instance = tf1_instance(params)
@@ -383,7 +391,7 @@ def verify_state(
         instance.spec.check_word(word, name)
     if zero_index < 0 or n_words < 0 or zero_index + n_words >= len(ks):
         raise ValueError("verification window exceeds the keystream")
-    if ks.words[zero_index] != 0 or instance_output(state, instance) != 0:
+    if instance_output(state, instance) != ks.words[zero_index]:
         return False
     return _walk_tail(state, instance, ks.words[: zero_index + n_words + 1], zero_index)[0]
 
@@ -418,7 +426,7 @@ def stage2_complete(
     if ks.words[zero_index] != 0:
         raise ValueError(f"keystream word at {zero_index} is not zero")
     prefix = _to_arrays(instance.spec, [survivor.words()])
-    return _run_stage2(prefix, survivor.l, instance, ks.words, zero_index, cfg)[0]
+    return _run_stage2(prefix, survivor.l, instance, ks.words, zero_index, 0, cfg)[0]
 
 
 def recover(
@@ -429,9 +437,10 @@ def recover(
 ) -> AttackReport:
     """Recover internal states from a keystream with at least one zero word.
 
-    Zero positions are tried in order (a zero too close to the end leaves
-    too little tail and is skipped); the first position yielding at least
-    one verified state wins.  Counters accumulate over every position tried.
+    Each zero word makes an event, X = 0 at its position.  Events are tried
+    in order (a zero that ends the keystream leaves no tail and makes none);
+    the first event yielding at least one verified state wins.  Counters
+    accumulate over every event tried.
     """
     t0 = time.perf_counter()
     _check_params(instance, params)
@@ -451,26 +460,29 @@ def recover(
                             f"2^{spec.width} = {1 << spec.width} words")
 
     words = ks.words
-    usable = [z for z in zeros if z < len(words) - 1]
-    if not usable:
+    # an event (index, x): the word at index pins the inner word t2 (a + c
+    # for the standard generator) to x; the only place where a zero word
+    # becomes x = 0
+    events = [(z, 0) for z in zeros if z < len(words) - 1]
+    if not events:
         raise InsufficientTail(
             "every zero output is the last keystream word; at least one word must follow"
         )
     counters = OpCounters()
-    for z in usable:
-        tail_len = len(words) - z - 1
+    for index, x in events:
+        tail_len = len(words) - index - 1
         horizon = min(base_horizon, tail_len)
-        tail_bits = [words[z + 1 + j] & 1 for j in range(horizon)]
-        survivors, steps, cands = _run_stage1(instance, k, tail_bits, cfg)
+        tail_bits = [words[index + 1 + j] & 1 for j in range(horizon)]
+        survivors, steps, cands = _run_stage1(instance, k, x, tail_bits, cfg)
         counters.stage1_candidates += cands
         counters.stage1_filter_steps += steps
         counters.stage1_survivors += survivors[0].size
-        found, cand2, verif2 = _run_stage2(survivors, k, instance, words, z, cfg)
+        found, cand2, verif2 = _run_stage2(survivors, k, instance, words, index, x, cfg)
         counters.stage2_candidates += cand2
         counters.stage2_verifications += verif2
         if found:
             return AttackReport(
-                zero_index=z,
+                zero_index=index,
                 recovered=tuple(found),
                 counters=counters,
                 elapsed=time.perf_counter() - t0,
@@ -533,17 +545,19 @@ def _state_dtype(bits: int):
 def _run_stage1(
     instance: GeneratorInstance,
     k: int,
+    x: int,
     tail_bits: list[int],
     cfg: AttackConfig,
 ) -> tuple[tuple, int, int]:
-    """Dispatch stage 1; returns (survivors, steps, candidates).
+    """Dispatch stage 1 at an event with inner word x; returns (survivors,
+    steps, candidates).
 
     The survivors are four arrays of the state dtype, the (a, b, c, d)
-    words of the k-column prefixes, sorted by (a, b, c, d).  Trivial mode
-    splits the lower-prefix range of the lane kernel into ``cfg.workers``
-    parts, dfs mode the one-column roots of the column enumerator; the
-    parts run in forked processes, at most ``os.cpu_count()`` at a time,
-    or in this process for one worker.  Each mode gives a part as a
+    words of the k-column prefixes with t2 = x on k columns, sorted by
+    (a, b, c, d).  Trivial mode splits the lower-prefix range of the lane
+    kernel into ``cfg.workers`` parts, dfs mode the one-column roots of the
+    column enumerator; the parts run in forked processes, at most
+    ``os.cpu_count()`` at a time, or in this process for one worker.  Each mode gives a part as a
     generator of (survivors, steps, candidates) batches, and ``run_part``
     is the one loop for both: it keeps each batch's survivors, sums its
     steps and candidates, and stops once the part's survivors pass the
@@ -556,14 +570,14 @@ def _run_stage1(
         parts = _split_range(1 << (3 * (k - 2)), cfg.workers)
 
         def batches(lo, hi):
-            return _stage1_lanes(lo, hi, k, instance.params, tail_bits)
+            return _stage1_lanes(lo, hi, k, instance.params, x, tail_bits)
 
     else:
-        roots = _concat(spec, list(_columns(instance, _to_arrays(spec, [(0, 0, 0, 0)]), 0, 1)))
+        roots = _concat(spec, list(_columns(instance, _to_arrays(spec, [(0, 0, 0, 0)]), 0, 1, x)))
         parts = _split_range(roots[0].size, cfg.workers)
 
         def batches(lo, hi):
-            for batch in _columns(instance, tuple(v[lo:hi] for v in roots), 1, k):
+            for batch in _columns(instance, tuple(v[lo:hi] for v in roots), 1, k, x):
                 keep, steps = _filter(instance, batch, k, tail_bits)
                 yield tuple(v.take(keep) for v in batch), steps, batch[0].size
 
@@ -626,12 +640,16 @@ def _stage1_lanes(
     hi: int,
     k: int,
     params: Tf1Params,
+    x: int,
     tail_bits: list[int],
 ) -> Iterator[tuple]:
-    """Lane-sliced stage 1 over lower-prefix indices [lo, hi) of 2**(3(k-2)).
+    """Lane-sliced stage 1 at inner word x over lower-prefix indices [lo, hi)
+    of 2**(3(k-2)).
 
     Index i encodes the low L = k-2 columns of (a, b, d) as (i >> 2L,
-    (i >> L) & lm, i & lm), with c = -a.  Each array element is one lower
+    (i >> L) & lm, i & lm), with c = (x - a) mod 2**k.  The borrow out of
+    the low columns of x - a, one per prefix, and bits U and T of x give
+    the start masks of C_U and C_T.  Each array element is one lower
     prefix, stepped once per tail bit with columns U = k-2 and T = k-1 of
     a, b, c and d cleared before the step; the bits that the step leaves
     in those columns, and the column-0 bits before it, update the lane
@@ -656,15 +674,21 @@ def _stage1_lanes(
     dtype = np.min_scalar_type(km).type
     signed = np.dtype(f"i{np.dtype(dtype).itemsize}")
     top = 8 * signed.itemsize - 1
-    mm, c1, c3, cc, lmd = (dtype(v & km) for v in (km, params.c1, params.c3, params.c, lm))
+    consts = (km, params.c1, params.c3, params.c, lm, x & lm)
+    mm, c1, c3, cc, lmd, x_low = (dtype(v & km) for v in consts)
     to_u, to_t, to_0 = (dtype(top - col) for col in (low, k - 1, 0))
     c1_0, c3_0 = params.c1 & 1, params.c3 & 1
     c1_u, c3_u = (params.c1 >> low) & 1, (params.c3 >> low) & 1
     word = _state_dtype(params.spec.width)
+    # C_U = X_U ^ A_U ^ β and C_T = X_T ^ A_T ^ (borrow out of column U),
+    # with the lanes' start A_U and A_T and a per-prefix β of 0 or -1
+    x_u, x_t = (x >> low) & 1, (x >> (k - 1)) & 1
+    cu0, ct0 = _LANE_MASKS[0] ^ np.int32(-x_u), _LANE_MASKS[3] ^ np.int32(-x_t)
+    borrow_u = np.bitwise_and if x_u else np.bitwise_or
 
-    def bit(x, to_sign):
-        # the column of x that to_sign shifts into the sign bit, as 0 or -1
-        return (x << to_sign).view(signed) >> top
+    def bit(v, to_sign):
+        # the column of v that to_sign shifts into the sign bit, as 0 or -1
+        return (v << to_sign).view(signed) >> top
 
     # the masks live in one buffer for the whole call, so that a chunk frees
     # only its temporaries (see _CHUNK)
@@ -675,14 +699,14 @@ def _stage1_lanes(
         a = (idx >> (2 * low)).astype(dtype)
         b = ((idx >> low) & lm).astype(dtype)
         d = (idx & lm).astype(dtype)
-        c = (0 - a) & lmd
+        c = (x_low - a) & lmd
         au, bu, du, at, bt, cu, ct, alive = masks[:, : idx.size]
         masks[:5, : idx.size] = _LANE_MASKS[:, None]
         alive.fill(-1)
-        nz = np.negative((a != 0).view(np.int8))
-        np.bitwise_xor(nz, au, out=cu)
-        np.bitwise_or(nz, au, out=ct)
-        ct ^= at
+        beta = np.negative((a > x_low).view(np.int8))
+        np.bitwise_xor(beta, cu0, out=cu)
+        borrow_u(beta, _LANE_MASKS[0], out=ct)
+        ct ^= ct0
         steps = 0
         for obs in tail_bits:
             steps += 2 * int(np.bitwise_count(alive.view(np.uint32)).sum())
@@ -753,7 +777,7 @@ def _stage1_lanes(
         b = ((i >> low) & lm) | ((lane >> 1) & 1) << low | ((lane >> 3) & 1) << (k - 1)
         d = (i & lm) | (lane & 1) << low
         a, b, d = np.tile(a, 2), np.tile(b, 2), np.concatenate([d, d | 1 << (k - 1)])
-        yield tuple(v.astype(word) for v in (a, b, (0 - a) & km, d)), steps, 64 * (end - cs)
+        yield tuple(v.astype(word) for v in (a, b, (x - a) & km, d)), steps, 64 * (end - cs)
 
 
 def _run_stage2(
@@ -761,24 +785,26 @@ def _run_stage2(
     l: int,
     instance: GeneratorInstance,
     words: tuple[int, ...],
-    zero_index: int,
+    index: int,
+    x: int,
     cfg: AttackConfig,
 ) -> tuple[list[State], int, int]:
-    """Complete the survivors; returns (verified states sorted, candidates, verification steps).
+    """Complete the survivors of the event (index, x); returns (verified
+    states sorted, candidates, verification steps).
 
     ``prefixes`` holds the survivors' four words as arrays of the state
-    dtype, all of them l-column prefixes, as ``_run_stage1`` returns them.
-    The tail is ``words`` after ``zero_index``, to its end.  The column
-    enumerator builds the completions in both modes.  Trivial mode also
-    prunes them on the first tail word and counts its candidates in closed
-    form.  Every candidate costs one step for the first tail word; only the
-    completions that emit it walk the rest of the tail, at one more step a
-    word.
+    dtype, all of them l-column prefixes with t2 = x on l columns, as
+    ``_run_stage1`` returns them.  The completions keep t2 = x, and the
+    tail is ``words`` after ``index``, to its end.  The column enumerator
+    builds the completions in both modes.  Trivial mode also prunes them on
+    the first tail word and counts its candidates in closed form.  Every
+    candidate costs one step for the first tail word; only the completions
+    that emit it walk the rest of the tail, at one more step a word.
     """
     spec = instance.spec
-    first = words[zero_index + 1]
+    first = words[index + 1]
     trivial = cfg.enumeration_mode == "trivial"
-    batches = _columns(instance, prefixes, l, spec.width, first=first if trivial else None)
+    batches = _columns(instance, prefixes, l, spec.width, x, first if trivial else None)
     states: list[State] = []
     n_leaves = verifs = 0
     for batch in batches:
@@ -787,7 +813,7 @@ def _run_stage2(
         emits = _instance_out(instance.t2_words, instance.f_words, spec.mask, spec.half, *full) == first
         for row in zip(*(v[emits].tolist() for v in batch)):
             st = State(*row)
-            ok, n = _walk_tail(st, instance, words, zero_index)
+            ok, n = _walk_tail(st, instance, words, index)
             verifs += n - 1
             if ok:
                 states.append(st)
@@ -800,7 +826,7 @@ def _columns(
     words: tuple,
     l: int,
     k: int,
-    target: int = 0,
+    target: int,
     first: int | None = None,
 ) -> Iterator[tuple]:
     """Extend l-column prefixes to k columns; yields batches of (a, b, c, d) arrays.

@@ -239,7 +239,9 @@ def _rows(a, b, c, d, m, c1, c3, cc):
 def _out(a, b, c, d, m, h):
     """The output word S(a+c) * (S(b+d) | 1) mod 2**w, with m = 2**w - 1 and h = w/2.
 
-    The only copy of the output formula; ints or numpy arrays, as for ``_rows``.
+    The standard generator's output, used wherever it is stepped natively;
+    ``_instance_out`` writes the same formula over any instance's word
+    functions.  Ints or numpy arrays, as for ``_rows``.
     """
     x = (a + c) & m
     y = (b + d) & m

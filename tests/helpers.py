@@ -21,6 +21,12 @@ def random_states(spec, seed: int, n: int):
         )
 
 
+def states_with_inner_word(spec, seed: int, n: int, x: int):
+    """``random_states`` with each c replaced so that a + c = x mod 2**w."""
+    for s in random_states(spec, seed, n):
+        yield State(s.a, s.b, (x - s.a) & spec.mask, s.d)
+
+
 def report_core(report):
     """Every report field that must not depend on worker count or timing."""
     return (

@@ -27,6 +27,7 @@ from tf1crack import (
     find_zero_outputs,
     generate,
     generate_from_instance,
+    output_word,
     predicted_work,
     recover,
     stage2_complete,
@@ -38,7 +39,7 @@ from tf1crack.generator import state_prefix
 from tf1crack.rng import SplitMix64
 from tf1crack.word import low_mask
 
-from helpers import random_states, report_core, roll_forward
+from helpers import random_states, report_core, roll_forward, states_with_inner_word
 
 W4 = WordSpec(4)
 W8 = WordSpec(8)
@@ -218,7 +219,7 @@ def test_verify_state():
     ks, zero_index, true_state = make_run(W4, P4, seed=1, n=512)
     tail = len(ks) - zero_index - 1
     assert verify_state(true_state, P4, ks, zero_index, min(tail, 30))
-    bad = State(1, 0, 3, 0)  # a+c != 0, fails the zero check
+    bad = State(1, 0, 3, 0)  # a+c != 0, so it does not emit the zero word there
     assert not verify_state(bad, P4, ks, zero_index, 2)
     with pytest.raises(ValueError):
         verify_state(true_state, P4, ks, zero_index, tail + 1)
@@ -276,7 +277,7 @@ def test_verify_state_routes_agree():
     routes = (None, native, twin)
     tail = len(ks) - zero_index - 1
     # random states with a+c = 0 emit the zero word, so every route walks the tail
-    zero_emitters = [State(s.a, s.b, -s.a & W8.mask, s.d) for s in random_states(W8, 17, 1000)]
+    zero_emitters = list(states_with_inner_word(W8, 17, 1000, 0))
     for st in [true_state] + zero_emitters:
         for n_words in (tail, 2):
             assert len({verify_state(st, P8, ks, zero_index, n_words, i) for i in routes}) == 1
@@ -327,26 +328,27 @@ def test_stage2_complete_inconsistent_survivor_is_empty():
 
 def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
     # the column kernel against dfs mode (states, candidates, verifications)
-    # for tails of 1..3 words (2 at w=12), on the true prefix, a wrong survivor and
-    # random zero-consistent prefixes in one array, the wrong one alone,
-    # and all again with _PIECE so small that the frontier is split; at w=6
-    # also from 2 columns, below the first pinned output column
+    # at a random inner word x, for tails of 1..3 words (2 at w=12), on the
+    # true prefix, a wrong survivor and random prefixes with a + c = x in
+    # one array, the wrong one alone, and all again with _PIECE so small
+    # that the frontier is split; at w=6 also from 2 columns, below the
+    # first pinned output column
     rng = SplitMix64(5151)
     trivial, dfs = AttackConfig(), AttackConfig(enumeration_mode="dfs")
     for w in (6, 8, 10, 12):
         spec = WordSpec(w)
         params = Tf1Params(rng.below(1 << w), rng.below(1 << w), rng.below(1 << w) | 1, spec)
         inst = tf1_instance(params)
-        s = next(random_states(spec, rng.next64(), 1))
-        truth = State(s.a, s.b, -s.a & spec.mask, s.d)  # emits the zero word
-        words = (0,) + generate(truth, params, 3).words
+        x = rng.below(1 << w)
+        truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
+        words = (output_word(truth, spec),) + generate(truth, params, 3).words
         k = spec.half + 1
         wrong = dataclasses.replace(state_prefix(truth, k), b_low=truth.b & low_mask(k) ^ 1)
         survivors = [state_prefix(truth, k), wrong]
         survivor_sets = [survivors]
         if w <= 10:
-            for r in random_states(spec, rng.next64(), 3):
-                survivors.append(state_prefix(State(r.a, r.b, -r.a & spec.mask, r.d), k))
+            for r in states_with_inner_word(spec, rng.next64(), 3, x):
+                survivors.append(state_prefix(r, k))
             survivor_sets.append([wrong])
         if w == 6:
             survivor_sets.append([state_prefix(truth, 2)])
@@ -354,11 +356,11 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
             prefixes, l = attack._to_arrays(spec, [p.words() for p in svs]), svs[0].l
             for tail in (1, 2, 3) if w < 12 else (2,):
                 window = words[: 1 + tail]
-                want = attack._run_stage2(prefixes, l, inst, window, 0, dfs)
-                assert attack._run_stage2(prefixes, l, inst, window, 0, trivial) == want
+                want = attack._run_stage2(prefixes, l, inst, window, 0, x, dfs)
+                assert attack._run_stage2(prefixes, l, inst, window, 0, x, trivial) == want
                 with monkeypatch.context() as patch:
                     patch.setattr(attack, "_PIECE", 1)
-                    assert attack._run_stage2(prefixes, l, inst, window, 0, trivial) == want
+                    assert attack._run_stage2(prefixes, l, inst, window, 0, x, trivial) == want
                 assert (truth in want[0]) == (svs is survivors or svs[0].l == 2)
 
 
@@ -382,8 +384,7 @@ def test_stage2_complete_rejects_malformed_survivor():
         with pytest.raises(ValueError, match="does not fit in 5 columns"):
             stage2_complete(wide_a, P8, inst, ks, zero_index, cfg)
     # a state that emits zero, behind a keystream word that is not zero
-    s = next(random_states(W8, 99, 1))
-    truth = State(s.a, s.b, -s.a & W8.mask, s.d)
+    truth = next(states_with_inner_word(W8, 99, 1, 0))
     ks = Keystream(W8, (0x5A,) + generate(truth, P8, 64).words)
     assert not verify_state(truth, P8, ks, 0, 64)
     for mode in ("trivial", "dfs"):
@@ -574,9 +575,9 @@ params = default_params(spec)
 generate(state_from_seed(1, spec), params, 1 << 16)
 k = spec.half + 1
 bits = [(0x5A3C96 >> j) & 1 for j in range(3 * k)]
-attack._run_stage1(tf1_instance(params), k, bits, AttackConfig())
+attack._run_stage1(tf1_instance(params), k, 0, bits, AttackConfig())
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-attack._run_stage1(tf1_instance(params), k, bits, AttackConfig())
+attack._run_stage1(tf1_instance(params), k, 0, bits, AttackConfig())
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -686,9 +687,9 @@ def _rows(prefixes):
     return list(zip(*(v.tolist() for v in prefixes)))
 
 
-def _lane_candidates(lo, hi, k):
+def _lane_candidates(lo, hi, k, x):
     """The 64 candidates over lower prefixes [lo, hi), as the kernel indexes them:
-    every setting of the top two columns of a, b and d, with c = -a."""
+    every setting of the top two columns of a, b and d, with c = x - a."""
     low = k - 2
     lm = (1 << low) - 1
     for i in range(lo, hi):
@@ -696,12 +697,12 @@ def _lane_candidates(lo, hi, k):
             a = (i >> (2 * low)) | (top >> 4) << low
             b = ((i >> low) & lm) | ((top >> 2) & 3) << low
             d = (i & lm) | (top & 3) << low
-            yield ColumnPrefix(k, a, b, (0 - a) & ((1 << k) - 1), d)
+            yield ColumnPrefix(k, a, b, (x - a) & ((1 << k) - 1), d)
 
 
-def _lanes(lo, hi, k, params, bits):
+def _lanes(lo, hi, k, params, x, bits):
     """_stage1_lanes over [lo, hi), batches summed: (survivor words sorted, steps, candidates)."""
-    batches = list(attack._stage1_lanes(lo, hi, k, params, bits))
+    batches = list(attack._stage1_lanes(lo, hi, k, params, x, bits))
     rows = sorted(row for sv, _, _ in batches for row in _rows(sv))
     return rows, sum(b[1] for b in batches), sum(b[2] for b in batches)
 
@@ -714,8 +715,9 @@ def _dfs_filter(inst, candidates, bits):
     return sorted(cands[i].words() for i in keep.tolist()), steps, len(cands)
 
 
-def _check_lanes(params, bits, truth):
-    """Hold the lane kernel to dfs mode on tail bits that ``truth`` emits.
+def _check_lanes(params, x, bits, truth):
+    """Hold the lane kernel to dfs mode at inner word x on tail bits that
+    ``truth``, a state with a + c = x, emits.
 
     At w <= 8, stage 1 over the full range with 1 and 3 workers against dfs
     mode; at w >= 10, the 64 lower prefixes around the truth's (4096
@@ -727,26 +729,27 @@ def _check_lanes(params, bits, truth):
     inst = tf1_instance(params)
     if spec.width <= 8:
         dfs = AttackConfig(enumeration_mode="dfs", max_survivors=1 << 20)
-        sv, steps, cands = attack._run_stage1(inst, k, bits, dfs)
+        sv, steps, cands = attack._run_stage1(inst, k, x, bits, dfs)
         want = (_rows(sv), steps, cands)
         for workers in (1, 3):
             cfg = AttackConfig(max_survivors=1 << 20, workers=workers)
-            sv, steps, cands = attack._run_stage1(inst, k, bits, cfg)
+            sv, steps, cands = attack._run_stage1(inst, k, x, bits, cfg)
             assert (_rows(sv), steps, cands) == want
     else:
         low = k - 2
         lm = (1 << low) - 1
         at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
         lo = min(max(0, at - 32), (1 << (3 * low)) - 64)
-        want = _lanes(lo, lo + 64, k, params, bits)
-        assert want == _dfs_filter(inst, _lane_candidates(lo, lo + 64, k), bits)
+        want = _lanes(lo, lo + 64, k, params, x, bits)
+        assert want == _dfs_filter(inst, _lane_candidates(lo, lo + 64, k, x), bits)
     assert state_prefix(truth, k).words() in want[0]
 
 
 def test_stage1_lanes_matches_dfs_filter_over_random_constants():
+    # Every case plants a state with a + c = x at a random inner word x.
     # 12 constant sets (odd C, top bits of C1 and C3 set) at w = 6..12; the
-    # last set of each width cuts the stream 3 words after its zero, which
-    # clamps the horizon to 3.
+    # last set of each width filters on 3 output LSBs, as a tail that
+    # clamps the horizon to 3 does, the others on 3k.
     rng = SplitMix64(4242)
     for w in (6, 8, 10, 12):
         spec = WordSpec(w)
@@ -756,22 +759,15 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             params = Tf1Params(
                 rng.below(1 << w) | top, rng.below(1 << w) | top, rng.below(1 << w) | 1, spec
             )
-            seed = rng.next64()
-            ks = generate(state_from_seed(seed, spec), params, 16 << w)
-            while not find_zero_outputs(Keystream(spec, ks.words[:-3]), 1):
-                seed = rng.next64()
-                ks = generate(state_from_seed(seed, spec), params, 16 << w)
-            zero = find_zero_outputs(ks, 1)[0]
-            if n_set == 2:
-                ks = Keystream(spec, ks.words[: zero + 4])
-            horizon = min(3 * k, len(ks) - zero - 1)
-            bits = [ks.words[zero + 1 + j] & 1 for j in range(horizon)]
-            _check_lanes(params, bits, roll_forward(state_from_seed(seed, spec), params, zero + 1))
+            x = rng.below(1 << w)
+            truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
+            bits = [word & 1 for word in generate(truth, params, 3 if n_set == 2 else 3 * k).words]
+            _check_lanes(params, x, bits, truth)
     # The kernel reads C1 and C3 only through their bits 0 and U = k-2,
     # which choose its terms in Python: all 16 settings of (C1_0, C3_0,
     # C1_U, C3_U) at w=4, where a lower prefix is one column, and at w=10.
-    # C is even in half of them.  Each case plants a state that emits the
-    # zero word and filters on its next 1 to 3k output LSBs.
+    # C is even in half of them.  Each case filters on the next 1 to 3k
+    # output LSBs of its planted state.
     for w in (4, 10):
         spec = WordSpec(w)
         k = spec.half + 1
@@ -782,11 +778,47 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             c3 = rng.below(1 << w) & fixed | ((setting >> 1) & 1) | ((setting >> 3) & 1) << u
             c = rng.below(1 << w) & ~1 | (setting ^ setting >> 1) & 1
             params = Tf1Params(c1, c3, c, spec)
-            s = next(random_states(spec, rng.next64(), 1))
-            truth = State(s.a, s.b, -s.a & spec.mask, s.d)
+            x = rng.below(1 << w)
+            truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
             horizon = 1 + rng.below(3 * k)
             bits = [word & 1 for word in generate(truth, params, horizon).words]
-            _check_lanes(params, bits, truth)
+            _check_lanes(params, x, bits, truth)
+
+
+def test_event_at_a_nonzero_inner_word_end_to_end():
+    # One event (0, x) at a random x != 0 and random constants (odd C), run
+    # through stage 1 and stage 2 as recover runs an event: both modes give
+    # the same survivors, states and counters, the planted state is among
+    # the states, and at w=4 they are exactly the states with a + c = x
+    # that emit the whole stream.
+    rng = SplitMix64(2121)
+    for w in (4, 6, 8, 10, 12):
+        spec = WordSpec(w)
+        k = spec.half + 1
+        params = Tf1Params(rng.below(1 << w), rng.below(1 << w), rng.below(1 << w) | 1, spec)
+        inst = tf1_instance(params)
+        x = 1 + rng.below(spec.mask)
+        truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
+        ks = Keystream(spec, (output_word(truth, spec),) + generate(truth, params, 4 * w).words)
+        tail_bits = [word & 1 for word in ks.words[1 : 1 + 3 * k]]
+        runs = []
+        for mode in ("trivial", "dfs"):
+            cfg = AttackConfig(enumeration_mode=mode)
+            survivors, steps, cands = attack._run_stage1(inst, k, x, tail_bits, cfg)
+            found, cand2, verif2 = attack._run_stage2(survivors, k, inst, ks.words, 0, x, cfg)
+            runs.append((_rows(survivors), found, steps, cands, cand2, verif2))
+        assert runs[0] == runs[1]
+        assert truth in runs[0][1]
+        if w == 4:
+            m = spec.mask
+            brute = [
+                st
+                for a in range(m + 1)
+                for b in range(m + 1)
+                for d in range(m + 1)
+                if verify_state(st := State(a, b, (x - a) & m, d), params, ks, 0, len(ks) - 1)
+            ]
+            assert runs[0][1] == brute
 
 
 def test_recover_moves_past_a_corrupted_zero_position():
@@ -828,8 +860,7 @@ def test_trivial_mode_width_limit():
     w44 = WordSpec(44)
     p44 = default_params(w44)
     inst = tf1_instance(p44)
-    s = next(random_states(w44, 44, 1))
-    truth = State(s.a, s.b, -s.a & w44.mask, s.d)  # emits the zero word
+    truth = next(states_with_inner_word(w44, 44, 1, 0))  # emits the zero word
     ks = Keystream(w44, (0,) + generate(truth, p44, 4).words)
     last = state_prefix(truth, 43)
     got = stage2_complete(last, p44, inst, ks, 0)
@@ -838,9 +869,13 @@ def test_trivial_mode_width_limit():
     k = 23
     hi = 1 << (3 * (k - 2))
     bits = [1, 1, 1, 1, 1]
-    got = _lanes(hi - 4, hi, k, p44, bits)
-    assert got == _dfs_filter(inst, _lane_candidates(hi - 4, hi, k), bits)
-    assert len(got[0]) == 8  # of the 256 candidates
+    survivors = []
+    # x = 0, and an x whose columns U, T and those above k are set
+    for x in (0, 0xFFF_FFE0_0000):
+        got = _lanes(hi - 4, hi, k, p44, x, bits)
+        assert got == _dfs_filter(inst, _lane_candidates(hi - 4, hi, k, x), bits)
+        survivors.append(len(got[0]))
+    assert survivors == [8, 8]  # of the 256 candidates each
 
 
 def test_keystream_width_mismatch_is_rejected():
