@@ -16,8 +16,6 @@ from .attack import (
     ParamsMismatch,
     SurvivorOverflow,
     enumerate_preimages_dfs,
-    enumerate_trivial_preimages,
-    filter_candidate,
     find_zero_outputs,
     predicted_work,
     recover,

@@ -12,8 +12,8 @@ and keeps exactly the full states that reproduce the observed tail.
 Survivors travel from stage 1 to stage 2 as four arrays of the state
 dtype, their (a, b, c, d) words sorted by (a, b, c, d), with no Python
 object per survivor.  ``ColumnPrefix`` is the type of the public edge
-only: the two enumerators, ``filter_candidate`` and ``stage2_complete``
-take or yield one prefix at a time.
+only: ``enumerate_preimages_dfs`` yields one prefix at a time and
+``stage2_complete`` takes one.
 
 Work is counted in attack operations: one stage-1 filter step (truncated
 update + truncated t2 + one bit compare) or one stage-2 verification step
@@ -129,9 +129,7 @@ __all__ = [
     "even_c_note",
     "no_zero_error",
     "find_zero_outputs",
-    "enumerate_trivial_preimages",
     "enumerate_preimages_dfs",
-    "filter_candidate",
     "stage2_complete",
     "verify_state",
     "recover",
@@ -285,25 +283,6 @@ def find_zero_outputs(ks: Keystream, limit: int | None = None) -> list[int]:
     return out
 
 
-def enumerate_trivial_preimages(k: int, target: int = 0) -> Iterator[ColumnPrefix]:
-    """All 2**(3k) k-column prefixes with (a + c) mod 2**k == target.
-
-    Closed form for the additive inner word: a, b, d range freely and
-    c = (target - a) mod 2**k.  Yields in ascending (a, b, d) order.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    m = low_mask(k)
-    if not 0 <= target <= m:
-        raise ValueError(f"target {target:#x} does not fit in {k} columns")
-    rng = range(m + 1)
-    for a in rng:
-        c = (target - a) & m
-        for b in rng:
-            for d in rng:
-                yield ColumnPrefix(k, a, b, c, d)
-
-
 def enumerate_preimages_dfs(
     instance: GeneratorInstance,
     l: int,
@@ -341,33 +320,6 @@ def enumerate_preimages_dfs(
             yield ColumnPrefix(k, *row)
 
 
-def filter_candidate(
-    prefix: ColumnPrefix,
-    params: Tf1Params | None,
-    instance: GeneratorInstance,
-    tail_lsbs: Sequence[int],
-    horizon: int,
-) -> tuple[bool, int]:
-    """Prune a stage-1 candidate against the next ``horizon`` output LSBs.
-
-    Each step applies the truncated update and compares the predicted output
-    LSB (column w/2 of the truncated t2) with the observed bit.  Returns
-    (survives, steps_used); a mismatch at step j reports j steps used.  A
-    zero horizon is vacuous: everything survives at zero cost.
-    """
-    _check_params(instance, params)
-    h = instance.spec.half
-    if prefix.l <= h:
-        raise ValueError(f"prefix has {prefix.l} columns; the LSB bridge needs at least {h + 1}")
-    if not 0 <= horizon <= len(tail_lsbs):
-        raise ValueError(f"horizon {horizon} is outside 0..{len(tail_lsbs)}, the tail bits given")
-    if any(bit not in (0, 1) for bit in tail_lsbs):
-        raise ValueError("tail bits must be 0 or 1")
-    batch = _to_arrays(instance.spec, [prefix.validate(instance.spec).words()])
-    keep, steps = _filter(instance, batch, prefix.l, tail_lsbs[:horizon])
-    return bool(keep.size), steps
-
-
 def verify_state(
     state: State,
     params: Tf1Params,
@@ -389,8 +341,7 @@ def verify_state(
     _check_width(ks, instance.spec)
     for name, word in zip("abcd", state.words()):
         instance.spec.check_word(word, name)
-    if zero_index < 0 or n_words < 0 or zero_index + n_words >= len(ks):
-        raise ValueError("verification window exceeds the keystream")
+    _check_window(ks, zero_index, n_words, "n_words")
     if instance_output(state, instance) != ks.words[zero_index]:
         return False
     return _walk_tail(state, instance, ks.words[: zero_index + n_words + 1], zero_index)[0]
@@ -510,6 +461,16 @@ def _check_params(instance: GeneratorInstance, params: Tf1Params | None) -> None
 def _check_width(ks: Keystream, spec: WordSpec) -> None:
     if ks.spec != spec:
         raise ValueError("keystream width differs from the instance width")
+
+
+def _check_window(ks: Keystream, zero_index: int, window: int, name: str) -> None:
+    """Reject a window of ``window`` words after ks[zero_index] that leaves the
+    keystream; ``name`` is the caller's name for the window length."""
+    if not 0 <= zero_index < len(ks):
+        raise ValueError(f"zero_index {zero_index} is outside the keystream's 0..{len(ks) - 1}")
+    if not 0 <= window < len(ks) - zero_index:
+        raise ValueError(f"{name} {window} is outside 0..{len(ks) - 1 - zero_index}, "
+                         f"the words after zero_index {zero_index}")
 
 
 def _check_mode(instance: GeneratorInstance, cfg: AttackConfig) -> None:

@@ -48,7 +48,6 @@ __all__ = [
     "output_word",
     "generate",
     "state_prefix",
-    "predicted_output_lsb",
     "tf1_instance",
     "demo_generalized_instance",
     "instance_output",
@@ -129,8 +128,8 @@ class ColumnPrefix:
     def words(self) -> tuple[int, int, int, int]:
         return (self.a_low, self.b_low, self.c_low, self.d_low)
 
-    def validate(self, spec: WordSpec | None = None) -> "ColumnPrefix":
-        if self.l < 1 or (spec is not None and self.l > spec.width):
+    def validate(self, spec: WordSpec) -> "ColumnPrefix":
+        if not 1 <= self.l <= spec.width:
             raise ValueError(f"prefix length {self.l} out of range")
         lim = 1 << self.l
         for name, v in zip("abcd", self.words()):
@@ -271,28 +270,6 @@ def state_prefix(state: State, l: int) -> ColumnPrefix:
 
 def _t2_sum(a, b, c, d, m):
     return (a + c) & m
-
-
-def predicted_output_lsb(
-    prefix: ColumnPrefix,
-    params: Tf1Params | None = None,
-    instance: GeneratorInstance | None = None,
-) -> int:
-    """LSB of the next output word, computed from a column prefix alone.
-
-    The output is S(t2) times an odd factor, so its least significant bit is
-    column h of t2 of the *next* state, where h is the half width.  Any
-    prefix of at least h+1 columns pins that bit for every extension.
-    """
-    if instance is None:
-        if params is None:
-            raise ValueError("need params or an instance")
-        instance = tf1_instance(params)
-    h = instance.spec.half
-    if prefix.l <= h:
-        raise ValueError(f"prefix has {prefix.l} columns; need at least {h + 1}")
-    m = low_mask(prefix.l)
-    return (instance.t2_words(*instance.t1_words(*prefix.words(), m), m) >> h) & 1
 
 
 def _t1_rows(params: Tf1Params):

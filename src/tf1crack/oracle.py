@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .attack import AttackReport, _check_width
+from .attack import AttackReport, _check_width, _check_window
 from .generator import Keystream, State, Tf1Params, _out, _stream, output_word, tf1_instance
 from .word import WordSpec
 
@@ -54,8 +54,7 @@ def brute_force_consistent_states(
     if w > 8:
         raise ValueError(f"the exhaustive oracle is limited to w <= 8 by design, got w={w}")
     _check_width(ks, spec)
-    if zero_index < 0 or window < 0 or zero_index + window >= len(ks):
-        raise ValueError("verification window exceeds the keystream")
+    _check_window(ks, zero_index, window, "window")
     if ks.words[zero_index] != 0:
         raise ValueError(f"keystream word at {zero_index} is not zero")
     space = 1 << (4 * w)

@@ -1,6 +1,6 @@
 """Small shared utilities for the test suite."""
 
-from tf1crack import State, Tf1Params, update
+from tf1crack import ColumnPrefix, State, Tf1Params, attack, update
 from tf1crack.rng import SplitMix64
 
 
@@ -38,3 +38,36 @@ def report_core(report):
         report.horizon_clamped,
         report.verified_words,
     )
+
+
+def prefix_rows(prefixes):
+    """The (a, b, c, d) rows of four prefix arrays, as stage 1 returns them, as int tuples."""
+    return list(zip(*(v.tolist() for v in prefixes)))
+
+
+def lane_candidates(lo, hi, k, x):
+    """The 64 candidates over lower prefixes [lo, hi), as the kernel indexes them:
+    every setting of the top two columns of a, b and d, with c = x - a."""
+    low = k - 2
+    lm = (1 << low) - 1
+    for i in range(lo, hi):
+        for top in range(64):
+            a = (i >> (2 * low)) | (top >> 4) << low
+            b = ((i >> low) & lm) | ((top >> 2) & 3) << low
+            d = (i & lm) | (top & 3) << low
+            yield ColumnPrefix(k, a, b, (x - a) & ((1 << k) - 1), d)
+
+
+def lanes(lo, hi, k, params, x, bits):
+    """_stage1_lanes over [lo, hi), batches summed: (survivor words sorted, steps, candidates)."""
+    batches = list(attack._stage1_lanes(lo, hi, k, params, x, bits))
+    rows = sorted(row for sv, _, _ in batches for row in prefix_rows(sv))
+    return rows, sum(b[1] for b in batches), sum(b[2] for b in batches)
+
+
+def dfs_filter(inst, candidates, bits):
+    """dfs mode's array filter on the candidates: (survivor words sorted, steps, candidates)."""
+    cands = list(candidates)
+    batch = attack._to_arrays(inst.spec, [p.words() for p in cands])
+    keep, steps = attack._filter(inst, batch, cands[0].l, bits)
+    return sorted(cands[i].words() for i in keep.tolist()), steps, len(cands)

@@ -25,8 +25,9 @@ from tf1crack import (
     update,
     verify_state,
 )
-from tf1crack.attack import enumerate_preimages_dfs, enumerate_trivial_preimages
-from tf1crack.generator import state_prefix, predicted_output_lsb
+from tf1crack import attack
+from tf1crack.attack import enumerate_preimages_dfs
+from tf1crack.generator import state_prefix
 from tf1crack.oracle import brute_force_consistent_states, compare_with_report
 from tf1crack.rng import SplitMix64
 from tf1crack.tfcheck import (
@@ -35,7 +36,7 @@ from tf1crack.tfcheck import (
     zero_frequency,
 )
 
-from helpers import random_states, report_core, roll_forward
+from helpers import lanes, random_states, report_core, roll_forward
 
 W4 = WordSpec(4)
 W8 = WordSpec(8)
@@ -84,11 +85,16 @@ def test_criterion_03_lsb_bridge():
     mismatches = 0
     for spec, seed in ((W8, 101), (W16, 102)):
         params = default_params(spec)
+        inst = tf1_instance(params)
         k = spec.half + 1
-        for st in random_states(spec, seed, 10_000):
-            predicted = predicted_output_lsb(state_prefix(st, k), params)
-            if predicted != output_word(update(st, params), spec) & 1:
-                mismatches += 1
+        states = list(random_states(spec, seed, 10_000))
+        batch = attack._to_arrays(spec, [state_prefix(st, k).words() for st in states])
+        lsbs = [output_word(update(st, params), spec) & 1 for st in states]
+        # the attack's filter on one tail bit keeps exactly the prefixes
+        # whose next output has that LSB
+        for bit in (0, 1):
+            kept = set(attack._filter(inst, batch, k, [bit])[0].tolist())
+            mismatches += len(kept ^ {i for i, lsb in enumerate(lsbs) if lsb == bit})
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 2.0
     _verdict(3, ok, f"10^4 prefixes at w in {{8,16}}, {mismatches} mismatches, "
@@ -192,7 +198,8 @@ def test_criterion_08_enumerator_equivalence():
     k = W4.half + 1
     ok_tf1 = True
     for target in (0, 3, 6):
-        triv = {p.words() for p in enumerate_trivial_preimages(k, target)}
+        # trivial mode's candidates: the lane kernel on an empty tail keeps all
+        triv = set(lanes(0, 8, k, params4, target, [])[0])
         dfs = {p.words() for p in enumerate_preimages_dfs(inst, 1, k, None, target)}
         ok_tf1 = ok_tf1 and triv == dfs and len(triv) == 1 << (3 * k)
     demo = demo_generalized_instance(W4, params4)

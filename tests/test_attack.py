@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from tf1crack import attack, generator
@@ -22,8 +23,6 @@ from tf1crack import (
     default_params,
     demo_generalized_instance,
     enumerate_preimages_dfs,
-    enumerate_trivial_preimages,
-    filter_candidate,
     find_zero_outputs,
     generate,
     generate_from_instance,
@@ -39,7 +38,16 @@ from tf1crack.generator import state_prefix
 from tf1crack.rng import SplitMix64
 from tf1crack.word import low_mask
 
-from helpers import random_states, report_core, roll_forward, states_with_inner_word
+from helpers import (
+    dfs_filter,
+    lane_candidates,
+    lanes,
+    prefix_rows,
+    random_states,
+    report_core,
+    roll_forward,
+    states_with_inner_word,
+)
 
 W4 = WordSpec(4)
 W8 = WordSpec(8)
@@ -77,36 +85,42 @@ def test_find_zero_outputs():
         assert find_zero_outputs(ks, limit) == every[:limit]
 
 
-def test_trivial_preimages_single_column():
-    prefixes = list(enumerate_trivial_preimages(1, 0))
-    assert len(prefixes) == 8
-    assert all(p.c_low == p.a_low for p in prefixes)
+def _unfiltered(spec, params, x):
+    """Trivial mode's stage-1 candidates at inner word x, as the lane kernel
+    keeps them on an empty tail: (four prefix arrays, steps, candidates)."""
+    k = spec.half + 1
+    batches = list(attack._stage1_lanes(0, 1 << (3 * (k - 2)), k, params, x, []))
+    prefixes = attack._concat(spec, [sv for sv, _, _ in batches])
+    return prefixes, sum(b[1] for b in batches), sum(b[2] for b in batches)
+
+
+def _check_unfiltered(spec, x):
+    # 2^(3k) distinct k-column prefixes with (a + c) mod 2^k = x, at no cost
+    k = spec.half + 1
+    prefixes, steps, cands = _unfiltered(spec, default_params(spec), x)
+    a, b, c, d = (v.astype(np.uint64) for v in prefixes)
+    assert steps == 0 and cands == a.size == 1 << (3 * k)
+    assert all(int(v.max()) >> k == 0 for v in (a, b, c, d))
+    assert np.unique(a << (3 * k) | b << (2 * k) | c << k | d).size == a.size
+    assert np.all((a + c) & low_mask(k) == x & low_mask(k))
 
 
 def test_trivial_preimages_count_and_constraint():
-    prefixes = list(enumerate_trivial_preimages(5, 0))
-    assert len(prefixes) == 1 << 15
-    assert all((p.a_low + p.c_low) % 32 == 0 for p in prefixes)
-    assert len(set(prefixes)) == len(prefixes)
+    _check_unfiltered(W8, 0)
 
 
 def test_trivial_preimages_nonzero_target():
-    assert all((p.a_low + p.c_low) % 4 == 3 for p in enumerate_trivial_preimages(2, 3))
-
-
-def test_trivial_preimages_validation():
-    with pytest.raises(ValueError):
-        list(enumerate_trivial_preimages(0, 0))
-    with pytest.raises(ValueError):
-        list(enumerate_trivial_preimages(2, 4))
+    # a random x at w=10, whose columns above k also enter c = x - a
+    x = SplitMix64(1010).below(1 << 10)
+    assert x & low_mask(6) and x >> 6
+    _check_unfiltered(WordSpec(10), x)
 
 
 @pytest.mark.parametrize("target", [0, 3, 5])
 def test_dfs_equals_trivial_for_additive_t2(target):
     inst = tf1_instance(P4)
-    triv = {p.words() for p in enumerate_trivial_preimages(3, target)}
-    dfs = {p.words() for p in enumerate_preimages_dfs(inst, 1, 3, None, target)}
-    assert triv == dfs
+    dfs = sorted(p.words() for p in enumerate_preimages_dfs(inst, 1, 3, None, target))
+    assert lanes(0, 8, 3, P4, target, []) == (dfs, 0, 1 << 9)
 
 
 def test_dfs_equals_brute_force_for_demo_instance(monkeypatch):
@@ -165,54 +179,43 @@ def test_dfs_validation():
     with pytest.raises(ValueError):
         # (a+c) bit 1 is 1, target bit 1 is 0
         list(enumerate_preimages_dfs(inst, 2, 3, known=ColumnPrefix(1, 1, 0, 0, 0)))
-    # the same target check, and message, as enumerate_trivial_preimages
     for target, shown in ((16, "0x10"), (-1, "-0x1")):
         with pytest.raises(ValueError, match=f"target {shown} does not fit in 4 columns"):
             list(enumerate_preimages_dfs(inst, 1, 4, target=target))
 
 
 def test_filter_candidate_true_state_survives():
-    ks, zero_index, true_state = make_run(W8, P8, seed=7, n=8192)
-    inst = tf1_instance(P8)
+    # the truth's k columns pass the filter at one step a tail bit, for the
+    # standard generator and the demo instance
     k = W8.half + 1
-    tail = [w & 1 for w in ks.words[zero_index + 1 : zero_index + 1 + 40]]
-    prefix = state_prefix(true_state, k)
-    for horizon in (1, 5, 15, 40):
-        assert filter_candidate(prefix, P8, inst, tail, horizon) == (True, horizon)
+    for inst in (tf1_instance(P8), demo_generalized_instance(W8, P8)):
+        for truth in random_states(W8, 71, 4):
+            tail = [word & 1 for word in generate_from_instance(truth, inst, 40).words]
+            batch = attack._to_arrays(W8, [state_prefix(truth, k).words()])
+            for horizon in (1, 5, 15, 40):
+                keep, steps = attack._filter(inst, batch, k, tail[:horizon])
+                assert (keep.tolist(), steps) == ([0], horizon)
 
 
 def test_filter_candidate_horizon_one_kills_about_half():
+    # every trivial-mode candidate at w=8, and every demo-instance preimage
+    # of zero on k columns: one tail bit keeps 40-60 % of them at one step
+    # each, and the empty tail keeps them all at no cost
     ks, zero_index, _ = make_run(W8, P8, seed=7, n=8192)
-    inst = tf1_instance(P8)
     tail = [ks.words[zero_index + 1] & 1]
-    survivors = 0
-    total = 0
-    for i, prefix in enumerate(enumerate_trivial_preimages(5, 0)):
-        if i % 16:  # sample 2048 of the 32768 candidates
-            continue
-        total += 1
-        ok, steps = filter_candidate(prefix, P8, inst, tail, 1)
-        assert steps == 1
-        survivors += ok
-    assert 0.40 <= survivors / total <= 0.60
-
-
-def test_filter_candidate_vacuous_and_errors():
-    inst = tf1_instance(P8)
-    prefix = ColumnPrefix(5, 1, 2, 31, 4)
-    assert filter_candidate(prefix, P8, inst, [], 0) == (True, 0)
-    with pytest.raises(ValueError):
-        filter_candidate(prefix, P8, inst, [1], 2)
-    with pytest.raises(ValueError):
-        filter_candidate(ColumnPrefix(4, 0, 0, 0, 0), P8, inst, [1], 1)
-    with pytest.raises(ValueError):
-        filter_candidate(prefix, P4, inst, [1], 1)  # params disagree with instance
-    with pytest.raises(ValueError, match="does not fit in 5 columns"):
-        filter_candidate(dataclasses.replace(prefix, a_low=32), P8, inst, [1], 1)
-    with pytest.raises(ValueError, match=r"horizon -1 is outside 0\.\.1"):
-        filter_candidate(prefix, P8, inst, [1], -1)
-    with pytest.raises(ValueError, match="tail bits must be 0 or 1"):
-        filter_candidate(prefix, P8, inst, [2, 2, 2], 3)
+    k = W8.half + 1
+    demo = demo_generalized_instance(W8, P8)
+    demo_preimages = [p.words() for p in enumerate_preimages_dfs(demo, 1, k, None, 0)]
+    for inst, batch in (
+        (tf1_instance(P8), _unfiltered(W8, P8, 0)[0]),
+        (demo, attack._to_arrays(W8, demo_preimages)),
+    ):
+        n = batch[0].size
+        keep, steps = attack._filter(inst, batch, k, [])
+        assert (keep.tolist(), steps) == (list(range(n)), 0)
+        keep, steps = attack._filter(inst, batch, k, tail)
+        assert steps == n
+        assert 0.40 <= keep.size / n <= 0.60, inst.name
 
 
 def test_verify_state():
@@ -221,10 +224,13 @@ def test_verify_state():
     assert verify_state(true_state, P4, ks, zero_index, min(tail, 30))
     bad = State(1, 0, 3, 0)  # a+c != 0, so it does not emit the zero word there
     assert not verify_state(bad, P4, ks, zero_index, 2)
-    with pytest.raises(ValueError):
-        verify_state(true_state, P4, ks, zero_index, tail + 1)
-    with pytest.raises(ValueError):
-        verify_state(true_state, P4, ks, -1, 1)
+    after = rf"the words after zero_index {zero_index}"
+    for n_words in (tail + 1, -1):
+        with pytest.raises(ValueError, match=rf"n_words {n_words} is outside 0\.\.{tail}, {after}"):
+            verify_state(true_state, P4, ks, zero_index, n_words)
+    for z in (-1, len(ks)):
+        with pytest.raises(ValueError, match=rf"zero_index {z} is outside the keystream's 0\.\.511"):
+            verify_state(true_state, P4, ks, z, 1)
 
 
 def test_verify_state_rejects_words_outside_the_width():
@@ -589,12 +595,18 @@ def test_stage1_chunks_do_not_page_fault():
     # attack, then runs stage 1 twice.  The lane kernel's temporaries stay
     # on the heap from chunk to chunk: the second call takes a few dozen
     # minor faults.  With chunks of 2^17 lower prefixes glibc trimmed the
-    # heap after every chunk, and the call took about 15,800.
+    # heap after every chunk, and the call took about 15,800.  Which
+    # modules a process imports first moves glibc's heap layout, so the
+    # script also runs with tracemalloc imported first: with the masks
+    # allocated per chunk that order took about 2,100 faults, against 4.
     src = os.path.dirname(os.path.dirname(attack.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", STAGE1_TWICE, src], capture_output=True, text=True, check=True
-    )
-    assert int(out.stdout) < 2000, out.stdout
+    procs = [
+        subprocess.Popen([sys.executable, "-c", script, src], stdout=subprocess.PIPE, text=True)
+        for script in (STAGE1_TWICE, "import tracemalloc\n" + STAGE1_TWICE)
+    ]
+    faults = [int(proc.communicate(timeout=120)[0]) for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs)
+    assert max(faults) < 2000, faults
 
 
 def test_recover_needs_a_zero():
@@ -682,39 +694,6 @@ def test_survivor_cap_inside_one_lower_prefix():
                 assert (outcomes[0] == "overflow") == (horizon == 1 or cap < full)
 
 
-def _rows(prefixes):
-    """The (a, b, c, d) rows of four prefix arrays, as stage 1 returns them, as int tuples."""
-    return list(zip(*(v.tolist() for v in prefixes)))
-
-
-def _lane_candidates(lo, hi, k, x):
-    """The 64 candidates over lower prefixes [lo, hi), as the kernel indexes them:
-    every setting of the top two columns of a, b and d, with c = x - a."""
-    low = k - 2
-    lm = (1 << low) - 1
-    for i in range(lo, hi):
-        for top in range(64):
-            a = (i >> (2 * low)) | (top >> 4) << low
-            b = ((i >> low) & lm) | ((top >> 2) & 3) << low
-            d = (i & lm) | (top & 3) << low
-            yield ColumnPrefix(k, a, b, (x - a) & ((1 << k) - 1), d)
-
-
-def _lanes(lo, hi, k, params, x, bits):
-    """_stage1_lanes over [lo, hi), batches summed: (survivor words sorted, steps, candidates)."""
-    batches = list(attack._stage1_lanes(lo, hi, k, params, x, bits))
-    rows = sorted(row for sv, _, _ in batches for row in _rows(sv))
-    return rows, sum(b[1] for b in batches), sum(b[2] for b in batches)
-
-
-def _dfs_filter(inst, candidates, bits):
-    """dfs mode's array filter on the candidates: (survivor words sorted, steps, candidates)."""
-    cands = list(candidates)
-    batch = attack._to_arrays(inst.spec, [p.words() for p in cands])
-    keep, steps = attack._filter(inst, batch, cands[0].l, bits)
-    return sorted(cands[i].words() for i in keep.tolist()), steps, len(cands)
-
-
 def _check_lanes(params, x, bits, truth):
     """Hold the lane kernel to dfs mode at inner word x on tail bits that
     ``truth``, a state with a + c = x, emits.
@@ -730,18 +709,18 @@ def _check_lanes(params, x, bits, truth):
     if spec.width <= 8:
         dfs = AttackConfig(enumeration_mode="dfs", max_survivors=1 << 20)
         sv, steps, cands = attack._run_stage1(inst, k, x, bits, dfs)
-        want = (_rows(sv), steps, cands)
+        want = (prefix_rows(sv), steps, cands)
         for workers in (1, 3):
             cfg = AttackConfig(max_survivors=1 << 20, workers=workers)
             sv, steps, cands = attack._run_stage1(inst, k, x, bits, cfg)
-            assert (_rows(sv), steps, cands) == want
+            assert (prefix_rows(sv), steps, cands) == want
     else:
         low = k - 2
         lm = (1 << low) - 1
         at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
         lo = min(max(0, at - 32), (1 << (3 * low)) - 64)
-        want = _lanes(lo, lo + 64, k, params, x, bits)
-        assert want == _dfs_filter(inst, _lane_candidates(lo, lo + 64, k, x), bits)
+        want = lanes(lo, lo + 64, k, params, x, bits)
+        assert want == dfs_filter(inst, lane_candidates(lo, lo + 64, k, x), bits)
     assert state_prefix(truth, k).words() in want[0]
 
 
@@ -806,7 +785,7 @@ def test_event_at_a_nonzero_inner_word_end_to_end():
             cfg = AttackConfig(enumeration_mode=mode)
             survivors, steps, cands = attack._run_stage1(inst, k, x, tail_bits, cfg)
             found, cand2, verif2 = attack._run_stage2(survivors, k, inst, ks.words, 0, x, cfg)
-            runs.append((_rows(survivors), found, steps, cands, cand2, verif2))
+            runs.append((prefix_rows(survivors), found, steps, cands, cand2, verif2))
         assert runs[0] == runs[1]
         assert truth in runs[0][1]
         if w == 4:
@@ -872,8 +851,8 @@ def test_trivial_mode_width_limit():
     survivors = []
     # x = 0, and an x whose columns U, T and those above k are set
     for x in (0, 0xFFF_FFE0_0000):
-        got = _lanes(hi - 4, hi, k, p44, x, bits)
-        assert got == _dfs_filter(inst, _lane_candidates(hi - 4, hi, k, x), bits)
+        got = lanes(hi - 4, hi, k, p44, x, bits)
+        assert got == dfs_filter(inst, lane_candidates(hi - 4, hi, k, x), bits)
         survivors.append(len(got[0]))
     assert survivors == [8, 8]  # of the 256 candidates each
 

@@ -436,9 +436,18 @@ def test_run_oracle_zero_index(tmp_path, capsys):
     assert run(["oracle", "--in", str(path), "--zero-index", str(first)]) == 0
     assert capsys.readouterr() == default
     nonzero = next(i for i, word in enumerate(ks) if word)
-    assert run(["oracle", "--in", str(path), "--zero-index", str(nonzero)]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"ValueError: keystream word at {nonzero} is not zero\n")
+    # a usage error names its argument and, for a window, its bound
+    tail = len(ks) - first - 1
+    for flags, message in (
+        (["--zero-index", str(nonzero)], f"keystream word at {nonzero} is not zero"),
+        (["--zero-index", "-1"], "zero_index -1 is outside the keystream's 0..255"),
+        (["--zero-index", "256"], "zero_index 256 is outside the keystream's 0..255"),
+        (["--window", "-1"], f"window -1 is outside 0..{tail}, the words after zero_index {first}"),
+        (["--window", str(tail + 1)], f"window {tail + 1} is outside 0..{tail}"),
+    ):
+        assert run(["oracle", "--in", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"ValueError: {message}"), flags
 
 
 def test_run_oracle_w8_without_budget_is_exit_2(tmp_path):

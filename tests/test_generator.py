@@ -20,13 +20,12 @@ from tf1crack import (
     tf1_instance,
     update,
 )
-from tf1crack import generator
+from tf1crack import attack, generator
 from tf1crack.generator import (
     _instance_out,
     _rows,
     _stream,
     instance_output,
-    predicted_output_lsb,
     state_prefix,
 )
 from tf1crack.word import low_mask
@@ -156,28 +155,26 @@ def test_truncated_t2():
 
 
 def test_predicted_output_lsb_contract():
+    # the LSB bridge as the attack's filter runs it: on one tail bit it keeps
+    # exactly the k-column prefixes whose state's next output has that LSB
     params = default_params(W8)
-    inst = tf1_instance(params)
     k = W8.half + 1
-    for st in random_states(W8, 13, 2_000):
-        predicted = predicted_output_lsb(state_prefix(st, k), params)
-        nxt = update(st, params)
-        assert predicted == output_word(nxt, W8) & 1
-        assert predicted == predicted_output_lsb(state_prefix(st, k), instance=inst)
+    states = list(random_states(W8, 13, 2_000))
+    batch = attack._to_arrays(W8, [state_prefix(st, k).words() for st in states])
+    for inst in (tf1_instance(params), demo_generalized_instance(W8, params)):
+        lsbs = [instance_output(inst.t1(st), inst) & 1 for st in states]
+        for bit in (0, 1):
+            keep, steps = attack._filter(inst, batch, k, [bit])
+            assert keep.tolist() == [i for i, lsb in enumerate(lsbs) if lsb == bit]
+            assert steps == len(states)
 
 
 def test_predicted_output_lsb_zero_state():
-    params = Tf1Params(c1=0xD5, c3=0x15, c=1, spec=W8)
+    inst = tf1_instance(Tf1Params(c1=0xD5, c3=0x15, c=1, spec=W8))
     # next state is (1,0,0,0), output 0x10, LSB 0
-    assert predicted_output_lsb(state_prefix(State(0, 0, 0, 0), 8), params) == 0
-
-
-def test_predicted_output_lsb_needs_enough_columns():
-    params = default_params(W8)
-    with pytest.raises(ValueError):
-        predicted_output_lsb(ColumnPrefix(4, 0, 0, 0, 0), params)
-    with pytest.raises(ValueError):
-        predicted_output_lsb(ColumnPrefix(4, 0, 0, 0, 0))
+    batch = attack._to_arrays(W8, [(0, 0, 0, 0)])
+    assert attack._filter(inst, batch, 8, [0])[0].tolist() == [0]
+    assert attack._filter(inst, batch, 8, [1])[0].tolist() == []
 
 
 def test_demo_instance_values():
@@ -282,11 +279,13 @@ def test_state_from_seed_deterministic():
 
 
 def test_column_prefix_validation():
-    with pytest.raises(ValueError):
-        ColumnPrefix(3, 8, 0, 0, 0).validate()
-    with pytest.raises(ValueError):
-        ColumnPrefix(0, 0, 0, 0, 0).validate()
-    ColumnPrefix(3, 7, 7, 7, 7).validate(W8)
+    with pytest.raises(ValueError, match="a_low=0x8 does not fit in 3 columns"):
+        ColumnPrefix(3, 8, 0, 0, 0).validate(W8)
+    for l in (0, 9):
+        with pytest.raises(ValueError, match=f"prefix length {l} out of range"):
+            ColumnPrefix(l, 0, 0, 0, 0).validate(W8)
+    prefix = ColumnPrefix(3, 7, 7, 7, 7)
+    assert prefix.validate(W8) is prefix
 
 
 def test_keystream_container():

@@ -79,8 +79,13 @@ def test_oracle_full_tail_window_pins_a_single_state():
 
 def test_oracle_validation():
     ks, zero, _ = make_run(1)
-    with pytest.raises(ValueError):
-        brute_force_consistent_states(ks, zero, P4, len(ks) - zero)  # window too long
+    tail = len(ks) - zero - 1
+    for window in (tail + 1, -1):
+        with pytest.raises(ValueError, match=rf"window {window} is outside 0\.\.{tail}, the words"):
+            brute_force_consistent_states(ks, zero, P4, window)
+    for z in (-1, len(ks)):
+        with pytest.raises(ValueError, match=rf"zero_index {z} is outside the keystream's 0\.\."):
+            brute_force_consistent_states(ks, z, P4, 1)
     with pytest.raises(ValueError):
         brute_force_consistent_states(ks, zero + 1, P4, 1)  # not a zero word there
     with pytest.raises(ValueError, match="limited to w <= 8"):
