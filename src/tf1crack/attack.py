@@ -181,12 +181,13 @@ class ParamsMismatch(AttackError):
 class AttackConfig:
     """Tuning knobs for ``recover``.
 
-    ``filter_horizon=None`` means 3*(w/2+1), resolved once the width is
-    known; it is silently clamped to the available tail (the report flags
-    the clamp).  ``workers`` partitions stage 1 into that many candidate
-    sub-ranges, run in forked processes, at most ``os.cpu_count()`` at a
-    time; one worker runs in the calling process.  Reports, and the
-    ``SurvivorOverflow`` message, are identical for any worker count.
+    ``filter_horizon=None`` means 3*(w/2+1), resolved by ``horizon_for``
+    once the width is known; it is silently clamped to the available tail
+    (the report flags the clamp).  ``workers`` partitions stage 1 into that
+    many candidate sub-ranges, run in forked processes, at most
+    ``os.cpu_count()`` at a time; one worker runs in the calling process.
+    Reports, and the ``SurvivorOverflow`` message, are identical for any
+    worker count.
 
     ``verify_words`` changes nothing: stage 2 checks every completion
     against the whole tail.  The field and its check stay only because the
@@ -214,6 +215,10 @@ class AttackConfig:
             raise ValueError("enumeration_mode must be 'trivial' or 'dfs'")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+    def horizon_for(self, spec: WordSpec) -> int:
+        """``filter_horizon``, or the default 3*(w/2+1) when it is None."""
+        return self.filter_horizon if self.filter_horizon is not None else 3 * (spec.half + 1)
 
 
 @dataclass
@@ -403,7 +408,7 @@ def recover(
     _check_mode(instance, cfg)
     spec = params.spec
     k = spec.half + 1
-    base_horizon = cfg.filter_horizon if cfg.filter_horizon is not None else 3 * k
+    base_horizon = cfg.horizon_for(spec)
 
     zeros = find_zero_outputs(ks, cfg.max_zero_positions)
     if not zeros:

@@ -226,8 +226,10 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
         return Keystream(spec, words)
     if fmt == "hex":
         # read_text decodes and translates line endings as iterating open()
-        # does; line i is text[cuts[i] + 1 : cuts[i + 1]]
-        text = Path(source).read_text().encode()
+        # does; an undecodable byte becomes U+FFFD, so a data line holding
+        # one (a bin file without its magic, say) fails as not hexadecimal.
+        # Line i is text[cuts[i] + 1 : cuts[i + 1]]
+        text = Path(source).read_text(errors="replace").encode()
         chars = np.frombuffer(text, np.uint8)
         cuts = np.concatenate(([-1], np.flatnonzero(chars == ord("\n")), [len(text)]))
         line_count = len(cuts) - 1
@@ -319,8 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     constants.add_argument("--constants", help="update constants C1:C3:C in hex (default: built-ins)")
     infile = argparse.ArgumentParser(add_help=False)
     infile.add_argument("--w", type=int, help="expected width; must match the file")
-    infile.add_argument("--in", dest="infile", required=True, help="keystream path")
-    infile.add_argument("--format", choices=("bin", "hex"), default="bin")
+    infile.add_argument("--in", dest="infile", required=True, help="keystream path, bin or hex")
     runner = argparse.ArgumentParser(add_help=False)
     runner.add_argument("--mode", choices=("trivial", "dfs"), default="trivial")
     runner.add_argument("--workers", type=int, default=1)
@@ -426,7 +427,10 @@ def _cmd_gen(args) -> int:
 
 
 def _read_for(args) -> Keystream:
-    ks = read_keystream(args.infile, args.format)
+    # a bin file starts with the magic, which no hex file can
+    with open(args.infile, "rb") as handle:
+        fmt = "bin" if handle.read(len(MAGIC)) == MAGIC else "hex"
+    ks = read_keystream(args.infile, fmt)
     if args.w is not None and ks.spec.width != args.w:
         raise FormatError(
             f"{args.infile}: file width {ks.spec.width} does not match --w {args.w}"
@@ -516,7 +520,7 @@ def _cmd_bench(args) -> int:
     first = args.random_seed
     # recover attacks the first zero first; with fewer words after it than
     # the default horizon, too many stage-1 survivors remain, so redraw
-    horizon = 3 * (spec.half + 1)
+    horizon = cfg.horizon_for(spec)
     for seed in range(first, first + 64):
         ks = generate(state_from_seed(seed, spec), params, count)
         zeros = attack_mod.find_zero_outputs(ks, 1)

@@ -197,11 +197,12 @@ def test_criterion_08_enumerator_equivalence():
     inst = tf1_instance(params4)
     k = W4.half + 1
     ok_tf1 = True
-    for target in (0, 3, 6):
-        # trivial mode's candidates: the lane kernel on an empty tail keeps all
-        triv = set(lanes(0, 8, k, params4, target, [])[0])
-        dfs = {p.words() for p in enumerate_preimages_dfs(inst, 1, k, None, target)}
-        ok_tf1 = ok_tf1 and triv == dfs and len(triv) == 1 << (3 * k)
+    for target in (0, 3, 5, 6):
+        # trivial mode's candidates: the lane kernel on an empty tail keeps
+        # all, with no filter step; as sorted lists, so a repeated row fails
+        dfs = sorted(p.words() for p in enumerate_preimages_dfs(inst, 1, k, None, target))
+        ok_tf1 = ok_tf1 and len(dfs) == 1 << (3 * k)
+        ok_tf1 = ok_tf1 and lanes(0, 8, k, params4, target, []) == (dfs, 0, 1 << (3 * k))
     demo = demo_generalized_instance(W4, params4)
     rng = SplitMix64(88)
     ok_demo = True
@@ -217,7 +218,7 @@ def test_criterion_08_enumerator_equivalence():
         dfs = {p.words() for p in enumerate_preimages_dfs(demo, 1, 4, None, target)}
         ok_demo = ok_demo and dfs == brute
     ok = ok_tf1 and ok_demo
-    _verdict(8, ok, f"trivial==dfs for targets {{0,3,6}} at w=4: {ok_tf1}; "
+    _verdict(8, ok, f"trivial==dfs for targets {{0,3,5,6}} at w=4: {ok_tf1}; "
                     f"demo dfs==brute force for 5 random targets: {ok_demo}")
 
 

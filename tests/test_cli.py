@@ -163,6 +163,9 @@ def test_hex_rejects_malformed(tmp_path):
         path.write_text(f"00AB\n{line}\n")
         with pytest.raises(FormatError, match=":2: not hexadecimal"):
             read_keystream(path, "hex")
+    path.write_bytes(b"00AB\n\xff\xfe\n")  # not UTF-8: read as U+FFFD, no digit
+    with pytest.raises(FormatError, match=":2: not hexadecimal"):
+        read_keystream(path, "hex")
     path.write_text("00AB\n00ff\n")  # either case is a digit
     assert read_keystream(path, "hex") == Keystream(W16, (0xAB, 0xFF))
 
@@ -392,10 +395,32 @@ def test_run_attack_dfs_mode(tmp_path, capsys):
     ks = generate(state_from_seed(1, W4), default_params(W4), 512)
     path = tmp_path / "k4.hex"
     write_keystream(ks, path, "hex")
-    rc = run(["attack", "--in", str(path), "--format", "hex", "--mode", "dfs",
-              "--report", "machine"])
+    rc = run(["attack", "--in", str(path), "--mode", "dfs", "--report", "machine"])
     assert rc == 0
     assert "mode=dfs" in capsys.readouterr().out
+
+
+def test_run_attack_tells_bin_from_hex(tmp_path, capsys, monkeypatch):
+    # gen writes hex by default; attack and oracle tell the formats apart by
+    # the bin magic, so the pair runs with no format flag
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--w", "8", "--random-seed", "1", "--count", "4096", "--out", "ks"]) == 0
+    assert (tmp_path / "ks").read_bytes().startswith(b"ee\ne2\n")
+    capsys.readouterr()
+    assert run(["attack", "--in", "ks", "--report", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert "w=8\n" in out and "recovered_count=" in out
+    ks = read_keystream(tmp_path / "ks", "hex")
+    write_keystream(ks, tmp_path / "ks.bin", "bin")
+    assert run(["attack", "--in", "ks.bin", "--report", "machine"]) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == out.splitlines()[:-1]
+    for command in ("attack", "oracle"):
+        assert run([command, "--in", "ks", "--format", "hex"]) == 2
+        assert "unrecognized arguments: --format hex" in capsys.readouterr().err
+    # a bin file whose magic is broken is read as hex, and fails there
+    (tmp_path / "bad.bin").write_bytes(b"X" + (tmp_path / "ks.bin").read_bytes()[1:])
+    assert run(["attack", "--in", "bad.bin"]) == 2
+    assert capsys.readouterr().err.startswith("FormatError: bad.bin:1: not hexadecimal: 'XF1K")
 
 
 def test_run_unknown_flag_is_exit_2(capsys):

@@ -21,7 +21,6 @@ from tf1crack.oracle import (
     OracleResult,
     brute_force_consistent_states,
     compare_with_report,
-    _scan_zero_states_chunked,
     _scan_zero_states_scalar,
 )
 from tf1crack.rng import SplitMix64
@@ -96,11 +95,49 @@ def test_oracle_validation():
         brute_force_consistent_states(ks8, 0, default_params(w8), 1)
 
 
-def test_zero_scan_strategies_agree():
-    scalar = list(_scan_zero_states_scalar(W4))
-    chunked = list(_scan_zero_states_chunked(W4))
-    assert scalar == chunked
-    assert len(scalar) == 4096  # one c per (a, b, d): states with a+c = 0 mod 16
+def _reference_cases():
+    # (params, keystream, zero index): three random constant sets on streams
+    # with a zero before their last word, the first again with its last word
+    # flipped, which no state reproduces, and an even C on a planted zero
+    # word at index 0, the post-update state there having a + c = 0
+    rng = SplitMix64(2323)
+    cases = []
+    while len(cases) < 3:
+        params = Tf1Params(rng.below(16), rng.below(16), rng.below(16) | 1, W4)
+        ks = generate(state_from_seed(rng.next64(), W4), params, 128)
+        zeros = find_zero_outputs(Keystream(W4, ks.words[:-1]), 1)
+        if zeros:
+            cases.append((params, ks, zeros[0]))
+    params, ks, z = cases[0]
+    cases.append((params, Keystream(W4, (*ks.words[:-1], ks.words[-1] ^ 1)), z))
+    params = Tf1Params(rng.below(16), rng.below(16), rng.below(8) * 2, W4)
+    a, b, d = (rng.below(16) for _ in range(3))
+    planted = State(a, b, -a & 15, d)
+    cases.append((params, Keystream(W4, (0, *generate(planted, params, 48).words)), 0))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.fixture(scope="module")
+def zero_states():
+    states = list(_scan_zero_states_scalar(W4))
+    assert len(states) == 4096  # one c per (a, b, d): states with a+c = 0 mod 16
+    return states
+
+
+@pytest.mark.parametrize(
+    "params, ks, z", REFERENCE_CASES, ids=["random0", "random1", "random2", "flipped_last", "even_c"]
+)
+def test_oracle_filter_matches_per_state_stream_walks(zero_states, params, ks, z):
+    # the reference walks each zero state through the generator's stream
+    # (verify_state), which the oracle's array filter does not use; window 0
+    # keeps the whole zero-output set, in the scalar walk's order
+    for window in (0, 1, 2, len(ks) - z - 1):
+        expected = [st for st in zero_states if verify_state(st, params, ks, z, window)]
+        assert brute_force_consistent_states(ks, z, params, window).consistent_states == expected, window
+    assert brute_force_consistent_states(ks, z, params, 0).consistent_states == zero_states
 
 
 def _check_random_constants_against_oracle(spec, seed, n_sets, n_words, budget=None):
@@ -132,7 +169,7 @@ def test_attack_matches_oracle_over_random_constants():
 @pytest.mark.slow
 def test_attack_matches_oracle_over_random_constants_w6():
     # opt-in (pytest -m slow): a 2^24-state oracle scan per set
-    _check_random_constants_against_oracle(WordSpec(6), 2027, 13, 1024, budget=1 << 24)
+    _check_random_constants_against_oracle(WordSpec(6), 2027, 26, 1024, budget=1 << 24)
 
 
 def test_compare_with_report():
