@@ -116,6 +116,13 @@ def test_trivial_preimages_nonzero_target():
     _check_unfiltered(WordSpec(10), x)
 
 
+@pytest.mark.parametrize("target", [0, 3, 5])
+def test_dfs_equals_trivial_for_additive_t2(target):
+    inst = tf1_instance(P4)
+    dfs = sorted(p.words() for p in enumerate_preimages_dfs(inst, 1, 3, None, target))
+    assert lanes(0, 8, 3, P4, target, []) == (dfs, 0, 1 << 9)
+
+
 def test_dfs_equals_brute_force_for_demo_instance(monkeypatch):
     # in depth-first order: ascending in the (a, b, c, d) bits of column 0,
     # then of column 1, and so on; also with the frontier split into pieces
