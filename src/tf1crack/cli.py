@@ -73,27 +73,6 @@ def _is_hex(text: str) -> bool:
     return bool(text) and not text.strip(_HEX_DIGITS)
 
 
-# Every machine-report key, in emission order; recovered_1.. follow
-# recovered_0 when more than one state is found.  --workers never changes
-# anything but elapsed_ms.
-MACHINE_REPORT_KEYS = (
-    "w",
-    "constants",
-    "mode",
-    "zero_index",
-    "horizon",
-    "stage1_candidates",
-    "stage1_filter_steps",
-    "stage1_survivors",
-    "stage2_candidates",
-    "stage2_verifications",
-    "recovered_count",
-    "recovered_0",
-    "predicted_ops",
-    "elapsed_ms",
-)
-
-
 class FormatError(Exception):
     """Malformed keystream file (bad magic, version, width, digits...)."""
 
@@ -351,10 +330,11 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--random-seed", type=int, default=1, help="stats: seed for the stream")
 
     orc = sub.add_parser("oracle", parents=[constants, infile],
-                         help="exhaustive consistency scan (w=4; w=8 with --budget)")
-    orc.add_argument("--zero-index", type=int, help="default: first zero word")
+                         help="exhaustive consistency scan (w=4; w=6 and w=8 with --budget)")
+    orc.add_argument("--zero-index", type=int,
+                     help="index of the word to certify (default: the first zero word)")
     orc.add_argument("--window", type=int, help="words to verify (default: whole tail)")
-    orc.add_argument("--budget", type=int, help="state-space cap override (needed for w=8)")
+    orc.add_argument("--budget", type=int, help="state-space cap override (needed above w=4)")
 
     ben = sub.add_parser("bench", parents=[constants, runner],
                          help="measure attack operation counts against the prediction")
@@ -419,8 +399,6 @@ def _cmd_gen(args) -> int:
         seed = parse_state(args.seed_state, spec)
     else:
         seed = state_from_seed(args.random_seed, spec)
-    if args.count < 0:
-        raise ValueError("count must be >= 0")
     ks = generate(seed, params, args.count)
     write_keystream(ks, args.out, args.format)
     return 0
@@ -558,6 +536,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # gen, bench and check stats read --count; none accepts a negative one
+        if getattr(args, "count", None) is not None and args.count < 0:
+            raise ValueError("count must be >= 0")
         return _COMMANDS[args.command](args)
     except attack_mod.AttackError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

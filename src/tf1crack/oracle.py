@@ -2,16 +2,16 @@
 
 The oracle considers the complete 2**(4w) state space as one array filter.
 It decodes the state indices a chunk at a time into four word arrays, keeps
-the states whose output is the (zero) word at the given position, then steps
-the survivors and keeps those that emit each next word of the requested
-window, until the window ends or the chunk is empty.  It shares only the
-generator's two formulas with the code it certifies: ``_rows`` (the update)
-and ``_out`` (the output word).  The attack's search, its stage-2 tail walk,
-and ``_stream``, the output stream that ``generate`` and ``verify_state``
-read, are not used, so a fault in any of them shows up as a disagreement.
-The zero-word check alone keeps it to zero events.  At w=4 that is 65536
-states and takes a few tens of milliseconds; w=8 (2^32 states) took 140 s
-on a 2-vCPU VM and must be requested explicitly via the budget.
+the states whose output is the word at the given position, whatever that
+word is, then steps the survivors and keeps those that emit each next word
+of the requested window, until the window ends or the chunk is empty.  It
+shares only the generator's two formulas with the code it certifies:
+``_rows`` (the update) and ``_out`` (the output word).  The attack's search,
+its stage-2 tail walk, and ``_stream``, the output stream that ``generate``
+and ``verify_state`` read, are not used, so a fault in any of them shows up
+as a disagreement.  At w=4 the scan covers 65536 states and takes a few
+tens of milliseconds; w=8 (2^32 states) took 140 s on a 2-vCPU VM and must
+be requested explicitly via the budget.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ def brute_force_consistent_states(
 ) -> OracleResult:
     """Scan every possible state and keep the ones consistent with the keystream.
 
-    A state is consistent when its own output is the (zero) word at
-    ``zero_index`` and rolling it forward reproduces the next ``window``
-    words.  Indexing matches the attack: the state checked is the
-    post-update state at the zero position.
+    A state is consistent when its own output is the word at ``zero_index``,
+    zero or not, and rolling it forward reproduces the next ``window`` words.
+    Indexing matches the attack: the state checked is the post-update state
+    at that position.  The name ``zero_index`` follows the attack's report,
+    whose events are zero words.
     """
     spec = params.spec
     w = spec.width
@@ -63,8 +64,6 @@ def brute_force_consistent_states(
         raise ValueError(f"the exhaustive oracle is limited to w <= 8 by design, got w={w}")
     _check_width(ks, spec)
     _check_window(ks, zero_index, window, "window")
-    if ks.words[zero_index] != 0:
-        raise ValueError(f"keystream word at {zero_index} is not zero")
     space = 1 << (4 * w)
     allowed = _DEFAULT_BUDGET if budget is None else budget
     if space > allowed:
@@ -113,8 +112,8 @@ def compare_with_report(report: AttackReport, oracle: OracleResult) -> bool:
     return list(report.recovered) == oracle.consistent_states
 
 
-def _scan_zero_states_scalar(spec: WordSpec) -> Iterator[State]:
-    """Every state with output word zero, by walking the whole space: the
+def _scan_states_scalar(spec: WordSpec, word: int) -> Iterator[State]:
+    """Every state whose output is ``word``, by walking the whole space: the
     tests' reference for the oracle's window-0 result."""
     n = 1 << spec.width
     rng = range(n)
@@ -123,5 +122,5 @@ def _scan_zero_states_scalar(spec: WordSpec) -> Iterator[State]:
             for c in rng:
                 for d in rng:
                     st = State(a, b, c, d)
-                    if output_word(st, spec) == 0:
+                    if output_word(st, spec) == word:
                         yield st

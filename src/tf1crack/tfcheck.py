@@ -98,6 +98,8 @@ def check_tfunction_property(
     columns 0..k-1.  ``target`` is one of "t1", "t2", "t2_demo" or any
     callable from State to State or to a word.
     """
+    if params.spec != spec:
+        raise ValueError("params were built for a different word spec")
     fn = _resolve_target(target, spec, params)
     w = spec.width
     mask = spec.mask

@@ -22,6 +22,8 @@ from tf1crack.cli import (
 from tf1crack.generator import State
 from tf1crack.rng import SplitMix64
 
+from helpers import roll_forward
+
 W4 = WordSpec(4)
 W8 = WordSpec(8)
 W16 = WordSpec(16)
@@ -95,6 +97,9 @@ def test_bin_rejects_malformed(tmp_path):
     path.write_bytes(BIN_EXAMPLE + b"\x00")
     with pytest.raises(FormatError):  # trailing bytes
         read_keystream(path, "bin")
+    path.write_bytes(BIN_EXAMPLE)
+    with pytest.raises(ValueError, match="unknown format 'json'; expected 'bin' or 'hex'"):
+        read_keystream(path, "json")
 
 
 def test_write_rejects_words_outside_the_width(tmp_path):
@@ -118,6 +123,11 @@ def test_write_rejects_words_outside_the_width(tmp_path):
                 write_keystream(Keystream(spec, words), path, fmt)
             assert str(err.value) == f"{shown}, outside the width-{spec.width} range"
             assert not path.exists()
+    # an unknown format is refused before anything is written, too
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="unknown format 'json'; expected 'bin' or 'hex'"):
+        write_keystream(Keystream(W8, (1, 2)), path, "json")
+    assert not path.exists()
 
 
 def test_bin_rejects_word_above_mask(tmp_path):
@@ -302,16 +312,16 @@ def test_run_gen_random_seed_matches_library(tmp_path, capsys):
 
 
 def test_run_gen_negative_count_is_exit_2(tmp_path, capsys):
+    # every command that reads --count rejects a negative one before any output
     out = tmp_path / "g.bin"
-    assert run(["gen", "--w", "8", "--random-seed", "1", "--count", "-1", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "ValueError: count must be >= 0\n")
+    for command in (["gen", "--random-seed", "1", "--out", str(out)], ["bench"], ["check", "stats"]):
+        assert run([*command, "--w", "8", "--count", "-1"]) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "ValueError: count must be >= 0\n"), command
     assert not out.exists()
 
 
 def test_run_attack_machine_report(tmp_path, capsys):
-    from tf1crack.cli import MACHINE_REPORT_KEYS
-
     ks = generate(state_from_seed(5, W8), default_params(W8), 4096)
     path = tmp_path / "ks.bin"
     write_keystream(ks, path, "bin")
@@ -320,7 +330,13 @@ def test_run_attack_machine_report(tmp_path, capsys):
     out = capsys.readouterr().out
     lines = dict(line.split("=", 1) for line in out.strip().splitlines())
     emitted = set(lines)
-    documented = set(MACHINE_REPORT_KEYS)
+    # the README's Machine report key set; recovered_1.. follow recovered_0
+    # when more than one state is found
+    documented = {
+        "w", "constants", "mode", "zero_index", "horizon", "stage1_candidates",
+        "stage1_filter_steps", "stage1_survivors", "stage2_candidates",
+        "stage2_verifications", "recovered_count", "recovered_0", "predicted_ops", "elapsed_ms",
+    }
     assert documented <= emitted
     assert all(k in documented or k.startswith("recovered_") for k in emitted)
     assert lines["w"] == "8"
@@ -460,11 +476,16 @@ def test_run_oracle_zero_index(tmp_path, capsys):
     default = capsys.readouterr()
     assert run(["oracle", "--in", str(path), "--zero-index", str(first)]) == 0
     assert capsys.readouterr() == default
-    nonzero = next(i for i, word in enumerate(ks) if word)
+    # a nonzero word is certified too: the word 8 at index 17 leaves one
+    # state, which rolls forward to the one at the first zero, index 20
+    assert (ks.words[17], first) == (8, 20)
+    assert run(["oracle", "--in", str(path), "--zero-index", "17"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("consistent_count=1\nconsistent_0=d:2:5:9\n")
+    assert roll_forward(parse_state("d:2:5:9", W4), default_params(W4), 3) == parse_state("c:8:4:4", W4)
     # a usage error names its argument and, for a window, its bound
     tail = len(ks) - first - 1
     for flags, message in (
-        (["--zero-index", str(nonzero)], f"keystream word at {nonzero} is not zero"),
         (["--zero-index", "-1"], "zero_index -1 is outside the keystream's 0..255"),
         (["--zero-index", "256"], "zero_index 256 is outside the keystream's 0..255"),
         (["--window", "-1"], f"window -1 is outside 0..{tail}, the words after zero_index {first}"),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import pytest
 
@@ -21,7 +22,7 @@ from tf1crack.oracle import (
     OracleResult,
     brute_force_consistent_states,
     compare_with_report,
-    _scan_zero_states_scalar,
+    _scan_states_scalar,
 )
 from tf1crack.rng import SplitMix64
 
@@ -77,7 +78,7 @@ def test_oracle_full_tail_window_pins_a_single_state():
 
 
 def test_oracle_validation():
-    ks, zero, _ = make_run(1)
+    ks, zero, true_state = make_run(1)
     tail = len(ks) - zero - 1
     for window in (tail + 1, -1):
         with pytest.raises(ValueError, match=rf"window {window} is outside 0\.\.{tail}, the words"):
@@ -85,8 +86,12 @@ def test_oracle_validation():
     for z in (-1, len(ks)):
         with pytest.raises(ValueError, match=rf"zero_index {z} is outside the keystream's 0\.\."):
             brute_force_consistent_states(ks, z, P4, 1)
-    with pytest.raises(ValueError):
-        brute_force_consistent_states(ks, zero + 1, P4, 1)  # not a zero word there
+    # any word is certified like a zero one: the word 2^(w-1) at index 17
+    # pins a + c = 2^(h-1), and its one state rolls forward to the zero's
+    assert (ks.words[17], zero) == (8, 20)
+    at17 = brute_force_consistent_states(ks, 17, P4, len(ks) - 18).consistent_states
+    assert at17 == [State(13, 2, 5, 9)]
+    assert roll_forward(at17[0], P4, 3) == true_state == State(12, 8, 4, 4)
     with pytest.raises(ValueError, match="limited to w <= 8"):
         brute_force_consistent_states(ks, zero, default_params(WordSpec(16)), 1)
     with pytest.raises(BudgetExceeded):
@@ -96,10 +101,12 @@ def test_oracle_validation():
 
 
 def _reference_cases():
-    # (params, keystream, zero index): three random constant sets on streams
+    # (params, keystream, index): three random constant sets on streams
     # with a zero before their last word, the first again with its last word
-    # flipped, which no state reproduces, and an even C on a planted zero
-    # word at index 0, the post-update state there having a + c = 0
+    # flipped, which no state reproduces, an even C on a planted zero word
+    # at index 0, the post-update state there having a + c = 0, and two
+    # nonzero words: the word 2^(w-1) at index 17 of the documented stream
+    # (default constants, seed 1) and the first odd word of the second stream
     rng = SplitMix64(2323)
     cases = []
     while len(cases) < 3:
@@ -114,30 +121,55 @@ def _reference_cases():
     a, b, d = (rng.below(16) for _ in range(3))
     planted = State(a, b, -a & 15, d)
     cases.append((params, Keystream(W4, (0, *generate(planted, params, 48).words)), 0))
+    cases.append((P4, generate(state_from_seed(1, W4), P4, 256), 17))
+    params, ks, _ = cases[1]
+    cases.append((params, ks, next(i for i, word in enumerate(ks) if word & 1)))
     return cases
 
 
 REFERENCE_CASES = _reference_cases()
 
 
-@pytest.fixture(scope="module")
-def zero_states():
-    states = list(_scan_zero_states_scalar(W4))
-    assert len(states) == 4096  # one c per (a, b, d): states with a+c = 0 mod 16
+@functools.cache
+def _states_with_output(word):
+    states = list(_scan_states_scalar(W4, word))
+    # for each (b, d), the odd factor S(b+d)|1 makes x = a+c -> word one-to-one,
+    # so one c per (a, b, d): for word 0, the states with a+c = 0 mod 16
+    assert len(states) == 4096
     return states
 
 
 @pytest.mark.parametrize(
-    "params, ks, z", REFERENCE_CASES, ids=["random0", "random1", "random2", "flipped_last", "even_c"]
+    "params, ks, z",
+    REFERENCE_CASES,
+    ids=["random0", "random1", "random2", "flipped_last", "even_c", "half_word_at_17", "odd_word"],
 )
-def test_oracle_filter_matches_per_state_stream_walks(zero_states, params, ks, z):
-    # the reference walks each zero state through the generator's stream
-    # (verify_state), which the oracle's array filter does not use; window 0
-    # keeps the whole zero-output set, in the scalar walk's order
+def test_oracle_filter_matches_per_state_stream_walks(params, ks, z):
+    # the reference walks each state with the word at z as its output
+    # through the generator's stream (verify_state), which the oracle's array
+    # filter does not use; window 0 keeps that whole output set, in the
+    # scalar walk's order
+    states = _states_with_output(ks.words[z])
     for window in (0, 1, 2, len(ks) - z - 1):
-        expected = [st for st in zero_states if verify_state(st, params, ks, z, window)]
+        expected = [st for st in states if verify_state(st, params, ks, z, window)]
         assert brute_force_consistent_states(ks, z, params, window).consistent_states == expected, window
-    assert brute_force_consistent_states(ks, z, params, 0).consistent_states == zero_states
+    assert brute_force_consistent_states(ks, z, params, 0).consistent_states == states
+
+
+def test_output_valuation_pins_the_inner_word():
+    # ROADMAP item 13's rule at w=4, h=2, on x = (a + c) mod 16: nu2(O) >= h
+    # exactly when x < 2^h, and then the valuation fixes x's low bits, so
+    # O = 0 pins x = 0, O = 8 = 2^(w-1) pins x = 2, and O = 4, 12 leave
+    # x in {1, 3}; the rule reads only the output word, so one constant
+    # set is enough
+    pinned = {0: {0}, 4: {1, 3}, 8: {2}, 12: {1, 3}}
+    for word in range(16):
+        states = brute_force_consistent_states(Keystream(W4, (word,)), 0, P4, 0).consistent_states
+        inner = {(st.a + st.c) % 16 for st in states}
+        if word in pinned:
+            assert inner == pinned[word], word
+        else:
+            assert min(inner) >= 4, word
 
 
 def _check_random_constants_against_oracle(spec, seed, n_sets, n_words, budget=None):

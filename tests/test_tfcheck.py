@@ -67,6 +67,9 @@ def test_tfunction_property_rejects_bad_args():
         check_tfunction_property("t3", W8, params, 10, 1)
     with pytest.raises(ValueError):
         check_tfunction_property("t1", W8, params, 0, 1)
+    for target in ("t1", "t2", "t2_demo"):
+        with pytest.raises(ValueError, match="params were built for a different word spec"):
+            check_tfunction_property(target, WordSpec(16), params, 10, 1)
 
 
 def test_trial_streams_are_partition_stable():
@@ -85,6 +88,8 @@ def test_trial_streams_are_partition_stable():
     assert mix64(array).tolist() == [mix64(v) for v in words]
     with pytest.raises(TypeError):
         check_tfunction_property("t1", W8, default_params(W8), 2.5, 1)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        SplitMix64(1).below(0)
 
 
 def test_truncation_consistency_holds():
