@@ -86,7 +86,9 @@ columns read only its factors' low columns, so output
 column t < h = w/2 reads only columns h..h+t of x and y.  So at column j an
 extension is kept while output columns 0..j-h of the first tail word
 match; at full width the whole word must.  In either mode only the
-completions that emit the first tail word walk the rest of the tail.  Each
+completions that emit the first tail word, and the event word itself,
+walk the rest of the tail: t2 = X pins only the factor S(X) of the event
+word, and unless X = 0 its other factor reads b and d.  Each
 candidate is charged min(first mismatching word, tail length), so every
 other one counts one step, as in a walk from every completion.
 """
@@ -98,7 +100,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -189,28 +191,26 @@ class AttackConfig:
     Reports, and the ``SurvivorOverflow`` message, are identical for any
     worker count.
 
-    ``verify_words`` changes nothing: stage 2 checks every completion
-    against the whole tail.  The field and its check stay only because the
-    benchmark's traced probe (``perfbench/workloads.py``) reads it to cut
-    its stage-2 window; both go with the next change to the benchmark.
+    Two constants are not fields: ``recover`` tries the events at the first
+    ``max_zero_positions`` zero words, and ``verify_words`` changes nothing,
+    as stage 2 checks every completion against the whole tail.
+    ``verify_words`` stays only because the benchmark's traced probe
+    (``perfbench/workloads.py``) reads it to cut its stage-2 window; it goes
+    with the next change to the benchmark.
     """
 
     filter_horizon: int | None = None
-    verify_words: int = 4
     max_survivors: int = 4096
-    max_zero_positions: int = 8
     enumeration_mode: str = "trivial"
     workers: int = 1
+    max_zero_positions: ClassVar[int] = 8
+    verify_words: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
         if self.filter_horizon is not None and self.filter_horizon < 1:
             raise ValueError("filter_horizon must be >= 1")
-        if self.verify_words < 1:
-            raise ValueError("verify_words must be >= 1")
         if self.max_survivors < 1:
             raise ValueError("max_survivors must be >= 1")
-        if self.max_zero_positions < 1:
-            raise ValueError("max_zero_positions must be >= 1")
         if self.enumeration_mode not in ("trivial", "dfs"):
             raise ValueError("enumeration_mode must be 'trivial' or 'dfs'")
         if self.workers < 1:
@@ -393,8 +393,9 @@ def recover(
 ) -> AttackReport:
     """Recover internal states from a keystream with at least one zero word.
 
-    Each zero word makes an event, X = 0 at its position.  Events are tried
-    in order (a zero that ends the keystream leaves no tail and makes none);
+    Each of the first ``AttackConfig.max_zero_positions`` zero words makes
+    an event, X = 0 at its position.  Events are tried in order (a zero
+    that ends the keystream leaves no tail and makes none);
     the first event yielding at least one verified state wins.  Counters
     accumulate over every event tried.
     """
@@ -765,18 +766,24 @@ def _run_stage2(
     builds the completions in both modes.  Trivial mode also prunes them on
     the first tail word and counts its candidates in closed form.  Every
     candidate costs one step for the first tail word; only the completions
-    that emit it walk the rest of the tail, at one more step a word.
+    that emit it and the event word walk the rest of the tail, at one more
+    step a word.
     """
     spec = instance.spec
     first = words[index + 1]
     trivial = cfg.enumeration_mode == "trivial"
     batches = _columns(instance, prefixes, l, spec.width, x, first if trivial else None)
+
+    def out(*state):
+        return _instance_out(instance.t2_words, instance.f_words, spec.mask, spec.half, *state)
+
     states: list[State] = []
     n_leaves = verifs = 0
     for batch in batches:
         n_leaves += batch[0].size
-        full = instance.t1_words(*batch, spec.mask)
-        emits = _instance_out(instance.t2_words, instance.f_words, spec.mask, spec.half, *full) == first
+        emits = out(*instance.t1_words(*batch, spec.mask)) == first
+        # t2 = x pins only S(x) of the event word; its other factor reads b and d
+        emits[emits] = out(*(v[emits] for v in batch)) == words[index]
         for row in zip(*(v[emits].tolist() for v in batch)):
             st = State(*row)
             ok, n = _walk_tail(st, instance, words, index)

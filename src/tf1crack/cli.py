@@ -16,7 +16,7 @@ order, so the first bad line is the one reported.
 
 Exit codes: 0 success, 1 attack-level failure (no zero word, hopeless tail,
 survivor overflow, mismatched constants), 2 usage or input-format problems,
-including an oracle scan above its budget.
+including an empty keystream and an oracle scan above its budget.
 """
 
 from __future__ import annotations
@@ -317,8 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     atk = sub.add_parser("attack", parents=[constants, infile, runner],
                          help="recover internal states from a keystream file")
     atk.add_argument("--horizon", type=int, help="stage-1 filter depth (default 3*(w/2+1))")
-    atk.add_argument("--max-survivors", type=int, default=4096)
-    atk.add_argument("--max-zero-positions", type=int, default=8)
+    atk.add_argument("--max-survivors", type=int, default=AttackConfig.max_survivors)
     atk.add_argument("--report", choices=("machine", "human"), default="human")
 
     chk = sub.add_parser("check", parents=[constants], help="run structural or statistical checks")
@@ -409,6 +408,8 @@ def _read_for(args) -> Keystream:
     with open(args.infile, "rb") as handle:
         fmt = "bin" if handle.read(len(MAGIC)) == MAGIC else "hex"
     ks = read_keystream(args.infile, fmt)
+    if not ks.words:
+        raise ValueError("keystream is empty")
     if args.w is not None and ks.spec.width != args.w:
         raise FormatError(
             f"{args.infile}: file width {ks.spec.width} does not match --w {args.w}"
@@ -422,7 +423,6 @@ def _cmd_attack(args) -> int:
     cfg = AttackConfig(
         filter_horizon=args.horizon,
         max_survivors=args.max_survivors,
-        max_zero_positions=args.max_zero_positions,
         enumeration_mode=args.mode,
         workers=args.workers,
     )

@@ -767,9 +767,11 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
 def test_event_at_a_nonzero_inner_word_end_to_end():
     # One event (0, x) at a random x != 0 and random constants (odd C), run
     # through stage 1 and stage 2 as recover runs an event: both modes give
-    # the same survivors, states and counters, the planted state is among
-    # the states, and at w=4 they are exactly the states with a + c = x
-    # that emit the whole stream.
+    # the same survivors, states and counters, and the planted state is
+    # among the states.  At w=4 they are exactly the states with a + c = x
+    # that emit the event word and the tail, for the whole stream and for
+    # tails of 1, 2 and 3 words, where the first tail word alone leaves
+    # states that emit another event word.
     rng = SplitMix64(2121)
     for w in (4, 6, 8, 10, 12):
         spec = WordSpec(w)
@@ -778,40 +780,57 @@ def test_event_at_a_nonzero_inner_word_end_to_end():
         inst = tf1_instance(params)
         x = 1 + rng.below(spec.mask)
         truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
-        ks = Keystream(spec, (output_word(truth, spec),) + generate(truth, params, 4 * w).words)
-        tail_bits = [word & 1 for word in ks.words[1 : 1 + 3 * k]]
-        runs = []
-        for mode in ("trivial", "dfs"):
-            cfg = AttackConfig(enumeration_mode=mode)
-            survivors, steps, cands = attack._run_stage1(inst, k, x, tail_bits, cfg)
-            found, cand2, verif2 = attack._run_stage2(survivors, k, inst, ks.words, 0, x, cfg)
-            runs.append((prefix_rows(survivors), found, steps, cands, cand2, verif2))
-        assert runs[0] == runs[1]
-        assert truth in runs[0][1]
+        stream = (output_word(truth, spec),) + generate(truth, params, 4 * w).words
+        tails = (len(stream) - 1,)
         if w == 4:
+            tails = (1, 2, 3, len(stream) - 1)
+            # every state with a + c = x that emits the event word
             m = spec.mask
-            brute = [
+            emitters = [
                 st
                 for a in range(m + 1)
                 for b in range(m + 1)
                 for d in range(m + 1)
-                if verify_state(st := State(a, b, (x - a) & m, d), params, ks, 0, len(ks) - 1)
+                if output_word(st := State(a, b, (x - a) & m, d), spec) == stream[0]
             ]
-            assert runs[0][1] == brute
+        for tail in tails:
+            ks = Keystream(spec, stream[: tail + 1])
+            tail_bits = [word & 1 for word in ks.words[1 : 1 + 3 * k]]
+            runs = []
+            for mode in ("trivial", "dfs"):
+                cfg = AttackConfig(enumeration_mode=mode)
+                survivors, steps, cands = attack._run_stage1(inst, k, x, tail_bits, cfg)
+                found, cand2, verif2 = attack._run_stage2(survivors, k, inst, ks.words, 0, x, cfg)
+                runs.append((prefix_rows(survivors), found, steps, cands, cand2, verif2))
+            assert runs[0] == runs[1]
+            assert truth in runs[0][1]
+            if w == 4:
+                brute = [st for st in emitters if verify_state(st, params, ks, 0, tail)]
+                assert runs[0][1] == brute, (params, x, tail)
 
 
 def test_recover_moves_past_a_corrupted_zero_position():
+    # breaking the word after a zero, keeping it nonzero, leaves that zero
+    # no state; recover tries the events at the first max_zero_positions = 8
+    # zeros, so it succeeds at the 8th and never tries the 9th
     start = state_from_seed(9, W8)
     ks = generate(start, P8, 8192)
-    zeros = find_zero_outputs(ks, 2)
-    assert len(zeros) == 2 and zeros[1] > zeros[0] + 1
+    zeros = find_zero_outputs(ks, 9)
+    assert AttackConfig.max_zero_positions == 8
+    assert len(zeros) == 9 and all(z + 1 < nxt for z, nxt in zip(zeros, zeros[1:]))
+    assert zeros[7] == 1012
     words = list(ks.words)
-    # break verification right after the first zero, keeping the word nonzero
-    words[zeros[0] + 1] = (words[zeros[0] + 1] ^ 0x81) or 0x42
-    broken = Keystream(W8, tuple(words))
-    report = recover(broken, tf1_instance(P8))
-    assert report.zero_index == zeros[1]
-    assert roll_forward(start, P8, zeros[1] + 1) in report.recovered
+    for n_broken in range(1, 9):
+        z = zeros[n_broken - 1]
+        words[z + 1] = (words[z + 1] ^ 0x81) or 0x42
+        broken = Keystream(W8, tuple(words))
+        if n_broken == 8:
+            with pytest.raises(ParamsMismatch):
+                recover(broken, tf1_instance(P8))
+        else:
+            report = recover(broken, tf1_instance(P8))
+            assert report.zero_index == zeros[n_broken]
+            assert roll_forward(start, P8, zeros[n_broken] + 1) in report.recovered
 
 
 def test_recover_horizon_clamped_on_short_tail():
@@ -893,11 +912,14 @@ def test_attack_config_validation():
     with pytest.raises(ValueError):
         AttackConfig(filter_horizon=0)
     with pytest.raises(ValueError):
-        AttackConfig(verify_words=0)
-    with pytest.raises(ValueError):
         AttackConfig(max_survivors=0)
-    with pytest.raises(ValueError):
-        AttackConfig(max_zero_positions=0)
+    # two constants, not options
+    names = [f.name for f in dataclasses.fields(AttackConfig)]
+    assert names == ["filter_horizon", "max_survivors", "enumeration_mode", "workers"]
+    assert (AttackConfig.max_zero_positions, AttackConfig.verify_words) == (8, 4)
+    for name in ("max_zero_positions", "verify_words"):
+        with pytest.raises(TypeError):
+            AttackConfig(**{name: 8})
     for limit in (0, -1):  # the same bound on the scan itself
         with pytest.raises(ValueError, match="limit must be >= 1"):
             find_zero_outputs(Keystream(W8, (1, 0, 2, 0, 0)), limit)

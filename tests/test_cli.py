@@ -405,6 +405,14 @@ def test_run_attack_width_mismatch_is_exit_2(tmp_path, capsys):
 
 def test_run_attack_missing_file_is_exit_2(tmp_path, capsys):
     assert run(["attack", "--in", str(tmp_path / "absent.bin")]) == 2
+    # an empty stream, bin or hex, gets one answer from both commands
+    for fmt in ("bin", "hex"):
+        path = tmp_path / f"empty.{fmt}"
+        write_keystream(Keystream(W8, ()), path, fmt)
+        for command in ("attack", "oracle"):
+            capsys.readouterr()
+            assert run([command, "--in", str(path)]) == 2
+            assert capsys.readouterr().err == "ValueError: keystream is empty\n"
 
 
 def test_run_attack_dfs_mode(tmp_path, capsys):
@@ -442,6 +450,9 @@ def test_run_attack_tells_bin_from_hex(tmp_path, capsys, monkeypatch):
 def test_run_unknown_flag_is_exit_2(capsys):
     assert run(["attack", "--frobnicate", "1"]) == 2
     assert run(["nonsense"]) == 2
+    # the zero-word cap is a constant, not an option
+    assert run(["attack", "--max-zero-positions", "3", "--in", "ks"]) == 2
+    assert "unrecognized arguments: --max-zero-positions 3" in capsys.readouterr().err
 
 
 def test_run_check_commands(capsys):
