@@ -160,33 +160,41 @@ class Keystream:
 
 @dataclass(frozen=True)
 class GeneratorInstance:
-    """A generalized-family member: t1 and t2 are T-functions, f is arbitrary.
+    """A generalized-family member: its params and three word functions.
 
-    Each map has one definition, on words.  ``t1_words(a, b, c, d, m)``
-    returns the four updated words and ``t2_words(a, b, c, d, m)`` the inner
-    word, both mod 2**l where m = 2**l - 1, from inputs already reduced
-    mod 2**l.  As the maps are T-functions, m = ``spec.mask`` gives the full
-    map and m = low_mask(l) its truncation to l columns;
-    ``tfcheck.check_truncation_consistency`` tests exactly that.
-    ``f_words(a, b, c, d)`` is the odd-making factor, at full width only.
-    All three must take numpy unsigned arrays whose dtype holds w bits as
-    well as ints, as ``_rows`` does: the attack's column enumerator and its
-    stage-1 filter call them on arrays.  ``tf1_native`` marks the standard
-    generator, whose t2 is the plain column sum a+c with the closed-form
-    preimages c = (target - a) mod 2^l; the attack's ``trivial`` mode, its
-    lane-sliced stage-1 kernel and the plain-int and column-block branch of
-    ``_stream``, the one output stream, serve it alone.
-    Any instance, this one included, runs ``dfs`` mode, which the tests use
-    as the reference for the trivial-mode kernels.
+    t1 and t2 are T-functions, f is arbitrary.  Each map has one definition,
+    on words.  ``t1_words(a, b, c, d, m)`` returns the four updated words
+    and ``t2_words(a, b, c, d, m)`` the inner word, both mod 2**l where
+    m = 2**l - 1, from inputs already reduced mod 2**l.  As the maps are
+    T-functions, m = ``spec.mask`` gives the full map and m = low_mask(l)
+    its truncation to l columns; ``tfcheck.check_truncation_consistency``
+    tests exactly that.  ``f_words(a, b, c, d)`` is the odd-making factor,
+    at full width only.  All three must take numpy unsigned arrays whose
+    dtype holds w bits as well as ints, as ``_rows`` does: the attack's
+    column enumerator and its stage-1 filter call them on arrays.
+
+    ``spec`` is ``params.spec``, stored once.  ``tf1_native`` is set by
+    ``tf1_instance`` alone and by neither the constructor nor
+    ``dataclasses.replace``, so every other instance, and every replaced
+    copy of the standard one, is generic: ``dataclasses.replace(inst)`` is
+    the generic twin that steps the instance's own word functions.  It
+    marks the standard generator, whose t2 is the plain column sum a+c
+    with the closed-form preimages c = (target - a) mod 2^l; the attack's
+    ``trivial`` mode, its lane-sliced stage-1 kernel and the plain-int and
+    column-block branch of ``_stream``, the one output stream, serve it
+    alone.  Any instance, this one included, runs ``dfs`` mode, which the
+    tests use as the reference for the trivial-mode kernels.
     """
 
-    name: str
-    spec: WordSpec
     params: Tf1Params
     t1_words: Callable[..., tuple]
     t2_words: Callable[..., int]
     f_words: Callable[..., int]
-    tf1_native: bool = field(default=False, repr=False)
+    spec: WordSpec = field(init=False, repr=False)
+    tf1_native: bool = field(init=False, default=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "spec", self.params.spec)
 
     def t1(self, state: State) -> State:
         return State(*self.t1_words(*state.words(), self.spec.mask))
@@ -281,15 +289,17 @@ def tf1_instance(params: Tf1Params) -> GeneratorInstance:
     """The standard generator wrapped in the generalized-instance contract.
 
     Here t2 is a+c and f is S(b+d), reproducing the usual output word.
+    The only instance marked ``tf1_native``.
     """
-    spec = params.spec
-    mask, h = spec.mask, spec.half
+    mask, h = params.spec.mask, params.spec.half
 
     def f_words(a, b, c, d):
         y = (b + d) & mask
         return ((y >> h) | (y << h)) & mask
 
-    return GeneratorInstance("tf1", spec, params, _t1_rows(params), _t2_sum, f_words, tf1_native=True)
+    instance = GeneratorInstance(params, _t1_rows(params), _t2_sum, f_words)
+    object.__setattr__(instance, "tf1_native", True)
+    return instance
 
 
 def demo_generalized_instance(spec: WordSpec, params: Tf1Params) -> GeneratorInstance:
@@ -302,8 +312,6 @@ def demo_generalized_instance(spec: WordSpec, params: Tf1Params) -> GeneratorIns
     if params.spec != spec:
         raise ValueError("params were built for a different word spec")
     return GeneratorInstance(
-        "demo",
-        spec,
         params,
         _t1_rows(params),
         lambda a, b, c, d, m: ((a + c) & m) ^ (b & d),
@@ -326,9 +334,14 @@ def instance_output(state: State, instance: GeneratorInstance) -> int:
 
 
 def generate_from_instance(seed: State, instance: GeneratorInstance, n: int) -> Keystream:
-    """Like ``generate`` but through an instance's word functions."""
+    """Like ``generate`` but through an instance's word functions.
+
+    A seed word outside the width raises ValueError.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
+    for name, word in zip("abcd", seed.words()):
+        instance.spec.check_word(word, name)
     return Keystream(instance.spec, tuple(_stream(seed, instance, n)))
 
 
@@ -337,8 +350,10 @@ def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
 
     The only step-and-emit loop: generation, the attack's tail walk and the
     oracle's window all read it, each passing the number of words it reads
-    at most.  Any instance but the standard generator steps through its
-    ``t1_words`` and ``_instance_out``.  The standard generator steps plain
+    at most.  Any instance not marked ``tf1_native``, which only
+    ``tf1_instance`` is, steps through its own ``t1_words`` and
+    ``_instance_out``, so a replaced copy of the standard instance emits
+    the stream of the maps it holds.  The standard generator steps plain
     ints through ``_rows`` and ``_out`` for its first 64*w words, where a
     wrong candidate state dies, and for its last ones; between them it runs
     column blocks (``_column_block``), each as long as the words it has

@@ -120,7 +120,7 @@ def _resolve_target(target, spec: WordSpec, params: Tf1Params) -> Callable:
     if callable(target):
         return target
     if target == "t1":
-        return lambda st: update(st, params)
+        return tf1_instance(params).t1
     if target == "t2":
         return tf1_instance(params).t2
     if target == "t2_demo":

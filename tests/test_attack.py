@@ -206,16 +206,16 @@ def test_filter_candidate_horizon_one_kills_about_half():
     k = W8.half + 1
     demo = demo_generalized_instance(W8, P8)
     demo_preimages = [p.words() for p in enumerate_preimages_dfs(demo, 1, k, None, 0)]
-    for inst, batch in (
-        (tf1_instance(P8), _unfiltered(W8, P8, 0)[0]),
-        (demo, attack._to_arrays(W8, demo_preimages)),
+    for label, inst, batch in (
+        ("tf1", tf1_instance(P8), _unfiltered(W8, P8, 0)[0]),
+        ("demo", demo, attack._to_arrays(W8, demo_preimages)),
     ):
         n = batch[0].size
         keep, steps = attack._filter(inst, batch, k, [])
         assert (keep.tolist(), steps) == (list(range(n)), 0)
         keep, steps = attack._filter(inst, batch, k, tail)
         assert steps == n
-        assert 0.40 <= keep.size / n <= 0.60, inst.name
+        assert 0.40 <= keep.size / n <= 0.60, label
 
 
 def test_verify_state():
@@ -279,7 +279,7 @@ def test_verify_state_routes_agree():
     # trivial-mode stage 2 against the twin's dfs-mode completion
     ks, zero_index, true_state = make_run(W8, P8, seed=3, n=4096)
     native = tf1_instance(P8)
-    twin = dataclasses.replace(native, tf1_native=False)
+    twin = dataclasses.replace(native)
     routes = (None, native, twin)
     tail = len(ks) - zero_index - 1
     # random states with a+c = 0 emit the zero word, so every route walks the tail
@@ -487,6 +487,21 @@ def test_recover_demo_instance_rejects_trivial_mode():
     ks = generate_from_instance(state_from_seed(11, W4), inst, 64)
     with pytest.raises(ValueError):
         recover(ks, inst, cfg=AttackConfig(enumeration_mode="trivial"))
+
+
+def test_recover_replaced_standard_instance_is_generic():
+    # the standard instance with the demo's t2 and f swapped in is generic:
+    # trivial mode refuses it, and dfs mode walks its own maps to the state
+    # it recovers from the demo instance
+    demo = demo_generalized_instance(W8, P8)
+    x = dataclasses.replace(tf1_instance(P8), t2_words=demo.t2_words, f_words=demo.f_words)
+    ks = generate_from_instance(state_from_seed(4, W8), x, 4096)
+    with pytest.raises(ValueError, match="trivial enumeration needs the standard generator"):
+        recover(ks, x, cfg=AttackConfig(enumeration_mode="trivial"))
+    dfs = AttackConfig(enumeration_mode="dfs")
+    report = recover(ks, x, cfg=dfs)
+    assert report.recovered == (State(8, 8, 248, 116),)
+    assert report_core(report) == report_core(recover(ks, demo, cfg=dfs))
 
 
 def test_recover_worker_counts_do_not_change_reports():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tf1crack import (
     ColumnPrefix,
+    GeneratorInstance,
     Keystream,
     State,
     Tf1Params,
@@ -220,6 +221,43 @@ def test_instance_word_functions_take_numpy_arrays():
             assert _instance_out(*out, *full).tolist() == [_instance_out(*out, *st) for st in states]
 
 
+def test_instance_is_its_params_and_three_word_functions():
+    # the width comes from the params, and only tf1_instance marks the
+    # standard generator: a replaced copy of it steps the maps it holds
+    params = default_params(W8)
+    native = tf1_instance(params)
+    demo = demo_generalized_instance(W8, params)
+    names = [f.name for f in dataclasses.fields(GeneratorInstance) if f.init]
+    assert names == ["params", "t1_words", "t2_words", "f_words"]
+    assert native.spec is params.spec and demo.spec is params.spec
+    assert native.tf1_native and not dataclasses.replace(native).tf1_native
+    words = (native.t1_words, native.t2_words, native.f_words)
+    for bad in ({"tf1_native": True}, {"spec": W8}, {"name": "tf1"}):
+        with pytest.raises(TypeError):
+            GeneratorInstance(params, *words, **bad)
+    for bad in ({"tf1_native": True}, {"spec": W8}):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(native, **bad)
+    x = dataclasses.replace(native, t2_words=demo.t2_words, f_words=demo.f_words)
+    assert not x.tf1_native
+    seed = state_from_seed(4, W8)
+    want = generate_from_instance(seed, demo, 4096)
+    assert generate_from_instance(seed, x, 4096) == want
+    assert want.words[:6] != generate(seed, params, 6).words
+
+
+def test_generate_rejects_seed_words_outside_the_width():
+    # the rows read only the low w bits, so each seed would emit the
+    # stream of its words reduced mod 2**w, as verify_state already refuses
+    params = default_params(W8)
+    demo = demo_generalized_instance(W8, params)
+    for bad, shown in ((State(261, 7, 9, 11), "a 0x105"), (State(5, 7, 9, -1), "d -0x1")):
+        with pytest.raises(ValueError, match=f"{shown} out of range for width 8"):
+            generate(bad, params, 6)
+        with pytest.raises(ValueError, match=f"{shown} out of range for width 8"):
+            generate_from_instance(bad, demo, 6)
+
+
 def test_tf1_instance_reproduces_generator():
     params = default_params(W8)
     inst = tf1_instance(params)
@@ -228,7 +266,7 @@ def test_tf1_instance_reproduces_generator():
     seed = state_from_seed(8, W8)
     want = generate(seed, params, 64)
     # the plain-int branch of the output stream and the word-function branch
-    for instance in (inst, dataclasses.replace(inst, tf1_native=False)):
+    for instance in (inst, dataclasses.replace(inst)):
         assert generate_from_instance(seed, instance, 64) == want
 
 
@@ -253,7 +291,7 @@ def test_column_blocks_match_the_word_function_stream():
             spec=spec,
         )
         native = tf1_instance(params)
-        reference = dataclasses.replace(native, tf1_native=False)
+        reference = dataclasses.replace(native)
         seed = state_from_seed(rng.next64(), spec)
         s = generator._SWITCH_PER_BIT * w
         lengths = (0, 1, s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 4 * s, 8 * s + 37)
@@ -267,7 +305,7 @@ def test_column_blocks_match_the_word_function_stream():
     params = Tf1Params(c1=0xA, c3=0x5, c=0x6, spec=spec)
     seed = state_from_seed(3, spec)
     n = 3 * generator._BLOCK + 101
-    want = generate_from_instance(seed, dataclasses.replace(tf1_instance(params), tf1_native=False), n)
+    want = generate_from_instance(seed, dataclasses.replace(tf1_instance(params)), n)
     assert generate(seed, params, n) == want
 
 

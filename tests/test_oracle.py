@@ -180,7 +180,7 @@ def _check_random_constants_against_oracle(spec, seed, n_sets, n_words, budget=N
     for _ in range(n_sets):
         params = Tf1Params(rng.below(size), rng.below(size), rng.below(size) | 1, spec)
         inst = tf1_instance(params)
-        twin = dataclasses.replace(inst, tf1_native=False)
+        twin = dataclasses.replace(inst)
         ks = generate(state_from_seed(rng.next64(), spec), params, n_words)
         while not find_zero_outputs(Keystream(spec, ks.words[:-1]), 1):
             ks = generate(state_from_seed(rng.next64(), spec), params, n_words)
