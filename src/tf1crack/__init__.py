@@ -37,7 +37,7 @@ from .generator import (
     tf1_instance,
     update,
 )
-from .oracle import BudgetExceeded, OracleResult, brute_force_consistent_states, compare_with_report
+from .oracle import OracleResult, brute_force_consistent_states, compare_with_report
 from .tfcheck import (
     PropertyReport,
     check_tfunction_property,

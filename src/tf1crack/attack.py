@@ -207,6 +207,10 @@ class AttackConfig:
     verify_words: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
+        for name in ("filter_horizon", "max_survivors", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) and not (name == "filter_horizon" and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.filter_horizon is not None and self.filter_horizon < 1:
             raise ValueError("filter_horizon must be >= 1")
         if self.max_survivors < 1:
@@ -598,7 +602,9 @@ def _map_workers(parts, fn, workers: int) -> list:
 
 
 def _split_range(total: int, workers: int):
-    bounds = [total * i // workers for i in range(workers + 1)]
+    # more parts than indices would all be empty or singletons: cap the count
+    n = max(1, min(workers, total))
+    bounds = [total * i // n for i in range(n + 1)]
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 

@@ -8,15 +8,16 @@ the first line is the header "# w=N"; otherwise the width is inferred from
 the digit count.  The reader takes exactly ceil(w/4) digits [0-9a-fA-F] per
 line: no sign, prefix or underscore.
 
-Both formats are converted through numpy in blocks of 2**16 words.  A hex
-line that holds exactly ceil(w/4) digits and nothing else is decoded in its
-block; every other line (comments, blank or padded lines, bad lines, the
-lines before the width is known) goes through the per-line rule in line
-order, so the first bad line is the one reported.
+The bin reader converts the whole payload in one numpy pass; the hex
+reader and both writers convert in blocks of 2**16 words.  A hex line that
+holds exactly ceil(w/4) digits and nothing else is decoded in its block;
+every other line (comments, blank or padded lines, bad lines, the lines
+before the width is known) goes through the per-line rule in line order,
+so the first bad line is the one reported.
 
 Exit codes: 0 success, 1 attack-level failure (no zero word, hopeless tail,
 survivor overflow, mismatched constants), 2 usage or input-format problems,
-including an empty keystream and an oracle scan above its budget.
+including an empty keystream.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .generator import (
     state_from_seed,
     tf1_instance,
 )
-from .oracle import BudgetExceeded, brute_force_consistent_states
+from .oracle import brute_force_consistent_states
 from .tfcheck import check_tfunction_property, check_truncation_consistency, zero_frequency
 from .word import WordSpec
 
@@ -189,20 +190,14 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
         if payload > count * nb:
             raise FormatError(f"{source}: {payload - count * nb} trailing bytes")
         dtype = _container(spec.width)
-        rows = np.frombuffer(data, np.uint8, offset=15).reshape(count, nb)
-        words = []
-        for start in range(0, count, _BLOCK):
-            wide = np.zeros((min(_BLOCK, count - start), dtype.itemsize), np.uint8)
-            wide[:, :nb] = rows[start : start + _BLOCK]
-            block = wide.view(dtype)[:, 0]
-            above = np.flatnonzero(block > spec.mask)
-            if above.size:
-                i = int(above[0])
-                raise FormatError(
-                    f"{source}: word {start + i} is {int(block[i]):#x}, above the width-{spec.width} mask"
-                )
-            words += block.tolist()
-        return Keystream(spec, words)
+        wide = np.zeros((count, dtype.itemsize), np.uint8)
+        wide[:, :nb] = np.frombuffer(data, np.uint8, offset=15).reshape(count, nb)
+        words = wide.view(dtype)[:, 0]
+        above = np.flatnonzero(words > spec.mask)
+        if above.size:
+            i = int(above[0])
+            raise FormatError(f"{source}: word {i} is {int(words[i]):#x}, above the width-{spec.width} mask")
+        return Keystream(spec, words.tolist())
     if fmt == "hex":
         # read_text decodes and translates line endings as iterating open()
         # does; an undecodable byte becomes U+FFFD, so a data line holding
@@ -329,11 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--random-seed", type=int, default=1, help="stats: seed for the stream")
 
     orc = sub.add_parser("oracle", parents=[constants, infile],
-                         help="exhaustive consistency scan (w=4; w=6 and w=8 with --budget)")
+                         help="exhaustive consistency scan (w <= 8)")
     orc.add_argument("--zero-index", type=int,
                      help="index of the word to certify (default: the first zero word)")
     orc.add_argument("--window", type=int, help="words to verify (default: whole tail)")
-    orc.add_argument("--budget", type=int, help="state-space cap override (needed above w=4)")
 
     ben = sub.add_parser("bench", parents=[constants, runner],
                          help="measure attack operation counts against the prediction")
@@ -473,7 +467,7 @@ def _cmd_oracle(args) -> int:
         zero_index = zeros[0]
     tail = len(ks) - zero_index - 1
     window = tail if args.window is None else args.window
-    result = brute_force_consistent_states(ks, zero_index, params, window, args.budget)
+    result = brute_force_consistent_states(ks, zero_index, params, window)
     _print_fields([
         ("zero_index", result.zero_index),
         ("window", result.window),
@@ -543,7 +537,7 @@ def run(argv=None) -> int:
     except attack_mod.AttackError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, ParseError, ValueError, BudgetExceeded) as exc:
+    except (FormatError, ParseError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -558,6 +558,19 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
         forks.clear()
 
 
+def test_huge_worker_count_gives_the_one_worker_report():
+    # stage 1 splits into at most as many parts as it has indices: the
+    # nonempty parts are the same singletons, so the report does not change
+    ks, _, _ = make_run(W4, P4, seed=42, n=256)
+    inst = tf1_instance(P4)
+    for mode in ("trivial", "dfs"):
+        want = report_core(recover(ks, inst, cfg=AttackConfig(enumeration_mode=mode)))
+        got = report_core(recover(ks, inst, cfg=AttackConfig(enumeration_mode=mode, workers=10**18)))
+        assert got == want, mode
+    assert attack._split_range(8, 10**18) == [(i, i + 1) for i in range(8)]
+    assert attack._split_range(0, 10**18) == []
+
+
 @pytest.mark.slow
 def test_w16_two_workers_give_the_pinned_counters():
     # opt-in (pytest -m slow): the documented w=16 stream, on forked workers
@@ -942,6 +955,14 @@ def test_attack_config_validation():
         AttackConfig(enumeration_mode="both")
     with pytest.raises(ValueError):
         AttackConfig(workers=0)
+    # a non-int fails here, naming its field, not deep inside recover
+    for name in ("filter_horizon", "max_survivors", "workers"):
+        for value in (2.5, "2"):
+            with pytest.raises(ValueError, match=f"{name} must be an int, got {value!r}"):
+                AttackConfig(**{name: value})
+    with pytest.raises(ValueError, match="max_survivors must be an int, got None"):
+        AttackConfig(max_survivors=None)
+    assert AttackConfig(filter_horizon=None).filter_horizon is None
 
 
 def test_predicted_work_values():

@@ -507,22 +507,17 @@ def test_run_oracle_zero_index(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith(f"ValueError: {message}"), flags
 
 
-def test_run_oracle_w8_without_budget_is_exit_2(tmp_path):
-    # --w follows the file, and the missing budget is a usage error, not a crash
-    ks = generate(state_from_seed(1, W8), default_params(W8), 2048)
-    assert 0 in ks.words
-    path = tmp_path / "k8.bin"
-    write_keystream(ks, path, "bin")
-    proc = subprocess.run(
-        [sys.executable, "-m", "tf1crack", "oracle", "--in", str(path)],
-        capture_output=True,
-        text=True,
-        env=_checkout_env(),
-        timeout=120,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "BudgetExceeded" in proc.stderr and "2^32" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_run_oracle_w6_scans_with_no_flag(tmp_path, capsys):
+    # every width the oracle accepts is scanned when asked: 2^24 states here,
+    # and the one consistent state is attack's recovered_0 at zero_index=28
+    path = tmp_path / "k6"
+    assert run(["gen", "--w", "6", "--random-seed", "1", "--count", "4096", "--out", str(path)]) == 0
+    assert run(["oracle", "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "zero_index=28\n" in out and "states_scanned=16777216\n" in out
+    assert "consistent_0=3c:10:04:05\n" in out
+    assert run(["oracle", "--in", str(path), "--budget", "1"]) == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
 def test_run_bench_large_width_prints_prediction_only(capsys):
