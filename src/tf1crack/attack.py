@@ -9,8 +9,8 @@ event, with t2 = X there, and prunes each against the least significant
 bits of the following outputs, one truncated step per bit.  Stage 2
 extends each survivor to the remaining columns, still constrained by X,
 and keeps exactly the full states that reproduce the observed tail.
-Survivors travel from stage 1 to stage 2 as four arrays of the state
-dtype, their (a, b, c, d) words sorted by (a, b, c, d), with no Python
+Survivors travel from stage 1 to stage 2 as four ``word_dtype(w)``
+arrays, their (a, b, c, d) words sorted by (a, b, c, d), with no Python
 object per survivor.  ``ColumnPrefix`` is the type of the public edge
 only: ``enumerate_preimages_dfs`` yields one prefix at a time and
 ``stage2_complete`` takes one.
@@ -117,7 +117,7 @@ from .generator import (
     instance_output,
     tf1_instance,
 )
-from .word import WordSpec, low_mask
+from .word import WordSpec, low_mask, word_dtype
 
 __all__ = [
     "AttackError",
@@ -453,6 +453,9 @@ def recover(
                 verified_words=tail_len,
                 mode=cfg.enumeration_mode,
             )
+    # no state emits a word outside the width; looked for only on failure,
+    # so a successful recover pays nothing for it
+    spec.check_words(words)
     raise ParamsMismatch(
         "no candidate state reproduces the keystream at any zero position; "
         "the constants or the instance do not match the stream"
@@ -502,17 +505,6 @@ def _check_mode(instance: GeneratorInstance, cfg: AttackConfig) -> None:
         )
 
 
-def _state_dtype(bits: int):
-    # Unsigned wraparound preserves values mod 2**m whenever m <= container
-    # bits, so uint32 is exact for m <= 32 and uint64 for m <= 64.  The lane
-    # kernel also passes its constants as scalars of its word dtype: with
-    # plain-int operands numpy stops reusing temporaries' buffers in place,
-    # which made stage 1 at w=16 about 10% slower and added a chunk array to
-    # the peak memory.  The column enumerator and the plain filter call the
-    # instance's word functions, whose constants are plain ints.
-    return np.uint32 if bits <= 32 else np.uint64
-
-
 def _run_stage1(
     instance: GeneratorInstance,
     k: int,
@@ -523,7 +515,7 @@ def _run_stage1(
     """Dispatch stage 1 at an event with inner word x; returns (survivors,
     steps, candidates).
 
-    The survivors are four arrays of the state dtype, the (a, b, c, d)
+    The survivors are four arrays of ``word_dtype(w)``, the (a, b, c, d)
     words of the k-column prefixes with t2 = x on k columns, sorted by
     (a, b, c, d).  Trivial mode splits the lower-prefix range of the lane
     kernel into ``cfg.workers`` parts, dfs mode the one-column roots of the
@@ -629,7 +621,7 @@ def _stage1_lanes(
     masks by the rules of the module docstring.  Lane bit 4, 3, 2, 1, 0
     of the masks AU .. CT is a candidate's a_T, b_T, a_U, b_U, d_U, and
     each lane stands for the 2 candidates d_T = 0 and 1, which live and
-    die together.  The rows keep the narrowest unsigned dtype for k
+    die together.  The rows keep ``word_dtype(k)``, the dtype for k
     columns; the masks are int32, so that a row bit sign-extended in the
     signed view of the row dtype promotes to 32 set bits.  C1 and C3 enter
     the masks only through their bits 0 and U, which pick the terms below
@@ -638,21 +630,23 @@ def _stage1_lanes(
     taken before it, which is the plain filter's per-candidate count.  Each
     chunk of _CHUNK lower prefixes decodes the lanes of its final masks
     into the words of k-column prefixes, and yields (its survivors as four
-    arrays of the state dtype, its filter steps, its candidates: 64 per
+    ``word_dtype(w)`` arrays, its filter steps, its candidates: 64 per
     lower prefix).  The caller sums the chunks and applies the survivor cap.
     """
     low = k - 2
     lm, km = low_mask(low), low_mask(k)
-    # the narrowest dtype for k columns; wraparound keeps every row exact mod 2**k
-    dtype = np.min_scalar_type(km).type
-    signed = np.dtype(f"i{np.dtype(dtype).itemsize}")
+    dtype = word_dtype(k)
+    signed = np.dtype(f"i{dtype.itemsize}")
     top = 8 * signed.itemsize - 1
+    # the constants are scalars of the rows' dtype: with plain-int operands
+    # numpy stops reusing temporaries' buffers in place, which made stage 1
+    # at w=16 about 10% slower and added a chunk array to the peak memory
     consts = (km, params.c1, params.c3, params.c, lm, x & lm)
-    mm, c1, c3, cc, lmd, x_low = (dtype(v & km) for v in consts)
-    to_u, to_t, to_0 = (dtype(top - col) for col in (low, k - 1, 0))
+    mm, c1, c3, cc, lmd, x_low = (dtype.type(v & km) for v in consts)
+    to_u, to_t, to_0 = (dtype.type(top - col) for col in (low, k - 1, 0))
     c1_0, c3_0 = params.c1 & 1, params.c3 & 1
     c1_u, c3_u = (params.c1 >> low) & 1, (params.c3 >> low) & 1
-    word = _state_dtype(params.spec.width)
+    word = word_dtype(params.spec.width)
     # C_U = X_U ^ A_U ^ β and C_T = X_T ^ A_T ^ (borrow out of column U),
     # with the lanes' start A_U and A_T and a per-prefix β of 0 or -1
     x_u, x_t = (x >> low) & 1, (x >> (k - 1)) & 1
@@ -668,7 +662,7 @@ def _stage1_lanes(
     masks = np.empty((8, min(_CHUNK, hi - lo)), np.int32)
     for cs in range(lo, hi, _CHUNK):
         end = min(cs + _CHUNK, hi)
-        idx = np.arange(cs, end, dtype=_state_dtype(3 * low))
+        idx = np.arange(cs, end, dtype=word_dtype(3 * low))
         a = (idx >> (2 * low)).astype(dtype)
         b = ((idx >> low) & lm).astype(dtype)
         d = (idx & lm).astype(dtype)
@@ -765,8 +759,8 @@ def _run_stage2(
     """Complete the survivors of the event (index, x); returns (verified
     states sorted, candidates, verification steps).
 
-    ``prefixes`` holds the survivors' four words as arrays of the state
-    dtype, all of them l-column prefixes with t2 = x on l columns, as
+    ``prefixes`` holds the survivors' four words as ``word_dtype(w)``
+    arrays, all of them l-column prefixes with t2 = x on l columns, as
     ``_run_stage1`` returns them.  The completions keep t2 = x, and the
     tail is ``words`` after ``index``, to its end.  The column enumerator
     builds the completions in both modes.  Trivial mode also prunes them on
@@ -810,7 +804,7 @@ def _columns(
 ) -> Iterator[tuple]:
     """Extend l-column prefixes to k columns; yields batches of (a, b, c, d) arrays.
 
-    ``words`` holds the prefixes' four words as arrays of the state dtype.
+    ``words`` holds the prefixes' four words as arrays of ``word_dtype(w)``.
     Column j = l .. k-1 tries the 16 one-bit extensions of each prefix and
     keeps one when column j of its t2_words mod 2**(j+1) equals bit j of
     ``target``.  With ``first`` (the standard generator only), an extension
@@ -823,7 +817,7 @@ def _columns(
     """
     spec = instance.spec
     h = spec.half
-    ext = np.arange(16, dtype=_state_dtype(spec.width))
+    ext = np.arange(16, dtype=word_dtype(spec.width))
     bits = (ext >> 3, (ext >> 2) & 1, (ext >> 1) & 1, ext & 1)
     frontier = [(l, words)]
     while frontier:
@@ -872,13 +866,13 @@ def _filter(
 
 
 def _to_arrays(spec: WordSpec, rows) -> tuple:
-    """Four arrays of the state dtype from a non-empty list of (a, b, c, d) rows."""
-    return tuple(np.array(col, _state_dtype(spec.width)) for col in zip(*rows))
+    """Four arrays of ``word_dtype(w)`` from a non-empty list of (a, b, c, d) rows."""
+    return tuple(np.array(col, word_dtype(spec.width)) for col in zip(*rows))
 
 
 def _concat(spec: WordSpec, batches: list) -> tuple:
-    """One batch of four state-dtype arrays from a list of batches, which may be empty."""
-    empty = np.empty(0, _state_dtype(spec.width))
+    """One batch of four ``word_dtype(w)`` arrays from a list of batches, which may be empty."""
+    empty = np.empty(0, word_dtype(spec.width))
     return tuple(np.concatenate([empty, *(b[i] for b in batches)]) for i in range(4))
 
 

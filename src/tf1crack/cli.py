@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import re
+import struct
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .generator import (
 )
 from .oracle import brute_force_consistent_states
 from .tfcheck import check_tfunction_property, check_truncation_consistency, zero_frequency
-from .word import WordSpec
+from .word import WordSpec, word_dtype
 
 __all__ = [
     "FormatError",
@@ -59,6 +60,8 @@ __all__ = [
 
 MAGIC = b"TF1K"
 VERSION = 1
+# magic, version, width, flags, word count: 15 bytes
+_HEADER = struct.Struct("<4sBBBQ")
 _HEX_HEADER = re.compile(r"#\s*w=(\d+)")
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _BLOCK = 1 << 16  # words converted per numpy block; never affects results
@@ -90,11 +93,6 @@ def _word_bytes(width: int) -> int:
     return (width + 7) // 8
 
 
-def _container(width: int) -> np.dtype:
-    """The little-endian dtype words of this width are converted through."""
-    return np.dtype("<u4" if width <= 32 else "<u8")
-
-
 def _hex_lines(block: np.ndarray, digits: int) -> bytes:
     """A block of words as lowercase ``digits``-digit lines, each ending in '\\n'."""
     out = np.empty((len(block), digits + 1), np.uint8)
@@ -112,7 +110,7 @@ def write_keystream(ks: Keystream, destination, fmt: str = "bin") -> int:
     is written.
     """
     spec, words = ks.spec, ks.words
-    dtype = _container(spec.width)
+    dtype = word_dtype(spec.width).newbyteorder("<")
     # one conversion and one array max; the index is looked for only on
     # failure, and a negative or container-overflowing word fails the conversion
     try:
@@ -120,12 +118,11 @@ def write_keystream(ks: Keystream, destination, fmt: str = "bin") -> int:
     except OverflowError:
         array = None
     if array is None or (words and array.max() > spec.mask):
-        i = next(i for i, word in enumerate(words) if not 0 <= word <= spec.mask)
-        raise ValueError(f"word {i} is {words[i]:#x}, outside the width-{spec.width} range")
+        spec.check_words(words)
     blocks = (array[i : i + _BLOCK] for i in range(0, len(words), _BLOCK))
     if fmt == "bin":
         nb = _word_bytes(spec.width)
-        head = MAGIC + bytes([VERSION, spec.width, 0]) + len(words).to_bytes(8, "little")
+        head = _HEADER.pack(MAGIC, VERSION, spec.width, 0, len(words))
         body = (block.view(np.uint8).reshape(-1, dtype.itemsize)[:, :nb].tobytes() for block in blocks)
     elif fmt == "hex":
         digits = spec.hex_digits
@@ -170,28 +167,28 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
     """Inverse of write_keystream, with strict validation."""
     if fmt == "bin":
         data = Path(source).read_bytes()
-        if len(data) < 15:
-            raise FormatError(f"{source}: header needs 15 bytes, file has {len(data)}")
-        if data[:4] != MAGIC:
-            raise FormatError(f"{source}: bad magic {data[:4]!r}")
-        if data[4] != VERSION:
-            raise FormatError(f"{source}: unsupported version {data[4]}")
+        if len(data) < _HEADER.size:
+            raise FormatError(f"{source}: header needs {_HEADER.size} bytes, file has {len(data)}")
+        magic, version, width, flags, count = _HEADER.unpack_from(data)
+        if magic != MAGIC:
+            raise FormatError(f"{source}: bad magic {magic!r}")
+        if version != VERSION:
+            raise FormatError(f"{source}: unsupported version {version}")
         try:
-            spec = WordSpec(data[5])
+            spec = WordSpec(width)
         except ValueError as exc:
             raise FormatError(f"{source}: {exc}") from None
-        if data[6] != 0:
-            raise FormatError(f"{source}: reserved flags byte is {data[6]:#x}")
-        count = int.from_bytes(data[7:15], "little")
+        if flags != 0:
+            raise FormatError(f"{source}: reserved flags byte is {flags:#x}")
         nb = _word_bytes(spec.width)
-        payload = len(data) - 15
+        payload = len(data) - _HEADER.size
         if payload < count * nb:
             raise TruncationError(f"{source}: header promises {count} words, payload holds {payload // nb}")
         if payload > count * nb:
             raise FormatError(f"{source}: {payload - count * nb} trailing bytes")
-        dtype = _container(spec.width)
+        dtype = word_dtype(spec.width).newbyteorder("<")
         wide = np.zeros((count, dtype.itemsize), np.uint8)
-        wide[:, :nb] = np.frombuffer(data, np.uint8, offset=15).reshape(count, nb)
+        wide[:, :nb] = np.frombuffer(data, np.uint8, offset=_HEADER.size).reshape(count, nb)
         words = wide.view(dtype)[:, 0]
         above = np.flatnonzero(words > spec.mask)
         if above.size:
@@ -215,7 +212,7 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
         if spec is None:
             raise FormatError(f"{source}: no data lines; width cannot be inferred")
         words = [] if word is None else [word]
-        digits, dtype = spec.hex_digits, _container(spec.width)
+        digits, dtype = spec.hex_digits, word_dtype(spec.width).newbyteorder("<")
         for start in range(first, line_count, _BLOCK):
             stop = min(start + _BLOCK, line_count)
             begin, end = cuts[start:stop] + 1, cuts[start + 1 : stop + 1]

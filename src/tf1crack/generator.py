@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .rng import SplitMix64
-from .word import WordSpec, low_mask
+from .word import WordSpec, low_mask, word_dtype
 
 __all__ = [
     "State",
@@ -169,8 +169,8 @@ class GeneratorInstance:
     T-functions, m = ``spec.mask`` gives the full map and m = low_mask(l)
     its truncation to l columns; ``tfcheck.check_truncation_consistency``
     tests exactly that.  ``f_words(a, b, c, d)`` is the odd-making factor,
-    at full width only.  All three must take numpy unsigned arrays whose
-    dtype holds w bits as well as ints, as ``_rows`` does: the attack's
+    at full width only.  All three must take numpy arrays of
+    ``word_dtype(w)`` as well as ints, as ``_rows`` does: the attack's
     column enumerator and its stage-1 filter call them on arrays.
 
     ``spec`` is ``params.spec``, stored once.  ``tf1_native`` is set by
@@ -399,7 +399,7 @@ def _column_block(state: tuple, params: Tf1Params, n: int) -> tuple[list, tuple]
     A_j, then s_j & A_j & B_j and so on, as the triangle needs.
     """
     spec = params.spec
-    dtype = np.min_scalar_type(spec.mask)
+    dtype = word_dtype(spec.width)
     words = np.zeros((4, n + 1), dtype)
     col = np.empty(n + 1, bool)
     for j in range(spec.width):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .attack import AttackReport, _check_width, _check_window
 from .generator import Keystream, State, Tf1Params, _out, _rows, output_word
-from .word import WordSpec
+from .word import WordSpec, word_dtype
 
 __all__ = ["OracleResult", "brute_force_consistent_states", "compare_with_report"]
 
@@ -65,9 +65,7 @@ def brute_force_consistent_states(
     words = ks.words[zero_index : zero_index + window + 1]
     found = []
     for start in range(0, space, _CHUNK):
-        # uint32 holds every index below 2**32 and, mod 2**32, every sum
-        # and product that _rows and _out reduce mod 2**w at w <= 8
-        idx = np.arange(start, min(start + _CHUNK, space), dtype=np.uint32)
+        idx = np.arange(start, min(start + _CHUNK, space), dtype=word_dtype(4 * w))
         state = (idx >> (3 * w), (idx >> (2 * w)) & m, (idx >> w) & m, idx & m)
         for word in words:
             keep = _out(*state, m, h) == word

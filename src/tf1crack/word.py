@@ -4,15 +4,17 @@ Arithmetic is unsigned and reduced modulo 2**w after every step.  Bit
 positions are counted as *columns* from 0: column j is bit j, so column 0 is
 the least significant bit, column w-1 the most significant, and "the first l
 columns" are columns 0..l-1.  Plain Python ints rely on masking alone.  The
-attack's numpy kernels also rely on their unsigned dtype wrapping around
-modulo 2**bits (see ``attack._state_dtype``).
+numpy arrays of words also rely on their unsigned dtype wrapping around
+modulo 2**bits (see ``word_dtype``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["WordSpec", "low_mask"]
+import numpy as np
+
+__all__ = ["WordSpec", "low_mask", "word_dtype"]
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,24 @@ class WordSpec:
             raise ValueError(f"{name} {x:#x} out of range for width {self.width}")
         return x
 
+    def check_words(self, words) -> None:
+        """Raise ValueError naming the first of ``words`` outside the width, if any."""
+        for i, x in enumerate(words):
+            if not 0 <= x <= self.mask:
+                raise ValueError(f"word {i} is {x:#x}, outside the width-{self.width} range")
+
 
 def low_mask(bits: int) -> int:
     """Mask covering columns 0..bits-1."""
     return (1 << bits) - 1
 
+
+def word_dtype(bits: int) -> np.dtype:
+    """The narrowest unsigned numpy dtype that holds ``bits`` bits, 1..64.
+
+    The one dtype rule for arrays of words.  Unsigned arithmetic wraps
+    around modulo 2**(container bits), which preserves every value mod 2**l
+    for l <= bits, so each T-function row, sum and product taken mod 2**l
+    on such an array is exact.
+    """
+    return np.min_scalar_type(low_mask(bits))

@@ -36,7 +36,7 @@ from tf1crack import (
 )
 from tf1crack.generator import state_prefix
 from tf1crack.rng import SplitMix64
-from tf1crack.word import low_mask
+from tf1crack.word import low_mask, word_dtype
 
 from helpers import (
     dfs_filter,
@@ -334,21 +334,23 @@ def test_stage2_complete_inconsistent_survivor_is_empty():
 
 def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
     # the column kernel against dfs mode (states, candidates, verifications)
-    # at a random inner word x, for tails of 1..3 words (2 at w=12), on the
-    # true prefix, a wrong survivor and random prefixes with a + c = x in
-    # one array, the wrong one alone, and all again with _PIECE so small
+    # at a random inner word x, for tails of 1..3 words (2 at w=12 and 16),
+    # on the true prefix, a wrong survivor and random prefixes with a + c = x
+    # in one array, the wrong one alone, and all again with _PIECE so small
     # that the frontier is split; at w=6 also from 2 columns, below the
-    # first pinned output column
+    # first pinned output column.  At w=16, where products wrap around the
+    # full uint16 words, the prefixes hold 12 columns, so that dfs mode
+    # walks a few thousand completions rather than 8^7 per prefix
     rng = SplitMix64(5151)
     trivial, dfs = AttackConfig(), AttackConfig(enumeration_mode="dfs")
-    for w in (6, 8, 10, 12):
+    for w in (6, 8, 10, 12, 16):
         spec = WordSpec(w)
         params = Tf1Params(rng.below(1 << w), rng.below(1 << w), rng.below(1 << w) | 1, spec)
         inst = tf1_instance(params)
         x = rng.below(1 << w)
         truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
         words = (output_word(truth, spec),) + generate(truth, params, 3).words
-        k = spec.half + 1
+        k = spec.half + 1 if w < 16 else 12
         wrong = dataclasses.replace(state_prefix(truth, k), b_low=truth.b & low_mask(k) ^ 1)
         survivors = [state_prefix(truth, k), wrong]
         survivor_sets = [survivors]
@@ -368,6 +370,31 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
                     patch.setattr(attack, "_PIECE", 1)
                     assert attack._run_stage2(prefixes, l, inst, window, 0, x, trivial) == want
                 assert (truth in want[0]) == (svs is survivors or svs[0].l == 2)
+
+
+def test_word_arrays_take_the_narrowest_dtype():
+    # word_dtype is the narrowest unsigned dtype for each width, and stage 1
+    # survivors (both modes) and the column enumerator's batches are held in it
+    for bits in range(1, 65):
+        size = next(n for n in (1, 2, 4, 8) if 8 * n >= bits)
+        assert word_dtype(bits) == np.dtype(f"u{size}")
+    trivial, dfs = AttackConfig(), AttackConfig(enumeration_mode="dfs")
+    for w in (4, 8, 16):
+        spec = WordSpec(w)
+        dtype, k = word_dtype(w), spec.half + 1
+        inst = tf1_instance(default_params(spec))
+        truth = next(states_with_inner_word(spec, 7, 1, 0))
+        bits = [word & 1 for word in generate(truth, inst.params, 3 * k).words]
+        # dfs mode's real stage 1 at w=16 costs 2^27 candidates; with
+        # t2 = a | b | c | d only the zero prefix has t2 = 0
+        cheap = dataclasses.replace(inst, t2_words=lambda a, b, c, d, m: a | b | c | d)
+        runs = [(inst, bits, trivial), (inst, bits, dfs) if w < 16 else (cheap, [], dfs)]
+        for run_inst, run_bits, cfg in runs:
+            survivors = attack._run_stage1(run_inst, k, 0, run_bits, cfg)[0]
+            assert survivors[0].size and all(v.dtype == dtype for v in survivors)
+        prefix = attack._to_arrays(spec, [state_prefix(truth, w - 3).words()])
+        batches = list(attack._columns(inst, prefix, w - 3, w, 0))
+        assert batches and all(v.dtype == dtype for batch in batches for v in batch)
 
 
 def test_stage2_complete_rejects_malformed_survivor():
@@ -667,6 +694,16 @@ def test_recover_params_mismatch():
     other = Tf1Params(c1=P8.c1, c3=P8.c3, c=P8.c ^ 0x24, spec=W8)
     with pytest.raises(ParamsMismatch):
         recover(ks, tf1_instance(other))
+
+
+def test_recover_names_a_keystream_word_outside_the_width():
+    # no state emits 0x3e7 at w=8, so every event fails; the error names
+    # the word rather than the constants, in both modes
+    ks = generate(state_from_seed(1, W8), P8, 4096)
+    bad = Keystream(W8, ks.words[:-1] + (0x3E7,))
+    for mode in ("trivial", "dfs"):
+        with pytest.raises(ValueError, match="^word 4095 is 0x3e7, outside the width-8 range$"):
+            recover(bad, tf1_instance(P8), cfg=AttackConfig(enumeration_mode=mode))
 
 
 def test_recover_survivor_overflow():

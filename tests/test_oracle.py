@@ -17,6 +17,7 @@ from tf1crack import (
     tf1_instance,
     verify_state,
 )
+from tf1crack.cli import format_state
 from tf1crack.oracle import (
     OracleResult,
     brute_force_consistent_states,
@@ -195,6 +196,30 @@ def test_attack_matches_oracle_over_random_constants():
 def test_attack_matches_oracle_over_random_constants_w6():
     # opt-in (pytest -m slow): a 2^24-state oracle scan per set
     _check_random_constants_against_oracle(WordSpec(6), 2027, 26, 1024)
+
+
+@pytest.mark.parametrize(
+    "w, seed, count, zero_index, states",
+    [
+        (4, 2, 1024, 0, ["5:4:b:0", "5:c:b:8", "d:4:3:0", "d:c:3:8"]),
+        pytest.param(
+            6, 1, 4096, 41, ["19:0c:27:3a", "19:2c:27:1a", "39:0c:07:3a", "39:2c:07:1a"],
+            marks=pytest.mark.slow,  # a 2^24-state scan, about 1 s
+        ),
+    ],
+)
+def test_c_equal_to_one_leaves_four_states(w, seed, count, zero_index, states):
+    # named cases with several states: with C = 1 and the default C1 and
+    # C3, both modes and the oracle list the same four
+    spec = WordSpec(w)
+    params = dataclasses.replace(default_params(spec), c=1)
+    ks = generate(state_from_seed(seed, spec), params, count)
+    for mode in ("trivial", "dfs"):
+        report = recover(ks, tf1_instance(params), cfg=AttackConfig(enumeration_mode=mode))
+        assert report.zero_index == zero_index
+        assert [format_state(st, spec) for st in report.recovered] == states
+    oracle = brute_force_consistent_states(ks, zero_index, params, report.verified_words)
+    assert [format_state(st, spec) for st in oracle.consistent_states] == states
 
 
 def test_compare_with_report():
