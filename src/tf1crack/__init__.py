@@ -32,17 +32,14 @@ from .generator import (
     demo_generalized_instance,
     generate,
     generate_from_instance,
-    output_word,
     state_from_seed,
     tf1_instance,
-    update,
 )
 from .oracle import OracleResult, brute_force_consistent_states, compare_with_report
 from .tfcheck import (
     PropertyReport,
     check_tfunction_property,
     check_truncation_consistency,
-    cycle_probe,
     zero_frequency,
 )
 from .word import WordSpec

@@ -209,7 +209,9 @@ class AttackConfig:
     def __post_init__(self) -> None:
         for name in ("filter_horizon", "max_survivors", "workers"):
             value = getattr(self, name)
-            if not isinstance(value, int) and not (name == "filter_horizon" and value is None):
+            # bool is an int subclass, but True is no count
+            int_ok = isinstance(value, int) and not isinstance(value, bool)
+            if not int_ok and not (name == "filter_horizon" and value is None):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.filter_horizon is not None and self.filter_horizon < 1:
             raise ValueError("filter_horizon must be >= 1")

@@ -44,8 +44,6 @@ __all__ = [
     "Keystream",
     "GeneratorInstance",
     "default_params",
-    "update",
-    "output_word",
     "generate",
     "state_prefix",
     "tf1_instance",
@@ -203,12 +201,6 @@ class GeneratorInstance:
         return self.t2_words(*state.words(), self.spec.mask)
 
 
-def update(state: State, params: Tf1Params) -> State:
-    """One step of the state map; all rows read the old state."""
-    a, b, c, d = state.a, state.b, state.c, state.d
-    return State(*_rows(a, b, c, d, params.spec.mask, params.c1, params.c3, params.c)[:4])
-
-
 def _rows(a, b, c, d, m, c1, c3, cc):
     """The four update rows mod 2**l, where m = 2**l - 1, and the step word s.
 
@@ -248,21 +240,13 @@ def _out(a, b, c, d, m, h):
 
     The standard generator's output, used wherever it is stepped natively;
     ``_instance_out`` writes the same formula over any instance's word
-    functions.  Ints or numpy arrays, as for ``_rows``.
+    functions.  Ints or numpy arrays, as for ``_rows``.  The second factor
+    is odd, so the output is zero exactly when a+c wraps to zero.
     """
     x = (a + c) & m
     y = (b + d) & m
     # bits that x << h and y << h carry to column w and above vanish in the reduced product
     return (((x >> h) | (x << h)) * ((y >> h) | (y << h) | 1)) & m
-
-
-def output_word(state: State, spec: WordSpec) -> int:
-    """Emitted word S(a+c) * (S(b+d) | 1) mod 2**w.
-
-    The second factor is odd, so the output is zero exactly when a+c wraps
-    to zero.
-    """
-    return _out(state.a, state.b, state.c, state.d, spec.mask, spec.half)
 
 
 def generate(seed: State, params: Tf1Params, n: int) -> Keystream:

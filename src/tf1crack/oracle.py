@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .attack import AttackReport, _check_width, _check_window
-from .generator import Keystream, State, Tf1Params, _out, _rows, output_word
+from .generator import Keystream, State, Tf1Params, _out, _rows
 from .word import WordSpec, word_dtype
 
 __all__ = ["OracleResult", "brute_force_consistent_states", "compare_with_report"]
@@ -102,12 +102,11 @@ def compare_with_report(report: AttackReport, oracle: OracleResult) -> bool:
 def _scan_states_scalar(spec: WordSpec, word: int) -> Iterator[State]:
     """Every state whose output is ``word``, by walking the whole space: the
     tests' reference for the oracle's window-0 result."""
-    n = 1 << spec.width
-    rng = range(n)
+    m, h = spec.mask, spec.half
+    rng = range(1 << spec.width)
     for a in rng:
         for b in rng:
             for c in rng:
                 for d in rng:
-                    st = State(a, b, c, d)
-                    if output_word(st, spec) == word:
-                        yield st
+                    if _out(a, b, c, d, m, h) == word:
+                        yield State(a, b, c, d)

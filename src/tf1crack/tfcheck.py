@@ -3,8 +3,7 @@
 The attack needs the update and inner word to be T-functions (verified
 structurally, trial by trial), evaluation at a smaller mask to agree with
 the low columns of full evaluation, and outputs to look mildly random; the
-latter has no formal definition, so we measure zero frequency and cycle
-lengths instead.
+latter has no formal definition, so we measure zero frequency instead.
 
 All checks are deterministic: trial i of a run seeded with s draws from a
 stream that depends only on (s, i), so trials can be partitioned across
@@ -25,7 +24,6 @@ from .generator import (
     Tf1Params,
     demo_generalized_instance,
     tf1_instance,
-    update,
 )
 from .rng import trial_draws
 from .word import WordSpec, low_mask
@@ -35,7 +33,6 @@ __all__ = [
     "check_tfunction_property",
     "check_truncation_consistency",
     "zero_frequency",
-    "cycle_probe",
 ]
 
 
@@ -161,34 +158,3 @@ def zero_frequency(ks: Keystream) -> tuple[int, float]:
     zeros = ks.words.count(0)
     return zeros, zeros / len(ks)
 
-
-def cycle_probe(
-    seed: State,
-    params: Tf1Params,
-    max_steps: int,
-) -> tuple[bool, int | None]:
-    """Find the orbit's cycle length in constant memory, within a step budget.
-
-    Brent's method: the stationary pointer teleports to the moving one at
-    power-of-two intervals while the moving pointer steps once per update
-    evaluation.  At most about 2*(tail + cycle) evaluations are needed, so a
-    w-bit generator always resolves within a 2**(4w+1) budget.
-    """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    power = 1
-    length = 1
-    tortoise = seed
-    hare = update(seed, params)
-    steps = 1
-    while tortoise != hare:
-        if steps >= max_steps:
-            return False, None
-        if power == length:
-            tortoise = hare
-            power <<= 1
-            length = 0
-        hare = update(hare, params)
-        steps += 1
-        length += 1
-    return True, length

@@ -1,14 +1,15 @@
 """Small shared utilities for the test suite."""
 
-from tf1crack import ColumnPrefix, State, Tf1Params, attack, update
+from tf1crack import ColumnPrefix, State, Tf1Params, attack, tf1_instance
 from tf1crack.rng import SplitMix64
 
 
 def roll_forward(seed: State, params: Tf1Params, steps: int) -> State:
     """The post-update state after ``steps`` updates from ``seed``."""
+    step = tf1_instance(params).t1
     st = seed
     for _ in range(steps):
-        st = update(st, params)
+        st = step(st)
     return st
 
 

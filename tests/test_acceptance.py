@@ -17,17 +17,15 @@ from tf1crack import (
     demo_generalized_instance,
     find_zero_outputs,
     generate,
-    output_word,
     predicted_work,
     recover,
     state_from_seed,
     tf1_instance,
-    update,
     verify_state,
 )
 from tf1crack import attack
 from tf1crack.attack import enumerate_preimages_dfs
-from tf1crack.generator import state_prefix
+from tf1crack.generator import instance_output, state_prefix
 from tf1crack.oracle import brute_force_consistent_states, compare_with_report
 from tf1crack.rng import SplitMix64
 from tf1crack.tfcheck import (
@@ -49,7 +47,7 @@ def _verdict(number, ok, detail):
 
 
 def test_criterion_01_zero_output_characterization():
-    params = default_params(W4)
+    inst = tf1_instance(default_params(W4))
     start = time.perf_counter()
     exceptions = 0
     for a in range(16):
@@ -57,7 +55,7 @@ def test_criterion_01_zero_output_characterization():
             for c in range(16):
                 zero_sum = (a + c) & 0xF == 0
                 for d in range(16):
-                    if (output_word(State(a, b, c, d), W4) == 0) != zero_sum:
+                    if (instance_output(State(a, b, c, d), inst) == 0) != zero_sum:
                         exceptions += 1
     elapsed = time.perf_counter() - start
     ok = exceptions == 0 and elapsed < 1.0
@@ -89,7 +87,7 @@ def test_criterion_03_lsb_bridge():
         k = spec.half + 1
         states = list(random_states(spec, seed, 10_000))
         batch = attack._to_arrays(spec, [state_prefix(st, k).words() for st in states])
-        lsbs = [output_word(update(st, params), spec) & 1 for st in states]
+        lsbs = [instance_output(inst.t1(st), inst) & 1 for st in states]
         # the attack's filter on one tail bit keeps exactly the prefixes
         # whose next output has that LSB
         for bit in (0, 1):

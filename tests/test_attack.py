@@ -26,7 +26,6 @@ from tf1crack import (
     find_zero_outputs,
     generate,
     generate_from_instance,
-    output_word,
     predicted_work,
     recover,
     stage2_complete,
@@ -34,7 +33,7 @@ from tf1crack import (
     tf1_instance,
     verify_state,
 )
-from tf1crack.generator import state_prefix
+from tf1crack.generator import instance_output, state_prefix
 from tf1crack.rng import SplitMix64
 from tf1crack.word import low_mask, word_dtype
 
@@ -349,7 +348,7 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
         inst = tf1_instance(params)
         x = rng.below(1 << w)
         truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
-        words = (output_word(truth, spec),) + generate(truth, params, 3).words
+        words = (instance_output(truth, inst),) + generate(truth, params, 3).words
         k = spec.half + 1 if w < 16 else 12
         wrong = dataclasses.replace(state_prefix(truth, k), b_low=truth.b & low_mask(k) ^ 1)
         survivors = [state_prefix(truth, k), wrong]
@@ -845,7 +844,7 @@ def test_event_at_a_nonzero_inner_word_end_to_end():
         inst = tf1_instance(params)
         x = 1 + rng.below(spec.mask)
         truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
-        stream = (output_word(truth, spec),) + generate(truth, params, 4 * w).words
+        stream = (instance_output(truth, inst),) + generate(truth, params, 4 * w).words
         tails = (len(stream) - 1,)
         if w == 4:
             tails = (1, 2, 3, len(stream) - 1)
@@ -856,7 +855,7 @@ def test_event_at_a_nonzero_inner_word_end_to_end():
                 for a in range(m + 1)
                 for b in range(m + 1)
                 for d in range(m + 1)
-                if output_word(st := State(a, b, (x - a) & m, d), spec) == stream[0]
+                if instance_output(st := State(a, b, (x - a) & m, d), inst) == stream[0]
             ]
         for tail in tails:
             ks = Keystream(spec, stream[: tail + 1])
@@ -994,7 +993,7 @@ def test_attack_config_validation():
         AttackConfig(workers=0)
     # a non-int fails here, naming its field, not deep inside recover
     for name in ("filter_horizon", "max_survivors", "workers"):
-        for value in (2.5, "2"):
+        for value in (2.5, "2", True):
             with pytest.raises(ValueError, match=f"{name} must be an int, got {value!r}"):
                 AttackConfig(**{name: value})
     with pytest.raises(ValueError, match="max_survivors must be an int, got None"):

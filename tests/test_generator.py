@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tf1crack
 from tf1crack import (
     ColumnPrefix,
     GeneratorInstance,
@@ -16,14 +17,13 @@ from tf1crack import (
     demo_generalized_instance,
     generate,
     generate_from_instance,
-    output_word,
     state_from_seed,
     tf1_instance,
-    update,
 )
-from tf1crack import attack, generator
+from tf1crack import attack, generator, tfcheck
 from tf1crack.generator import (
     _instance_out,
+    _out,
     _rows,
     _stream,
     instance_output,
@@ -58,14 +58,27 @@ def test_compute_s_examples():
 
 
 def test_update_zero_state():
-    for params in (params4(), default_params(W8), default_params(W16)):
+    # C=0 makes the all-zero state a fixed point
+    for params in (params4(), params4(c=0), default_params(W8), default_params(W16)):
         zero = State(0, 0, 0, 0)
-        assert update(zero, params) == State(params.c, 0, 0, 0)
+        assert tf1_instance(params).t1(zero) == State(params.c, 0, 0, 0)
 
 
 def test_update_hand_derived_vector():
     # w=4, C=1, C1=5, C3=3: s=1; rows give (1^1, 0^1, 2*3, 2*5) = (0, 1, 6, 10)
-    assert update(State(1, 0, 0, 0), params4()) == State(0, 1, 6, 10)
+    assert tf1_instance(params4()).t1(State(1, 0, 0, 0)) == State(0, 1, 6, 10)
+
+
+def test_update_orbit_regression_value():
+    # frozen after an exhaustive first run: at w=4 with the default constants
+    # the orbit of (1, 2, 3, 4) is one cycle through all 2^16 states
+    step = tf1_instance(default_params(W4)).t1
+    seen = {}
+    st = State(1, 2, 3, 4)
+    while st not in seen:
+        seen[st] = len(seen)
+        st = step(st)
+    assert len(seen) - seen[st] == 65536
 
 
 def test_update_prefix_agreement():
@@ -74,8 +87,16 @@ def test_update_prefix_agreement():
     m = low_mask(3)
     x = State(0b10110101, 0b01110010, 0b11010110, 0b00101101)
     y = State(x.a ^ 0b11111000, x.b ^ 0b10101000, x.c ^ 0b01010000, x.d ^ 0b11100000)
-    ux, uy = update(x, params), update(y, params)
+    step = tf1_instance(params).t1
+    ux, uy = step(x), step(y)
     assert all((p & m) == (q & m) for p, q in zip(ux.words(), uy.words()))
+
+
+def test_update_output_word_and_cycle_probe_are_gone():
+    # the update is GeneratorInstance.t1 and the output word instance_output
+    for name in ("update", "output_word", "cycle_probe"):
+        assert not hasattr(tf1crack, name)
+        assert name not in generator.__all__ and name not in tfcheck.__all__
 
 
 def test_t2_examples():
@@ -87,9 +108,9 @@ def test_t2_examples():
 
 def test_output_word_examples():
     for b, d in ((0, 0), (3, 9), (0xFF, 0x80)):
-        assert output_word(State(0xE0, b, 0x20, d), W8) == 0  # a+c wraps to 0
-    assert output_word(State(1, 0, 0, 0), W8) == 0x10
-    assert output_word(State(0x12, 0x05, 0x34, 0x0B), W8) == 0x64
+        assert _out(0xE0, b, 0x20, d, W8.mask, W8.half) == 0  # a+c wraps to 0
+    assert _out(1, 0, 0, 0, W8.mask, W8.half) == 0x10
+    assert _out(0x12, 0x05, 0x34, 0x0B, W8.mask, W8.half) == 0x64
 
 
 def test_generate_examples():
@@ -107,25 +128,21 @@ def test_generate_examples():
 def test_generate_matches_stepwise_evaluation():
     params = default_params(W16)
     seed = state_from_seed(123, W16)
-    ks = generate(seed, params, 50)
-    st = seed
-    for word in ks.words:
-        st = update(st, params)
-        assert output_word(st, W16) == word
-    # the word-function branch of the output stream, on the demo instance
-    inst = demo_generalized_instance(W16, params)
-    ks = generate_from_instance(seed, inst, 50)
-    st = seed
-    for word in ks.words:
-        st = inst.t1(st)
-        assert instance_output(st, inst) == word
+    # the plain-int branch of the output stream, then the word-function
+    # branch on the demo instance
+    for inst in (tf1_instance(params), demo_generalized_instance(W16, params)):
+        ks = generate_from_instance(seed, inst, 50)
+        st = seed
+        for word in ks.words:
+            st = inst.t1(st)
+            assert instance_output(st, inst) == word
 
 
 def test_truncated_update_full_width_equals_update():
     params = default_params(W8)
-    t1_words = tf1_instance(params).t1_words
+    inst = tf1_instance(params)
     for st in random_states(W8, 5, 200):
-        assert t1_words(*st.words(), low_mask(8)) == update(st, params).words()
+        assert inst.t1_words(*st.words(), low_mask(8)) == inst.t1(st).words()
 
 
 def test_truncated_update_single_column_zero_prefix():
@@ -135,15 +152,14 @@ def test_truncated_update_single_column_zero_prefix():
 
 
 def test_truncated_update_is_prefix_of_update():
-    params = default_params(W16)
-    t1_words = tf1_instance(params).t1_words
+    inst = tf1_instance(default_params(W16))
     from tf1crack.rng import SplitMix64
 
     rng = SplitMix64(99)
     for st in random_states(W16, 7, 500):
         l = 1 + rng.below(16)
         low = state_prefix(st, l).words()
-        assert t1_words(*low, low_mask(l)) == state_prefix(update(st, params), l).words()
+        assert inst.t1_words(*low, low_mask(l)) == state_prefix(inst.t1(st), l).words()
 
 
 def test_truncated_t2():
@@ -262,7 +278,7 @@ def test_tf1_instance_reproduces_generator():
     params = default_params(W8)
     inst = tf1_instance(params)
     for st in random_states(W8, 3, 300):
-        assert instance_output(st, inst) == output_word(st, W8)
+        assert instance_output(st, inst) == _out(*st.words(), W8.mask, W8.half)
     seed = state_from_seed(8, W8)
     want = generate(seed, params, 64)
     # the plain-int branch of the output stream and the word-function branch
@@ -343,5 +359,6 @@ def test_update_tfunction_property_hypothesis(noise, k):
         (x.c & keep) | (noise >> 7 & W16.mask & ~keep),
         x.d & keep,
     )
-    ux, uy = update(x, params), update(y, params)
+    step = tf1_instance(params).t1
+    ux, uy = step(x), step(y)
     assert all((p & keep) == (q & keep) for p, q in zip(ux.words(), uy.words()))

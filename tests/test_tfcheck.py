@@ -6,21 +6,18 @@ import pytest
 from tf1crack import (
     Keystream,
     State,
-    Tf1Params,
     WordSpec,
     default_params,
     demo_generalized_instance,
     generate,
     state_from_seed,
     tf1_instance,
-    update,
 )
 from tf1crack.rng import SplitMix64, mix64, trial_draws, trial_rng
 from tf1crack.tfcheck import (
     PropertyReport,
     check_tfunction_property,
     check_truncation_consistency,
-    cycle_probe,
     zero_frequency,
 )
 
@@ -125,45 +122,6 @@ def test_zero_frequency_examples():
     assert zero_frequency(Keystream(W8, (3, 7, 9)))[0] == 0
     with pytest.raises(ValueError):
         zero_frequency(Keystream(W8, ()))
-
-
-def test_cycle_probe_small_state_space():
-    # 2^16 states pigeonhole a cycle; Brent resolves within 2^17 evaluations
-    params = default_params(W4)
-    for seed in (State(1, 2, 3, 4), State(0, 0, 0, 0), State(15, 0, 7, 3)):
-        found, length = cycle_probe(seed, params, 1 << 17)
-        assert found and 1 <= length <= 1 << 16
-
-
-def test_cycle_probe_regression_value():
-    # frozen after an exhaustive first run; also re-derived here independently
-    params = default_params(W4)
-    seen = {}
-    st = State(1, 2, 3, 4)
-    i = 0
-    while st not in seen:
-        seen[st] = i
-        st = update(st, params)
-        i += 1
-    exhaustive_length = i - seen[st]
-    assert exhaustive_length == 65536
-    found, length = cycle_probe(State(1, 2, 3, 4), params, 1 << 17)
-    assert found and length == exhaustive_length
-
-
-def test_cycle_probe_fixed_point():
-    # C=0 makes the all-zero state a fixed point: cycle of length 1 in one step
-    params = Tf1Params(c1=5, c3=3, c=0, spec=W4)
-    assert update(State(0, 0, 0, 0), params) == State(0, 0, 0, 0)
-    assert cycle_probe(State(0, 0, 0, 0), params, 1) == (True, 1)
-
-
-def test_cycle_probe_budget_exhaustion():
-    params = default_params(W4)
-    found, length = cycle_probe(State(1, 2, 3, 4), params, 100)
-    assert not found and length is None
-    with pytest.raises(ValueError):
-        cycle_probe(State(1, 2, 3, 4), params, 0)
 
 
 def test_zero_frequency_of_generated_stream():

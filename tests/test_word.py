@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tf1crack import State, default_params, output_word, tf1_instance
+from tf1crack import default_params, tf1_instance
+from tf1crack.generator import _out
 from tf1crack.rng import SplitMix64
 from tf1crack.word import WordSpec
 
@@ -12,11 +13,11 @@ W8 = WordSpec(8)
 def _swaps(spec):
     """The program's half swap S, through the two places that compute it.
 
-    The output word of State(x, 0, 0, 0) is S(x + 0) * (S(0 + 0) | 1) = S(x),
+    The output word ``_out(x, 0, 0, 0)`` is S(x + 0) * (S(0 + 0) | 1) = S(x),
     and tf1's odd-factor word f_words(0, x, 0, 0) is S(x + 0).
     """
     f_words = tf1_instance(default_params(spec)).f_words
-    return (lambda x: output_word(State(x, 0, 0, 0), spec), lambda x: f_words(0, x, 0, 0))
+    return (lambda x: _out(x, 0, 0, 0, spec.mask, spec.half), lambda x: f_words(0, x, 0, 0))
 
 
 @pytest.mark.parametrize("width", [4, 8, 16, 32, 64])
