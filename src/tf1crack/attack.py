@@ -19,18 +19,19 @@ Work is counted in attack operations: one stage-1 filter step (truncated
 update + truncated t2 + one bit compare) or one stage-2 verification step
 (full update + output compare).  The expected total is about 16 * 2**(1.5w).
 
-Each enumeration mode has one path, and both share one column enumerator
-on arrays: it extends column prefixes one column at a time, keeping the
-extensions whose new column of the truncated t2 matches the target (about
-8 of the 16), and serves the t2 preimages, dfs-mode stage 1 and stage 2 in
-both modes.  ``trivial`` mode, for the standard generator only, takes its
-stage-1 candidates in the closed form c = X - a through the lane-sliced
-kernel below.  ``dfs`` mode, for any instance, takes them from the column
-enumerator and prunes them with a plain array filter on the instance's word
-functions.  The exhaustive oracle is the reference up to w = 8.  Above it
-the tests hold the lane kernel to the plain filter on the same candidates
-and trivial mode's pruned stage 2 to dfs mode's, which does not prune.
-Every full-state check reads the generator's one output stream,
+The enumeration mode chooses stage 1 and nothing else; the instance
+chooses stage 2.  One column enumerator on arrays serves them: it extends
+column prefixes one column at a time, keeping the extensions whose new
+column of the truncated t2 matches the target (about 8 of the 16), and
+gives the t2 preimages, dfs-mode stage 1 and stage 2.  ``trivial`` mode,
+for the standard generator only, takes its stage-1 candidates in the
+closed form c = X - a through the lane-sliced kernel below.  ``dfs`` mode,
+for any instance, takes them from the column enumerator and prunes them
+with a plain array filter on the instance's word functions.  The exhaustive
+oracle is the reference up to w = 8.  Above it the tests hold the lane
+kernel to the plain filter on the same candidates and the standard
+generator's pruned stage 2 to that of its generic twin, which does not
+prune.  Every full-state check reads the generator's one output stream,
 ``_stream``, which steps the standard generator on plain ints and in
 column blocks, and any other instance through its word functions.  A
 truncated evaluation passes low_mask(l) to the same word functions.
@@ -79,13 +80,14 @@ per filtered column-enumerator batch.  One part loop, in ``_run_stage1``,
 sums the batches and stops a part once its survivors pass the cap, so the
 counters and the cap are applied in one place for both modes.
 
-Stage 2 completes the survivors of an event with the column enumerator.
-In trivial mode it also prunes on the first tail word.  The next output
-is S(x) * (S(y) | 1) with x = a'+c' and y = b'+d', and a product's low
+Stage 2 completes the survivors of an event with the column enumerator,
+in either mode.  For the standard generator it also prunes on the first
+tail word, however stage 1 found the survivors.  The next output is
+S(x) * (S(y) | 1) with x = a'+c' and y = b'+d', and a product's low
 columns read only its factors' low columns, so output
 column t < h = w/2 reads only columns h..h+t of x and y.  So at column j an
 extension is kept while output columns 0..j-h of the first tail word
-match; at full width the whole word must.  In either mode only the
+match; at full width the whole word must.  For every instance only the
 completions that emit the first tail word, and the event word itself,
 walk the rest of the tail: t2 = X pins only the factor S(X) of the event
 word, and unless X = 0 its other factor reads b and d.  Each
@@ -369,15 +371,16 @@ def stage2_complete(
     """Extend a stage-1 survivor to full states and keep the ones that check out.
 
     The survivor holds l columns (1 <= l < w) of a state that emits the zero
-    word at ``zero_index``, and a word must follow it.  Both modes add one
-    column at a time; trivial mode also drops an extension at the first
-    column where it disagrees with the next word.  Both return the
-    completions that reproduce the tail, sorted.
+    word at ``zero_index``, and a word must follow it.  Completions grow one
+    column at a time; for the standard generator an extension is also
+    dropped at the first column where it disagrees with the next word.  The
+    completions that reproduce the tail are returned sorted.  ``cfg`` only
+    names the mode to check against the instance and width: stage 2 is the
+    same in both.
     """
     _check_params(instance, params)
     _check_width(ks, instance.spec)
-    cfg = cfg or AttackConfig()
-    _check_mode(instance, cfg)
+    _check_mode(instance, cfg or AttackConfig())
     w = instance.spec.width
     if not 1 <= survivor.l < w:
         raise ValueError(f"survivor has {survivor.l} columns; stage 2 needs 1 to {w - 1} at w={w}")
@@ -388,7 +391,7 @@ def stage2_complete(
     if ks.words[zero_index] != 0:
         raise ValueError(f"keystream word at {zero_index} is not zero")
     prefix = _to_arrays(instance.spec, [survivor.words()])
-    return _run_stage2(prefix, survivor.l, instance, ks.words, zero_index, 0, cfg)[0]
+    return _run_stage2(prefix, survivor.l, instance, ks.words, zero_index, 0)[0]
 
 
 def recover(
@@ -440,7 +443,7 @@ def recover(
         counters.stage1_candidates += cands
         counters.stage1_filter_steps += steps
         counters.stage1_survivors += survivors[0].size
-        found, cand2, verif2 = _run_stage2(survivors, k, instance, words, index, x, cfg)
+        found, cand2, verif2 = _run_stage2(survivors, k, instance, words, index, x)
         counters.stage2_candidates += cand2
         counters.stage2_verifications += verif2
         if found:
@@ -756,7 +759,6 @@ def _run_stage2(
     words: tuple[int, ...],
     index: int,
     x: int,
-    cfg: AttackConfig,
 ) -> tuple[list[State], int, int]:
     """Complete the survivors of the event (index, x); returns (verified
     states sorted, candidates, verification steps).
@@ -765,16 +767,18 @@ def _run_stage2(
     arrays, all of them l-column prefixes with t2 = x on l columns, as
     ``_run_stage1`` returns them.  The completions keep t2 = x, and the
     tail is ``words`` after ``index``, to its end.  The column enumerator
-    builds the completions in both modes.  Trivial mode also prunes them on
-    the first tail word and counts its candidates in closed form.  Every
+    builds the completions for every instance.  For the standard generator
+    it also prunes them on the first tail word, and the candidates are
+    counted in closed form: t2 = a + c keeps exactly 8 of each column's 16
+    extensions, so that count is the unpruned enumerator's.  Every
     candidate costs one step for the first tail word; only the completions
     that emit it and the event word walk the rest of the tail, at one more
     step a word.
     """
     spec = instance.spec
     first = words[index + 1]
-    trivial = cfg.enumeration_mode == "trivial"
-    batches = _columns(instance, prefixes, l, spec.width, x, first if trivial else None)
+    native = instance.tf1_native
+    batches = _columns(instance, prefixes, l, spec.width, x, first if native else None)
 
     def out(*state):
         return _instance_out(instance.t2_words, instance.f_words, spec.mask, spec.half, *state)
@@ -792,7 +796,7 @@ def _run_stage2(
             verifs += n - 1
             if ok:
                 states.append(st)
-    cands = prefixes[0].size << (3 * (spec.width - l)) if trivial else n_leaves
+    cands = prefixes[0].size << (3 * (spec.width - l)) if native else n_leaves
     return sorted(states), cands, verifs + cands
 
 

@@ -178,10 +178,12 @@ class GeneratorInstance:
     the generic twin that steps the instance's own word functions.  It
     marks the standard generator, whose t2 is the plain column sum a+c
     with the closed-form preimages c = (target - a) mod 2^l; the attack's
-    ``trivial`` mode, its lane-sliced stage-1 kernel and the plain-int and
-    column-block branch of ``_stream``, the one output stream, serve it
-    alone.  Any instance, this one included, runs ``dfs`` mode, which the
-    tests use as the reference for the trivial-mode kernels.
+    ``trivial`` mode and its lane-sliced stage-1 kernel, stage 2's pruning
+    on the first tail word, and the plain-int and column-block branch of
+    ``_stream``, the one output stream, serve it alone.  Any instance, this
+    one included, runs ``dfs`` mode, whose stage 1 the tests use as the
+    reference for the lane kernel; the generic twin's stage 2, which does
+    not prune, is the reference for the pruned one.
     """
 
     params: Tf1Params

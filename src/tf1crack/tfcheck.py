@@ -59,6 +59,9 @@ _BATCH = 1 << 12  # trials per trial_draws call; bounds the plain ints held at o
 def _run_trials(trials: int, rng_seed: int, n_draws: int, trial: Callable) -> PropertyReport:
     """Call ``trial(*draws)`` with the first ``n_draws`` draws of each trial's
     stream; ``trial`` returns None on success and a witness on failure."""
+    # bool is an int subclass, but True is no count
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     failures = 0

@@ -332,20 +332,21 @@ def test_stage2_complete_inconsistent_survivor_is_empty():
 
 
 def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
-    # the column kernel against dfs mode (states, candidates, verifications)
-    # at a random inner word x, for tails of 1..3 words (2 at w=12 and 16),
-    # on the true prefix, a wrong survivor and random prefixes with a + c = x
-    # in one array, the wrong one alone, and all again with _PIECE so small
-    # that the frontier is split; at w=6 also from 2 columns, below the
-    # first pinned output column.  At w=16, where products wrap around the
-    # full uint16 words, the prefixes hold 12 columns, so that dfs mode
-    # walks a few thousand completions rather than 8^7 per prefix
+    # the standard generator's pruned stage 2 against the unpruned one of its
+    # generic twin (states, candidates, verifications) at a random inner word
+    # x, for tails of 1..3 words (2 at w=12 and 16), on the true prefix, a
+    # wrong survivor and random prefixes with a + c = x in one array, the
+    # wrong one alone, and all again with _PIECE so small that the frontier
+    # is split; at w=6 also from 2 columns, below the first pinned output
+    # column.  At w=16, where products wrap around the full uint16 words, the
+    # prefixes hold 12 columns, so that the twin walks a few thousand
+    # completions rather than 8^7 per prefix
     rng = SplitMix64(5151)
-    trivial, dfs = AttackConfig(), AttackConfig(enumeration_mode="dfs")
     for w in (6, 8, 10, 12, 16):
         spec = WordSpec(w)
         params = Tf1Params(rng.below(1 << w), rng.below(1 << w), rng.below(1 << w) | 1, spec)
         inst = tf1_instance(params)
+        twin = dataclasses.replace(inst)
         x = rng.below(1 << w)
         truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
         words = (instance_output(truth, inst),) + generate(truth, params, 3).words
@@ -363,12 +364,46 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
             prefixes, l = attack._to_arrays(spec, [p.words() for p in svs]), svs[0].l
             for tail in (1, 2, 3) if w < 12 else (2,):
                 window = words[: 1 + tail]
-                want = attack._run_stage2(prefixes, l, inst, window, 0, x, dfs)
-                assert attack._run_stage2(prefixes, l, inst, window, 0, x, trivial) == want
+                want = attack._run_stage2(prefixes, l, twin, window, 0, x)
+                assert attack._run_stage2(prefixes, l, inst, window, 0, x) == want
                 with monkeypatch.context() as patch:
                     patch.setattr(attack, "_PIECE", 1)
-                    assert attack._run_stage2(prefixes, l, inst, window, 0, x, trivial) == want
+                    assert attack._run_stage2(prefixes, l, inst, window, 0, x) == want
                 assert (truth in want[0]) == (svs is survivors or svs[0].l == 2)
+
+
+def test_stage2_prunes_by_instance_not_mode(monkeypatch):
+    # stage 2 follows the instance, not the enumeration mode: dfs-mode
+    # recover on the standard generator builds only full-width completions
+    # that emit the first tail word, its generic twin builds all
+    # survivors * 8^(w-k) of them, and both report the same
+    ks, zero_index, true_state = make_run(W8, P8, seed=7, n=8192)
+    native = tf1_instance(P8)
+    columns = attack._columns
+    built = []
+
+    def spy(instance, words, l, k, target, first=None):
+        for batch in columns(instance, words, l, k, target, first):
+            if k == instance.spec.width:
+                built.extend(prefix_rows(batch))
+            yield batch
+
+    monkeypatch.setattr(attack, "_columns", spy)
+    runs = []
+    for inst in (native, dataclasses.replace(native)):
+        built.clear()
+        report = recover(ks, inst, cfg=AttackConfig(enumeration_mode="dfs"))
+        # one event, the first zero word
+        assert report.zero_index == zero_index and true_state in report.recovered
+        runs.append((report, list(built)))
+    (pruned, pruned_rows), (generic, generic_rows) = runs
+    assert report_core(pruned) == report_core(generic)
+    first = ks.words[zero_index + 1]
+    assert pruned_rows
+    assert all(instance_output(native.t1(State(*row)), native) == first for row in pruned_rows)
+    k = W8.half + 1
+    n_all = generic.counters.stage1_survivors << (3 * (W8.width - k))
+    assert len(pruned_rows) < len(generic_rows) == n_all
 
 
 def test_word_arrays_take_the_narrowest_dtype():
@@ -830,8 +865,9 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
 
 def test_event_at_a_nonzero_inner_word_end_to_end():
     # One event (0, x) at a random x != 0 and random constants (odd C), run
-    # through stage 1 and stage 2 as recover runs an event: both modes give
-    # the same survivors, states and counters, and the planted state is
+    # through stage 1 and stage 2 as recover runs an event: both modes, and
+    # dfs mode on the generic twin, whose stage 2 does not prune, give the
+    # same survivors, states and counters, and the planted state is
     # among the states.  At w=4 they are exactly the states with a + c = x
     # that emit the event word and the tail, for the whole stream and for
     # tails of 1, 2 and 3 words, where the first tail word alone leaves
@@ -842,6 +878,7 @@ def test_event_at_a_nonzero_inner_word_end_to_end():
         k = spec.half + 1
         params = Tf1Params(rng.below(1 << w), rng.below(1 << w), rng.below(1 << w) | 1, spec)
         inst = tf1_instance(params)
+        twin = dataclasses.replace(inst)
         x = 1 + rng.below(spec.mask)
         truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
         stream = (instance_output(truth, inst),) + generate(truth, params, 4 * w).words
@@ -861,12 +898,12 @@ def test_event_at_a_nonzero_inner_word_end_to_end():
             ks = Keystream(spec, stream[: tail + 1])
             tail_bits = [word & 1 for word in ks.words[1 : 1 + 3 * k]]
             runs = []
-            for mode in ("trivial", "dfs"):
+            for run_inst, mode in ((inst, "trivial"), (inst, "dfs"), (twin, "dfs")):
                 cfg = AttackConfig(enumeration_mode=mode)
-                survivors, steps, cands = attack._run_stage1(inst, k, x, tail_bits, cfg)
-                found, cand2, verif2 = attack._run_stage2(survivors, k, inst, ks.words, 0, x, cfg)
+                survivors, steps, cands = attack._run_stage1(run_inst, k, x, tail_bits, cfg)
+                found, cand2, verif2 = attack._run_stage2(survivors, k, run_inst, ks.words, 0, x)
                 runs.append((prefix_rows(survivors), found, steps, cands, cand2, verif2))
-            assert runs[0] == runs[1]
+            assert runs[0] == runs[1] == runs[2]
             assert truth in runs[0][1]
             if w == 4:
                 brute = [st for st in emitters if verify_state(st, params, ks, 0, tail)]
@@ -927,7 +964,10 @@ def test_trivial_mode_width_limit():
     last = state_prefix(truth, 43)
     got = stage2_complete(last, p44, inst, ks, 0)
     assert truth in got
-    assert got == stage2_complete(last, p44, inst, ks, 0, AttackConfig(enumeration_mode="dfs"))
+    dfs = AttackConfig(enumeration_mode="dfs")
+    assert got == stage2_complete(last, p44, inst, ks, 0, dfs)
+    # the generic twin's stage 2, which does not prune
+    assert got == stage2_complete(last, p44, dataclasses.replace(inst), ks, 0, dfs)
     k = 23
     hi = 1 << (3 * (k - 2))
     bits = [1, 1, 1, 1, 1]

@@ -139,10 +139,22 @@ def test_generate_matches_stepwise_evaluation():
 
 
 def test_truncated_update_full_width_equals_update():
+    # t1_words at the full mask against README's four update rows, written
+    # out here on plain ints
     params = default_params(W8)
-    inst = tf1_instance(params)
+    c1, c3, cc = params.c1, params.c3, params.c
+    t1_words = tf1_instance(params).t1_words
     for st in random_states(W8, 5, 200):
-        assert inst.t1_words(*st.words(), low_mask(8)) == inst.t1(st).words()
+        a, b, c, d = st.words()
+        p = a & b & c & d
+        s = ((cc + p) % 256) ^ p
+        want = (
+            (a ^ s ^ 2 * c * (b | c1)) % 256,
+            (b ^ (s & a) ^ 2 * c * (d | c3)) % 256,
+            (c ^ (s & a & b) ^ 2 * a * (d | c3)) % 256,
+            (d ^ (s & a & b & c) ^ 2 * a * (b | c1)) % 256,
+        )
+        assert t1_words(a, b, c, d, low_mask(8)) == want
 
 
 def test_truncated_update_single_column_zero_prefix():

@@ -64,6 +64,13 @@ def test_tfunction_property_rejects_bad_args():
         check_tfunction_property("t3", W8, params, 10, 1)
     with pytest.raises(ValueError):
         check_tfunction_property("t1", W8, params, 0, 1)
+    # a bool is no count, and a float no int, for either check
+    inst = tf1_instance(params)
+    for bad in (True, False, 2.5):
+        with pytest.raises(ValueError, match=f"trials must be an int, got {bad!r}"):
+            check_tfunction_property("t1", W8, params, bad, 1)
+        with pytest.raises(ValueError, match=f"trials must be an int, got {bad!r}"):
+            check_truncation_consistency(inst, W8, bad, 1)
     for target in ("t1", "t2", "t2_demo"):
         with pytest.raises(ValueError, match="params were built for a different word spec"):
             check_tfunction_property(target, WordSpec(16), params, 10, 1)
@@ -83,8 +90,6 @@ def test_trial_streams_are_partition_stable():
     array = np.array(words, dtype=np.uint64)
     array.flags.writeable = False  # mix64 must not write to its input
     assert mix64(array).tolist() == [mix64(v) for v in words]
-    with pytest.raises(TypeError):
-        check_tfunction_property("t1", W8, default_params(W8), 2.5, 1)
     with pytest.raises(ValueError, match="bound must be positive"):
         SplitMix64(1).below(0)
 
