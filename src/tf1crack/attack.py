@@ -75,10 +75,11 @@ exactly what the plain filter counts.  Three columns would need 256 lanes.
 
 Stage 1 runs in parts, one range of lower prefixes (trivial mode) or of
 one-column roots (dfs mode) each.  A part is a generator of batches
-(survivors, filter steps, candidates): one per lane-kernel chunk, or one
-per filtered column-enumerator batch.  One part loop, in ``_run_stage1``,
-sums the batches and stops a part once its survivors pass the cap, so the
-counters and the cap are applied in one place for both modes.
+(survivors, filter steps, candidates): one per retirement from the lane
+kernel's working set, or one per filtered column-enumerator batch.  One
+part loop, in ``_run_stage1``, sums the batches and stops a part once its
+survivors pass the cap, so the counters and the cap are applied in one
+place for both modes.
 
 Stage 2 completes the survivors of an event with the column enumerator,
 in either mode.  For the standard generator it also prunes on the first
@@ -140,16 +141,15 @@ __all__ = [
     "predicted_work",
 ]
 
-# lower prefixes (of 64 candidates each) per lane-kernel chunk.  The masks
-# (32 bytes a prefix) live in one buffer per call, so a chunk frees only its
-# temporaries, about 600 KB at 2^14 (tracemalloc puts a w=14 chunk's peak,
-# masks included, at 1.1 MB).  Once a caller has generated or read its
-# stream, glibc keeps them on the heap for the next chunk: the second w=14
-# stage 1 of test_stage1_chunks_do_not_page_fault takes 6-230 minor faults,
-# against 1,620 with the masks allocated per chunk.  At w=16, stage 1 took
-# 0.36-0.43 s at 2^14 and 0.50-0.69 s at 2^13 (2-vCPU Xeon VM), where
-# numpy's per-call overhead weighs more.  Never affects results.
-_CHUNK = 1 << 14
+# lower prefixes (of 64 candidates each) in the lane kernel's working set.
+# Its two buffer sets take 88 bytes a prefix at w=16, 2.9 MB.  At w=16 a
+# stage 1 ran about 10% faster than at 2^14 once the process had run one,
+# but a step's temporaries (64 and 128 KB) return to the top of glibc's
+# heap, which trims under them until the process has freed a block above
+# its trim threshold: a process's first stage 1 takes about 31,000 minor
+# faults at w=16 and 1.6 million at w=20, later ones about 1,000.  Never
+# affects results.
+_WORKING = 1 << 15
 # the lane kernel's start masks for a_U, b_U, d_U, a_T and b_T: the lanes
 # whose bit 2, 1, 0, 4 or 3 is set, as int32 (see _stage1_lanes)
 _LANE_MASKS = np.array(
@@ -374,13 +374,12 @@ def stage2_complete(
     word at ``zero_index``, and a word must follow it.  Completions grow one
     column at a time; for the standard generator an extension is also
     dropped at the first column where it disagrees with the next word.  The
-    completions that reproduce the tail are returned sorted.  ``cfg`` only
-    names the mode to check against the instance and width: stage 2 is the
-    same in both.
+    completions that reproduce the tail are returned sorted.  ``cfg`` is
+    ignored: stage 2 is the same in both enumeration modes, for every
+    instance and width.
     """
     _check_params(instance, params)
     _check_width(ks, instance.spec)
-    _check_mode(instance, cfg or AttackConfig())
     w = instance.spec.width
     if not 1 <= survivor.l < w:
         raise ValueError(f"survivor has {survivor.l} columns; stage 2 needs 1 to {w - 1} at w={w}")
@@ -630,13 +629,23 @@ def _stage1_lanes(
     columns; the masks are int32, so that a row bit sign-extended in the
     signed view of the row dtype promotes to 32 set bits.  C1 and C3 enter
     the masks only through their bits 0 and U, which pick the terms below
-    in Python.  A lane leaves ``alive`` at its first mismatch, and a prefix
-    leaves the arrays once its mask is 0.  Each step adds 2·popcount(alive)
-    taken before it, which is the plain filter's per-candidate count.  Each
-    chunk of _CHUNK lower prefixes decodes the lanes of its final masks
-    into the words of k-column prefixes, and yields (its survivors as four
-    ``word_dtype(w)`` arrays, its filter steps, its candidates: 64 per
-    lower prefix).  The caller sums the chunks and applies the survivor cap.
+    in Python.  A lane leaves ``alive`` at its first mismatch, and each
+    step adds 2·popcount(alive) taken before it, which is the plain
+    filter's per-candidate count.
+
+    The prefixes are stepped as one working set of at most _WORKING, in
+    two buffer sets.  Once fewer than half of the set are alive, the live
+    prefixes are taken into the spare set, and the set is refilled from the
+    range, so every step runs on at least half the set until the range
+    runs out.  Compaction keeps the order and a refill appends, so the
+    prefixes of one load stay together, oldest load first, and share a
+    depth: the steps since their load, which picks the tail bit that each
+    step compares them with.  A load whose depth reaches the horizon
+    retires: its lanes are decoded into the words of k-column prefixes and
+    cleared, so they count no further steps.  The kernel yields (survivors
+    as four ``word_dtype(w)`` arrays, filter steps, candidates: 64 per
+    lower prefix) at each retirement that leaves survivors and once at the
+    end; the caller sums the batches and applies the survivor cap.
     """
     low = k - 2
     lm, km = low_mask(low), low_mask(k)
@@ -645,7 +654,7 @@ def _stage1_lanes(
     top = 8 * signed.itemsize - 1
     # the constants are scalars of the rows' dtype: with plain-int operands
     # numpy stops reusing temporaries' buffers in place, which made stage 1
-    # at w=16 about 10% slower and added a chunk array to the peak memory
+    # at w=16 about 10% slower and added an array to the peak memory
     consts = (km, params.c1, params.c3, params.c, lm, x & lm)
     mm, c1, c3, cc, lmd, x_low = (dtype.type(v & km) for v in consts)
     to_u, to_t, to_0 = (dtype.type(top - col) for col in (low, k - 1, 0))
@@ -657,99 +666,152 @@ def _stage1_lanes(
     x_u, x_t = (x >> low) & 1, (x >> (k - 1)) & 1
     cu0, ct0 = _LANE_MASKS[0] ^ np.int32(-x_u), _LANE_MASKS[3] ^ np.int32(-x_t)
     borrow_u = np.bitwise_and if x_u else np.bitwise_or
+    horizon = len(tail_bits)
+    index = word_dtype(3 * low)
+    cap = min(_WORKING, hi - lo)
+    ramp = np.arange(cap, dtype=index)
+    shifts = np.arange(32, dtype=np.int32)
 
     def bit(v, to_sign):
         # the column of v that to_sign shifts into the sign bit, as 0 or -1
         return (v << to_sign).view(signed) >> top
 
-    # the masks live in one buffer for the whole call, so that a chunk frees
-    # only its temporaries (see _CHUNK)
-    masks = np.empty((8, min(_CHUNK, hi - lo)), np.int32)
-    for cs in range(lo, hi, _CHUNK):
-        end = min(cs + _CHUNK, hi)
-        idx = np.arange(cs, end, dtype=word_dtype(3 * low))
-        a = (idx >> (2 * low)).astype(dtype)
-        b = ((idx >> low) & lm).astype(dtype)
-        d = (idx & lm).astype(dtype)
-        c = (x_low - a) & lmd
-        au, bu, du, at, bt, cu, ct, alive = masks[:, : idx.size]
-        masks[:5, : idx.size] = _LANE_MASKS[:, None]
-        alive.fill(-1)
-        beta = np.negative((a > x_low).view(np.int8))
-        np.bitwise_xor(beta, cu0, out=cu)
-        borrow_u(beta, _LANE_MASKS[0], out=ct)
-        ct ^= ct0
-        steps = 0
-        for obs in tail_bits:
-            steps += 2 * int(np.bitwise_count(alive.view(np.uint32)).sum())
-            c_0 = None if c1_u and c3_u else bit(c, to_0)
-            a_0 = None if c3_u else bit(a, to_0)
-            cu_b1 = cu if c1_0 else cu & bit(b, to_0)
-            d3_0 = None if c3_0 else bit(d, to_0)
-            a, b, c, d, s = _rows(a, b, c, d, mm, c1, c3, cc)
-            s_u = bit(s, to_u)
-            sa = s_u & au
-            sab = sa & bu
-            sp = sab & cu
-            sp &= du
-            # the T masks first, as they read the U masks from before the
-            # step; sat = S_T & A_T takes A_T before it changes
-            sat = bit(s, to_t) ^ sp
-            sat &= at
-            at ^= sp
-            ct ^= sat & bt
-            ct ^= bit(c, to_t)
-            ct ^= au if d3_0 is None else au & d3_0
-            bt ^= sat
-            bt ^= bit(b, to_t)
-            bt ^= cu if d3_0 is None else cu & d3_0
-            at ^= bit(a, to_t)
-            at ^= cu_b1
-            if not c1_u:
-                at ^= c_0 & bu
-            if not c3_u:
-                bt ^= c_0 & du
-                ct ^= a_0 & du
-            du ^= sab & cu
-            du ^= bit(d, to_u)
-            cu ^= sab
-            cu ^= bit(c, to_u)
-            bu ^= sa
-            bu ^= bit(b, to_u)
-            au ^= bit(a, to_u)
-            a &= lmd
-            b &= lmd
-            c &= lmd
-            d &= lmd
-            # output LSB: A_T' ^ C_T' ^ maj(A_U', C_U', carry into U)
-            pred = au ^ cu
-            pred &= bit(a + c, to_u)
-            pred ^= au & cu
-            pred ^= at
-            pred ^= ct
-            if not obs:
-                np.invert(pred, out=pred)
-            alive &= pred
-            # free the step's temporaries before the next step allocates its own
-            del sa, sab, sp, sat, pred
-            live = np.count_nonzero(alive)
-            if live == 0:
-                break
-            if 2 * live < alive.size:
-                # drop dead prefixes once half are gone; take() on the live
-                # positions runs about 4x faster than a boolean mask here
-                keep = np.flatnonzero(alive)
-                idx, alive, a, b, c, d = (v.take(keep) for v in (idx, alive, a, b, c, d))
-                au, bu, cu, du, at, bt, ct = (v.take(keep) for v in (au, bu, cu, du, at, bt, ct))
+
+    def decode(i, alive):
         # lane bit 4, 3, 2, 1, 0 is a_T, b_T, a_U, b_U, d_U; d_T is 0 or 1
         live = np.flatnonzero(alive)
-        rows, lanes = np.nonzero((alive.take(live)[:, None] >> np.arange(32, dtype=np.int32)) & 1)
-        i, lane = idx.take(live.take(rows)), lanes.astype(idx.dtype)
+        rows, lanes = np.nonzero((alive.take(live)[:, None] >> shifts) & 1)
+        i, lane = i.take(live.take(rows)), lanes.astype(i.dtype)
         a = (i >> (2 * low)) | ((lane >> 2) & 1) << low | (lane >> 4) << (k - 1)
         b = ((i >> low) & lm) | ((lane >> 1) & 1) << low | ((lane >> 3) & 1) << (k - 1)
         d = (i & lm) | (lane & 1) << low
         a, b, d = np.tile(a, 2), np.tile(b, 2), np.concatenate([d, d | 1 << (k - 1)])
-        yield tuple(v.astype(word) for v in (a, b, (x - a) & km, d)), steps, 64 * (end - cs)
+        return tuple(v.astype(word) for v in (a, b, (x - a) & km, d)), live.size
+
+    # two buffer sets of the index, the rows, the seven lane masks and
+    # alive, the eighth mask; a mask row has an even length above cap, so
+    # that alive views as uint64 words at an odd count too
+    ids, rows = np.empty((2, cap), index), np.empty((2, 4, cap), dtype)
+    masks = np.empty((2, 8, cap + 2 & -2), np.int32)
+    full, spare = ((ids[j], rows[j], masks[j, :7], masks[j, 7]) for j in (0, 1))
+    n = live = steps = cands = t = retired = 0
+    nxt = lo
+    # (step, end) of each load's prefixes, oldest first: a load spans from
+    # the end of the one before it, or from `retired`, to its own end
+    loads: list[tuple[int, int]] = []
+    while True:
+        while loads and t - loads[0][0] == horizon:
+            end = loads.pop(0)[1]
+            survivors, n_live = decode(idx[retired:end], alive[retired:end])
+            if n_live:
+                alive[retired:end] = 0
+                live -= n_live
+                yield survivors, steps, cands
+                steps = cands = 0
+            retired = end
+        if 2 * live < n or not n:
+            if not live and nxt == hi:
+                break
+            if live:
+                keep = np.flatnonzero(alive)
+                for src, dst in zip((idx, a, b, c, d, *masks, alive),
+                                    (spare[0], *spare[1], *spare[2], spare[3])):
+                    src.take(keep, out=dst[:live])
+                full, spare = spare, full
+                ends = np.searchsorted(keep, [end for _, end in loads]).tolist()
+                # drop the loads whose prefixes have all died
+                loads = [(step, end) for (step, _), end, start in zip(loads, ends, [0, *ends])
+                         if end > start]
+            else:
+                loads = []
+            idx, rows, masks, alive = full
+            retired = 0
+            r = min(cap - live, hi - nxt)
+            if r:
+                new = slice(live, live + r)
+                i = idx[new]
+                np.add(ramp[:r], index.type(nxt), out=i)
+                na, nb, nc, nd = rows[:, new]
+                np.right_shift(i, 2 * low, out=na, casting="unsafe")
+                np.right_shift(i, low, out=nb, casting="unsafe")
+                nb &= lmd
+                np.bitwise_and(i, lm, out=nd, casting="unsafe")
+                np.subtract(x_low, na, out=nc)
+                nc &= lmd
+                masks[:5, new] = _LANE_MASKS[:, None]
+                alive[new] = -1
+                beta = np.negative(np.greater(na, x_low).view(np.int8))
+                np.bitwise_xor(beta, cu0, out=masks[5, new])
+                borrow_u(beta, _LANE_MASKS[0], out=masks[6, new])
+                masks[6, new] ^= ct0
+                nxt += r
+                cands += 64 * r
+                loads.append((t, live + r))
+            n = live = live + r
+            alive[n] = 0
+            popcount = alive[: n + (n & 1)].view(np.uint64)
+            idx, rows, masks, alive = (v[..., :n] for v in full)
+            a, b, c, d = rows
+            au, bu, du, at, bt, cu, ct = masks
+            continue
+        steps += 2 * int(np.bitwise_count(popcount).sum(dtype=np.uint64))
+        c_0 = None if c1_u and c3_u else bit(c, to_0)
+        a_0 = None if c3_u else bit(a, to_0)
+        cu_b1 = cu if c1_0 else cu & bit(b, to_0)
+        d3_0 = None if c3_0 else bit(d, to_0)
+        a, b, c, d, s = _rows(a, b, c, d, mm, c1, c3, cc)
+        s_u = bit(s, to_u)
+        sa = s_u & au
+        sab = sa & bu
+        sp = sab & cu
+        sp &= du
+        # the T masks first, as they read the U masks from before the
+        # step; sat = S_T & A_T takes A_T before it changes
+        sat = bit(s, to_t) ^ sp
+        sat &= at
+        at ^= sp
+        ct ^= sat & bt
+        ct ^= bit(c, to_t)
+        ct ^= au if d3_0 is None else au & d3_0
+        bt ^= sat
+        bt ^= bit(b, to_t)
+        bt ^= cu if d3_0 is None else cu & d3_0
+        at ^= bit(a, to_t)
+        at ^= cu_b1
+        if not c1_u:
+            at ^= c_0 & bu
+        if not c3_u:
+            bt ^= c_0 & du
+            ct ^= a_0 & du
+        du ^= sab & cu
+        du ^= bit(d, to_u)
+        cu ^= sab
+        cu ^= bit(c, to_u)
+        bu ^= sa
+        bu ^= bit(b, to_u)
+        au ^= bit(a, to_u)
+        a &= lmd
+        b &= lmd
+        c &= lmd
+        d &= lmd
+        # output LSB: A_T' ^ C_T' ^ maj(A_U', C_U', carry into U), flipped
+        # for each load whose next observed bit is 0
+        pred = au ^ cu
+        pred &= bit(a + c, to_u)
+        pred ^= au & cu
+        pred ^= at
+        pred ^= ct
+        start = retired
+        for step, end in loads:
+            if not tail_bits[t - step]:
+                np.invert(pred[start:end], out=pred[start:end])
+            start = end
+        alive &= pred
+        t += 1
+        # free the step's temporaries before the next step allocates its own
+        del sa, sab, sp, sat, pred
+        live = int(np.count_nonzero(alive))
+    yield tuple(np.empty((4, 0), word)), steps, cands
 
 
 def _run_stage2(

@@ -1,7 +1,10 @@
 """Small shared utilities for the test suite."""
 
-from tf1crack import ColumnPrefix, State, Tf1Params, attack, tf1_instance
+import numpy as np
+
+from tf1crack import State, Tf1Params, attack, tf1_instance
 from tf1crack.rng import SplitMix64
+from tf1crack.word import word_dtype
 
 
 def roll_forward(seed: State, params: Tf1Params, steps: int) -> State:
@@ -46,19 +49,6 @@ def prefix_rows(prefixes):
     return list(zip(*(v.tolist() for v in prefixes)))
 
 
-def lane_candidates(lo, hi, k, x):
-    """The 64 candidates over lower prefixes [lo, hi), as the kernel indexes them:
-    every setting of the top two columns of a, b and d, with c = x - a."""
-    low = k - 2
-    lm = (1 << low) - 1
-    for i in range(lo, hi):
-        for top in range(64):
-            a = (i >> (2 * low)) | (top >> 4) << low
-            b = ((i >> low) & lm) | ((top >> 2) & 3) << low
-            d = (i & lm) | (top & 3) << low
-            yield ColumnPrefix(k, a, b, (x - a) & ((1 << k) - 1), d)
-
-
 def lanes(lo, hi, k, params, x, bits):
     """_stage1_lanes over [lo, hi), batches summed: (survivor words sorted, steps, candidates)."""
     batches = list(attack._stage1_lanes(lo, hi, k, params, x, bits))
@@ -66,9 +56,19 @@ def lanes(lo, hi, k, params, x, bits):
     return rows, sum(b[1] for b in batches), sum(b[2] for b in batches)
 
 
-def dfs_filter(inst, candidates, bits):
-    """dfs mode's array filter on the candidates: (survivor words sorted, steps, candidates)."""
-    cands = list(candidates)
-    batch = attack._to_arrays(inst.spec, [p.words() for p in cands])
-    keep, steps = attack._filter(inst, batch, cands[0].l, bits)
-    return sorted(cands[i].words() for i in keep.tolist()), steps, len(cands)
+def lane_filter(inst, lo, hi, k, x, bits):
+    """dfs mode's array filter on the lane kernel's candidates over lower
+    prefixes [lo, hi): every setting of the top two columns of a, b and d,
+    with c = x - a.  Returns (survivor words sorted, steps, candidates), as
+    ``lanes`` does."""
+    low = k - 2
+    lm = (1 << low) - 1
+    i = np.repeat(np.arange(lo, hi, dtype=np.uint64), 64)
+    top = np.tile(np.arange(64, dtype=np.uint64), hi - lo)
+    a = (i >> (2 * low)) | (top >> 4) << low
+    b = ((i >> low) & lm) | ((top >> 2) & 3) << low
+    d = (i & lm) | (top & 3) << low
+    c = (x - a) & ((1 << k) - 1)
+    batch = tuple(v.astype(word_dtype(inst.spec.width)) for v in (a, b, c, d))
+    keep, steps = attack._filter(inst, batch, k, bits)
+    return sorted(prefix_rows(tuple(v.take(keep) for v in batch))), steps, a.size

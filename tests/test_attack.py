@@ -38,8 +38,7 @@ from tf1crack.rng import SplitMix64
 from tf1crack.word import low_mask, word_dtype
 
 from helpers import (
-    dfs_filter,
-    lane_candidates,
+    lane_filter,
     lanes,
     prefix_rows,
     random_states,
@@ -563,6 +562,10 @@ def test_recover_replaced_standard_instance_is_generic():
     report = recover(ks, x, cfg=dfs)
     assert report.recovered == (State(8, 8, 248, 116),)
     assert report_core(report) == report_core(recover(ks, demo, cfg=dfs))
+    # stage 2 has no mode: under the default config it completes the state
+    # from its stage-1 prefix for the demo instance too
+    st = report.recovered[0]
+    assert [st] == stage2_complete(state_prefix(st, 5), None, demo, ks, report.zero_index)
 
 
 def test_recover_worker_counts_do_not_change_reports():
@@ -681,13 +684,18 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_stage1_chunks_do_not_page_fault():
     # A fresh process, so that no earlier test has moved glibc's heap
     # thresholds, generates a w=14 stream as a caller does before the
-    # attack, then runs stage 1 twice.  The lane kernel's temporaries stay
-    # on the heap from chunk to chunk: the second call takes a few dozen
-    # minor faults.  With chunks of 2^17 lower prefixes glibc trimmed the
-    # heap after every chunk, and the call took about 15,800.  Which
-    # modules a process imports first moves glibc's heap layout, so the
-    # script also runs with tracemalloc imported first: with the masks
-    # allocated per chunk that order took about 2,100 faults, against 4.
+    # attack, then runs stage 1 twice.  The lane kernel compacts and
+    # refills its working set inside two buffer sets, 2.6 MB at w=14, that
+    # it allocates once per call, and its step temporaries stay on the heap
+    # from refill to refill.  glibc serves the first call's buffers by
+    # mmap and raises its thresholds as it frees them, so the second call
+    # takes about 800 minor faults as the heap grows to hold them, and a
+    # third takes none.  A kernel that freed its buffers per refill would
+    # fault on every refill: with chunks of 2^17 lower prefixes, each
+    # allocated and freed, glibc trimmed the heap after every chunk, and
+    # the call took about 15,800.  Which modules a process imports first
+    # moves glibc's heap layout, so the script also runs with tracemalloc
+    # imported first.
     src = os.path.dirname(os.path.dirname(attack.__file__))
     procs = [
         subprocess.Popen([sys.executable, "-c", script, src], stdout=subprocess.PIPE, text=True)
@@ -819,7 +827,7 @@ def _check_lanes(params, x, bits, truth):
         at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
         lo = min(max(0, at - 32), (1 << (3 * low)) - 64)
         want = lanes(lo, lo + 64, k, params, x, bits)
-        assert want == dfs_filter(inst, lane_candidates(lo, lo + 64, k, x), bits)
+        assert want == lane_filter(inst, lo, lo + 64, k, x, bits)
     assert state_prefix(truth, k).words() in want[0]
 
 
@@ -861,6 +869,49 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             horizon = 1 + rng.below(3 * k)
             bits = [word & 1 for word in generate(truth, params, horizon).words]
             _check_lanes(params, x, bits, truth)
+
+
+def test_stage1_lanes_on_a_tiny_working_set(monkeypatch):
+    # A working set of 4 or 7 lower prefixes (by width), so that every run
+    # crosses many compactions and refills, and loads of several depths
+    # step together.  At w = 4..8, stage 1 over the full range with 1 and 3
+    # workers against dfs mode; at w = 10..16, 500 lower prefixes around a
+    # planted state against the array filter, at a random inner word
+    # x != 0, at C = 1 and at random constants, on horizons 0, 1, a clamped
+    # 5 and 3k.
+    rng = SplitMix64(3131)
+    for w in (4, 6, 8, 10, 12, 14, 16):
+        monkeypatch.setattr(attack, "_WORKING", (4, 7)[w // 2 % 2])
+        spec = WordSpec(w)
+        k = spec.half + 1
+        top = 1 << (w - 1)
+        c1, c3, c = rng.below(1 << w) | top, rng.below(1 << w) | top, rng.below(1 << w) | 1
+        for params in (dataclasses.replace(default_params(spec), c=1), Tf1Params(c1, c3, c, spec)):
+            x = 1 + rng.below(spec.mask)
+            truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
+            words = generate(truth, params, 3 * k).words
+            if w <= 8:
+                _check_lanes(params, x, [word & 1 for word in words], truth)
+                continue
+            low = k - 2
+            lm = (1 << low) - 1
+            at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
+            lo = min(max(0, at - 250), (1 << (3 * low)) - 500)
+            inst = tf1_instance(params)
+            for horizon in (0, 1, 5, 3 * k):
+                bits = [word & 1 for word in words[:horizon]]
+                want = lanes(lo, lo + 500, k, params, x, bits)
+                assert want == lane_filter(inst, lo, lo + 500, k, x, bits), (w, params, horizon)
+                assert state_prefix(truth, k).words() in want[0]
+                # plain ints: a numpy count would leak into the report's counters
+                assert type(want[1]) is int and type(want[2]) is int
+
+
+def test_survivor_cap_on_a_tiny_working_set(monkeypatch):
+    # the survivor cap falls inside one lower prefix and across many
+    # retirements from a working set of 5 lower prefixes
+    monkeypatch.setattr(attack, "_WORKING", 5)
+    test_survivor_cap_inside_one_lower_prefix()
 
 
 def test_event_at_a_nonzero_inner_word_end_to_end():
@@ -946,15 +997,18 @@ def test_recover_horizon_clamped_on_short_tail():
 
 def test_trivial_mode_width_limit():
     # past w=44 the 2^(3(k-2)) lower prefixes overflow the uint64 index;
-    # recover and stage2_complete refuse before any work
+    # recover refuses before any work
     for w in (46, 64):
         spec = WordSpec(w)
         with pytest.raises(ValueError, match=f"w={w} is too wide"):
             recover(Keystream(spec, (0, 1)), tf1_instance(default_params(spec)))
-    p64 = default_params(WordSpec(64))
-    ks = Keystream(WordSpec(64), (0, 1))
-    with pytest.raises(ValueError, match=r"2\^99 stage-1 candidates"):
-        stage2_complete(ColumnPrefix(33, 0, 0, 0, 0), p64, tf1_instance(p64), ks, 0)
+    # stage 2 has no mode and no width limit: under the default config it
+    # completes a planted w=64 state from its 63-column prefix
+    w64 = WordSpec(64)
+    p64 = default_params(w64)
+    truth = next(states_with_inner_word(w64, 64, 1, 0))  # emits the zero word
+    ks = Keystream(w64, (0,) + generate(truth, p64, 4).words)
+    assert truth in stage2_complete(state_prefix(truth, 63), p64, tf1_instance(p64), ks, 0)
     # w=44 is accepted, and the kernels still decode the top of their ranges
     w44 = WordSpec(44)
     p44 = default_params(w44)
@@ -975,7 +1029,7 @@ def test_trivial_mode_width_limit():
     # x = 0, and an x whose columns U, T and those above k are set
     for x in (0, 0xFFF_FFE0_0000):
         got = lanes(hi - 4, hi, k, p44, x, bits)
-        assert got == dfs_filter(inst, lane_candidates(hi - 4, hi, k, x), bits)
+        assert got == lane_filter(inst, hi - 4, hi, k, x, bits)
         survivors.append(len(got[0]))
     assert survivors == [8, 8]  # of the 256 candidates each
 

@@ -254,3 +254,17 @@ def test_compare_empty_sets_match():
         ref, recovered=(), zero_index=zero, verified_words=window
     )
     assert compare_with_report(empty_report, oracle)
+
+
+@pytest.mark.slow
+def test_oracle_certifies_the_w8_stream():
+    # opt-in (pytest -m slow): all 2^32 states of w=8, about 25 s.  The
+    # seed-1 stream's first zero word and the 16 words after it leave one
+    # state, the one recover finds.
+    w8 = WordSpec(8)
+    p8 = default_params(w8)
+    ks = generate(state_from_seed(1, w8), p8, 4096)
+    zero = find_zero_outputs(ks, 1)[0]
+    oracle = brute_force_consistent_states(ks, zero, p8, 16)
+    assert [format_state(st, w8) for st in oracle.consistent_states] == ["88:55:78:05"]
+    assert recover(ks, tf1_instance(p8)).recovered == tuple(oracle.consistent_states)
