@@ -31,10 +31,11 @@ with a plain array filter on the instance's word functions.  The exhaustive
 oracle is the reference up to w = 8.  Above it the tests hold the lane
 kernel to the plain filter on the same candidates and the standard
 generator's pruned stage 2 to that of its generic twin, which does not
-prune.  Every full-state check reads the generator's one output stream,
-``_stream``, which steps the standard generator on plain ints and in
-column blocks, and any other instance through its word functions.  A
-truncated evaluation passes low_mask(l) to the same word functions.
+prune.  Every full-state check of a single state reads the generator's
+one output stream, ``_stream``, which steps the standard generator on
+plain ints and in column blocks, and any other instance through its word
+functions.  A truncated evaluation passes low_mask(l) to the same word
+functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
 T = k-1.  The update is a T-function, so the candidates that share the low
@@ -91,9 +92,12 @@ extension is kept while output columns 0..j-h of the first tail word
 match; at full width the whole word must.  For every instance only the
 completions that emit the first tail word, and the event word itself,
 walk the rest of the tail: t2 = X pins only the factor S(X) of the event
-word, and unless X = 0 its other factor reads b and d.  Each
-candidate is charged min(first mismatching word, tail length), so every
-other one counts one step, as in a walk from every completion.
+word, and unless X = 0 its other factor reads b and d.  The walkers step
+together as arrays, through the instance's t1_words and output word,
+until at most a few are left; each of those then walks on alone through
+``_stream``.  Each candidate is charged min(first mismatching word, tail
+length), so every other one counts one step, as in a walk from every
+completion, and where the arrays stop changes no counter.
 """
 
 from __future__ import annotations
@@ -158,6 +162,10 @@ _LANE_MASKS = np.array(
 # prefixes per column-enumerator piece, each extended 16 ways by one column;
 # never affects results
 _PIECE = 1 << 10
+# stage 2 steps its emitting completions down the tail as arrays until at
+# most this many are left, then walks each one left on its own; never
+# affects results
+_FEW = 8
 
 
 class AttackError(Exception):
@@ -679,7 +687,7 @@ def _stage1_lanes(
 
     def decode(i, alive):
         # lane bit 4, 3, 2, 1, 0 is a_T, b_T, a_U, b_U, d_U; d_T is 0 or 1
-        live = np.flatnonzero(alive)
+        live = np.flatnonzero(alive != 0)
         rows, lanes = np.nonzero((alive.take(live)[:, None] >> shifts) & 1)
         i, lane = i.take(live.take(rows)), lanes.astype(i.dtype)
         a = (i >> (2 * low)) | ((lane >> 2) & 1) << low | (lane >> 4) << (k - 1)
@@ -713,7 +721,8 @@ def _stage1_lanes(
             if not live and nxt == hi:
                 break
             if live:
-                keep = np.flatnonzero(alive)
+                # nonzero on a bool mask runs about 5x faster than on int32
+                keep = np.flatnonzero(alive != 0)
                 for src, dst in zip((idx, a, b, c, d, *masks, alive),
                                     (spare[0], *spare[1], *spare[2], spare[3])):
                     src.take(keep, out=dst[:live])
@@ -836,28 +845,46 @@ def _run_stage2(
     candidate costs one step for the first tail word; only the completions
     that emit it and the event word walk the rest of the tail, at one more
     step a word.
+
+    A batch's walkers step down the tail together as arrays, each dropping
+    out at its first mismatching word, until at most _FEW are left or the
+    tail ends; each one left then goes on alone with ``_walk_tail`` from
+    the word where the arrays stopped.  A walker that first mismatches at
+    words[index + j] is charged j - 1 steps either way, the words after the
+    first that it computed.
     """
     spec = instance.spec
+    m = spec.mask
     first = words[index + 1]
+    last = len(words) - 1
     native = instance.tf1_native
     batches = _columns(instance, prefixes, l, spec.width, x, first if native else None)
 
     def out(*state):
-        return _instance_out(instance.t2_words, instance.f_words, spec.mask, spec.half, *state)
+        return _instance_out(instance.t2_words, instance.f_words, m, spec.half, *state)
 
     states: list[State] = []
     n_leaves = verifs = 0
     for batch in batches:
         n_leaves += batch[0].size
-        emits = out(*instance.t1_words(*batch, spec.mask)) == first
+        emits = out(*instance.t1_words(*batch, m)) == first
         # t2 = x pins only S(x) of the event word; its other factor reads b and d
         emits[emits] = out(*(v[emits] for v in batch)) == words[index]
-        for row in zip(*(v[emits].tolist() for v in batch)):
-            st = State(*row)
-            ok, n = _walk_tail(st, instance, words, index)
-            verifs += n - 1
+        # each walker's completion, and its state now, which emits words[j]
+        j = index + 1
+        origin = tuple(v[emits] for v in batch)
+        now = instance.t1_words(*origin, m)
+        while origin[0].size > _FEW and j < last:
+            now = instance.t1_words(*now, m)
+            j += 1
+            keep = np.flatnonzero(out(*now) == words[j])
+            verifs += (origin[0].size - keep.size) * (j - index - 1)
+            origin, now = (tuple(v.take(keep) for v in vs) for vs in (origin, now))
+        for row, at in zip(zip(*(v.tolist() for v in origin)), zip(*(v.tolist() for v in now))):
+            ok, n = _walk_tail(State(*at), instance, words, j)
+            verifs += j - index - 1 + n
             if ok:
-                states.append(st)
+                states.append(State(*row))
     cands = prefixes[0].size << (3 * (spec.width - l)) if native else n_leaves
     return sorted(states), cands, verifs + cands
 

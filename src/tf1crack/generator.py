@@ -62,11 +62,11 @@ _DEFAULT_C3 = 0x9E3779B97F4A7C15
 # The standard generator's stream steps plain ints for its first 64*w words,
 # about the length at which one column block costs as much as the plain
 # steps it replaces at every width up to _WIDEST, and whenever fewer words
-# remain.  In between it runs column blocks, each as long as the words
-# already emitted, up to _BLOCK words: longer blocks were no faster per word,
-# as their temporaries outgrow the cache.  Above _WIDEST bits the block
-# arrays are uint64, which costs about twice as much per element, and blocks
-# gain little at w=40 and lose from w=48 on (BENCH_gen.json).
+# remain.  In between it runs column blocks of up to _BLOCK words: longer
+# blocks were no faster per word, as their temporaries outgrow the cache.
+# Above _WIDEST bits the block arrays are uint64, which costs about twice
+# as much per element, and blocks gain little at w=40 and lose from w=48
+# on (BENCH_gen.json).
 _SWITCH_PER_BIT = 64
 _BLOCK = 1 << 14
 _WIDEST = 32
@@ -334,17 +334,19 @@ def generate_from_instance(seed: State, instance: GeneratorInstance, n: int) -> 
 def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
     """The first n output words after ``state``: one update and one emit each.
 
-    The only step-and-emit loop: generation, the attack's tail walk and the
-    oracle's window all read it, each passing the number of words it reads
-    at most.  Any instance not marked ``tf1_native``, which only
-    ``tf1_instance`` is, steps through its own ``t1_words`` and
-    ``_instance_out``, so a replaced copy of the standard instance emits
-    the stream of the maps it holds.  The standard generator steps plain
-    ints through ``_rows`` and ``_out`` for its first 64*w words, where a
-    wrong candidate state dies, and for its last ones; between them it runs
-    column blocks (``_column_block``), each as long as the words it has
-    emitted so far, up to a cap.  Above ``_WIDEST`` bits it stays on plain
-    ints, as blocks no longer win there.
+    The one stream of a single state: generation and the attack's tail
+    walk read it, each passing the number of words it reads at most.  Any
+    instance not marked ``tf1_native``, which only ``tf1_instance`` is,
+    steps through its own ``t1_words`` and ``_instance_out``, so a
+    replaced copy of the standard instance emits the stream of the maps it
+    holds.  The standard generator steps plain
+    ints through ``_rows`` and ``_out`` for its first 64*w words, and for
+    its last ones once fewer than 64*w are left; between them it runs
+    column blocks (``_column_block``) of ``_BLOCK`` words, or of all the
+    words left when fewer remain.  A wrong state dies within a few words,
+    in the lead-in, and the attack's tail walk drops almost all of them on
+    arrays before they reach the stream at all.  Above ``_WIDEST`` bits
+    it stays on plain ints, as blocks no longer win there.
     """
     spec = instance.spec
     m, h = spec.mask, spec.half
@@ -363,7 +365,7 @@ def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
     while done < n:
         left = n - done
         if switch <= min(done, left):
-            size = min(done, left, _BLOCK)
+            size = min(left, _BLOCK)
             words, (a, b, c, d) = _column_block((a, b, c, d), p, size)
             yield from words
         else:

@@ -5,21 +5,23 @@ It decodes the state indices a chunk at a time, into one index buffer and
 four word buffers of ``word_dtype(w)`` that every chunk reuses, keeps the
 states whose output is the word at the given position, whatever that word
 is, then steps the survivors and keeps those that emit each next word of
-the requested window, until the window ends or the chunk is empty.  It
-shares only the generator's two formulas with the code it certifies:
-``_rows`` (the update) and ``_out`` (the output word).  The attack's
-search, its stage-2 tail walk, and ``_stream``, the output stream that
-``generate`` and ``verify_state`` read, are not used, so a fault in any of
-them shows up as a disagreement.  Every width the oracle
+the requested window.  Once at most _FEW of a chunk's states are left, each
+of them finishes the window alone, stepped on plain ints: a few states on
+arrays would pay numpy's per-call cost at every word.  It shares only the
+generator's two formulas with the code it certifies: ``_rows`` (the
+update) and ``_out`` (the output word), on arrays and on ints.  The
+attack's search, its stage-2 tail walk, and ``_stream``, the output
+stream that ``generate`` and ``verify_state`` read, are not used, so a
+fault in any of them shows up as a disagreement.  Every width the oracle
 accepts, the even widths up to 8, is scanned when asked: at w=4 the scan
-covers 65536 states and takes a few tens of milliseconds, w=6 (2^24
-states) about 0.2 s and w=8 (2^32 states) about 25 s on a 2-vCPU VM.
+covers 65536 states and takes a few milliseconds, w=6 (2^24 states)
+about 0.1 s and w=8 (2^32 states) 25-30 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +34,9 @@ __all__ = ["OracleResult", "brute_force_consistent_states", "compare_with_report
 # states decoded per numpy chunk: all of w=4, and a divisor of every wider
 # space; never affects results
 _CHUNK = 1 << 16
+# a chunk steps its survivors as arrays until at most this many are left,
+# then steps each one left on plain ints; never affects results
+_FEW = 8
 
 
 @dataclass
@@ -79,19 +84,34 @@ def brute_force_consistent_states(
         for j, v in zip((3, 2, 1, 0), state):
             np.right_shift(idx, j * w, out=v, casting="unsafe")
             v &= m
-        for word in words:
+        for pos, word in enumerate(words):
+            if idx.size <= _FEW:
+                rest = words[pos:]
+                rows = zip(idx.tolist(), *(v.tolist() for v in state))
+                found += [i for i, *st in rows if _emits(st, rest, params)]
+                break
             keep = _out(*state, m, h) == word
             idx, state = idx[keep], [v[keep] for v in state]
-            if not idx.size:
-                break
             state = _rows(*state, m, params.c1, params.c3, params.c)[:4]
-        found += idx.tolist()
+        else:
+            found += idx.tolist()
     return OracleResult(
         consistent_states=[State(i >> (3 * w), (i >> (2 * w)) & m, (i >> w) & m, i & m) for i in found],
         window=window,
         states_scanned=space,
         zero_index=zero_index,
     )
+
+
+def _emits(state: list[int], words: Sequence[int], params: Tf1Params) -> bool:
+    """True iff ``state`` emits ``words[0]`` and, stepped once a word, the rest."""
+    a, b, c, d = state
+    m, h = params.spec.mask, params.spec.half
+    for word in words:
+        if _out(a, b, c, d, m, h) != word:
+            return False
+        a, b, c, d, _ = _rows(a, b, c, d, m, params.c1, params.c3, params.c)
+    return True
 
 
 def compare_with_report(report: AttackReport, oracle: OracleResult) -> bool:

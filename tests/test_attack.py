@@ -294,22 +294,30 @@ def test_verify_state_routes_agree():
 
 def test_walk_tail_counts_the_words_it_computes():
     # (True, words after lo) on a match, (False, j) at a mismatch at lo + j.
-    # The standard generator's stream reads plain ints up to word `switch`
-    # of the walk and column blocks of switch and 2*switch words after it.
+    # The standard generator's stream reads plain ints for the first
+    # `switch` words of the walk, then column blocks of up to _BLOCK words,
+    # and plain ints again once fewer than `switch` words are left.  From
+    # lo = 9 the walk's blocks are _BLOCK words, then switch - 1 plain ones;
+    # from the second lo, one block of _BLOCK - 1 words.  The demo instance
+    # steps its word functions, on the first 4 * switch + 110 words only.
     switch = generator._SWITCH_PER_BIT * W8.width
+    block = generator._BLOCK
     for inst in (tf1_instance(P8), demo_generalized_instance(W8, P8)):
         start = state_from_seed(21, W8)
-        words = generate_from_instance(start, inst, 4 * switch + 110).words
+        n = 10 + 2 * switch + block - 1 if inst.tf1_native else 4 * switch + 110
+        words = generate_from_instance(start, inst, n).words
         emitters = [start]
         for _ in words:
             emitters.append(inst.t1(emitters[-1]))
-        lo = 9  # emitters[i + 1] emits words[i]
-        tail = len(words) - 1 - lo
-        assert attack._walk_tail(emitters[lo + 1], inst, words, lo) == (True, tail)
-        blocks = (switch, switch + 1, switch + 7, 2 * switch - 1, 2 * switch, 2 * switch + 1, 4 * switch)
-        for j in (1, 2, tail // 2, *blocks, tail):
-            flipped = words[: lo + j] + (words[lo + j] ^ 1,) + words[lo + j + 1 :]
-            assert attack._walk_tail(emitters[lo + 1], inst, flipped, lo) == (False, j)
+        los = (9, n - switch - block) if inst.tf1_native else (9,)
+        for lo in los:  # emitters[i + 1] emits words[i]
+            tail = len(words) - 1 - lo
+            assert attack._walk_tail(emitters[lo + 1], inst, words, lo) == (True, tail)
+            seams = (switch - 1, switch, switch + 1, switch + 7, 2 * switch - 1, 2 * switch,
+                     2 * switch + 1, 4 * switch, switch + block - 1, switch + block, switch + block + 1)
+            for j in (1, 2, tail // 2, *(j for j in seams if j < tail), tail - 1, tail):
+                flipped = words[: lo + j] + (words[lo + j] ^ 1,) + words[lo + j + 1 :]
+                assert attack._walk_tail(emitters[lo + 1], inst, flipped, lo) == (False, j)
         assert attack._walk_tail(emitters[-1], inst, words, len(words) - 1) == (True, 0)
 
 
@@ -403,6 +411,53 @@ def test_stage2_prunes_by_instance_not_mode(monkeypatch):
     k = W8.half + 1
     n_all = generic.counters.stage1_survivors << (3 * (W8.width - k))
     assert len(pruned_rows) < len(generic_rows) == n_all
+
+
+def test_stage2_array_walk_charges_what_the_walk_charges(monkeypatch):
+    # Stage 2 steps its emitting completions as arrays until at most _FEW are
+    # left.  _FEW = 0 keeps them on arrays until they die or the tail ends,
+    # and a huge _FEW hands each to _walk_tail after the first tail word; the
+    # reports must not differ.  Random constants and C = 1 (four states) at
+    # w = 6..12, on streams cut 300 words after their first zero: trivial
+    # mode, and up to w=10 also dfs mode and the generic twin (stage 2 does
+    # not depend on the mode, and dfs mode's stage 1 costs 0.25 s at w=12).
+    # Then, up to w=10 (the twin up to w=8), stage 2 alone on the stage-1
+    # survivors with the stream cut 1, 2 and 3 words after the zero, where
+    # the tail ends inside the array walk.
+    rng = SplitMix64(3232)
+
+    def same_at_both_ends(run):
+        got = []
+        for few in (0, 1 << 30):
+            monkeypatch.setattr(attack, "_FEW", few)
+            got.append(run())
+        assert got[0] == got[1]
+        return got[0]
+
+    for w in (6, 8, 10, 12):
+        spec = WordSpec(w)
+        k = spec.half + 1
+        random = Tf1Params(rng.below(1 << w), rng.below(1 << w), rng.below(1 << w) | 1, spec)
+        for params in (random, dataclasses.replace(default_params(spec), c=1)):
+            inst, twin = tf1_instance(params), dataclasses.replace(tf1_instance(params))
+            ks = generate(state_from_seed(rng.next64(), spec), params, 6 << w)
+            zero = find_zero_outputs(ks, 1)[0]
+            ks = Keystream(spec, ks.words[: zero + 301])
+            runs = [(inst, "trivial")]
+            if w <= 10:
+                runs += [(inst, "dfs"), (twin, "dfs")]
+            for runner, mode in runs:
+                cfg = AttackConfig(enumeration_mode=mode)
+                same_at_both_ends(lambda: report_core(recover(ks, runner, cfg=cfg)))
+            if w == 12:
+                continue
+            bits = [word & 1 for word in ks.words[zero + 1 : zero + 1 + 3 * k]]
+            survivors = attack._run_stage1(inst, k, 0, bits, AttackConfig())[0]
+            for cut in (1, 2, 3):
+                words = ks.words[: zero + 1 + cut]
+                for runner in (inst, twin) if w <= 8 else (inst,):
+                    found = same_at_both_ends(lambda: attack._run_stage2(survivors, k, runner, words, zero, 0))
+                    assert found[0], "the true state reproduces any cut of its tail"
 
 
 def test_word_arrays_take_the_narrowest_dtype():

@@ -300,12 +300,13 @@ def test_tf1_instance_reproduces_generator():
 
 def test_column_blocks_match_the_word_function_stream():
     # The standard generator's stream steps plain ints for `switch` words,
-    # then runs column blocks of switch, 2*switch, 4*switch, ... words, up
-    # to _BLOCK, and plain ints again when fewer than `switch` words are
+    # then runs column blocks of _BLOCK words, or of all the words left when
+    # fewer remain, and plain ints again when fewer than `switch` words are
     # left; above _WIDEST bits it runs plain ints only.  Up to _WIDEST each
-    # length ends at or next to one of those seams.  Random constants at
-    # every width, C even at every third, and every setting of the low two
-    # bits of C1 and C3 between w=4 and w=34.
+    # length ends at or next to one of those seams: the end of the lead-in,
+    # the shortest block (2*switch) and blocks of 3*switch and 7*switch + 37
+    # words.  Random constants at every width, C even at every third, and
+    # every setting of the low two bits of C1 and C3 between w=4 and w=34.
     from tf1crack.rng import SplitMix64
 
     rng = SplitMix64(2020)
@@ -328,13 +329,19 @@ def test_column_blocks_match_the_word_function_stream():
         want = generate_from_instance(seed, reference, lengths[-1]).words
         for n in lengths:
             assert tuple(_stream(seed, native, n)) == want[:n], (w, n)
-    # blocks held at the cap: at w=4 they double from 256 words to _BLOCK
-    spec = W4
-    params = Tf1Params(c1=0xA, c3=0x5, c=0x6, spec=spec)
-    seed = state_from_seed(3, spec)
-    n = 3 * generator._BLOCK + 101
-    want = generate_from_instance(seed, dataclasses.replace(tf1_instance(params)), n)
-    assert generate(seed, params, n) == want
+    # blocks held at the cap, at w=4 and w=8: after the lead-in, one block
+    # of _BLOCK - 1, one of _BLOCK, one of _BLOCK and one plain word, one of
+    # _BLOCK and a plain remainder of switch - 1 words, and three blocks, the
+    # last of _BLOCK - switch + 101 words
+    block = generator._BLOCK
+    for params in (Tf1Params(c1=0xA, c3=0x5, c=0x6, spec=W4), default_params(WordSpec(8))):
+        spec = params.spec
+        s = generator._SWITCH_PER_BIT * spec.width
+        seed = state_from_seed(3, spec)
+        lengths = (s + block - 1, s + block, s + block + 1, 2 * s + block - 1, 3 * block + 101)
+        want = generate_from_instance(seed, dataclasses.replace(tf1_instance(params)), lengths[-1])
+        for n in lengths:
+            assert generate(seed, params, n).words == want.words[:n], (spec.width, n)
 
 
 def test_state_from_seed_deterministic():

@@ -17,6 +17,7 @@ from tf1crack import (
     tf1_instance,
     verify_state,
 )
+from tf1crack import oracle
 from tf1crack.cli import format_state
 from tf1crack.oracle import (
     OracleResult,
@@ -220,6 +221,34 @@ def test_c_equal_to_one_leaves_four_states(w, seed, count, zero_index, states):
         assert [format_state(st, spec) for st in report.recovered] == states
     oracle = brute_force_consistent_states(ks, zero_index, params, report.verified_words)
     assert [format_state(st, spec) for st in oracle.consistent_states] == states
+
+
+def test_oracle_finishing_on_ints_keeps_its_states(monkeypatch):
+    # A chunk steps its states as arrays until at most _FEW are left, then
+    # finishes each on plain ints.  _FEW = 0 keeps them on arrays to the end
+    # of the window, and at w=4 a huge _FEW steps all 65536 states on ints
+    # from the first word; the states, in their order, must not differ.  On
+    # the seed-1 stream over windows 0, 1 and 2 and the whole tail (window 0
+    # leaves 4096 states), and over the whole tail at C = 1, with its four
+    # states.  At w=6 all 2^24 states on ints would take about 25 s, so
+    # there _FEW = 2^11 finishes every chunk on ints after its first word,
+    # on a stream cut 200 words after its zero.
+    ks, zero, _ = make_run(1)
+    c1 = dataclasses.replace(P4, c=1)
+    w4 = [(ks, zero, P4, window) for window in (0, 1, 2, len(ks) - zero - 1)]
+    w4.append((generate(state_from_seed(2, W4), c1, 1024), 0, c1, 1023))
+    w6 = WordSpec(6)
+    p6 = default_params(w6)
+    ks6 = generate(state_from_seed(2, w6), p6, 4096)
+    zero6 = find_zero_outputs(ks6, 1)[0]
+    w6_case = (Keystream(w6, ks6.words[: zero6 + 201]), zero6, p6, 200)
+    for case, few in [(case, 1 << 30) for case in w4] + [(w6_case, 1 << 11)]:
+        got = []
+        for value in (0, few):
+            monkeypatch.setattr(oracle, "_FEW", value)
+            got.append(brute_force_consistent_states(*case).consistent_states)
+        assert got[0] == got[1], case[1:]
+    assert len(got[0]) == 1 and len(brute_force_consistent_states(*w4[-1]).consistent_states) == 4
 
 
 def test_compare_with_report():
