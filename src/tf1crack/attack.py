@@ -201,23 +201,26 @@ class AttackConfig:
     Reports, and the ``SurvivorOverflow`` message, are identical for any
     worker count.
 
-    Two constants are not fields: ``recover`` tries the events at the first
-    ``max_zero_positions`` zero words, and ``verify_words`` changes nothing,
-    as stage 2 checks every completion against the whole tail.
-    ``verify_words`` stays only because the benchmark's traced probe
-    (``perfbench/workloads.py``) reads it to cut its stage-2 window; it goes
-    with the next change to the benchmark.
+    Three constants are not fields.  ``recover`` tries the events at the
+    first ``max_zero_positions`` zero words.  Stage 1 raises
+    ``SurvivorOverflow`` past ``max_survivors`` survivors, a bound on
+    stage 2's work: each survivor costs 2**(1.5w - 3) completions, so 4096
+    of them cost 32 times the predicted 16 * 2**(1.5w) at every width.
+    ``verify_words`` changes nothing, as stage 2 checks every completion
+    against the whole tail; it stays only because the benchmark's traced
+    probe (``perfbench/workloads.py``) reads it to cut its stage-2 window,
+    and goes with the next change to the benchmark.
     """
 
     filter_horizon: int | None = None
-    max_survivors: int = 4096
     enumeration_mode: str = "trivial"
     workers: int = 1
     max_zero_positions: ClassVar[int] = 8
+    max_survivors: ClassVar[int] = 4096
     verify_words: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
-        for name in ("filter_horizon", "max_survivors", "workers"):
+        for name in ("filter_horizon", "workers"):
             value = getattr(self, name)
             # bool is an int subclass, but True is no count
             int_ok = isinstance(value, int) and not isinstance(value, bool)
@@ -225,8 +228,6 @@ class AttackConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.filter_horizon is not None and self.filter_horizon < 1:
             raise ValueError("filter_horizon must be >= 1")
-        if self.max_survivors < 1:
-            raise ValueError("max_survivors must be >= 1")
         if self.enumeration_mode not in ("trivial", "dfs"):
             raise ValueError("enumeration_mode must be 'trivial' or 'dfs'")
         if self.workers < 1:

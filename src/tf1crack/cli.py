@@ -309,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     atk = sub.add_parser("attack", parents=[constants, infile, runner],
                          help="recover internal states from a keystream file")
     atk.add_argument("--horizon", type=int, help="stage-1 filter depth (default 3*(w/2+1))")
-    atk.add_argument("--max-survivors", type=int, default=AttackConfig.max_survivors)
     atk.add_argument("--report", choices=("machine", "human"), default="human")
 
     chk = sub.add_parser("check", parents=[constants], help="run structural or statistical checks")
@@ -411,12 +410,7 @@ def _read_for(args) -> Keystream:
 def _cmd_attack(args) -> int:
     ks = _read_for(args)
     params = _params_for(args, ks.spec)
-    cfg = AttackConfig(
-        filter_horizon=args.horizon,
-        max_survivors=args.max_survivors,
-        enumeration_mode=args.mode,
-        workers=args.workers,
-    )
+    cfg = AttackConfig(filter_horizon=args.horizon, enumeration_mode=args.mode, workers=args.workers)
     report = recover(ks, tf1_instance(params), params, cfg)
     if args.report == "machine":
         _print_machine_report(report, params)

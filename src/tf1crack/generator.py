@@ -149,12 +149,6 @@ class Keystream:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __getitem__(self, i):
-        return self.words[i]
-
-    def __iter__(self):
-        return iter(self.words)
-
 
 @dataclass(frozen=True)
 class GeneratorInstance:
@@ -198,9 +192,6 @@ class GeneratorInstance:
 
     def t1(self, state: State) -> State:
         return State(*self.t1_words(*state.words(), self.spec.mask))
-
-    def t2(self, state: State) -> int:
-        return self.t2_words(*state.words(), self.spec.mask)
 
 
 def _rows(a, b, c, d, m, c1, c3, cc):

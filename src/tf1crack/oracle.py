@@ -21,13 +21,13 @@ about 0.1 s and w=8 (2^32 states) 25-30 s on a 2-vCPU VM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .attack import AttackReport, _check_width, _check_window
 from .generator import Keystream, State, Tf1Params, _out, _rows
-from .word import WordSpec, word_dtype
+from .word import word_dtype
 
 __all__ = ["OracleResult", "brute_force_consistent_states", "compare_with_report"]
 
@@ -130,15 +130,3 @@ def compare_with_report(report: AttackReport, oracle: OracleResult) -> bool:
         )
     return list(report.recovered) == oracle.consistent_states
 
-
-def _scan_states_scalar(spec: WordSpec, word: int) -> Iterator[State]:
-    """Every state whose output is ``word``, by walking the whole space: the
-    tests' reference for the oracle's window-0 result."""
-    m, h = spec.mask, spec.half
-    rng = range(1 << spec.width)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if _out(a, b, c, d, m, h) == word:
-                        yield State(a, b, c, d)

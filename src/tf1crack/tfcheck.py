@@ -121,10 +121,9 @@ def _resolve_target(target, spec: WordSpec, params: Tf1Params) -> Callable:
         return target
     if target == "t1":
         return tf1_instance(params).t1
-    if target == "t2":
-        return tf1_instance(params).t2
-    if target == "t2_demo":
-        return demo_generalized_instance(spec, params).t2
+    if target in ("t2", "t2_demo"):
+        inst = tf1_instance(params) if target == "t2" else demo_generalized_instance(spec, params)
+        return lambda state: inst.t2_words(*state.words(), spec.mask)
     raise ValueError(f"unknown target {target!r}; expected t1, t2, t2_demo or a callable")
 
 

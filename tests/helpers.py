@@ -1,8 +1,11 @@
 """Small shared utilities for the test suite."""
 
+from typing import Iterator
+
 import numpy as np
 
-from tf1crack import State, Tf1Params, attack, tf1_instance
+from tf1crack import State, Tf1Params, WordSpec, attack, tf1_instance
+from tf1crack.generator import _out
 from tf1crack.rng import SplitMix64
 from tf1crack.word import word_dtype
 
@@ -72,3 +75,16 @@ def lane_filter(inst, lo, hi, k, x, bits):
     batch = tuple(v.astype(word_dtype(inst.spec.width)) for v in (a, b, c, d))
     keep, steps = attack._filter(inst, batch, k, bits)
     return sorted(prefix_rows(tuple(v.take(keep) for v in batch))), steps, a.size
+
+
+def _scan_states_scalar(spec: WordSpec, word: int) -> Iterator[State]:
+    """Every state whose output is ``word``, by walking the whole space: the
+    tests' reference for the oracle's window-0 result."""
+    m, h = spec.mask, spec.half
+    rng = range(1 << spec.width)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                for d in rng:
+                    if _out(a, b, c, d, m, h) == word:
+                        yield State(a, b, c, d)

@@ -211,7 +211,7 @@ def test_criterion_08_enumerator_equivalence():
             for b in range(16):
                 for c in range(16):
                     for d in range(16):
-                        if demo.t2(State(a, b, c, d)) == target:
+                        if demo.t2_words(a, b, c, d, W4.mask) == target:
                             brute.add((a, b, c, d))
         dfs = {p.words() for p in enumerate_preimages_dfs(demo, 1, 4, None, target)}
         ok_demo = ok_demo and dfs == brute

@@ -116,9 +116,14 @@ def test_trivial_preimages_nonzero_target():
 
 @pytest.mark.parametrize("target", [0, 3, 5])
 def test_dfs_equals_trivial_for_additive_t2(target):
-    inst = tf1_instance(P4)
-    dfs = sorted(p.words() for p in enumerate_preimages_dfs(inst, 1, 3, None, target))
-    assert lanes(0, 8, 3, P4, target, []) == (dfs, 0, 1 << 9)
+    # the lane kernel on an empty tail keeps every candidate; at w=6 and w=8
+    # the lower prefix has 2 and 3 columns, so the borrow of c = target - a
+    # into column U runs over more than one column (criterion 08 is w=4)
+    for spec in (WordSpec(6), W8):
+        params = default_params(spec)
+        k = spec.half + 1
+        dfs = sorted(p.words() for p in enumerate_preimages_dfs(tf1_instance(params), 1, k, None, target))
+        assert lanes(0, 1 << (3 * (k - 2)), k, params, target, []) == (dfs, 0, 1 << (3 * k))
 
 
 def test_dfs_equals_brute_force_for_demo_instance(monkeypatch):
@@ -136,7 +141,7 @@ def test_dfs_equals_brute_force_for_demo_instance(monkeypatch):
             for b in range(16):
                 for c in range(16):
                     for d in range(16):
-                        if inst.t2(State(a, b, c, d)) == target:
+                        if inst.t2_words(a, b, c, d, W4.mask) == target:
                             brute.append((a, b, c, d))
         brute.sort(key=dfs_key)
         assert len(brute) == 1 << 12
@@ -803,11 +808,13 @@ def test_recover_names_a_keystream_word_outside_the_width():
             recover(bad, tf1_instance(P8), cfg=AttackConfig(enumeration_mode=mode))
 
 
-def test_recover_survivor_overflow():
+def test_recover_survivor_overflow(monkeypatch):
     ks, _, _ = make_run(W4, P4, seed=1, n=512)
-    cfg = AttackConfig(filter_horizon=1, max_survivors=4)
-    with pytest.raises(SurvivorOverflow):
-        recover(ks, tf1_instance(P4), cfg=cfg)
+    with monkeypatch.context() as patch:
+        # the cap is a class constant, which forked workers inherit
+        patch.setattr(AttackConfig, "max_survivors", 4)
+        with pytest.raises(SurvivorOverflow):
+            recover(ks, tf1_instance(P4), cfg=AttackConfig(filter_horizon=1))
     # w=12 at horizon 1: about half of the candidates survive, and both
     # modes must refuse before they build anything per survivor.  Each part
     # stops once its own survivors pass the cap, and the message gives
@@ -829,7 +836,7 @@ def test_recover_survivor_overflow():
             )
 
 
-def test_survivor_cap_inside_one_lower_prefix():
+def test_survivor_cap_inside_one_lower_prefix(monkeypatch):
     # caps of 1..7 fall inside the 64 candidates of one lower prefix; the
     # batch kernel must raise exactly when the dfs path does
     cases = [(W4, P4, 1, 512), (W8, P8, 5, 4096)]
@@ -842,16 +849,13 @@ def test_survivor_cap_inside_one_lower_prefix():
             for cap in caps:
                 outcomes = []
                 for mode, workers in (("dfs", 1), ("trivial", 1), ("trivial", 3)):
-                    cfg = AttackConfig(
-                        filter_horizon=horizon,
-                        max_survivors=cap,
-                        enumeration_mode=mode,
-                        workers=workers,
-                    )
-                    try:
-                        outcomes.append(report_core(recover(ks, inst, cfg=cfg)))
-                    except SurvivorOverflow:
-                        outcomes.append("overflow")
+                    cfg = AttackConfig(filter_horizon=horizon, enumeration_mode=mode, workers=workers)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(AttackConfig, "max_survivors", cap)
+                        try:
+                            outcomes.append(report_core(recover(ks, inst, cfg=cfg)))
+                        except SurvivorOverflow:
+                            outcomes.append("overflow")
                 assert outcomes[0] == outcomes[1] == outcomes[2], (spec, horizon, cap)
                 assert (outcomes[0] == "overflow") == (horizon == 1 or cap < full)
 
@@ -869,11 +873,11 @@ def _check_lanes(params, x, bits, truth):
     k = spec.half + 1
     inst = tf1_instance(params)
     if spec.width <= 8:
-        dfs = AttackConfig(enumeration_mode="dfs", max_survivors=1 << 20)
+        dfs = AttackConfig(enumeration_mode="dfs")
         sv, steps, cands = attack._run_stage1(inst, k, x, bits, dfs)
         want = (prefix_rows(sv), steps, cands)
         for workers in (1, 3):
-            cfg = AttackConfig(max_survivors=1 << 20, workers=workers)
+            cfg = AttackConfig(workers=workers)
             sv, steps, cands = attack._run_stage1(inst, k, x, bits, cfg)
             assert (prefix_rows(sv), steps, cands) == want
     else:
@@ -966,7 +970,7 @@ def test_survivor_cap_on_a_tiny_working_set(monkeypatch):
     # the survivor cap falls inside one lower prefix and across many
     # retirements from a working set of 5 lower prefixes
     monkeypatch.setattr(attack, "_WORKING", 5)
-    test_survivor_cap_inside_one_lower_prefix()
+    test_survivor_cap_inside_one_lower_prefix(monkeypatch)
 
 
 def test_event_at_a_nonzero_inner_word_end_to_end():
@@ -1124,13 +1128,12 @@ def test_recover_recovered_states_sorted():
 def test_attack_config_validation():
     with pytest.raises(ValueError):
         AttackConfig(filter_horizon=0)
-    with pytest.raises(ValueError):
-        AttackConfig(max_survivors=0)
-    # two constants, not options
+    # three constants, not options
     names = [f.name for f in dataclasses.fields(AttackConfig)]
-    assert names == ["filter_horizon", "max_survivors", "enumeration_mode", "workers"]
-    assert (AttackConfig.max_zero_positions, AttackConfig.verify_words) == (8, 4)
-    for name in ("max_zero_positions", "verify_words"):
+    assert names == ["filter_horizon", "enumeration_mode", "workers"]
+    constants = (AttackConfig.max_zero_positions, AttackConfig.max_survivors, AttackConfig.verify_words)
+    assert constants == (8, 4096, 4)
+    for name in ("max_zero_positions", "max_survivors", "verify_words"):
         with pytest.raises(TypeError):
             AttackConfig(**{name: 8})
     for limit in (0, -1):  # the same bound on the scan itself
@@ -1141,12 +1144,12 @@ def test_attack_config_validation():
     with pytest.raises(ValueError):
         AttackConfig(workers=0)
     # a non-int fails here, naming its field, not deep inside recover
-    for name in ("filter_horizon", "max_survivors", "workers"):
+    for name in ("filter_horizon", "workers"):
         for value in (2.5, "2", True):
             with pytest.raises(ValueError, match=f"{name} must be an int, got {value!r}"):
                 AttackConfig(**{name: value})
-    with pytest.raises(ValueError, match="max_survivors must be an int, got None"):
-        AttackConfig(max_survivors=None)
+    with pytest.raises(ValueError, match="workers must be an int, got None"):
+        AttackConfig(workers=None)
     assert AttackConfig(filter_horizon=None).filter_horizon is None
 
 

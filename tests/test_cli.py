@@ -8,7 +8,17 @@ from pathlib import Path
 import pytest
 
 import tf1crack
-from tf1crack import Keystream, Tf1Params, WordSpec, default_params, generate, state_from_seed
+from tf1crack import (
+    AttackConfig,
+    Keystream,
+    Tf1Params,
+    WordSpec,
+    default_params,
+    generate,
+    recover,
+    state_from_seed,
+    tf1_instance,
+)
 from tf1crack.cli import (
     FormatError,
     ParseError,
@@ -325,24 +335,30 @@ def test_run_attack_machine_report(tmp_path, capsys):
     ks = generate(state_from_seed(5, W8), default_params(W8), 4096)
     path = tmp_path / "ks.bin"
     write_keystream(ks, path, "bin")
-    rc = run(["attack", "--in", str(path), "--report", "machine"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    lines = dict(line.split("=", 1) for line in out.strip().splitlines())
-    emitted = set(lines)
-    # the README's Machine report key set; recovered_1.. follow recovered_0
-    # when more than one state is found
-    documented = {
-        "w", "constants", "mode", "zero_index", "horizon", "stage1_candidates",
-        "stage1_filter_steps", "stage1_survivors", "stage2_candidates",
-        "stage2_verifications", "recovered_count", "recovered_0", "predicted_ops", "elapsed_ms",
-    }
-    assert documented <= emitted
-    assert all(k in documented or k.startswith("recovered_") for k in emitted)
-    assert lines["w"] == "8"
-    assert lines["stage1_candidates"] == str(1 << 15)
-    assert lines["predicted_ops"] == str(16 * 2 ** 12)
-    assert int(lines["recovered_count"]) >= 1
+    inst = tf1_instance(default_params(W8))
+    # the default horizon, and --horizon 6, which must reach recover
+    for flags, horizon in (([], None), (["--horizon", "6"], 6)):
+        rc = run(["attack", "--in", str(path), "--report", "machine", *flags])
+        assert rc == 0
+        out = capsys.readouterr().out
+        lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+        emitted = set(lines)
+        # the README's Machine report key set; recovered_1.. follow recovered_0
+        # when more than one state is found
+        documented = {
+            "w", "constants", "mode", "zero_index", "horizon", "stage1_candidates",
+            "stage1_filter_steps", "stage1_survivors", "stage2_candidates",
+            "stage2_verifications", "recovered_count", "recovered_0", "predicted_ops", "elapsed_ms",
+        }
+        assert documented <= emitted
+        assert all(k in documented or k.startswith("recovered_") for k in emitted)
+        assert lines["w"] == "8"
+        assert lines["stage1_candidates"] == str(1 << 15)
+        assert lines["predicted_ops"] == str(16 * 2 ** 12)
+        assert int(lines["recovered_count"]) >= 1
+        report = recover(ks, inst, cfg=AttackConfig(filter_horizon=horizon))
+        assert lines["horizon"] == str(report.horizon) == str(horizon or 15)
+        assert {k: int(lines[k]) for k in vars(report.counters)} == vars(report.counters)
 
 
 def test_run_attack_workers_change_only_elapsed(tmp_path, capsys):
@@ -453,6 +469,9 @@ def test_run_unknown_flag_is_exit_2(capsys):
     # the zero-word cap is a constant, not an option
     assert run(["attack", "--max-zero-positions", "3", "--in", "ks"]) == 2
     assert "unrecognized arguments: --max-zero-positions 3" in capsys.readouterr().err
+    # and so is the survivor cap
+    assert run(["attack", "--max-survivors", "4", "--in", "ks"]) == 2
+    assert "unrecognized arguments: --max-survivors 4" in capsys.readouterr().err
 
 
 def test_run_check_commands(capsys):
@@ -554,7 +573,7 @@ def test_run_bench_redraws_a_stream_whose_zero_has_a_short_tail(capsys):
     # stream seed 60's only zero is word 16 of 20, 3 words short of the
     # 15-word horizon; attacking it would overflow the survivor cap
     ks = generate(state_from_seed(60, W8), default_params(W8), 20)
-    assert [i for i, word in enumerate(ks) if word == 0] == [16]
+    assert [i for i, word in enumerate(ks.words) if word == 0] == [16]
     assert run(["bench", "--w", "8", "--count", "20", "--random-seed", "60"]) == 0
     captured = capsys.readouterr()
     assert "stream_seed=98\n" in captured.out and captured.err == ""

@@ -101,9 +101,9 @@ def test_update_output_word_and_cycle_probe_are_gone():
 
 def test_t2_examples():
     inst = tf1_instance(default_params(W8))
-    assert inst.t2(State(0, 9, 0, 4)) == 0
-    assert inst.t2(State(0xFF, 0, 0x01, 0)) == 0
-    assert inst.t2(State(0x12, 0, 0x34, 0)) == 0x46
+    assert inst.t2_words(0, 9, 0, 4, W8.mask) == 0
+    assert inst.t2_words(0xFF, 0, 0x01, 0, W8.mask) == 0
+    assert inst.t2_words(0x12, 0, 0x34, 0, W8.mask) == 0x46
 
 
 def test_output_word_examples():
@@ -178,7 +178,7 @@ def test_truncated_t2():
     tf1 = tf1_instance(default_params(W8))
     assert tf1.t2_words(0x11, 0, 0x0F, 0, low_mask(5)) == 0  # (0x11+0x0F) mod 32
     st = State(0x12, 0, 0x34, 0)
-    assert tf1.t2_words(*state_prefix(st, 8).words(), low_mask(8)) == tf1.t2(st)
+    assert tf1.t2_words(*state_prefix(st, 8).words(), low_mask(8)) == tf1.t2_words(*st.words(), W8.mask)
     inst = demo_generalized_instance(W4, params4())
     assert inst.t2_words(1, 3, 0, 2, low_mask(4)) == ((1 + 0) & 0xF) ^ (3 & 2)
 
@@ -208,9 +208,9 @@ def test_predicted_output_lsb_zero_state():
 
 def test_demo_instance_values():
     inst = demo_generalized_instance(W4, params4())
-    assert inst.t2(State(0, 5, 0, 0)) == 0
-    assert inst.t2(State(0, 0xF, 0, 0xF)) == 0xF
-    assert inst.t2(State(1, 3, 0, 2)) == 3
+    assert inst.t2_words(0, 5, 0, 0, W4.mask) == 0
+    assert inst.t2_words(0, 0xF, 0, 0xF, W4.mask) == 0xF
+    assert inst.t2_words(1, 3, 0, 2, W4.mask) == 3
     assert inst.f_words(1, 3, 0, 2) == 1
     assert not inst.tf1_native
 
@@ -222,7 +222,7 @@ def test_demo_instance_truncation_consistency():
     rng = SplitMix64(4)
     for st in random_states(W8, 21, 2_000):
         l = 1 + rng.below(8)
-        assert inst.t2_words(*state_prefix(st, l).words(), low_mask(l)) == inst.t2(st) & low_mask(l)
+        assert inst.t2_words(*state_prefix(st, l).words(), low_mask(l)) == inst.t2_words(*st.words(), W8.mask) & low_mask(l)
 
 
 def test_demo_instance_spec_mismatch():
@@ -362,8 +362,10 @@ def test_column_prefix_validation():
 
 
 def test_keystream_container():
-    ks = Keystream(W8, (1, 2, 3))
-    assert len(ks) == 3 and ks[1] == 2 and list(ks) == [1, 2, 3]
+    # ``words`` is the one read path: no indexing or iteration of the container
+    ks = Keystream(W8, [1, 2, 3])
+    assert len(ks) == 3 and ks.words == (1, 2, 3)
+    assert not hasattr(ks, "__getitem__") and not hasattr(ks, "__iter__")
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.integers(min_value=1, max_value=16))

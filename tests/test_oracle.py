@@ -23,11 +23,10 @@ from tf1crack.oracle import (
     OracleResult,
     brute_force_consistent_states,
     compare_with_report,
-    _scan_states_scalar,
 )
 from tf1crack.rng import SplitMix64
 
-from helpers import roll_forward
+from helpers import _scan_states_scalar, roll_forward
 
 W4 = WordSpec(4)
 P4 = default_params(W4)
@@ -120,7 +119,7 @@ def _reference_cases():
     cases.append((params, Keystream(W4, (0, *generate(planted, params, 48).words)), 0))
     cases.append((P4, generate(state_from_seed(1, W4), P4, 256), 17))
     params, ks, _ = cases[1]
-    cases.append((params, ks, next(i for i, word in enumerate(ks) if word & 1)))
+    cases.append((params, ks, next(i for i, word in enumerate(ks.words) if word & 1)))
     return cases
 
 
