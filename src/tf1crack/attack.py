@@ -77,10 +77,10 @@ exactly what the plain filter counts.  Three columns would need 256 lanes.
 Stage 1 runs in parts, one range of lower prefixes (trivial mode) or of
 one-column roots (dfs mode) each.  A part is a generator of batches
 (survivors, filter steps, candidates): one per retirement from the lane
-kernel's working set, or one per filtered column-enumerator batch.  One
-part loop, in ``_run_stage1``, sums the batches and stops a part once its
-survivors pass the cap, so the counters and the cap are applied in one
-place for both modes.
+kernel's working set, or one per filtered working set of column-enumerator
+batches.  One part loop, in ``_run_stage1``, sums the batches and stops a
+part once its survivors pass the cap, so the counters and the cap are
+applied in one place for both modes.
 
 Stage 2 completes the survivors of an event with the column enumerator,
 in either mode.  For the standard generator it also prunes on the first
@@ -145,14 +145,18 @@ __all__ = [
     "predicted_work",
 ]
 
-# lower prefixes (of 64 candidates each) in the lane kernel's working set.
-# Its two buffer sets take 88 bytes a prefix at w=16, 2.9 MB.  At w=16 a
-# stage 1 ran about 10% faster than at 2^14 once the process had run one,
-# but a step's temporaries (64 and 128 KB) return to the top of glibc's
-# heap, which trims under them until the process has freed a block above
-# its trim threshold: a process's first stage 1 takes about 31,000 minor
-# faults at w=16 and 1.6 million at w=20, later ones about 1,000.  Never
-# affects results.
+# the stage-1 working set in both modes.  In dfs mode, the candidates of one
+# _filter call: the column enumerator's batches, of up to 8192, are gathered
+# until they hold at least this many, and the halving arrays of a batch alone
+# spent most of their time in numpy's per-call overhead; w = 10..14 ran
+# 1.2-1.7x faster, and 2^14 and 2^17 slower than 2^15 (BENCH_dfs.json).  In
+# the lane kernel, lower prefixes of 64 candidates each; its two buffer sets
+# take 88 bytes a prefix at w=16, 2.9 MB.  At w=16 a stage 1 ran about 10%
+# faster than at 2^14 once the process had run one, but a step's temporaries
+# (64 and 128 KB) return to the top of glibc's heap, which trims under them
+# until the process has freed a block above its trim threshold: a process's
+# first stage 1 takes about 31,000 minor faults at w=16 and 1.6 million at
+# w=20, later ones about 1,000.  Never affects results.
 _WORKING = 1 << 15
 # the lane kernel's start masks for a_U, b_U, d_U, a_T and b_T: the lanes
 # whose bit 2, 1, 0, 4 or 3 is set, as int32 (see _stage1_lanes)
@@ -195,11 +199,11 @@ class AttackConfig:
 
     ``filter_horizon=None`` means 3*(w/2+1), resolved by ``horizon_for``
     once the width is known; it is silently clamped to the available tail
-    (the report flags the clamp).  ``workers`` partitions stage 1 into that
-    many candidate sub-ranges, run in forked processes, at most
-    ``os.cpu_count()`` at a time; one worker runs in the calling process.
-    Reports, and the ``SurvivorOverflow`` message, are identical for any
-    worker count.
+    (the report flags the clamp).  Stage 1 runs on min(``workers``,
+    ``os.cpu_count()``) processes and splits into one candidate sub-range
+    per process; the processes are forked, and one runs in the calling
+    process.  Reports, and the ``SurvivorOverflow`` message, are identical
+    for any worker count.
 
     Three constants are not fields.  ``recover`` tries the events at the
     first ``max_zero_positions`` zero words.  Stage 1 raises
@@ -531,29 +535,46 @@ def _run_stage1(
     The survivors are four arrays of ``word_dtype(w)``, the (a, b, c, d)
     words of the k-column prefixes with t2 = x on k columns, sorted by
     (a, b, c, d).  Trivial mode splits the lower-prefix range of the lane
-    kernel into ``cfg.workers`` parts, dfs mode the one-column roots of the
-    column enumerator; the parts run in forked processes, at most
-    ``os.cpu_count()`` at a time, or in this process for one worker.  Each mode gives a part as a
-    generator of (survivors, steps, candidates) batches, and ``run_part``
-    is the one loop for both: it keeps each batch's survivors, sums its
-    steps and candidates, and stops once the part's survivors pass the
-    cap.  The merge, in range order, raises ``SurvivorOverflow`` with
-    cap + 1, the count at which a one-at-a-time filter stops, so the
-    message depends on neither the split nor the mode.
+    kernel into min(``cfg.workers``, ``os.cpu_count()``) parts, dfs mode the
+    one-column roots of the column enumerator; the parts run one per forked
+    process, or in this process when there is one.  Each mode gives a part
+    as a generator of (survivors, steps, candidates) batches: the lane
+    kernel's retirements, or ``_filter`` on working sets of at least
+    _WORKING candidates gathered from the column enumerator's batches, the
+    part's last set partial.  ``run_part`` is the one loop for both: it
+    keeps each batch's survivors, sums its steps and candidates, and stops
+    once the part's survivors pass the cap.  The merge, in range order,
+    raises ``SurvivorOverflow`` with cap + 1, the count at which a
+    one-at-a-time filter stops, so the message depends on neither the
+    split, nor the mode, nor the working set.
     """
     spec, cap = instance.spec, cfg.max_survivors
+    procs = min(cfg.workers, os.cpu_count() or 1)
     if cfg.enumeration_mode == "trivial":
-        parts = _split_range(1 << (3 * (k - 2)), cfg.workers)
+        parts = _split_range(1 << (3 * (k - 2)), procs)
 
         def batches(lo, hi):
             return _stage1_lanes(lo, hi, k, instance.params, x, tail_bits)
 
     else:
         roots = _concat(spec, list(_columns(instance, _to_arrays(spec, [(0, 0, 0, 0)]), 0, 1, x)))
-        parts = _split_range(roots[0].size, cfg.workers)
+        parts = _split_range(roots[0].size, procs)
+
+        def working_sets(lo, hi):
+            # the enumerator's batches gathered into sets of at least
+            # _WORKING candidates, then the part's last, partial set
+            held, n = [], 0
+            for batch in _columns(instance, tuple(v[lo:hi] for v in roots), 1, k, x):
+                held.append(batch)
+                n += batch[0].size
+                if n >= _WORKING:
+                    yield _concat(spec, held)
+                    held, n = [], 0
+            if held:
+                yield _concat(spec, held)
 
         def batches(lo, hi):
-            for batch in _columns(instance, tuple(v[lo:hi] for v in roots), 1, k, x):
+            for batch in working_sets(lo, hi):
                 keep, steps = _filter(instance, batch, k, tail_bits)
                 yield tuple(v.take(keep) for v in batch), steps, batch[0].size
 
@@ -569,7 +590,7 @@ def _run_stage1(
                 break
         return _concat(spec, kept), steps, cands
 
-    results = _map_workers(parts, run_part, cfg.workers)
+    results = _map_workers(parts, run_part)
     survivors = _concat(spec, [r[0] for r in results])
     if survivors[0].size > cap:
         raise SurvivorOverflow(
@@ -594,15 +615,14 @@ def _run_task(part):
     return _TASK(part)
 
 
-def _map_workers(parts, fn, workers: int) -> list:
-    """[fn(part) for part in parts], in range order, with the parts spread
-    over at most min(workers, os.cpu_count()) forked processes."""
-    procs = min(workers, len(parts), os.cpu_count() or 1)
-    if procs <= 1:
+def _map_workers(parts, fn) -> list:
+    """[fn(part) for part in parts], in range order: one forked process per
+    part, or this process for a single part."""
+    if len(parts) <= 1:
         return [fn(p) for p in parts]
     # fork, not spawn: an instance's word functions are closures and lambdas,
     # which do not pickle, so each worker inherits fn instead
-    with multiprocessing.get_context("fork").Pool(procs, _set_task, (fn,)) as pool:
+    with multiprocessing.get_context("fork").Pool(len(parts), _set_task, (fn,)) as pool:
         return pool.map(_run_task, parts, chunksize=1)
 
 

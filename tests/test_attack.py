@@ -652,12 +652,12 @@ def test_recover_forked_workers_run_lambda_instances():
     assert reports[0] == reports[1] == reports[2]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: the parts run in this process")
 def test_map_workers_forks():
-    pids = attack._map_workers([(0, 1), (1, 2)], lambda part: (part, os.getpid()), 2)
+    # one forked process per part; a single part runs in this process
+    pids = attack._map_workers([(0, 1), (1, 2)], lambda part: (part, os.getpid()))
     assert [part for part, _ in pids] == [(0, 1), (1, 2)]
     assert os.getpid() not in {pid for _, pid in pids}
-    assert attack._map_workers([(0, 1), (1, 2)], lambda part: os.getpid(), 1) == [os.getpid()] * 2
+    assert attack._map_workers([(0, 2)], lambda part: os.getpid()) == [os.getpid()]
 
 
 def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
@@ -682,17 +682,33 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
         forks.clear()
 
 
-def test_huge_worker_count_gives_the_one_worker_report():
-    # stage 1 splits into at most as many parts as it has indices: the
-    # nonempty parts are the same singletons, so the report does not change
-    ks, _, _ = make_run(W4, P4, seed=42, n=256)
-    inst = tf1_instance(P4)
-    for mode in ("trivial", "dfs"):
-        want = report_core(recover(ks, inst, cfg=AttackConfig(enumeration_mode=mode)))
-        got = report_core(recover(ks, inst, cfg=AttackConfig(enumeration_mode=mode, workers=10**18)))
-        assert got == want, mode
-    assert attack._split_range(8, 10**18) == [(i, i + 1) for i in range(8)]
-    assert attack._split_range(0, 10**18) == []
+def test_huge_worker_count_gives_the_one_worker_report(monkeypatch):
+    # stage 1 splits into one part per process it runs, at most
+    # os.cpu_count() of them and at most one per index, not into one part
+    # per worker asked for; the report does not change
+    split = attack._split_range
+    parts = []
+
+    def spy(total, n):
+        parts.append(split(total, n))
+        return parts[-1]
+
+    monkeypatch.setattr(attack, "_split_range", spy)
+    w10 = WordSpec(10)
+    p10 = default_params(w10)
+    cases = [
+        (make_run(W4, P4, seed=42, n=256)[0], tf1_instance(P4), 10**18),
+        (generate(state_from_seed(1, w10), p10, 4096), tf1_instance(p10), 10**6),
+    ]
+    for ks, inst, workers in cases:
+        for mode in ("trivial", "dfs"):
+            want = report_core(recover(ks, inst, cfg=AttackConfig(enumeration_mode=mode)))
+            parts.clear()
+            cfg = AttackConfig(enumeration_mode=mode, workers=workers)
+            assert report_core(recover(ks, inst, cfg=cfg)) == want, mode
+            assert parts and all(0 < len(p) <= (os.cpu_count() or 1) for p in parts), (mode, parts)
+    assert split(8, 10**18) == [(i, i + 1) for i in range(8)]
+    assert split(0, 10**18) == []
 
 
 @pytest.mark.slow
@@ -928,6 +944,58 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             horizon = 1 + rng.below(3 * k)
             bits = [word & 1 for word in generate(truth, params, horizon).words]
             _check_lanes(params, x, bits, truth)
+
+
+def test_stage1_lanes_match_the_filter_across_the_dtype_seams():
+    # Every even w from 14 to 44, across the seams where the lane rows
+    # (word_dtype(k)) widen, at w = 16 and 32, and the lane index
+    # (word_dtype(3(k-2))), at w = 14 and 24.  At each width, the 64 lower
+    # prefixes around a planted state, at X = 0 and at a random X, under
+    # the default and random constants, on the 3k tail bits that the state
+    # emits; and the last 4 lower prefixes, whose index fills its dtype.
+    rng = SplitMix64(4343)
+    for w in range(14, 46, 2):
+        spec = WordSpec(w)
+        k = spec.half + 1
+        hi = 1 << (3 * (k - 2))
+        c1, c3, c = rng.below(1 << w), rng.below(1 << w), rng.below(1 << w) | 1
+        for params in (default_params(spec), Tf1Params(c1, c3, c, spec)):
+            for x in (0, rng.below(1 << w)):
+                truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
+                bits = [word & 1 for word in generate(truth, params, 3 * k).words]
+                _check_lanes(params, x, bits, truth)
+                top = lanes(hi - 4, hi, k, params, x, bits)
+                assert top == lane_filter(tf1_instance(params), hi - 4, hi, k, x, bits), (w, x)
+
+
+def test_dfs_stage1_does_not_depend_on_the_working_set(monkeypatch):
+    # dfs mode filters the column enumerator's batches in working sets of
+    # at least _WORKING candidates and the last, partial set of each part.
+    # Sets of one batch (1 and 5) and the default give the same survivors,
+    # steps and candidates on 1 and 2 workers, and the same overflow at
+    # horizon 2.
+    cases = []
+    for w, demo in ((8, True), (10, True), (8, False)):
+        spec = WordSpec(w)
+        params = default_params(spec)
+        inst = demo_generalized_instance(spec, params) if demo else tf1_instance(params)
+        ks = generate_from_instance(state_from_seed(1, spec), inst, 4096)
+        zero = find_zero_outputs(ks, 1)[0]
+        bits = [word & 1 for word in ks.words[zero + 1 :]]
+        cases.append((inst, spec.half + 1, bits))
+    outcomes = {}
+    for working in (1, 5, attack._WORKING):
+        monkeypatch.setattr(attack, "_WORKING", working)
+        for n_case, (inst, k, bits) in enumerate(cases):
+            for workers in (1, 2):
+                cfg = AttackConfig(enumeration_mode="dfs", workers=workers)
+                sv, steps, cands = attack._run_stage1(inst, k, 0, bits[: 3 * k], cfg)
+                got = (prefix_rows(sv), steps, cands)
+                assert outcomes.setdefault(n_case, got) == got, (n_case, working, workers)
+                with pytest.raises(SurvivorOverflow) as err:
+                    attack._run_stage1(inst, k, 0, bits[:2], cfg)
+                assert outcomes.setdefault((n_case, 2), str(err.value)) == str(err.value)
+    assert all(outcomes[n_case][0] for n_case in range(len(cases)))
 
 
 def test_stage1_lanes_on_a_tiny_working_set(monkeypatch):
