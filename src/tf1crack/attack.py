@@ -77,10 +77,11 @@ exactly what the plain filter counts.  Three columns would need 256 lanes.
 Stage 1 runs in parts, one range of lower prefixes (trivial mode) or of
 one-column roots (dfs mode) each.  A part is a generator of batches
 (survivors, filter steps, candidates): one per retirement from the lane
-kernel's working set, or one per filtered working set of column-enumerator
-batches.  One part loop, in ``_run_stage1``, sums the batches and stops a
-part once its survivors pass the cap, so the counters and the cap are
-applied in one place for both modes.
+kernel's working set, or one per filtered column-enumerator batch, which
+the enumerator sizes to the working set.  One part loop, in
+``_run_stage1``, sums the batches and stops a part once its survivors pass
+the cap, so the counters and the cap are applied in one place for both
+modes.
 
 Stage 2 completes the survivors of an event with the column enumerator,
 in either mode.  For the standard generator it also prunes on the first
@@ -124,7 +125,7 @@ from .generator import (
     instance_output,
     tf1_instance,
 )
-from .word import WordSpec, low_mask, word_dtype
+from .word import WordSpec, check_int, low_mask, word_dtype
 
 __all__ = [
     "AttackError",
@@ -145,27 +146,27 @@ __all__ = [
     "predicted_work",
 ]
 
-# the stage-1 working set in both modes.  In dfs mode, the candidates of one
-# _filter call: the column enumerator's batches, of up to 8192, are gathered
-# until they hold at least this many, and the halving arrays of a batch alone
-# spent most of their time in numpy's per-call overhead; w = 10..14 ran
-# 1.2-1.7x faster, and 2^14 and 2^17 slower than 2^15 (BENCH_dfs.json).  In
-# the lane kernel, lower prefixes of 64 candidates each; its two buffer sets
-# take 88 bytes a prefix at w=16, 2.9 MB.  At w=16 a stage 1 ran about 10%
-# faster than at 2^14 once the process had run one, but a step's temporaries
-# (64 and 128 KB) return to the top of glibc's heap, which trims under them
-# until the process has freed a block above its trim threshold: a process's
-# first stage 1 takes about 31,000 minor faults at w=16 and 1.6 million at
-# w=20, later ones about 1,000.  Never affects results.
+# the attack's one array size.  The column enumerator finishes a frontier in
+# pieces of _WORKING >> 3 prefixes, so where t2 keeps 8 of a column's 16
+# extensions, as a + c does, a batch holds at most _WORKING words: in dfs
+# mode the candidates of one _filter call, exactly _WORKING at w >= 10, and
+# in stage 2 the completions built at once.  Smaller dfs sets spent most of
+# their time in numpy's per-call overhead: w = 10..14 ran 1.2-1.7x faster
+# than on batches of up to 8192, and 2^14 and 2^17 slower than 2^15
+# (BENCH_dfs.json).  In the lane kernel, lower prefixes of 64 candidates
+# each; its two buffer sets take 88 bytes a prefix at w=16, 2.9 MB.  At
+# w=16 a stage 1 ran about 10% faster than at 2^14 once the process had run
+# one, but a step's temporaries (64 and 128 KB) return to the top of glibc's
+# heap, which trims under them until the process has freed a block above
+# its trim threshold: a process's first stage 1 takes about 31,000 minor
+# faults at w=16 and 1.6 million at w=20, later ones about 1,000.  Never
+# affects results.
 _WORKING = 1 << 15
 # the lane kernel's start masks for a_U, b_U, d_U, a_T and b_T: the lanes
 # whose bit 2, 1, 0, 4 or 3 is set, as int32 (see _stage1_lanes)
 _LANE_MASKS = np.array(
     [sum(1 << lane for lane in range(32) if lane >> j & 1) for j in (2, 1, 0, 4, 3)], np.uint32
 ).view(np.int32)
-# prefixes per column-enumerator piece, each extended 16 ways by one column;
-# never affects results
-_PIECE = 1 << 10
 # stage 2 steps its emitting completions down the tail as arrays until at
 # most this many are left, then walks each one left on its own; never
 # affects results
@@ -224,14 +225,9 @@ class AttackConfig:
     verify_words: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
-        for name in ("filter_horizon", "workers"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True is no count
-            int_ok = isinstance(value, int) and not isinstance(value, bool)
-            if not int_ok and not (name == "filter_horizon" and value is None):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.filter_horizon is not None and self.filter_horizon < 1:
+        if self.filter_horizon is not None and check_int(self.filter_horizon, "filter_horizon") < 1:
             raise ValueError("filter_horizon must be >= 1")
+        check_int(self.workers, "workers")
         if self.enumeration_mode not in ("trivial", "dfs"):
             raise ValueError("enumeration_mode must be 'trivial' or 'dfs'")
         if self.workers < 1:
@@ -297,7 +293,7 @@ def no_zero_error(params: Tf1Params, message: str) -> NeedMoreKeystream:
 
 def find_zero_outputs(ks: Keystream, limit: int | None = None) -> list[int]:
     """Ascending positions of exact-zero output words, at most ``limit``."""
-    if limit is not None and limit < 1:
+    if limit is not None and check_int(limit, "limit") < 1:
         raise ValueError("limit must be >= 1")
     out = []
     i = -1
@@ -321,9 +317,9 @@ def enumerate_preimages_dfs(
     Column by column, all 16 one-bit extensions of (a, b, c, d) are tried
     and an extension is kept when the new column of the truncated t2 equals
     the corresponding target bit.  The column enumerator runs on arrays and
-    splits a large frontier into pieces, so memory stays bounded.  Works for
-    any T-function t2, at about 2**(3(k-l)) operations when roughly half the
-    extensions survive per column.
+    finishes a large frontier in pieces of _WORKING >> 3 prefixes, so memory
+    stays bounded.  Works for any T-function t2, at about 2**(3(k-l))
+    operations when roughly half the extensions survive per column.
     """
     w = instance.spec.width
     if not 1 <= l <= k <= w:
@@ -539,12 +535,11 @@ def _run_stage1(
     one-column roots of the column enumerator; the parts run one per forked
     process, or in this process when there is one.  Each mode gives a part
     as a generator of (survivors, steps, candidates) batches: the lane
-    kernel's retirements, or ``_filter`` on working sets of at least
-    _WORKING candidates gathered from the column enumerator's batches, the
-    part's last set partial.  ``run_part`` is the one loop for both: it
-    keeps each batch's survivors, sums its steps and candidates, and stops
-    once the part's survivors pass the cap.  The merge, in range order,
-    raises ``SurvivorOverflow`` with cap + 1, the count at which a
+    kernel's retirements, or ``_filter`` on each of the column enumerator's
+    batches, which _WORKING sizes.  ``run_part`` is the one loop for both:
+    it keeps each batch's survivors, sums its steps and candidates, and
+    stops once the part's survivors pass the cap.  The merge, in range
+    order, raises ``SurvivorOverflow`` with cap + 1, the count at which a
     one-at-a-time filter stops, so the message depends on neither the
     split, nor the mode, nor the working set.
     """
@@ -560,21 +555,8 @@ def _run_stage1(
         roots = _concat(spec, list(_columns(instance, _to_arrays(spec, [(0, 0, 0, 0)]), 0, 1, x)))
         parts = _split_range(roots[0].size, procs)
 
-        def working_sets(lo, hi):
-            # the enumerator's batches gathered into sets of at least
-            # _WORKING candidates, then the part's last, partial set
-            held, n = [], 0
-            for batch in _columns(instance, tuple(v[lo:hi] for v in roots), 1, k, x):
-                held.append(batch)
-                n += batch[0].size
-                if n >= _WORKING:
-                    yield _concat(spec, held)
-                    held, n = [], 0
-            if held:
-                yield _concat(spec, held)
-
         def batches(lo, hi):
-            for batch in working_sets(lo, hi):
+            for batch in _columns(instance, tuple(v[lo:hi] for v in roots), 1, k, x):
                 keep, steps = _filter(instance, batch, k, tail_bits)
                 yield tuple(v.take(keep) for v in batch), steps, batch[0].size
 
@@ -928,11 +910,14 @@ def _columns(
     disagrees with ``first``: j+1 columns pin output columns 0..j-h, and
     the whole word at full width (see the module docstring).  The t2 test
     comes before the update step, which then runs on half as many words.
-    A frontier of more than _PIECE prefixes is split and finished piece by
-    piece; batches come in depth-first order.
+    A frontier of more than _WORKING >> 3 prefixes (at least 1) is split
+    and finished piece by piece, so a batch holds at most 2 * _WORKING
+    words, and at most _WORKING where t2 keeps 8 of a column's 16
+    extensions; batches come in depth-first order.
     """
     spec = instance.spec
     h = spec.half
+    piece = max(1, _WORKING >> 3)
     ext = np.arange(16, dtype=word_dtype(spec.width))
     bits = (ext >> 3, (ext >> 2) & 1, (ext >> 1) & 1, ext & 1)
     frontier = [(l, words)]
@@ -941,10 +926,10 @@ def _columns(
         n = pre[0].size
         if j == k:
             yield pre
-        elif n > _PIECE:
+        elif n > piece:
             # the last piece goes on the stack first, so the first is finished first
-            for i in reversed(range(0, n, _PIECE)):
-                frontier.append((j, tuple(v[i : i + _PIECE] for v in pre)))
+            for i in reversed(range(0, n, piece)):
+                frontier.append((j, tuple(v[i : i + piece] for v in pre)))
         else:
             m = low_mask(j + 1)
             x = tuple((v[:, None] | (e << j)).ravel() for v, e in zip(pre, bits))

@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .rng import SplitMix64
-from .word import WordSpec, low_mask, word_dtype
+from .word import WordSpec, check_int, low_mask, word_dtype
 
 __all__ = [
     "State",
@@ -315,7 +315,7 @@ def generate_from_instance(seed: State, instance: GeneratorInstance, n: int) -> 
 
     A seed word outside the width raises ValueError.
     """
-    if n < 0:
+    if check_int(n, "n") < 0:
         raise ValueError("n must be >= 0")
     for name, word in zip("abcd", seed.words()):
         instance.spec.check_word(word, name)

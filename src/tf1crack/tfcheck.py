@@ -26,7 +26,7 @@ from .generator import (
     tf1_instance,
 )
 from .rng import trial_draws
-from .word import WordSpec, low_mask
+from .word import WordSpec, check_int, low_mask
 
 __all__ = [
     "PropertyReport",
@@ -59,10 +59,7 @@ _BATCH = 1 << 12  # trials per trial_draws call; bounds the plain ints held at o
 def _run_trials(trials: int, rng_seed: int, n_draws: int, trial: Callable) -> PropertyReport:
     """Call ``trial(*draws)`` with the first ``n_draws`` draws of each trial's
     stream; ``trial`` returns None on success and a witness on failure."""
-    # bool is an int subclass, but True is no count
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise ValueError(f"trials must be an int, got {trials!r}")
-    if trials < 1:
+    if check_int(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
     failures = 0
     witness = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WordSpec", "low_mask", "word_dtype"]
+__all__ = ["WordSpec", "check_int", "low_mask", "word_dtype"]
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,14 @@ class WordSpec:
         for i, x in enumerate(words):
             if not 0 <= x <= self.mask:
                 raise ValueError(f"word {i} is {x:#x}, outside the width-{self.width} range")
+
+
+def check_int(value, name: str) -> int:
+    """``value``, or ValueError naming ``name`` when it is not an int."""
+    # bool is an int subclass, but True is no count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def low_mask(bits: int) -> int:

@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -148,7 +149,7 @@ def test_dfs_equals_brute_force_for_demo_instance(monkeypatch):
         dfs = [p.words() for p in enumerate_preimages_dfs(inst, 1, 4, None, target)]
         assert dfs == brute
         with monkeypatch.context() as patch:
-            patch.setattr(attack, "_PIECE", 64)
+            patch.setattr(attack, "_WORKING", 512)
             assert [p.words() for p in enumerate_preimages_dfs(inst, 1, 4, None, target)] == brute
 
 
@@ -348,8 +349,8 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
     # generic twin (states, candidates, verifications) at a random inner word
     # x, for tails of 1..3 words (2 at w=12 and 16), on the true prefix, a
     # wrong survivor and random prefixes with a + c = x in one array, the
-    # wrong one alone, and all again with _PIECE so small that the frontier
-    # is split; at w=6 also from 2 columns, below the first pinned output
+    # wrong one alone, and all again with _WORKING so small that the
+    # frontier is split into single prefixes; at w=6 also from 2 columns, below the first pinned output
     # column.  At w=16, where products wrap around the full uint16 words, the
     # prefixes hold 12 columns, so that the twin walks a few thousand
     # completions rather than 8^7 per prefix
@@ -379,7 +380,7 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
                 want = attack._run_stage2(prefixes, l, twin, window, 0, x)
                 assert attack._run_stage2(prefixes, l, inst, window, 0, x) == want
                 with monkeypatch.context() as patch:
-                    patch.setattr(attack, "_PIECE", 1)
+                    patch.setattr(attack, "_WORKING", 8)
                     assert attack._run_stage2(prefixes, l, inst, window, 0, x) == want
                 assert (truth in want[0]) == (svs is survivors or svs[0].l == 2)
 
@@ -876,14 +877,15 @@ def test_survivor_cap_inside_one_lower_prefix(monkeypatch):
                 assert (outcomes[0] == "overflow") == (horizon == 1 or cap < full)
 
 
-def _check_lanes(params, x, bits, truth):
+def _check_lanes(params, x, bits, truth, working=attack._WORKING):
     """Hold the lane kernel to dfs mode at inner word x on tail bits that
     ``truth``, a state with a + c = x, emits.
 
-    At w <= 8, stage 1 over the full range with 1 and 3 workers against dfs
-    mode; at w >= 10, the 64 lower prefixes around the truth's (4096
-    candidates) against dfs mode's array filter on the same candidates.
-    The truth's k columns must survive either way.
+    At w <= 8, stage 1 over the full range with 1 and 3 workers, on a
+    working set of ``working`` lower prefixes, against dfs mode at the
+    default working set; at w >= 10, the 64 lower prefixes around the
+    truth's (4096 candidates) against dfs mode's array filter on the same
+    candidates.  The truth's k columns must survive either way.
     """
     spec = params.spec
     k = spec.half + 1
@@ -892,10 +894,12 @@ def _check_lanes(params, x, bits, truth):
         dfs = AttackConfig(enumeration_mode="dfs")
         sv, steps, cands = attack._run_stage1(inst, k, x, bits, dfs)
         want = (prefix_rows(sv), steps, cands)
-        for workers in (1, 3):
-            cfg = AttackConfig(workers=workers)
-            sv, steps, cands = attack._run_stage1(inst, k, x, bits, cfg)
-            assert (prefix_rows(sv), steps, cands) == want
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attack, "_WORKING", working)
+            for workers in (1, 3):
+                cfg = AttackConfig(workers=workers)
+                sv, steps, cands = attack._run_stage1(inst, k, x, bits, cfg)
+                assert (prefix_rows(sv), steps, cands) == want
     else:
         low = k - 2
         lm = (1 << low) - 1
@@ -969,33 +973,62 @@ def test_stage1_lanes_match_the_filter_across_the_dtype_seams():
 
 
 def test_dfs_stage1_does_not_depend_on_the_working_set(monkeypatch):
-    # dfs mode filters the column enumerator's batches in working sets of
-    # at least _WORKING candidates and the last, partial set of each part.
-    # Sets of one batch (1 and 5) and the default give the same survivors,
-    # steps and candidates on 1 and 2 workers, and the same overflow at
-    # horizon 2.
-    cases = []
-    for w, demo in ((8, True), (10, True), (8, False)):
+    # The column enumerator finishes a frontier in pieces of _WORKING >> 3
+    # prefixes, which sizes dfs mode's _filter calls and stage 2's batches.
+    # At w=10, on the demo instance, pieces of 700 prefixes split the
+    # frontier first at column 4 and the default at column 5; at w=8, on the
+    # standard generator, pieces of 64 or 100 split it first at column 3,
+    # pieces of 700 at column 4, and the default never does.  Pieces of 100
+    # and 700 leave the last piece of a split partial.  Each gives the same
+    # dfs report on 1 and 2 workers, and the same overflow at horizon 2.
+    default = attack._WORKING
+    for w, demo, workings in ((10, True, (5600,)), (8, False, (512, 800, 5600))):
         spec = WordSpec(w)
         params = default_params(spec)
         inst = demo_generalized_instance(spec, params) if demo else tf1_instance(params)
         ks = generate_from_instance(state_from_seed(1, spec), inst, 4096)
-        zero = find_zero_outputs(ks, 1)[0]
-        bits = [word & 1 for word in ks.words[zero + 1 :]]
-        cases.append((inst, spec.half + 1, bits))
-    outcomes = {}
-    for working in (1, 5, attack._WORKING):
-        monkeypatch.setattr(attack, "_WORKING", working)
-        for n_case, (inst, k, bits) in enumerate(cases):
+        outcomes = []
+        for working in (default, *workings):
+            monkeypatch.setattr(attack, "_WORKING", working)
             for workers in (1, 2):
                 cfg = AttackConfig(enumeration_mode="dfs", workers=workers)
-                sv, steps, cands = attack._run_stage1(inst, k, 0, bits[: 3 * k], cfg)
-                got = (prefix_rows(sv), steps, cands)
-                assert outcomes.setdefault(n_case, got) == got, (n_case, working, workers)
                 with pytest.raises(SurvivorOverflow) as err:
-                    attack._run_stage1(inst, k, 0, bits[:2], cfg)
-                assert outcomes.setdefault((n_case, 2), str(err.value)) == str(err.value)
-    assert all(outcomes[n_case][0] for n_case in range(len(cases)))
+                    recover(ks, inst, cfg=dataclasses.replace(cfg, filter_horizon=2))
+                outcomes.append((report_core(recover(ks, inst, cfg=cfg)), str(err.value)))
+                assert outcomes[-1] == outcomes[0], (inst.spec, working, workers)
+        assert outcomes[0][0][1]
+
+
+def test_dfs_stage1_filters_whole_working_sets(monkeypatch):
+    # Where t2 keeps exactly 8 of a column's 16 extensions, as on the
+    # standard generator and the demo instance, the column enumerator's
+    # pieces of _WORKING >> 3 prefixes make every batch that dfs mode
+    # filters exactly _WORKING candidates at w >= 10, on any worker count.
+    # The spy checks each batch in the process that filters it and counts
+    # the batches in shared memory, which forked workers inherit.
+    batches = multiprocessing.get_context("fork").Value("q", 0)
+    real = attack._filter
+
+    def spy(instance, batch, l, tail_bits):
+        assert batch[0].size == attack._WORKING
+        with batches.get_lock():
+            batches.value += 1
+        return real(instance, batch, l, tail_bits)
+
+    monkeypatch.setattr(attack, "_filter", spy)
+    for w in (10, 12):
+        spec = WordSpec(w)
+        k = spec.half + 1
+        params = default_params(spec)
+        for inst in (tf1_instance(params), demo_generalized_instance(spec, params)):
+            ks = generate_from_instance(state_from_seed(1, spec), inst, 4096)
+            zero = find_zero_outputs(ks, 1)[0]
+            bits = [word & 1 for word in ks.words[zero + 1 : zero + 1 + 3 * k]]
+            for workers in (1, 2):
+                batches.value = 0
+                cfg = AttackConfig(enumeration_mode="dfs", workers=workers)
+                _, _, cands = attack._run_stage1(inst, k, 0, bits, cfg)
+                assert cands == 8**k == batches.value * attack._WORKING, (w, workers)
 
 
 def test_stage1_lanes_on_a_tiny_working_set(monkeypatch):
@@ -1008,7 +1041,7 @@ def test_stage1_lanes_on_a_tiny_working_set(monkeypatch):
     # 5 and 3k.
     rng = SplitMix64(3131)
     for w in (4, 6, 8, 10, 12, 14, 16):
-        monkeypatch.setattr(attack, "_WORKING", (4, 7)[w // 2 % 2])
+        working = (4, 7)[w // 2 % 2]
         spec = WordSpec(w)
         k = spec.half + 1
         top = 1 << (w - 1)
@@ -1018,8 +1051,9 @@ def test_stage1_lanes_on_a_tiny_working_set(monkeypatch):
             truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
             words = generate(truth, params, 3 * k).words
             if w <= 8:
-                _check_lanes(params, x, [word & 1 for word in words], truth)
+                _check_lanes(params, x, [word & 1 for word in words], truth, working)
                 continue
+            monkeypatch.setattr(attack, "_WORKING", working)
             low = k - 2
             lm = (1 << low) - 1
             at = ((truth.a & lm) << (2 * low)) | ((truth.b & lm) << low) | (truth.d & lm)
@@ -1219,6 +1253,21 @@ def test_attack_config_validation():
     with pytest.raises(ValueError, match="workers must be an int, got None"):
         AttackConfig(workers=None)
     assert AttackConfig(filter_horizon=None).filter_horizon is None
+
+
+def test_counts_must_be_ints():
+    # find_zero_outputs's limit and generate's n take no float, bool or
+    # string: a limit of 2.5 once gave three positions, and True counted as 1
+    seed = state_from_seed(1, W8)
+    ks = generate(seed, P8, 4096)
+    assert find_zero_outputs(ks, 3) == [94, 238, 540]
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match=f"limit must be an int, got {bad!r}"):
+            find_zero_outputs(ks, bad)
+        with pytest.raises(ValueError, match=f"n must be an int, got {bad!r}"):
+            generate(seed, P8, bad)
+        with pytest.raises(ValueError, match=f"n must be an int, got {bad!r}"):
+            generate_from_instance(seed, demo_generalized_instance(W8, P8), bad)
 
 
 def test_predicted_work_values():
