@@ -10,9 +10,10 @@ bits of the following outputs, one truncated step per bit.  Stage 2
 extends each survivor to the remaining columns, still constrained by X,
 and keeps exactly the full states that reproduce the observed tail.
 Survivors travel from stage 1 to stage 2 as four ``word_dtype(w)``
-arrays, their (a, b, c, d) words sorted by (a, b, c, d), with no Python
-object per survivor.  ``ColumnPrefix`` is the type of the public edge
-only: ``enumerate_preimages_dfs`` yields one prefix at a time and
+arrays, their (a, b, c, d) words in the order that stage 1's parts find
+them, with no Python object per survivor; stage 2 sorts only the states
+it keeps.  ``ColumnPrefix`` is the type of the public edge only:
+``enumerate_preimages_dfs`` yields one prefix at a time and
 ``stage2_complete`` takes one.
 
 Work is counted in attack operations: one stage-1 filter step (truncated
@@ -90,15 +91,16 @@ S(x) * (S(y) | 1) with x = a'+c' and y = b'+d', and a product's low
 columns read only its factors' low columns, so output
 column t < h = w/2 reads only columns h..h+t of x and y.  So at column j an
 extension is kept while output columns 0..j-h of the first tail word
-match; at full width the whole word must.  For every instance only the
-completions that emit the first tail word, and the event word itself,
-walk the rest of the tail: t2 = X pins only the factor S(X) of the event
-word, and unless X = 0 its other factor reads b and d.  The walkers step
-together as arrays, through the instance's t1_words and output word,
-until at most a few are left; each of those then walks on alone through
-``_stream``.  Each candidate is charged min(first mismatching word, tail
-length), so every other one counts one step, as in a walk from every
-completion, and where the arrays stop changes no counter.
+match; at full width the whole word must.  For every instance the
+completions that emit the event word walk the tail from it, one step per
+word, the first tail word included: t2 = X pins only the factor S(X) of
+the event word, and unless X = 0 its other factor reads b and d.  The
+walkers step together as arrays, through the instance's t1_words and
+output word, until at most a few are left; each of those then walks on
+alone through ``_stream``.  Each candidate is charged min(first
+mismatching word, tail length), so every other one counts one step, as in
+a walk from every completion, and where the arrays stop changes no
+counter.
 """
 
 from __future__ import annotations
@@ -167,9 +169,9 @@ _WORKING = 1 << 15
 _LANE_MASKS = np.array(
     [sum(1 << lane for lane in range(32) if lane >> j & 1) for j in (2, 1, 0, 4, 3)], np.uint32
 ).view(np.int32)
-# stage 2 steps its emitting completions down the tail as arrays until at
-# most this many are left, then walks each one left on its own; never
-# affects results
+# stage 2 steps the completions that emit the event word down the tail as
+# arrays until at most this many are left, then walks each one left on its
+# own; never affects results
 _FEW = 8
 
 
@@ -529,14 +531,16 @@ def _run_stage1(
     steps, candidates).
 
     The survivors are four arrays of ``word_dtype(w)``, the (a, b, c, d)
-    words of the k-column prefixes with t2 = x on k columns, sorted by
-    (a, b, c, d).  Trivial mode splits the lower-prefix range of the lane
-    kernel into min(``cfg.workers``, ``os.cpu_count()``) parts, dfs mode the
-    one-column roots of the column enumerator; the parts run one per forked
-    process, or in this process when there is one.  Each mode gives a part
-    as a generator of (survivors, steps, candidates) batches: the lane
-    kernel's retirements, or ``_filter`` on each of the column enumerator's
-    batches, which _WORKING sizes.  ``run_part`` is the one loop for both:
+    words of the k-column prefixes with t2 = x on k columns, part after
+    part in range order and, within a part, in the order its batches come;
+    nothing downstream reads the order.  Trivial mode splits the
+    lower-prefix range of the lane kernel into min(``cfg.workers``,
+    ``os.cpu_count()``) parts, dfs mode the one-column roots of the column
+    enumerator; the parts run one per forked process, or in this process
+    when there is one.  Each mode gives a part as a generator of
+    (survivors, steps, candidates) batches: the lane kernel's retirements,
+    or ``_filter`` on each of the column enumerator's batches, which
+    _WORKING sizes.  ``run_part`` is the one loop for both:
     it keeps each batch's survivors, sums its steps and candidates, and
     stops once the part's survivors pass the cap.  The merge, in range
     order, raises ``SurvivorOverflow`` with cap + 1, the count at which a
@@ -579,9 +583,8 @@ def _run_stage1(
             f"{cap + 1} stage-1 survivors exceed the cap of {cap}; "
             "increase the filter horizon or supply a longer tail"
         )
-    order = np.lexsort(survivors[::-1])
     steps, cands = (sum(r[i] for r in results) for i in (1, 2))
-    return tuple(v.take(order) for v in survivors), steps, cands
+    return survivors, steps, cands
 
 
 # a forked worker's task, set as the worker starts
@@ -838,30 +841,28 @@ def _run_stage2(
     states sorted, candidates, verification steps).
 
     ``prefixes`` holds the survivors' four words as ``word_dtype(w)``
-    arrays, all of them l-column prefixes with t2 = x on l columns, as
-    ``_run_stage1`` returns them.  The completions keep t2 = x, and the
-    tail is ``words`` after ``index``, to its end.  The column enumerator
-    builds the completions for every instance.  For the standard generator
-    it also prunes them on the first tail word, and the candidates are
-    counted in closed form: t2 = a + c keeps exactly 8 of each column's 16
-    extensions, so that count is the unpruned enumerator's.  Every
-    candidate costs one step for the first tail word; only the completions
-    that emit it and the event word walk the rest of the tail, at one more
-    step a word.
+    arrays, all of them l-column prefixes with t2 = x on l columns, in any
+    order.  The completions keep t2 = x, and the tail is ``words`` after
+    ``index``, to its end.  The column enumerator builds the completions
+    for every instance.  For the standard generator it also prunes them on
+    the first tail word, and the candidates are counted in closed form:
+    t2 = a + c keeps exactly 8 of each column's 16 extensions, so that
+    count is the unpruned enumerator's.  Every candidate costs one step for
+    the first tail word.  The completions that emit the event word walk
+    from it, and each step reads one tail word, the first one included.
 
     A batch's walkers step down the tail together as arrays, each dropping
     out at its first mismatching word, until at most _FEW are left or the
     tail ends; each one left then goes on alone with ``_walk_tail`` from
-    the word where the arrays stopped.  A walker that first mismatches at
-    words[index + j] is charged j - 1 steps either way, the words after the
-    first that it computed.
+    the word where the arrays stopped, the event word itself included.  A
+    walker that first mismatches at words[index + j] is charged j - 1
+    steps either way, the words after the first that it computed.
     """
     spec = instance.spec
     m = spec.mask
-    first = words[index + 1]
     last = len(words) - 1
     native = instance.tf1_native
-    batches = _columns(instance, prefixes, l, spec.width, x, first if native else None)
+    batches = _columns(instance, prefixes, l, spec.width, x, words[index + 1] if native else None)
 
     def out(*state):
         return _instance_out(instance.t2_words, instance.f_words, m, spec.half, *state)
@@ -870,13 +871,11 @@ def _run_stage2(
     n_leaves = verifs = 0
     for batch in batches:
         n_leaves += batch[0].size
-        emits = out(*instance.t1_words(*batch, m)) == first
         # t2 = x pins only S(x) of the event word; its other factor reads b and d
-        emits[emits] = out(*(v[emits] for v in batch)) == words[index]
+        keep = out(*batch) == words[index]
         # each walker's completion, and its state now, which emits words[j]
-        j = index + 1
-        origin = tuple(v[emits] for v in batch)
-        now = instance.t1_words(*origin, m)
+        j = index
+        origin = now = tuple(v[keep] for v in batch)
         while origin[0].size > _FEW and j < last:
             now = instance.t1_words(*now, m)
             j += 1

@@ -42,7 +42,7 @@ from .generator import (
     state_from_seed,
     tf1_instance,
 )
-from .oracle import brute_force_consistent_states
+from .oracle import _check_oracle_width, brute_force_consistent_states
 from .tfcheck import check_tfunction_property, check_truncation_consistency, zero_frequency
 from .word import WordSpec, word_dtype
 
@@ -448,6 +448,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle(args) -> int:
     ks = _read_for(args)
+    # before the zero scan, so that a wide stream with no zero word is a usage error too
+    _check_oracle_width(ks.spec)
     params = _params_for(args, ks.spec)
     if args.zero_index is not None:
         zero_index = args.zero_index

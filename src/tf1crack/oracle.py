@@ -27,7 +27,7 @@ import numpy as np
 
 from .attack import AttackReport, _check_width, _check_window
 from .generator import Keystream, State, Tf1Params, _out, _rows
-from .word import word_dtype
+from .word import WordSpec, word_dtype
 
 __all__ = ["OracleResult", "brute_force_consistent_states", "compare_with_report"]
 
@@ -37,6 +37,12 @@ _CHUNK = 1 << 16
 # a chunk steps its survivors as arrays until at most this many are left,
 # then steps each one left on plain ints; never affects results
 _FEW = 8
+
+
+def _check_oracle_width(spec: WordSpec) -> None:
+    """Reject w > 8: the oracle scans all 2**(4w) states, 2**40 at w=10."""
+    if spec.width > 8:
+        raise ValueError(f"the exhaustive oracle is limited to w <= 8 by design, got w={spec.width}")
 
 
 @dataclass
@@ -63,8 +69,7 @@ def brute_force_consistent_states(
     """
     spec = params.spec
     w = spec.width
-    if w > 8:
-        raise ValueError(f"the exhaustive oracle is limited to w <= 8 by design, got w={w}")
+    _check_oracle_width(spec)
     _check_width(ks, spec)
     _check_window(ks, zero_index, window, "window")
     space = 1 << (4 * w)

@@ -48,14 +48,16 @@ def report_core(report):
 
 
 def prefix_rows(prefixes):
-    """The (a, b, c, d) rows of four prefix arrays, as stage 1 returns them, as int tuples."""
-    return list(zip(*(v.tolist() for v in prefixes)))
+    """The (a, b, c, d) rows of four prefix arrays, as stage 1 returns them,
+    as int tuples in ascending order: stage 1 returns its survivors in no
+    fixed order."""
+    return sorted(zip(*(v.tolist() for v in prefixes)))
 
 
 def lanes(lo, hi, k, params, x, bits):
     """_stage1_lanes over [lo, hi), batches summed: (survivor words sorted, steps, candidates)."""
     batches = list(attack._stage1_lanes(lo, hi, k, params, x, bits))
-    rows = sorted(row for sv, _, _ in batches for row in prefix_rows(sv))
+    rows = prefix_rows(attack._concat(params.spec, [b[0] for b in batches]))
     return rows, sum(b[1] for b in batches), sum(b[2] for b in batches)
 
 
@@ -74,7 +76,7 @@ def lane_filter(inst, lo, hi, k, x, bits):
     c = (x - a) & ((1 << k) - 1)
     batch = tuple(v.astype(word_dtype(inst.spec.width)) for v in (a, b, c, d))
     keep, steps = attack._filter(inst, batch, k, bits)
-    return sorted(prefix_rows(tuple(v.take(keep) for v in batch))), steps, a.size
+    return prefix_rows(tuple(v.take(keep) for v in batch)), steps, a.size
 
 
 def _scan_states_scalar(spec: WordSpec, word: int) -> Iterator[State]:

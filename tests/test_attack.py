@@ -353,7 +353,8 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
     # frontier is split into single prefixes; at w=6 also from 2 columns, below the first pinned output
     # column.  At w=16, where products wrap around the full uint16 words, the
     # prefixes hold 12 columns, so that the twin walks a few thousand
-    # completions rather than 8^7 per prefix
+    # completions rather than 8^7 per prefix.  Each batch also runs shuffled,
+    # as stage 2 takes its survivors in any order, and must give the same
     rng = SplitMix64(5151)
     for w in (6, 8, 10, 12, 16):
         spec = WordSpec(w)
@@ -375,14 +376,36 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
             survivor_sets.append([state_prefix(truth, 2)])
         for svs in survivor_sets:
             prefixes, l = attack._to_arrays(spec, [p.words() for p in svs]), svs[0].l
+            order = sorted(range(len(svs)), key=lambda _: rng.next64())
+            shuffled = tuple(v[order] for v in prefixes)
             for tail in (1, 2, 3) if w < 12 else (2,):
                 window = words[: 1 + tail]
                 want = attack._run_stage2(prefixes, l, twin, window, 0, x)
                 assert attack._run_stage2(prefixes, l, inst, window, 0, x) == want
+                for runner in (inst, twin):
+                    assert attack._run_stage2(shuffled, l, runner, window, 0, x) == want
                 with monkeypatch.context() as patch:
                     patch.setattr(attack, "_WORKING", 8)
                     assert attack._run_stage2(prefixes, l, inst, window, 0, x) == want
                 assert (truth in want[0]) == (svs is survivors or svs[0].l == 2)
+    # every even w from 4 to 64, across the widths where word_dtype(w)
+    # widens (10, 18 and 34): random constants and C = 1, at X = 0 and a
+    # random X, from the planted state's max(k, w - 3)-column prefix on a
+    # 2-word tail, so that the twin walks at most 8^3 completions
+    for w in range(4, 66, 2):
+        spec = WordSpec(w)
+        l = max(spec.half + 1, w - 3)
+        random = Tf1Params(rng.below(1 << w), rng.below(1 << w), rng.below(1 << w) | 1, spec)
+        for params in (random, dataclasses.replace(default_params(spec), c=1)):
+            inst = tf1_instance(params)
+            twin = dataclasses.replace(inst)
+            for x in (0, rng.below(1 << w)):
+                truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
+                words = (instance_output(truth, inst),) + generate(truth, params, 2).words
+                prefixes = attack._to_arrays(spec, [state_prefix(truth, l).words()])
+                want = attack._run_stage2(prefixes, l, twin, words, 0, x)
+                assert attack._run_stage2(prefixes, l, inst, words, 0, x) == want
+                assert truth in want[0], (params, x)
 
 
 def test_stage2_prunes_by_instance_not_mode(monkeypatch):
@@ -422,14 +445,15 @@ def test_stage2_prunes_by_instance_not_mode(monkeypatch):
 def test_stage2_array_walk_charges_what_the_walk_charges(monkeypatch):
     # Stage 2 steps its emitting completions as arrays until at most _FEW are
     # left.  _FEW = 0 keeps them on arrays until they die or the tail ends,
-    # and a huge _FEW hands each to _walk_tail after the first tail word; the
+    # and a huge _FEW hands each to _walk_tail at the event word; the
     # reports must not differ.  Random constants and C = 1 (four states) at
     # w = 6..12, on streams cut 300 words after their first zero: trivial
     # mode, and up to w=10 also dfs mode and the generic twin (stage 2 does
     # not depend on the mode, and dfs mode's stage 1 costs 0.25 s at w=12).
     # Then, up to w=10 (the twin up to w=8), stage 2 alone on the stage-1
-    # survivors with the stream cut 1, 2 and 3 words after the zero, where
-    # the tail ends inside the array walk.
+    # survivors with the stream cut 1, 2 and 3 words after the event, where
+    # the tail ends inside the array walk: at the first zero (X = 0), and at
+    # a random X, where the event word is a planted state's output.
     rng = SplitMix64(3232)
 
     def same_at_both_ends(run):
@@ -457,13 +481,20 @@ def test_stage2_array_walk_charges_what_the_walk_charges(monkeypatch):
                 same_at_both_ends(lambda: report_core(recover(ks, runner, cfg=cfg)))
             if w == 12:
                 continue
-            bits = [word & 1 for word in ks.words[zero + 1 : zero + 1 + 3 * k]]
-            survivors = attack._run_stage1(inst, k, 0, bits, AttackConfig())[0]
-            for cut in (1, 2, 3):
-                words = ks.words[: zero + 1 + cut]
-                for runner in (inst, twin) if w <= 8 else (inst,):
-                    found = same_at_both_ends(lambda: attack._run_stage2(survivors, k, runner, words, zero, 0))
-                    assert found[0], "the true state reproduces any cut of its tail"
+            x = rng.below(1 << w)
+            truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
+            planted = (instance_output(truth, inst),) + generate(truth, params, 3 * k).words
+            for x, words, at in ((0, ks.words, zero), (x, planted, 0)):
+                bits = [word & 1 for word in words[at + 1 : at + 1 + 3 * k]]
+                survivors = attack._run_stage1(inst, k, x, bits, AttackConfig())[0]
+                for cut in (1, 2, 3):
+                    cut_words = words[: at + 1 + cut]
+                    for runner in (inst, twin) if w <= 8 else (inst,):
+                        found = same_at_both_ends(
+                            lambda: attack._run_stage2(survivors, k, runner, cut_words, at, x)
+                        )
+                        assert found[0], "the true state reproduces any cut of its tail"
+            assert truth in found[0]
 
 
 def test_word_arrays_take_the_narrowest_dtype():

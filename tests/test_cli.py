@@ -10,6 +10,7 @@ import pytest
 import tf1crack
 from tf1crack import (
     AttackConfig,
+    AttackError,
     Keystream,
     Tf1Params,
     WordSpec,
@@ -463,6 +464,50 @@ def test_run_attack_tells_bin_from_hex(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("FormatError: bad.bin:1: not hexadecimal: 'XF1K")
 
 
+def test_mutated_files_fail_cleanly(tmp_path, capsys):
+    # 304 seeded byte flips, inserts, deletions and truncations of gen's
+    # files at w = 4, 6, 8 and 10, bin and hex, run through attack, and
+    # through oracle at w=4 and on every fourth round of the w=6 files (each
+    # w=6 scan that starts costs 0.2 s): no exception leaves run, the exit
+    # code is 0, 1 or 2, and a failing run prints one stderr line that
+    # starts with its error type
+    errors = {c.__name__ for c in (FormatError, TruncationError, ParseError, ValueError,
+                                   AttackError, *AttackError.__subclasses__())}
+    files = []
+    for w, count in ((4, 64), (6, 256), (8, 1024), (10, 2048)):
+        for fmt in ("bin", "hex"):
+            path = tmp_path / f"g{w}.{fmt}"
+            assert run(["gen", "--w", str(w), "--random-seed", "1", "--count", str(count),
+                        "--out", str(path), "--format", fmt]) == 0
+            files.append((w, path.read_bytes()))
+    rng = SplitMix64(7)
+    path = tmp_path / "mutant"
+    seen = set()
+    for i in range(38 * len(files)):
+        w, data = files[i % len(files)]
+        kind, at = rng.below(4), rng.below(len(data))
+        if kind == 0:
+            data = data[:at] + bytes([data[at] ^ (1 + rng.below(255))]) + data[at + 1 :]
+        elif kind == 1:
+            data = data[:at] + bytes([rng.below(256)]) + data[at:]
+        elif kind == 2:
+            data = data[:at] + data[at + 1 :]
+        else:
+            data = data[:at]
+        path.write_bytes(data)
+        oracle = w == 4 or w == 6 and i // len(files) % 4 == 0
+        for command in ("attack", "oracle") if oracle else ("attack",):
+            capsys.readouterr()
+            rc = run([command, "--in", str(path)])
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2), (command, w, kind, at)
+            one_line = err.count("\n") == 1 and err.split(":")[0] in errors
+            assert rc == 0 or one_line, (command, w, kind, at, err)
+            seen.add((command, rc))
+    # the mutants reach every exit code that each command can give
+    assert seen >= {("attack", 0), ("attack", 1), ("attack", 2), ("oracle", 0), ("oracle", 2)}
+
+
 def test_run_unknown_flag_is_exit_2(capsys):
     assert run(["attack", "--frobnicate", "1"]) == 2
     assert run(["nonsense"]) == 2
@@ -614,6 +659,7 @@ def test_python_m_runs_the_command_line():
 
 
 EVEN_C_NOTE = "C = {} is even, and an even C can trap the state in short zero-free cycles"
+ORACLE_W10 = "the exhaustive oracle is limited to w <= 8 by design, got w=10"
 
 # (command line, exit code, stdout, stderr) for every printer, byte for byte;
 # elapsed_ms and the human report's seconds are scrubbed to "*"
@@ -702,6 +748,10 @@ NeedMoreKeystream: no zero output in 1024 words; expect about one per 2^4 = 16 w
     (f"oracle --in {{even}} --constants {EVEN_C}", 1, "", f"""\
 NeedMoreKeystream: no zero output word in the keystream; {EVEN_C_NOTE.format("0x8")}
 """),
+    # the oracle checks the width before it looks for a zero word: a w=10
+    # stream is a usage error with or without one
+    ("oracle --in {w10}", 2, "", f"ValueError: {ORACLE_W10}\n"),
+    ("oracle --in {w10} --zero-index 3", 2, "", f"ValueError: {ORACLE_W10}\n"),
     # a four-word stream cannot hold a zero with the 15-word default horizon after it
     ("bench --w 8 --count 4 --random-seed 26 --constants d5:15:a8", 1, """\
 w=8
@@ -716,8 +766,12 @@ seeds 26..89; \
 
 
 def test_pinned_output_of_every_command(tmp_path, capsysbinary):
-    paths = {name: tmp_path / f"{name}.bin" for name in ("ks8", "k4", "even")}
+    paths = {name: tmp_path / f"{name}.bin" for name in ("ks8", "k4", "even", "w10")}
     write_keystream(generate(state_from_seed(5, W8), default_params(W8), 4096), paths["ks8"])
+    # the stream of gen --w 10 --random-seed 1 --count 50, which holds no zero word
+    w10 = generate(state_from_seed(1, WordSpec(10)), default_params(WordSpec(10)), 50)
+    assert 0 not in w10.words
+    write_keystream(w10, paths["w10"])
     write_keystream(generate(state_from_seed(1, W4), default_params(W4), 256), paths["k4"])
     even = generate(state_from_seed(1, W4), Tf1Params(5, 5, 8, W4), 1024)
     write_keystream(even, paths["even"])
