@@ -15,15 +15,12 @@ from .attack import (
     OpCounters,
     ParamsMismatch,
     SurvivorOverflow,
-    enumerate_preimages_dfs,
     find_zero_outputs,
     predicted_work,
     recover,
-    stage2_complete,
     verify_state,
 )
 from .generator import (
-    ColumnPrefix,
     GeneratorInstance,
     Keystream,
     State,

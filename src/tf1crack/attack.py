@@ -12,7 +12,8 @@ and keeps exactly the full states that reproduce the observed tail.
 Survivors travel from stage 1 to stage 2 as four ``word_dtype(w)``
 arrays, their (a, b, c, d) words in the order that stage 1's parts find
 them, with no Python object per survivor; stage 2 sorts only the states
-it keeps.  ``ColumnPrefix`` is the type of the public edge only:
+it keeps.  ``ColumnPrefix`` is the type of the one-prefix edge only,
+which the package does not export and ``recover`` does not use:
 ``enumerate_preimages_dfs`` yields one prefix at a time and
 ``stage2_complete`` takes one.
 
@@ -33,9 +34,9 @@ oracle is the reference up to w = 8.  Above it the tests hold the lane
 kernel to the plain filter on the same candidates and the standard
 generator's pruned stage 2 to that of its generic twin, which does not
 prune.  Every full-state check of a single state reads the generator's
-one output stream, ``_stream``, which steps the standard generator on
-plain ints and in column blocks, and any other instance through its word
-functions.  A truncated evaluation passes low_mask(l) to the same word
+one output stream, ``_stream``, which steps every instance through its
+word functions and runs the standard generator's long stretches in column
+blocks.  A truncated evaluation passes low_mask(l) to the same word
 functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
@@ -141,8 +142,6 @@ __all__ = [
     "even_c_note",
     "no_zero_error",
     "find_zero_outputs",
-    "enumerate_preimages_dfs",
-    "stage2_complete",
     "verify_state",
     "recover",
     "predicted_work",

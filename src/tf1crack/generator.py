@@ -40,12 +40,10 @@ from .word import WordSpec, check_int, low_mask, word_dtype
 __all__ = [
     "State",
     "Tf1Params",
-    "ColumnPrefix",
     "Keystream",
     "GeneratorInstance",
     "default_params",
     "generate",
-    "state_prefix",
     "tf1_instance",
     "demo_generalized_instance",
     "instance_output",
@@ -59,17 +57,19 @@ _DEFAULT_C = 0xB5AD4ECEDA1CE2A9
 _DEFAULT_C1 = 0x84D4C8D2E5B6D6D5
 _DEFAULT_C3 = 0x9E3779B97F4A7C15
 
-# The standard generator's stream steps plain ints for its first 64*w words,
-# about the length at which one column block costs as much as the plain
-# steps it replaces at every width up to _WIDEST, and whenever fewer words
-# remain.  In between it runs column blocks of up to _BLOCK words: longer
-# blocks were no faster per word, as their temporaries outgrow the cache.
-# Above _WIDEST bits the block arrays are uint64, which costs about twice
-# as much per element, and blocks gain little at w=40 and lose from w=48
-# on (BENCH_gen.json).
-_SWITCH_PER_BIT = 64
+# The standard generator's stream steps its word functions for its first
+# 16*w words, and whenever fewer words remain, and runs column blocks of up
+# to _BLOCK words between them, at every width: longer blocks were no faster
+# per word, as their temporaries outgrow the cache.  One block costs as much
+# as the steps it replaces at about 64*w words, but the true state's walk
+# runs one block at any lead-in, and a shorter lead-in steps fewer words
+# before it.  In perfbench pairs against 64*w (BENCH_stream.json), lead-ins
+# of 8*w, 16*w and 32*w took certify-small's unit cost to about 0.86, 0.87
+# and 0.95 of it, and left crack-w16's flat; 16*w is within the noise of
+# 8*w there, and its shortest block, 16*w words, costs 2.4-3.3 times the
+# steps it replaces where 8*w words cost 3.3-6.2 times.
+_SWITCH_PER_BIT = 16
 _BLOCK = 1 << 14
-_WIDEST = 32
 
 
 @dataclass(frozen=True, order=True)
@@ -173,8 +173,8 @@ class GeneratorInstance:
     marks the standard generator, whose t2 is the plain column sum a+c
     with the closed-form preimages c = (target - a) mod 2^l; the attack's
     ``trivial`` mode and its lane-sliced stage-1 kernel, stage 2's pruning
-    on the first tail word, and the plain-int and column-block branch of
-    ``_stream``, the one output stream, serve it alone.  Any instance, this
+    on the first tail word, and the column blocks of ``_stream``, the one
+    output stream, serve it alone.  Any instance, this
     one included, runs ``dfs`` mode, whose stage 1 the tests use as the
     reference for the lane kernel; the generic twin's stage 2, which does
     not prune, is the reference for the pruned one.
@@ -205,11 +205,11 @@ def _rows(a, b, c, d, m, c1, c3, cc):
     are exactly the truncated update.
 
     Returns (a', b', c', d', s), where s = ((C + p) mod 2**l) xor p with
-    p = a & b & c & d is the per-step word the rows share.  Most callers
-    drop s.  Two read it: the lane-sliced stage-1 kernel reads its top two
-    columns, and the stream's column blocks (``_column_block``) read its
-    top column.  Handing it back costs nothing, where a separate helper
-    call would add about 7% to every generated word.
+    p = a & b & c & d is the per-step word the rows share.  Most callers,
+    the standard instance's ``t1_words`` among them, drop s.  Two read it:
+    the lane-sliced stage-1 kernel reads its top two columns, and the
+    stream's column blocks (``_column_block``) read its top column, each
+    without a second pass over the rows' arrays.
     """
     p = a & b & c & d
     s = ((cc + p) & m) ^ p
@@ -326,44 +326,35 @@ def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
     """The first n output words after ``state``: one update and one emit each.
 
     The one stream of a single state: generation and the attack's tail
-    walk read it, each passing the number of words it reads at most.  Any
-    instance not marked ``tf1_native``, which only ``tf1_instance`` is,
-    steps through its own ``t1_words`` and ``_instance_out``, so a
-    replaced copy of the standard instance emits the stream of the maps it
-    holds.  The standard generator steps plain
-    ints through ``_rows`` and ``_out`` for its first 64*w words, and for
-    its last ones once fewer than 64*w are left; between them it runs
-    column blocks (``_column_block``) of ``_BLOCK`` words, or of all the
-    words left when fewer remain.  A wrong state dies within a few words,
-    in the lead-in, and the attack's tail walk drops almost all of them on
-    arrays before they reach the stream at all.  Above ``_WIDEST`` bits
-    it stays on plain ints, as blocks no longer win there.
+    walk read it, each passing the number of words it reads at most.
+    Every instance steps plain ints through its own ``t1_words`` and
+    ``_instance_out``, so a replaced copy of the standard instance emits
+    the stream of the maps it holds.  The standard generator, marked
+    ``tf1_native`` by ``tf1_instance`` alone, does so only for its first
+    _SWITCH_PER_BIT*w words, and for its last ones once fewer than that
+    are left; between them it runs column blocks (``_column_block``) of
+    ``_BLOCK`` words, or of all the words left when fewer remain, at every
+    width.  A wrong state dies within a few words, in the lead-in, and the
+    attack's tail walk drops almost all of them on arrays before they
+    reach the stream at all.
     """
     spec = instance.spec
     m, h = spec.mask, spec.half
     a, b, c, d = state.words()
-    if not instance.tf1_native:
-        t1_words, t2_words, f_words = instance.t1_words, instance.t2_words, instance.f_words
-        for _ in range(n):
-            a, b, c, d = t1_words(a, b, c, d, m)
-            yield _instance_out(t2_words, f_words, m, h, a, b, c, d)
-        return
-    p = instance.params
-    c1, c3, cc = p.c1, p.c3, p.c
-    rows, emit = _rows, _out
-    switch = _SWITCH_PER_BIT * spec.width if spec.width <= _WIDEST else n
+    t1_words, t2_words, f_words = instance.t1_words, instance.t2_words, instance.f_words
+    switch = _SWITCH_PER_BIT * spec.width if instance.tf1_native else n
     done = 0
     while done < n:
         left = n - done
         if switch <= min(done, left):
             size = min(left, _BLOCK)
-            words, (a, b, c, d) = _column_block((a, b, c, d), p, size)
+            words, (a, b, c, d) = _column_block((a, b, c, d), instance.params, size)
             yield from words
         else:
             size = min(switch, left)
             for _ in range(size):
-                a, b, c, d, _ = rows(a, b, c, d, m, c1, c3, cc)
-                yield emit(a, b, c, d, m, h)
+                a, b, c, d = t1_words(a, b, c, d, m)
+                yield _instance_out(t2_words, f_words, m, h, a, b, c, d)
         done += size
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import tf1crack
 from tf1crack import (
-    ColumnPrefix,
     GeneratorInstance,
     Keystream,
     State,
@@ -22,6 +21,7 @@ from tf1crack import (
 )
 from tf1crack import attack, generator, tfcheck
 from tf1crack.generator import (
+    ColumnPrefix,
     _instance_out,
     _out,
     _rows,
@@ -99,6 +99,15 @@ def test_update_output_word_and_cycle_probe_are_gone():
         assert name not in generator.__all__ and name not in tfcheck.__all__
 
 
+def test_column_prefix_edge_is_reached_through_its_modules():
+    # no export, but still module attributes: the benchmark calls them there
+    for name in ("enumerate_preimages_dfs", "stage2_complete", "ColumnPrefix", "state_prefix"):
+        assert not hasattr(tf1crack, name)
+        assert name not in attack.__all__ and name not in generator.__all__
+    assert callable(attack.enumerate_preimages_dfs) and callable(attack.stage2_complete)
+    assert callable(generator.state_prefix) and callable(generator.ColumnPrefix)
+
+
 def test_t2_examples():
     inst = tf1_instance(default_params(W8))
     assert inst.t2_words(0, 9, 0, 4, W8.mask) == 0
@@ -128,8 +137,8 @@ def test_generate_examples():
 def test_generate_matches_stepwise_evaluation():
     params = default_params(W16)
     seed = state_from_seed(123, W16)
-    # the plain-int branch of the output stream, then the word-function
-    # branch on the demo instance
+    # the standard instance's lead-in and the demo instance, both through
+    # their word functions
     for inst in (tf1_instance(params), demo_generalized_instance(W16, params)):
         ks = generate_from_instance(seed, inst, 50)
         st = seed
@@ -292,21 +301,23 @@ def test_tf1_instance_reproduces_generator():
     for st in random_states(W8, 3, 300):
         assert instance_output(st, inst) == _out(*st.words(), W8.mask, W8.half)
     seed = state_from_seed(8, W8)
-    want = generate(seed, params, 64)
-    # the plain-int branch of the output stream and the word-function branch
+    # past the lead-in, so the standard instance runs column blocks and its
+    # generic twin its word functions
+    n = 3 * generator._SWITCH_PER_BIT * W8.width + 5
+    want = generate(seed, params, n)
     for instance in (inst, dataclasses.replace(inst)):
-        assert generate_from_instance(seed, instance, 64) == want
+        assert generate_from_instance(seed, instance, n) == want
 
 
 def test_column_blocks_match_the_word_function_stream():
-    # The standard generator's stream steps plain ints for `switch` words,
-    # then runs column blocks of _BLOCK words, or of all the words left when
-    # fewer remain, and plain ints again when fewer than `switch` words are
-    # left; above _WIDEST bits it runs plain ints only.  Up to _WIDEST each
-    # length ends at or next to one of those seams: the end of the lead-in,
-    # the shortest block (2*switch) and blocks of 3*switch and 7*switch + 37
-    # words.  Random constants at every width, C even at every third, and
-    # every setting of the low two bits of C1 and C3 between w=4 and w=34.
+    # The standard generator's stream steps its word functions for `switch`
+    # words, then runs column blocks of _BLOCK words, or of all the words
+    # left when fewer remain, and its word functions again when fewer than
+    # `switch` words are left, at every width.  Each length ends at or next
+    # to one of those seams: the end of the lead-in, the shortest block
+    # (2*switch) and blocks of 3*switch and 7*switch + 37 words.  Random
+    # constants at every width, C even at every third, and every setting of
+    # the low two bits of C1 and C3 between w=4 and w=34.
     from tf1crack.rng import SplitMix64
 
     rng = SplitMix64(2020)
@@ -324,14 +335,12 @@ def test_column_blocks_match_the_word_function_stream():
         seed = state_from_seed(rng.next64(), spec)
         s = generator._SWITCH_PER_BIT * w
         lengths = (0, 1, s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 4 * s, 8 * s + 37)
-        if w > generator._WIDEST:
-            lengths = (0, 1, 257)
         want = generate_from_instance(seed, reference, lengths[-1]).words
         for n in lengths:
             assert tuple(_stream(seed, native, n)) == want[:n], (w, n)
     # blocks held at the cap, at w=4 and w=8: after the lead-in, one block
-    # of _BLOCK - 1, one of _BLOCK, one of _BLOCK and one plain word, one of
-    # _BLOCK and a plain remainder of switch - 1 words, and three blocks, the
+    # of _BLOCK - 1, one of _BLOCK, one of _BLOCK and one stepped word, one
+    # of _BLOCK and a stepped remainder of switch - 1 words, and three blocks, the
     # last of _BLOCK - switch + 101 words
     block = generator._BLOCK
     for params in (Tf1Params(c1=0xA, c3=0x5, c=0x6, spec=W4), default_params(WordSpec(8))):
