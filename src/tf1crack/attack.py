@@ -155,12 +155,12 @@ __all__ = [
 # their time in numpy's per-call overhead: w = 10..14 ran 1.2-1.7x faster
 # than on batches of up to 8192, and 2^14 and 2^17 slower than 2^15
 # (BENCH_dfs.json).  In the lane kernel, lower prefixes of 64 candidates
-# each; its two buffer sets take 88 bytes a prefix at w=16, 2.9 MB.  At
+# each; its one buffer set takes 44 bytes a prefix at w=16, 1.4 MB.  At
 # w=16 a stage 1 ran about 10% faster than at 2^14 once the process had run
 # one, but a step's temporaries (64 and 128 KB) return to the top of glibc's
 # heap, which trims under them until the process has freed a block above
-# its trim threshold: a process's first stage 1 takes about 31,000 minor
-# faults at w=16 and 1.6 million at w=20, later ones about 1,000.  Never
+# its trim threshold: a process's first stage 1 takes about 32,000 minor
+# faults at w=16 and 1.6 million at w=20, later ones about 750.  Never
 # affects results.
 _WORKING = 1 << 15
 # the lane kernel's start masks for a_U, b_U, d_U, a_T and b_T: the lanes
@@ -203,9 +203,9 @@ class AttackConfig:
     once the width is known; it is silently clamped to the available tail
     (the report flags the clamp).  Stage 1 runs on min(``workers``,
     ``os.cpu_count()``) processes and splits into one candidate sub-range
-    per process; the processes are forked, and one runs in the calling
-    process.  Reports, and the ``SurvivorOverflow`` message, are identical
-    for any worker count.
+    per process: the calling process runs the first, and a forked process
+    each other one.  Reports, and the ``SurvivorOverflow`` message, are
+    identical for any worker count.
 
     Three constants are not fields.  ``recover`` tries the events at the
     first ``max_zero_positions`` zero words.  Stage 1 raises
@@ -535,8 +535,8 @@ def _run_stage1(
     nothing downstream reads the order.  Trivial mode splits the
     lower-prefix range of the lane kernel into min(``cfg.workers``,
     ``os.cpu_count()``) parts, dfs mode the one-column roots of the column
-    enumerator; the parts run one per forked process, or in this process
-    when there is one.  Each mode gives a part as a generator of
+    enumerator; this process runs the first part, and a forked process
+    each other one.  Each mode gives a part as a generator of
     (survivors, steps, candidates) batches: the lane kernel's retirements,
     or ``_filter`` on each of the column enumerator's batches, which
     _WORKING sizes.  ``run_part`` is the one loop for both:
@@ -600,14 +600,17 @@ def _run_task(part):
 
 
 def _map_workers(parts, fn) -> list:
-    """[fn(part) for part in parts], in range order: one forked process per
-    part, or this process for a single part."""
+    """[fn(part) for part in parts], in range order: the first part in this
+    process, and each other one in a forked process of its own."""
     if len(parts) <= 1:
         return [fn(p) for p in parts]
     # fork, not spawn: an instance's word functions are closures and lambdas,
-    # which do not pickle, so each worker inherits fn instead
-    with multiprocessing.get_context("fork").Pool(len(parts), _set_task, (fn,)) as pool:
-        return pool.map(_run_task, parts, chunksize=1)
+    # which do not pickle, so each worker inherits fn instead; the
+    # initializer, not a global set before the fork, so that concurrent
+    # calls from two threads cannot hand each other's task to their workers
+    with multiprocessing.get_context("fork").Pool(len(parts) - 1, _set_task, (fn,)) as pool:
+        rest = pool.map_async(_run_task, parts[1:], chunksize=1)
+        return [fn(parts[0]), *rest.get()]
 
 
 def _split_range(total: int, workers: int):
@@ -647,9 +650,9 @@ def _stage1_lanes(
     filter's per-candidate count.
 
     The prefixes are stepped as one working set of at most _WORKING, in
-    two buffer sets.  Once fewer than half of the set are alive, the live
-    prefixes are taken into the spare set, and the set is refilled from the
-    range, so every step runs on at least half the set until the range
+    one buffer set.  Once fewer than half of the set are alive, the live
+    prefixes are taken to the front of the set, and it is refilled from
+    the range, so every step runs on at least half the set until the range
     runs out.  Compaction keeps the order and a refill appends, so the
     prefixes of one load stay together, oldest load first, and share a
     depth: the steps since their load, which picks the tail bit that each
@@ -701,12 +704,9 @@ def _stage1_lanes(
         a, b, d = np.tile(a, 2), np.tile(b, 2), np.concatenate([d, d | 1 << (k - 1)])
         return tuple(v.astype(word) for v in (a, b, (x - a) & km, d)), live.size
 
-    # two buffer sets of the index, the rows, the seven lane masks and
-    # alive, the eighth mask; a mask row has an even length above cap, so
-    # that alive views as uint64 words at an odd count too
-    ids, rows = np.empty((2, cap), index), np.empty((2, 4, cap), dtype)
-    masks = np.empty((2, 8, cap + 2 & -2), np.int32)
-    full, spare = ((ids[j], rows[j], masks[j, :7], masks[j, 7]) for j in (0, 1))
+    # one buffer set: the index, the rows, and the seven lane masks with
+    # alive, the eighth
+    ids, rows, masks = np.empty(cap, index), np.empty((4, cap), dtype), np.empty((8, cap), np.int32)
     n = live = steps = cands = t = retired = 0
     nxt = lo
     # (step, end) of each load's prefixes, oldest first: a load spans from
@@ -728,22 +728,21 @@ def _stage1_lanes(
             if live:
                 # nonzero on a bool mask runs about 5x faster than on int32
                 keep = np.flatnonzero(alive != 0)
-                for src, dst in zip((idx, a, b, c, d, *masks, alive),
-                                    (spare[0], *spare[1], *spare[2], spare[3])):
+                # a step leaves a, b, c and d in new arrays; take copies a
+                # source that overlaps its output before it writes
+                for src, dst in zip((idx, a, b, c, d, *lanes), (ids, *rows, *masks)):
                     src.take(keep, out=dst[:live])
-                full, spare = spare, full
                 ends = np.searchsorted(keep, [end for _, end in loads]).tolist()
                 # drop the loads whose prefixes have all died
                 loads = [(step, end) for (step, _), end, start in zip(loads, ends, [0, *ends])
                          if end > start]
             else:
                 loads = []
-            idx, rows, masks, alive = full
             retired = 0
             r = min(cap - live, hi - nxt)
             if r:
                 new = slice(live, live + r)
-                i = idx[new]
+                i = ids[new]
                 np.add(ramp[:r], index.type(nxt), out=i)
                 na, nb, nc, nd = rows[:, new]
                 np.right_shift(i, 2 * low, out=na, casting="unsafe")
@@ -753,7 +752,7 @@ def _stage1_lanes(
                 np.subtract(x_low, na, out=nc)
                 nc &= lmd
                 masks[:5, new] = _LANE_MASKS[:, None]
-                alive[new] = -1
+                masks[7, new] = -1
                 beta = np.negative(np.greater(na, x_low).view(np.int8))
                 np.bitwise_xor(beta, cu0, out=masks[5, new])
                 borrow_u(beta, _LANE_MASKS[0], out=masks[6, new])
@@ -762,13 +761,10 @@ def _stage1_lanes(
                 cands += 64 * r
                 loads.append((t, live + r))
             n = live = live + r
-            alive[n] = 0
-            popcount = alive[: n + (n & 1)].view(np.uint64)
-            idx, rows, masks, alive = (v[..., :n] for v in full)
-            a, b, c, d = rows
-            au, bu, du, at, bt, cu, ct = masks
+            idx, (a, b, c, d), lanes = ids[:n], rows[:, :n], masks[:, :n]
+            au, bu, du, at, bt, cu, ct, alive = lanes
             continue
-        steps += 2 * int(np.bitwise_count(popcount).sum(dtype=np.uint64))
+        steps += 2 * int(np.bitwise_count(alive.view(np.uint32)).sum(dtype=np.uint64))
         c_0 = None if c1_u and c3_u else bit(c, to_0)
         a_0 = None if c3_u else bit(a, to_0)
         cu_b1 = cu if c1_0 else cu & bit(b, to_0)

@@ -689,15 +689,27 @@ def test_recover_forked_workers_run_lambda_instances():
 
 
 def test_map_workers_forks():
-    # one forked process per part; a single part runs in this process
-    pids = attack._map_workers([(0, 1), (1, 2)], lambda part: (part, os.getpid()))
-    assert [part for part, _ in pids] == [(0, 1), (1, 2)]
-    assert os.getpid() not in {pid for _, pid in pids}
+    # part 0 runs in this process and each other part in a forked process of
+    # its own, all at once: no part passes the barrier before all three have
+    # reached it, so no process can run two of them; a single part runs in
+    # this process
+    barrier = multiprocessing.get_context("fork").Barrier(3)
+
+    def part_pid(part):
+        barrier.wait(timeout=60)
+        return part, os.getpid()
+
+    pids = attack._map_workers([(0, 1), (1, 2), (2, 3)], part_pid)
+    assert [part for part, _ in pids] == [(0, 1), (1, 2), (2, 3)]
+    assert pids[0][1] == os.getpid()
+    assert len({pid for _, pid in pids}) == 3
     assert attack._map_workers([(0, 2)], lambda part: os.getpid()) == [os.getpid()]
 
 
 def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # 64 parts, yet no more than os.cpu_count() forks, and the 1-worker reports
+    # 64 workers asked for, yet one part per cpu and one fork fewer, as this
+    # process runs a part, and the 1-worker reports; w=8 has 512 lower
+    # prefixes in trivial mode and 8 one-column roots in dfs mode
     ks, _, _ = make_run(W8, P8, seed=42, n=8192)
     inst = tf1_instance(P8)
     cpus = os.cpu_count() or 1
@@ -714,7 +726,7 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
         assert not forks
         got = report_core(recover(ks, inst, cfg=AttackConfig(enumeration_mode=mode, workers=64)))
         assert got == want, mode
-        assert len(forks) <= cpus and (forks or cpus == 1), mode
+        assert len(forks) == min(64, cpus, 512 if mode == "trivial" else 8) - 1, mode
         forks.clear()
 
 
@@ -797,17 +809,17 @@ def test_stage1_chunks_do_not_page_fault():
     # A fresh process, so that no earlier test has moved glibc's heap
     # thresholds, generates a w=14 stream as a caller does before the
     # attack, then runs stage 1 twice.  The lane kernel compacts and
-    # refills its working set inside two buffer sets, 2.6 MB at w=14, that
+    # refills its working set inside one buffer set, 1.3 MB at w=14, that
     # it allocates once per call, and its step temporaries stay on the heap
     # from refill to refill.  glibc serves the first call's buffers by
     # mmap and raises its thresholds as it frees them, so the second call
-    # takes about 800 minor faults as the heap grows to hold them, and a
-    # third takes none.  A kernel that freed its buffers per refill would
-    # fault on every refill: with chunks of 2^17 lower prefixes, each
-    # allocated and freed, glibc trimmed the heap after every chunk, and
-    # the call took about 15,800.  Which modules a process imports first
-    # moves glibc's heap layout, so the script also runs with tracemalloc
-    # imported first.
+    # takes about 600 minor faults as the heap grows to hold them, and so
+    # does each later one, as glibc trims the heap after it.  A kernel that
+    # freed its buffers per refill would fault on every refill: with chunks
+    # of 2^17 lower prefixes, each allocated and freed, glibc trimmed the
+    # heap after every chunk, and the call took about 15,800.  Which modules
+    # a process imports first moves glibc's heap layout, so the script also
+    # runs with tracemalloc imported first.
     src = os.path.dirname(os.path.dirname(attack.__file__))
     procs = [
         subprocess.Popen([sys.executable, "-c", script, src], stdout=subprocess.PIPE, text=True)
