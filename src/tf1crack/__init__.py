@@ -11,6 +11,7 @@ from .attack import (
     AttackError,
     AttackReport,
     InsufficientTail,
+    KernelBuildError,
     NeedMoreKeystream,
     OpCounters,
     ParamsMismatch,

@@ -40,47 +40,20 @@ blocks.  A truncated evaluation passes low_mask(l) to the same word
 functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
-T = k-1.  The update is a T-function, so the candidates that share the low
-k-2 columns of (a, b, d), with c = X - a, share the trajectory of those
-columns, and their top bits follow from it through a few xors and ands.
-Step the lower columns alone, with columns U and T of every word cleared,
-let a'_U, s_T and so on be the bits that this step leaves at columns U and
-T, and write a candidate's true bits in capitals.  The per-step word
-s = (C + p) ^ p loses p_U at column U and p_T at column T, so S_U = s_U
-for every candidate, and p_U reaches column T only through the carry of
-C + p: with P = A_U & B_U & C_U & D_U, S_T = s_T ^ (s_U & P).  A doubled
-product reads an input's column U only at its output column T, through
-terms such as C_U·(b | C1)_0 and c_0·(B_U | C1_U) in 2c·(b | C1).  With
-b1_0 = (b | C1)_0 and d3_0 = (d | C3)_0, and a_0, c_0, b1_0 and d3_0 read
-before the step:
-
-    A_U' = A_U ^ a'_U
-    B_U' = B_U ^ (s_U & A_U) ^ b'_U
-    C_U' = C_U ^ (s_U & A_U & B_U) ^ c'_U
-    D_U' = D_U ^ (s_U & A_U & B_U & C_U) ^ d'_U
-    A_T' = A_T ^ (s_U & P) ^ a'_T ^ (C_U & b1_0) ^ (c_0 & B_U & ~C1_U)
-    B_T' = B_T ^ (S_T & A_T) ^ b'_T ^ (C_U & d3_0) ^ (c_0 & D_U & ~C3_U)
-    C_T' = C_T ^ (S_T & A_T & B_T) ^ c'_T ^ (A_U & d3_0) ^ (a_0 & D_U & ~C3_U)
-
-D_T reaches nothing: it enters p_T, which cancels, and the products at
-column T only through the zero column 0 of 2a and 2c.  The kernel steps
-each lower prefix once and carries the 32 settings of (a_U, b_U, d_U, a_T,
-b_T) as the lanes of 32-bit masks; each lane stands for 2 candidates,
-d_T = 0 and 1.  The event gives the start masks: c = X - a subtracts a
-column at a time with borrows, so with L = k-2 and β = [a_low > X_low], the
-borrow out of the low L columns, C_U = X_U ^ A_U ^ β, and C_T = X_T ^ A_T
-^ (A_U & β if X_U else A_U | β), the borrow out of column U.  At X = 0, β
-is set when the low columns of a are not all 0.  A candidate's predicted
-output LSB is A_T' ^ C_T' ^ maj(A_U', C_U', carry into U of a'_low +
-c'_low); it drops out at its first mismatch.  Each step adds 2·popcount
-of the alive mask taken before it, so ``stage1_filter_steps`` counts
-exactly what the plain filter counts.  Three columns would need 256 lanes.
+T = k-1: the candidates that share the low k-2 columns of (a, b, d), with
+c = X - a, share the trajectory of those columns, so the kernel steps each
+such lower prefix once and carries the 32 settings of (a_U, b_U, d_U, a_T,
+b_T) as the lanes of 32-bit masks, each lane for 2 candidates.  It is
+written in C, in ``_lanes.c``, whose header comment gives its rules, and is
+built at the first trivial-mode stage 1 of a process (``_native``).  Each
+step adds 2·popcount of the alive mask taken before it, so
+``stage1_filter_steps`` counts exactly what the plain filter counts.
 
 Stage 1 runs in parts, one range of lower prefixes (trivial mode) or of
 one-column roots (dfs mode) each.  A part is a generator of batches
-(survivors, filter steps, candidates): one per retirement from the lane
-kernel's working set, or one per filtered column-enumerator batch, which
-the enumerator sizes to the working set.  One part loop, in
+(survivors, filter steps, candidates): one per call of the lane kernel,
+on _WORKING lower prefixes, or one per filtered column-enumerator batch,
+which the enumerator sizes to _WORKING.  One part loop, in
 ``_run_stage1``, sums the batches and stops a part once its survivors pass
 the cap, so the counters and the cap are applied in one place for both
 modes.
@@ -107,6 +80,7 @@ counter.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import multiprocessing
 import os
 import time
@@ -115,6 +89,8 @@ from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
+from . import _native
+from ._native import KernelBuildError
 from .generator import (
     ColumnPrefix,
     GeneratorInstance,
@@ -136,6 +112,7 @@ __all__ = [
     "InsufficientTail",
     "SurvivorOverflow",
     "ParamsMismatch",
+    "KernelBuildError",
     "AttackConfig",
     "OpCounters",
     "AttackReport",
@@ -154,20 +131,9 @@ __all__ = [
 # in stage 2 the completions built at once.  Smaller dfs sets spent most of
 # their time in numpy's per-call overhead: w = 10..14 ran 1.2-1.7x faster
 # than on batches of up to 8192, and 2^14 and 2^17 slower than 2^15
-# (BENCH_dfs.json).  In the lane kernel, lower prefixes of 64 candidates
-# each; its one buffer set takes 44 bytes a prefix at w=16, 1.4 MB.  At
-# w=16 a stage 1 ran about 10% faster than at 2^14 once the process had run
-# one, but a step's temporaries (64 and 128 KB) return to the top of glibc's
-# heap, which trims under them until the process has freed a block above
-# its trim threshold: a process's first stage 1 takes about 32,000 minor
-# faults at w=16 and 1.6 million at w=20, later ones about 750.  Never
-# affects results.
+# (BENCH_dfs.json).  In trivial mode, the lower prefixes of one call to the
+# compiled lane kernel, 64 candidates each.  Never affects results.
 _WORKING = 1 << 15
-# the lane kernel's start masks for a_U, b_U, d_U, a_T and b_T: the lanes
-# whose bit 2, 1, 0, 4 or 3 is set, as int32 (see _stage1_lanes)
-_LANE_MASKS = np.array(
-    [sum(1 << lane for lane in range(32) if lane >> j & 1) for j in (2, 1, 0, 4, 3)], np.uint32
-).view(np.int32)
 # stage 2 steps the completions that emit the event word down the tail as
 # arrays until at most this many are left, then walks each one left on its
 # own; never affects results
@@ -537,8 +503,8 @@ def _run_stage1(
     ``os.cpu_count()``) parts, dfs mode the one-column roots of the column
     enumerator; this process runs the first part, and a forked process
     each other one.  Each mode gives a part as a generator of
-    (survivors, steps, candidates) batches: the lane kernel's retirements,
-    or ``_filter`` on each of the column enumerator's batches, which
+    (survivors, steps, candidates) batches: the lane kernel's calls, or
+    ``_filter`` on each of the column enumerator's batches, which
     _WORKING sizes.  ``run_part`` is the one loop for both:
     it keeps each batch's survivors, sums its steps and candidates, and
     stops once the part's survivors pass the cap.  The merge, in range
@@ -550,6 +516,8 @@ def _run_stage1(
     procs = min(cfg.workers, os.cpu_count() or 1)
     if cfg.enumeration_mode == "trivial":
         parts = _split_range(1 << (3 * (k - 2)), procs)
+        # build or load the kernel here, once, before any worker forks
+        _native.lanes()
 
         def batches(lo, hi):
             return _stage1_lanes(lo, hi, k, instance.params, x, tail_bits)
@@ -629,199 +597,39 @@ def _stage1_lanes(
     tail_bits: list[int],
 ) -> Iterator[tuple]:
     """Lane-sliced stage 1 at inner word x over lower-prefix indices [lo, hi)
-    of 2**(3(k-2)).
+    of 2**(3(k-2)), by the compiled kernel of ``_lanes.c``, whose header
+    gives the rules.
 
     Index i encodes the low L = k-2 columns of (a, b, d) as (i >> 2L,
-    (i >> L) & lm, i & lm), with c = (x - a) mod 2**k.  The borrow out of
-    the low columns of x - a, one per prefix, and bits U and T of x give
-    the start masks of C_U and C_T.  Each array element is one lower
-    prefix, stepped once per tail bit with columns U = k-2 and T = k-1 of
-    a, b, c and d cleared before the step; the bits that the step leaves
-    in those columns, and the column-0 bits before it, update the lane
-    masks by the rules of the module docstring.  Lane bit 4, 3, 2, 1, 0
-    of the masks AU .. CT is a candidate's a_T, b_T, a_U, b_U, d_U, and
-    each lane stands for the 2 candidates d_T = 0 and 1, which live and
-    die together.  The rows keep ``word_dtype(k)``, the dtype for k
-    columns; the masks are int32, so that a row bit sign-extended in the
-    signed view of the row dtype promotes to 32 set bits.  C1 and C3 enter
-    the masks only through their bits 0 and U, which pick the terms below
-    in Python.  A lane leaves ``alive`` at its first mismatch, and each
-    step adds 2·popcount(alive) taken before it, which is the plain
-    filter's per-candidate count.
-
-    The prefixes are stepped as one working set of at most _WORKING, in
-    one buffer set.  Once fewer than half of the set are alive, the live
-    prefixes are taken to the front of the set, and it is refilled from
-    the range, so every step runs on at least half the set until the range
-    runs out.  Compaction keeps the order and a refill appends, so the
-    prefixes of one load stay together, oldest load first, and share a
-    depth: the steps since their load, which picks the tail bit that each
-    step compares them with.  A load whose depth reaches the horizon
-    retires: its lanes are decoded into the words of k-column prefixes and
-    cleared, so they count no further steps.  The kernel yields (survivors
-    as four ``word_dtype(w)`` arrays, filter steps, candidates: 64 per
-    lower prefix) at each retirement that leaves survivors and once at the
-    end; the caller sums the batches and applies the survivor cap.
+    (i >> L) & lm, i & lm), with c = (x - a) mod 2**k.  The kernel runs
+    _WORKING lower prefixes a call and returns each survivor's index and
+    alive mask, whose lane bits 4, 3, 2, 1, 0 are a candidate's a_T, b_T,
+    a_U, b_U, d_U; each lane stands for the 2 candidates d_T = 0 and 1.
+    Yields, once per call, (survivors as four ``word_dtype(w)`` arrays,
+    filter steps, candidates: 64 per lower prefix); the caller sums the
+    batches and applies the survivor cap.
     """
     low = k - 2
     lm, km = low_mask(low), low_mask(k)
-    dtype = word_dtype(k)
-    signed = np.dtype(f"i{dtype.itemsize}")
-    top = 8 * signed.itemsize - 1
-    # the constants are scalars of the rows' dtype: with plain-int operands
-    # numpy stops reusing temporaries' buffers in place, which made stage 1
-    # at w=16 about 10% slower and added an array to the peak memory
-    consts = (km, params.c1, params.c3, params.c, lm, x & lm)
-    mm, c1, c3, cc, lmd, x_low = (dtype.type(v & km) for v in consts)
-    to_u, to_t, to_0 = (dtype.type(top - col) for col in (low, k - 1, 0))
-    c1_0, c3_0 = params.c1 & 1, params.c3 & 1
-    c1_u, c3_u = (params.c1 >> low) & 1, (params.c3 >> low) & 1
     word = word_dtype(params.spec.width)
-    # C_U = X_U ^ A_U ^ β and C_T = X_T ^ A_T ^ (borrow out of column U),
-    # with the lanes' start A_U and A_T and a per-prefix β of 0 or -1
-    x_u, x_t = (x >> low) & 1, (x >> (k - 1)) & 1
-    cu0, ct0 = _LANE_MASKS[0] ^ np.int32(-x_u), _LANE_MASKS[3] ^ np.int32(-x_t)
-    borrow_u = np.bitwise_and if x_u else np.bitwise_or
-    horizon = len(tail_bits)
-    index = word_dtype(3 * low)
+    kernel = _native.lanes()
+    consts = [v & km for v in (params.c1, params.c3, params.c, x)]
+    bits = np.array(tail_bits, np.uint8)
     cap = min(_WORKING, hi - lo)
-    ramp = np.arange(cap, dtype=index)
-    shifts = np.arange(32, dtype=np.int32)
-
-    def bit(v, to_sign):
-        # the column of v that to_sign shifts into the sign bit, as 0 or -1
-        return (v << to_sign).view(signed) >> top
-
-
-    def decode(i, alive):
-        # lane bit 4, 3, 2, 1, 0 is a_T, b_T, a_U, b_U, d_U; d_T is 0 or 1
-        live = np.flatnonzero(alive != 0)
-        rows, lanes = np.nonzero((alive.take(live)[:, None] >> shifts) & 1)
-        i, lane = i.take(live.take(rows)), lanes.astype(i.dtype)
+    ids, alive = np.empty(cap, np.uint64), np.empty(cap, np.uint32)
+    steps = ctypes.c_uint64()
+    shifts = np.arange(32, dtype=np.uint32)
+    for start in range(lo, hi, cap):
+        stop = min(start + cap, hi)
+        n = kernel(start, stop, k, *consts, bits.ctypes.data, bits.size,
+                   ids.ctypes.data, alive.ctypes.data, ctypes.byref(steps))
+        rows, lanes = np.nonzero((alive[:n, None] >> shifts) & 1)
+        i, lane = ids.take(rows), lanes.astype(np.uint64)
         a = (i >> (2 * low)) | ((lane >> 2) & 1) << low | (lane >> 4) << (k - 1)
         b = ((i >> low) & lm) | ((lane >> 1) & 1) << low | ((lane >> 3) & 1) << (k - 1)
         d = (i & lm) | (lane & 1) << low
         a, b, d = np.tile(a, 2), np.tile(b, 2), np.concatenate([d, d | 1 << (k - 1)])
-        return tuple(v.astype(word) for v in (a, b, (x - a) & km, d)), live.size
-
-    # one buffer set: the index, the rows, and the seven lane masks with
-    # alive, the eighth
-    ids, rows, masks = np.empty(cap, index), np.empty((4, cap), dtype), np.empty((8, cap), np.int32)
-    n = live = steps = cands = t = retired = 0
-    nxt = lo
-    # (step, end) of each load's prefixes, oldest first: a load spans from
-    # the end of the one before it, or from `retired`, to its own end
-    loads: list[tuple[int, int]] = []
-    while True:
-        while loads and t - loads[0][0] == horizon:
-            end = loads.pop(0)[1]
-            survivors, n_live = decode(idx[retired:end], alive[retired:end])
-            if n_live:
-                alive[retired:end] = 0
-                live -= n_live
-                yield survivors, steps, cands
-                steps = cands = 0
-            retired = end
-        if 2 * live < n or not n:
-            if not live and nxt == hi:
-                break
-            if live:
-                # nonzero on a bool mask runs about 5x faster than on int32
-                keep = np.flatnonzero(alive != 0)
-                # a step leaves a, b, c and d in new arrays; take copies a
-                # source that overlaps its output before it writes
-                for src, dst in zip((idx, a, b, c, d, *lanes), (ids, *rows, *masks)):
-                    src.take(keep, out=dst[:live])
-                ends = np.searchsorted(keep, [end for _, end in loads]).tolist()
-                # drop the loads whose prefixes have all died
-                loads = [(step, end) for (step, _), end, start in zip(loads, ends, [0, *ends])
-                         if end > start]
-            else:
-                loads = []
-            retired = 0
-            r = min(cap - live, hi - nxt)
-            if r:
-                new = slice(live, live + r)
-                i = ids[new]
-                np.add(ramp[:r], index.type(nxt), out=i)
-                na, nb, nc, nd = rows[:, new]
-                np.right_shift(i, 2 * low, out=na, casting="unsafe")
-                np.right_shift(i, low, out=nb, casting="unsafe")
-                nb &= lmd
-                np.bitwise_and(i, lm, out=nd, casting="unsafe")
-                np.subtract(x_low, na, out=nc)
-                nc &= lmd
-                masks[:5, new] = _LANE_MASKS[:, None]
-                masks[7, new] = -1
-                beta = np.negative(np.greater(na, x_low).view(np.int8))
-                np.bitwise_xor(beta, cu0, out=masks[5, new])
-                borrow_u(beta, _LANE_MASKS[0], out=masks[6, new])
-                masks[6, new] ^= ct0
-                nxt += r
-                cands += 64 * r
-                loads.append((t, live + r))
-            n = live = live + r
-            idx, (a, b, c, d), lanes = ids[:n], rows[:, :n], masks[:, :n]
-            au, bu, du, at, bt, cu, ct, alive = lanes
-            continue
-        steps += 2 * int(np.bitwise_count(alive.view(np.uint32)).sum(dtype=np.uint64))
-        c_0 = None if c1_u and c3_u else bit(c, to_0)
-        a_0 = None if c3_u else bit(a, to_0)
-        cu_b1 = cu if c1_0 else cu & bit(b, to_0)
-        d3_0 = None if c3_0 else bit(d, to_0)
-        a, b, c, d, s = _rows(a, b, c, d, mm, c1, c3, cc)
-        s_u = bit(s, to_u)
-        sa = s_u & au
-        sab = sa & bu
-        sp = sab & cu
-        sp &= du
-        # the T masks first, as they read the U masks from before the
-        # step; sat = S_T & A_T takes A_T before it changes
-        sat = bit(s, to_t) ^ sp
-        sat &= at
-        at ^= sp
-        ct ^= sat & bt
-        ct ^= bit(c, to_t)
-        ct ^= au if d3_0 is None else au & d3_0
-        bt ^= sat
-        bt ^= bit(b, to_t)
-        bt ^= cu if d3_0 is None else cu & d3_0
-        at ^= bit(a, to_t)
-        at ^= cu_b1
-        if not c1_u:
-            at ^= c_0 & bu
-        if not c3_u:
-            bt ^= c_0 & du
-            ct ^= a_0 & du
-        du ^= sab & cu
-        du ^= bit(d, to_u)
-        cu ^= sab
-        cu ^= bit(c, to_u)
-        bu ^= sa
-        bu ^= bit(b, to_u)
-        au ^= bit(a, to_u)
-        a &= lmd
-        b &= lmd
-        c &= lmd
-        d &= lmd
-        # output LSB: A_T' ^ C_T' ^ maj(A_U', C_U', carry into U), flipped
-        # for each load whose next observed bit is 0
-        pred = au ^ cu
-        pred &= bit(a + c, to_u)
-        pred ^= au & cu
-        pred ^= at
-        pred ^= ct
-        start = retired
-        for step, end in loads:
-            if not tail_bits[t - step]:
-                np.invert(pred[start:end], out=pred[start:end])
-            start = end
-        alive &= pred
-        t += 1
-        # free the step's temporaries before the next step allocates its own
-        del sa, sab, sp, sat, pred
-        live = int(np.count_nonzero(alive))
-    yield tuple(np.empty((4, 0), word)), steps, cands
+        yield tuple(v.astype(word) for v in (a, b, (x - a) & km, d)), steps.value, 64 * (stop - start)
 
 
 def _run_stage2(

@@ -530,7 +530,7 @@ def run(argv=None) -> int:
     except attack_mod.AttackError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, ParseError, ValueError) as exc:
+    except (FormatError, ParseError, ValueError, attack_mod.KernelBuildError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -19,7 +19,7 @@ bits a'_j, b'_j, c'_j, d'_j and s_j that this leaves at column j depend on
 columns 0..j-1 alone, since s = (C + p) ^ p loses p_j, and the doubled
 products read an input column only at the next output column.  Column j of
 the true next state is then the old column j plus a triangle of ands, the
-same as the column-U rules of the attack's lane kernel (see attack.py, with
+same as the column-U rules of the attack's lane kernel (see _lanes.c, with
 U = j): A_j ^= a'_j, B_j ^= s_j & A_j ^ b'_j, C_j ^= s_j & A_j & B_j ^ c'_j
 and D_j ^= s_j & A_j & B_j & C_j ^ d'_j.  Each right-hand side is known at
 every time once the earlier words' columns are, so each of the four is one

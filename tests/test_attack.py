@@ -792,7 +792,7 @@ import resource, sys
 sys.path.insert(0, sys.argv[1])
 from tf1crack import AttackConfig, WordSpec, attack, default_params, generate, state_from_seed
 from tf1crack import tf1_instance
-spec = WordSpec(14)
+spec = WordSpec(int(sys.argv[2]))
 params = default_params(spec)
 generate(state_from_seed(1, spec), params, 1 << 16)
 k = spec.half + 1
@@ -807,27 +807,24 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc's heap trimming")
 def test_stage1_chunks_do_not_page_fault():
     # A fresh process, so that no earlier test has moved glibc's heap
-    # thresholds, generates a w=14 stream as a caller does before the
-    # attack, then runs stage 1 twice.  The lane kernel compacts and
-    # refills its working set inside one buffer set, 1.3 MB at w=14, that
-    # it allocates once per call, and its step temporaries stay on the heap
-    # from refill to refill.  glibc serves the first call's buffers by
-    # mmap and raises its thresholds as it frees them, so the second call
-    # takes about 600 minor faults as the heap grows to hold them, and so
-    # does each later one, as glibc trims the heap after it.  A kernel that
-    # freed its buffers per refill would fault on every refill: with chunks
-    # of 2^17 lower prefixes, each allocated and freed, glibc trimmed the
-    # heap after every chunk, and the call took about 15,800.  Which modules
-    # a process imports first moves glibc's heap layout, so the script also
-    # runs with tracemalloc imported first.
+    # thresholds, generates a w=12 or w=14 stream as a caller does before
+    # the attack, then runs stage 1 twice.  The compiled lane kernel steps
+    # its prefixes in registers and writes its survivors into two arrays
+    # that each call allocates once, so the second call took 0 to 3 minor
+    # faults at w = 12, 14 and 16 (BENCH_lanes.json).  A stage 1 whose
+    # temporaries make glibc trim the heap after every call faults them
+    # back in on the next one: about 470 to 800 faults a call.  Which
+    # modules a process imports first moves glibc's heap layout, so the
+    # script also runs with tracemalloc imported first.
     src = os.path.dirname(os.path.dirname(attack.__file__))
     procs = [
-        subprocess.Popen([sys.executable, "-c", script, src], stdout=subprocess.PIPE, text=True)
+        subprocess.Popen([sys.executable, "-c", script, src, str(w)], stdout=subprocess.PIPE, text=True)
         for script in (STAGE1_TWICE, "import tracemalloc\n" + STAGE1_TWICE)
+        for w in (12, 14)
     ]
     faults = [int(proc.communicate(timeout=120)[0]) for proc in procs]
     assert all(proc.returncode == 0 for proc in procs)
-    assert max(faults) < 2000, faults
+    assert max(faults) < 100, faults
 
 
 def test_recover_needs_a_zero():
@@ -928,9 +925,9 @@ def _check_lanes(params, x, bits, truth, working=attack._WORKING):
     """Hold the lane kernel to dfs mode at inner word x on tail bits that
     ``truth``, a state with a + c = x, emits.
 
-    At w <= 8, stage 1 over the full range with 1 and 3 workers, on a
-    working set of ``working`` lower prefixes, against dfs mode at the
-    default working set; at w >= 10, the 64 lower prefixes around the
+    At w <= 8, stage 1 over the full range with 1 and 3 workers, with
+    ``working`` lower prefixes per kernel call, against dfs mode at the
+    default _WORKING; at w >= 10, the 64 lower prefixes around the
     truth's (4096 candidates) against dfs mode's array filter on the same
     candidates.  The truth's k columns must survive either way.
     """
@@ -976,7 +973,7 @@ def test_stage1_lanes_matches_dfs_filter_over_random_constants():
             bits = [word & 1 for word in generate(truth, params, 3 if n_set == 2 else 3 * k).words]
             _check_lanes(params, x, bits, truth)
     # The kernel reads C1 and C3 only through their bits 0 and U = k-2,
-    # which choose its terms in Python: all 16 settings of (C1_0, C3_0,
+    # which pick its terms through masks: all 16 settings of (C1_0, C3_0,
     # C1_U, C3_U) at w=4, where a lower prefix is one column, and at w=10.
     # C is even in half of them.  Each case filters on the next 1 to 3k
     # output LSBs of its planted state.
@@ -1079,13 +1076,13 @@ def test_dfs_stage1_filters_whole_working_sets(monkeypatch):
 
 
 def test_stage1_lanes_on_a_tiny_working_set(monkeypatch):
-    # A working set of 4 or 7 lower prefixes (by width), so that every run
-    # crosses many compactions and refills, and loads of several depths
-    # step together.  At w = 4..8, stage 1 over the full range with 1 and 3
-    # workers against dfs mode; at w = 10..16, 500 lower prefixes around a
-    # planted state against the array filter, at a random inner word
-    # x != 0, at C = 1 and at random constants, on horizons 0, 1, a clamped
-    # 5 and 3k.
+    # Kernel calls of 4 or 7 lower prefixes (by width), so that every run
+    # crosses many call seams, and every block of the kernel's vector lanes
+    # is cut short by the end of its call.  At w = 4..8, stage 1 over the
+    # full range with 1 and 3 workers against dfs mode; at w = 10..16, 500
+    # lower prefixes around a planted state against the array filter, at a
+    # random inner word x != 0, at C = 1 and at random constants, on
+    # horizons 0, 1, a clamped 5 and 3k.
     rng = SplitMix64(3131)
     for w in (4, 6, 8, 10, 12, 14, 16):
         working = (4, 7)[w // 2 % 2]
@@ -1117,7 +1114,7 @@ def test_stage1_lanes_on_a_tiny_working_set(monkeypatch):
 
 def test_survivor_cap_on_a_tiny_working_set(monkeypatch):
     # the survivor cap falls inside one lower prefix and across many
-    # retirements from a working set of 5 lower prefixes
+    # kernel calls of 5 lower prefixes each
     monkeypatch.setattr(attack, "_WORKING", 5)
     test_survivor_cap_inside_one_lower_prefix(monkeypatch)
 
