@@ -1,4 +1,6 @@
-/* Trivial-mode stage 1 of the TF-1 attack: the lane-sliced filter.
+/* The TF-1 generator's two compiled paths: the standard generator's output
+stream (tf1_stream), and trivial-mode stage 1 of the attack, the
+lane-sliced filter (tf1_lanes).  Both step the update rows of TF1_ROWS.
 
 Stage 1 takes every k-column candidate (a, b, c, d), k = w/2 + 1, with
 (a + c) mod 2^k = X, steps it once per observed tail bit with the update
@@ -60,6 +62,18 @@ Build: cc -O3 -march=native -shared -fPIC (see _native.py). */
 #include <stdint.h>
 
 #define LANES 16
+
+/* The four update rows on words of type T, the one copy in this file:
+   declares the step word s = (C + p) ^ p, p = a & b & c & d, and the next
+   words na, nb, nc and nd, unreduced.  Every row is a T-function, so the
+   rows on wider words, reduced, are the rows on narrower ones. */
+#define TF1_ROWS(T, a, b, c, d, c1, c3, cc)                     \
+    T p = a & b & c & d, s = (cc + p) ^ p;                      \
+    T b1 = b | c1, d3 = d | c3, sa_ = s & a, sab_ = sa_ & b;    \
+    T na = a ^ s ^ ((c << 1) * b1);                             \
+    T nb = b ^ sa_ ^ ((c << 1) * d3);                           \
+    T nc = c ^ sab_ ^ ((a << 1) * d3);                          \
+    T nd = d ^ (sab_ & c) ^ ((a << 1) * b1)
 
 typedef uint32_t vec __attribute__((vector_size(4 * LANES)));
 typedef uint64_t vec64 __attribute__((vector_size(8 * LANES)));
@@ -137,14 +151,7 @@ uint64_t tf1_lanes(uint64_t lo, uint64_t hi, uint32_t k, uint32_t c1, uint32_t c
             vec cu_b1 = cu & (bit(b, 0) | c1_0);
             vec d3_0 = bit(d, 0) | c3_0;
             /* the update rows, on the low columns alone */
-            vec p = a & b & c & d;
-            vec s = (cc + p) ^ p;
-            vec b1 = b | c1, d3 = d | c3;
-            vec sa_ = s & a, sab_ = sa_ & b;
-            vec na = a ^ s ^ ((c << 1) * b1);
-            vec nb = b ^ sa_ ^ ((c << 1) * d3);
-            vec nc = c ^ sab_ ^ ((a << 1) * d3);
-            vec nd = d ^ (sab_ & c) ^ ((a << 1) * b1);
+            TF1_ROWS(vec, a, b, c, d, c1, c3, cc);
             /* the lanes: the T masks first, as they read the U masks from
                before the step */
             vec s_u = bit(s, u);
@@ -176,4 +183,30 @@ uint64_t tf1_lanes(uint64_t lo, uint64_t hi, uint32_t k, uint32_t c1, uint32_t c
     }
     *steps = 2 * count;
     return n;
+}
+
+/* The standard generator at width w (4 to 64), stepped n times from
+   state[0..3]: writes the n output words S(a+c) * (S(b+d) | 1) to out[]
+   and the last state back to state[]. */
+void tf1_stream(uint64_t n, uint32_t w, uint64_t c1, uint64_t c3, uint64_t cc, uint64_t *state,
+                uint64_t *out)
+{
+    const uint64_t m = ~0ull >> (64 - w);
+    const int h = w / 2;
+    uint64_t a = state[0], b = state[1], c = state[2], d = state[3];
+    for (uint64_t i = 0; i < n; i++) {
+        TF1_ROWS(uint64_t, a, b, c, d, c1, c3, cc);
+        a = na & m;
+        b = nb & m;
+        c = nc & m;
+        d = nd & m;
+        /* bits that x << h and y << h carry to column w and above vanish
+           in the reduced product */
+        uint64_t x = (a + c) & m, y = (b + d) & m;
+        out[i] = ((x >> h | x << h) * (y >> h | y << h | 1)) & m;
+    }
+    state[0] = a;
+    state[1] = b;
+    state[2] = c;
+    state[3] = d;
 }

@@ -1,12 +1,19 @@
-"""Build, cache and load the compiled stage-1 lane kernel, ``_lanes.c``.
+"""Build, cache and load the compiled library of ``_lanes.c``.
 
-Nothing here runs at import.  ``lanes()`` builds the library at its first
-call in a process and keeps it: with the system's C compiler, into a
-per-user cache directory, under a name keyed by the source, the flags, the
-machine and the CPU's features.  A cached build loads with no subprocess.
-A build goes to a temporary name and is published with ``os.replace``, so
-two processes that build at once each load a whole file.  A cached file
-that does not load is rebuilt once.
+The library has two entries: ``tf1_lanes``, trivial mode's stage-1 lane
+kernel (``lanes()``), and ``tf1_stream``, the standard generator's output
+stream (``stream()``).  Nothing here runs at import.  The first call of
+either builds the library in a process and keeps it: with the system's C
+compiler, into a per-user cache directory, under a name keyed by the
+source, the flags, the machine and the CPU's features.  A cached build
+loads with no subprocess.  A build goes to a temporary name and is
+published with ``os.replace``, so two processes that build at once each
+load a whole file.  A cached file that does not load is rebuilt once.  A
+build that fails is remembered for the rest of the process: every later
+call of ``lanes()`` raises the same ``KernelBuildError``, and every call
+of ``stream()`` gives None, so the compiler runs at most once.  Trivial
+mode lets the error propagate; the stream falls back to the word
+functions.
 """
 
 from __future__ import annotations
@@ -25,15 +32,17 @@ try:
 except ImportError:
     from _sha256 import sha256
 
-__all__ = ["KernelBuildError", "lanes"]
+__all__ = ["KernelBuildError", "lanes", "stream"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lanes.c")
 _FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+# the loaded entries (tf1_lanes, tf1_stream), or the KernelBuildError of a
+# failed build
 _LIB = None
 
 
 class KernelBuildError(RuntimeError):
-    """The compiled stage-1 kernel could not be built or loaded (exit code 2 at the CLI)."""
+    """The compiled library could not be built or loaded (exit code 2 at the CLI)."""
 
 
 def _compiler() -> str | None:
@@ -89,14 +98,16 @@ def _build(path: str) -> None:
             os.remove(tmp)
 
 
-def _load(path: str):
+def _load(path: str) -> tuple:
     lib = ctypes.CDLL(path)
-    fn = lib.tf1_lanes
+    lanes, stream = lib.tf1_lanes, lib.tf1_stream
     u64, u32 = ctypes.c_uint64, ctypes.c_uint32
-    fn.argtypes = [u64, u64, u32, u32, u32, u32, u32, ctypes.c_void_p, u64,
-                   ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(u64)]
-    fn.restype = u64
-    return fn
+    lanes.argtypes = [u64, u64, u32, u32, u32, u32, u32, ctypes.c_void_p, u64,
+                      ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(u64)]
+    lanes.restype = u64
+    stream.argtypes = [u64, u32, u64, u64, u64, ctypes.POINTER(u64), ctypes.POINTER(u64)]
+    stream.restype = None
+    return lanes, stream
 
 
 def _path() -> str:
@@ -113,20 +124,42 @@ def _path() -> str:
     return os.path.join(cache, f"_lanes-{key.hexdigest()[:16]}.so")
 
 
-def lanes():
-    """The compiled ``tf1_lanes`` entry of ``_lanes.c``, built on first use."""
+def _open() -> tuple:
+    path = _path()
+    if not os.path.exists(path):
+        _build(path)
+    try:
+        return _load(path)
+    except (OSError, AttributeError):
+        # a cached file that does not load is not trusted: build it again
+        _build(path)
+        try:
+            return _load(path)
+        except (OSError, AttributeError) as exc:
+            raise _fail(f"the rebuilt {path} does not load: {exc}") from None
+
+
+def _library() -> tuple:
     global _LIB
     if _LIB is None:
-        path = _path()
-        if not os.path.exists(path):
-            _build(path)
         try:
-            _LIB = _load(path)
-        except (OSError, AttributeError):
-            # a cached file that does not load is not trusted: build it again
-            _build(path)
-            try:
-                _LIB = _load(path)
-            except (OSError, AttributeError) as exc:
-                raise _fail(f"the rebuilt {path} does not load: {exc}") from None
+            _LIB = _open()
+        except KernelBuildError as exc:
+            _LIB = exc
+    if isinstance(_LIB, KernelBuildError):
+        raise _LIB.with_traceback(None)
     return _LIB
+
+
+def lanes():
+    """The compiled ``tf1_lanes`` entry of ``_lanes.c``, built on first use."""
+    return _library()[0]
+
+
+def stream():
+    """The compiled ``tf1_stream`` entry of ``_lanes.c``, built on first use,
+    or None where the library cannot be built."""
+    try:
+        return _library()[1]
+    except KernelBuildError:
+        return None

@@ -35,9 +35,8 @@ kernel to the plain filter on the same candidates and the standard
 generator's pruned stage 2 to that of its generic twin, which does not
 prune.  Every full-state check of a single state reads the generator's
 one output stream, ``_stream``, which steps every instance through its
-word functions and runs the standard generator's long stretches in column
-blocks.  A truncated evaluation passes low_mask(l) to the same word
-functions.
+word functions and runs the standard generator compiled.  A truncated
+evaluation passes low_mask(l) to the same word functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
 T = k-1: the candidates that share the low k-2 columns of (a, b, d), with
@@ -45,9 +44,10 @@ c = X - a, share the trajectory of those columns, so the kernel steps each
 such lower prefix once and carries the 32 settings of (a_U, b_U, d_U, a_T,
 b_T) as the lanes of 32-bit masks, each lane for 2 candidates.  It is
 written in C, in ``_lanes.c``, whose header comment gives its rules, and is
-built at the first trivial-mode stage 1 of a process (``_native``).  Each
-step adds 2·popcount of the alive mask taken before it, so
-``stage1_filter_steps`` counts exactly what the plain filter counts.
+built, with the standard generator's stream, at the first use of either
+in a process (``_native``).  Each step adds 2·popcount of the alive mask
+taken before it, so ``stage1_filter_steps`` counts exactly what the plain
+filter counts.
 
 Stage 1 runs in parts, one range of lower prefixes (trivial mode) or of
 one-column roots (dfs mode) each.  A part is a generator of batches
@@ -99,7 +99,6 @@ from .generator import (
     Tf1Params,
     _instance_out,
     _out,
-    _rows,
     _stream,
     instance_output,
     tf1_instance,

@@ -12,30 +12,20 @@ A generalized instance replaces the update with any T-function t1, the inner
 word with any T-function t2, and the odd-making factor with any function f
 at all; the output is ``S(t2(A)) * (f(A) | 1)``.
 
-The same column structure lets the standard generator's output stream be
-computed one column at a time over a whole block of time.  Clear columns j
-and above of every state in the block and take one step mod 2**(j+1): the
-bits a'_j, b'_j, c'_j, d'_j and s_j that this leaves at column j depend on
-columns 0..j-1 alone, since s = (C + p) ^ p loses p_j, and the doubled
-products read an input column only at the next output column.  Column j of
-the true next state is then the old column j plus a triangle of ands, the
-same as the column-U rules of the attack's lane kernel (see _lanes.c, with
-U = j): A_j ^= a'_j, B_j ^= s_j & A_j ^ b'_j, C_j ^= s_j & A_j & B_j ^ c'_j
-and D_j ^= s_j & A_j & B_j & C_j ^ d'_j.  Each right-hand side is known at
-every time once the earlier words' columns are, so each of the four is one
-xor-prefix scan over the block.  A block of L steps thus costs w columns of
-about 60 array operations, and the output formula runs once on its arrays.
+The standard generator's output stream runs compiled, in ``_lanes.c``
+(``tf1_stream``), where a C compiler can build it; every other instance,
+and the standard generator without a compiler, steps its word functions.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-import numpy as np
-
+from . import _native
 from .rng import SplitMix64
-from .word import WordSpec, check_int, low_mask, word_dtype
+from .word import WordSpec, check_int, low_mask
 
 __all__ = [
     "State",
@@ -57,18 +47,7 @@ _DEFAULT_C = 0xB5AD4ECEDA1CE2A9
 _DEFAULT_C1 = 0x84D4C8D2E5B6D6D5
 _DEFAULT_C3 = 0x9E3779B97F4A7C15
 
-# The standard generator's stream steps its word functions for its first
-# 16*w words, and whenever fewer words remain, and runs column blocks of up
-# to _BLOCK words between them, at every width: longer blocks were no faster
-# per word, as their temporaries outgrow the cache.  One block costs as much
-# as the steps it replaces at about 64*w words, but the true state's walk
-# runs one block at any lead-in, and a shorter lead-in steps fewer words
-# before it.  In perfbench pairs against 64*w (BENCH_stream.json), lead-ins
-# of 8*w, 16*w and 32*w took certify-small's unit cost to about 0.86, 0.87
-# and 0.95 of it, and left crack-w16's flat; 16*w is within the noise of
-# 8*w there, and its shortest block, 16*w words, costs 2.4-3.3 times the
-# steps it replaces where 8*w words cost 3.3-6.2 times.
-_SWITCH_PER_BIT = 16
+# words per call of the compiled stream; bounds its buffer, never affects results
 _BLOCK = 1 << 14
 
 
@@ -173,11 +152,12 @@ class GeneratorInstance:
     marks the standard generator, whose t2 is the plain column sum a+c
     with the closed-form preimages c = (target - a) mod 2^l; the attack's
     ``trivial`` mode and its lane-sliced stage-1 kernel, stage 2's pruning
-    on the first tail word, and the column blocks of ``_stream``, the one
-    output stream, serve it alone.  Any instance, this
-    one included, runs ``dfs`` mode, whose stage 1 the tests use as the
-    reference for the lane kernel; the generic twin's stage 2, which does
-    not prune, is the reference for the pruned one.
+    on the first tail word, and the compiled path of ``_stream``, the one
+    output stream, serve it alone.  Any instance, this one included, runs
+    ``dfs`` mode, whose stage 1 the tests use as the reference for the
+    lane kernel; the generic twin's stage 2, which does not prune, is the
+    reference for the pruned one, and its stream the reference for the
+    compiled one.
     """
 
     params: Tf1Params
@@ -195,21 +175,16 @@ class GeneratorInstance:
 
 
 def _rows(a, b, c, d, m, c1, c3, cc):
-    """The four update rows mod 2**l, where m = 2**l - 1, and the step word s.
+    """The four update rows mod 2**l, where m = 2**l - 1.
 
-    The only copy of the TF-1 update.  Inputs must already be reduced mod
-    2**l; constants need not be, as they enter only reduced sums and
-    products.  Inputs may be Python ints or numpy unsigned arrays whose
-    dtype also holds the constants, since numpy 2 gives plain-int operands
-    the array's dtype (NEP 50).  Because every row is a T-function, rows taken mod 2**l
-    are exactly the truncated update.
-
-    Returns (a', b', c', d', s), where s = ((C + p) mod 2**l) xor p with
-    p = a & b & c & d is the per-step word the rows share.  Most callers,
-    the standard instance's ``t1_words`` among them, drop s.  Two read it:
-    the lane-sliced stage-1 kernel reads its top two columns, and the
-    stream's column blocks (``_column_block``) read its top column, each
-    without a second pass over the rows' arrays.
+    The Python copy of the TF-1 update; ``_lanes.c`` states it once more,
+    for its compiled paths.  Inputs must already be reduced mod 2**l;
+    constants need not be, as they enter only reduced sums and products.
+    Inputs may be Python ints or numpy unsigned arrays whose dtype also
+    holds the constants, since numpy 2 gives plain-int operands the
+    array's dtype (NEP 50).  Because every row is a T-function, rows taken
+    mod 2**l are exactly the truncated update.  The rows share the step
+    word s = ((C + p) mod 2**l) xor p, with p = a & b & c & d.
     """
     p = a & b & c & d
     s = ((cc + p) & m) ^ p
@@ -224,17 +199,17 @@ def _rows(a, b, c, d, m, c1, c3, cc):
         b ^ sa ^ ((tc * d3) & m),
         c ^ sab ^ ((ta * d3) & m),
         d ^ (sab & c) ^ ((ta * b1) & m),
-        s,
     )
 
 
 def _out(a, b, c, d, m, h):
     """The output word S(a+c) * (S(b+d) | 1) mod 2**w, with m = 2**w - 1 and h = w/2.
 
-    The standard generator's output, used wherever it is stepped natively;
-    ``_instance_out`` writes the same formula over any instance's word
-    functions.  Ints or numpy arrays, as for ``_rows``.  The second factor
-    is odd, so the output is zero exactly when a+c wraps to zero.
+    The standard generator's output, as the oracle and the attack's array
+    paths compute it; ``_instance_out`` writes the same formula over any
+    instance's word functions.  Ints or numpy arrays, as for ``_rows``.
+    The second factor is odd, so the output is zero exactly when a+c wraps
+    to zero.
     """
     x = (a + c) & m
     y = (b + d) & m
@@ -259,7 +234,7 @@ def _t2_sum(a, b, c, d, m):
 
 def _t1_rows(params: Tf1Params):
     c1, c3, cc = params.c1, params.c3, params.c
-    return lambda a, b, c, d, m: _rows(a, b, c, d, m, c1, c3, cc)[:4]
+    return lambda a, b, c, d, m: _rows(a, b, c, d, m, c1, c3, cc)
 
 
 def tf1_instance(params: Tf1Params) -> GeneratorInstance:
@@ -326,66 +301,36 @@ def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
     """The first n output words after ``state``: one update and one emit each.
 
     The one stream of a single state: generation and the attack's tail
-    walk read it, each passing the number of words it reads at most.
-    Every instance steps plain ints through its own ``t1_words`` and
-    ``_instance_out``, so a replaced copy of the standard instance emits
-    the stream of the maps it holds.  The standard generator, marked
-    ``tf1_native`` by ``tf1_instance`` alone, does so only for its first
-    _SWITCH_PER_BIT*w words, and for its last ones once fewer than that
-    are left; between them it runs column blocks (``_column_block``) of
-    ``_BLOCK`` words, or of all the words left when fewer remain, at every
-    width.  A wrong state dies within a few words, in the lead-in, and the
-    attack's tail walk drops almost all of them on arrays before they
-    reach the stream at all.
+    walk read it, each passing the number of words it reads at most.  The
+    standard generator, marked ``tf1_native`` by ``tf1_instance`` alone,
+    runs the compiled ``tf1_stream`` in calls of up to _BLOCK words.
+    Every other instance, a replaced copy of the standard one included,
+    steps plain ints through its own ``t1_words`` and ``_instance_out``,
+    and so emits the stream of the maps it holds; so does the standard
+    generator where the compiled library cannot be built.  A wrong state
+    in the attack's tail walk pays one call before its first mismatch,
+    but the walk drops almost all of them on arrays before they reach the
+    stream at all.
     """
     spec = instance.spec
+    kernel = _native.stream() if instance.tf1_native else None
+    if kernel is not None:
+        params = instance.params
+        words = (ctypes.c_uint64 * 4)(*state.words())
+        out = (ctypes.c_uint64 * min(n, _BLOCK))()
+        # a view in the native format, whose tolist() is one C loop
+        view = memoryview(out).cast("B").cast("Q")
+        for done in range(0, n, _BLOCK):
+            size = min(n - done, _BLOCK)
+            kernel(size, spec.width, params.c1, params.c3, params.c, words, out)
+            yield from view[:size].tolist()
+        return
     m, h = spec.mask, spec.half
     a, b, c, d = state.words()
     t1_words, t2_words, f_words = instance.t1_words, instance.t2_words, instance.f_words
-    switch = _SWITCH_PER_BIT * spec.width if instance.tf1_native else n
-    done = 0
-    while done < n:
-        left = n - done
-        if switch <= min(done, left):
-            size = min(left, _BLOCK)
-            words, (a, b, c, d) = _column_block((a, b, c, d), instance.params, size)
-            yield from words
-        else:
-            size = min(switch, left)
-            for _ in range(size):
-                a, b, c, d = t1_words(a, b, c, d, m)
-                yield _instance_out(t2_words, f_words, m, h, a, b, c, d)
-        done += size
-
-
-def _column_block(state: tuple, params: Tf1Params, n: int) -> tuple[list, tuple]:
-    """The output words of the n states after ``state``, and the last of them.
-
-    Column by column, as the module docstring derives: ``words[i][t]``
-    holds the columns found so far of word i at time t, time 0 being
-    ``state``; one ``_rows`` call mod 2**(j+1) on the states at times
-    0..n-1 gives column j's increments, and ``col`` takes word i's column j
-    at times 0..n as an xor-prefix scan of them.  ``s`` turns into s_j &
-    A_j, then s_j & A_j & B_j and so on, as the triangle needs.
-    """
-    spec = params.spec
-    dtype = word_dtype(spec.width)
-    words = np.zeros((4, n + 1), dtype)
-    col = np.empty(n + 1, bool)
-    for j in range(spec.width):
-        bit = 1 << j
-        *rows, s = _rows(*words[:, :-1], (bit << 1) - 1, params.c1, params.c3, params.c)
-        s = (s & bit).astype(bool)
-        for i, (word, row) in enumerate(zip(words, rows)):
-            col[0] = state[i] >> j & 1
-            np.not_equal(row & bit, 0, out=col[1:])
-            if i:
-                col[1:] ^= s
-            np.bitwise_xor.accumulate(col, out=col)
-            s &= col[:-1]
-            word |= np.left_shift(col.view(np.uint8), j, dtype=dtype)
-    out = _out(*words[:, 1:], spec.mask, spec.half)
-    return out.tolist(), tuple(words[:, -1].tolist())
+    for _ in range(n):
+        a, b, c, d = t1_words(a, b, c, d, m)
+        yield _instance_out(t2_words, f_words, m, h, a, b, c, d)
 
 
 def state_from_seed(seed: int, spec: WordSpec) -> State:

@@ -12,7 +12,10 @@ generator's two formulas with the code it certifies: ``_rows`` (the
 update) and ``_out`` (the output word), on arrays and on ints.  The
 attack's search, its stage-2 tail walk, and ``_stream``, the output
 stream that ``generate`` and ``verify_state`` read, are not used, so a
-fault in any of them shows up as a disagreement.  Every width the oracle
+fault in any of them shows up as a disagreement.  The standard
+generator's stream reads neither formula where a compiler is found: it
+runs the compiled rows of ``_lanes.c``, which the oracle never calls.
+Every width the oracle
 accepts, the even widths up to 8, is scanned when asked: at w=4 the scan
 covers 65536 states and takes a few milliseconds, w=6 (2^24 states)
 about 0.1 s and w=8 (2^32 states) 25-30 s on a 2-vCPU VM.
@@ -97,7 +100,7 @@ def brute_force_consistent_states(
                 break
             keep = _out(*state, m, h) == word
             idx, state = idx[keep], [v[keep] for v in state]
-            state = _rows(*state, m, params.c1, params.c3, params.c)[:4]
+            state = _rows(*state, m, params.c1, params.c3, params.c)
         else:
             found += idx.tolist()
     return OracleResult(
@@ -115,7 +118,7 @@ def _emits(state: list[int], words: Sequence[int], params: Tf1Params) -> bool:
     for word in words:
         if _out(a, b, c, d, m, h) != word:
             return False
-        a, b, c, d, _ = _rows(a, b, c, d, m, params.c1, params.c3, params.c)
+        a, b, c, d = _rows(a, b, c, d, m, params.c1, params.c3, params.c)
     return True
 
 

@@ -276,8 +276,8 @@ def test_verify_state_instance_path():
 
 
 def test_verify_state_routes_agree():
-    # instance=None, the standard instance (lead-in and column blocks) and
-    # its twin without the native flag (word functions all the way);
+    # instance=None, the standard instance (its compiled stream) and its
+    # twin without the native flag (word functions all the way);
     # trivial-mode stage 2 against the twin's dfs-mode completion
     ks, zero_index, true_state = make_run(W8, P8, seed=3, n=4096)
     native = tf1_instance(P8)
@@ -298,27 +298,23 @@ def test_verify_state_routes_agree():
 
 def test_walk_tail_counts_the_words_it_computes():
     # (True, words after lo) on a match, (False, j) at a mismatch at lo + j.
-    # The standard generator's stream steps its word functions for the
-    # first `switch` words of the walk, then runs column blocks of up to
-    # _BLOCK words, and steps again once fewer than `switch` words are left.
-    # From lo = 9 the walk's blocks are _BLOCK words, then switch - 1 stepped ones;
-    # from the second lo, one block of _BLOCK - 1 words.  The demo instance
-    # steps its word functions, on the first 4 * switch + 110 words only.
-    switch = generator._SWITCH_PER_BIT * W8.width
+    # The standard generator's stream runs compiled, in calls of _BLOCK
+    # words: its walks cover two seams, one, or none, by a word or exactly,
+    # and mismatch at and next to each seam.  The demo instance steps its
+    # word functions, on 600 words only.
     block = generator._BLOCK
     for inst in (tf1_instance(P8), demo_generalized_instance(W8, P8)):
         start = state_from_seed(21, W8)
-        n = 10 + 2 * switch + block - 1 if inst.tf1_native else 4 * switch + 110
+        n = 10 + 2 * block + 37 if inst.tf1_native else 600
         words = generate_from_instance(start, inst, n).words
         emitters = [start]
         for _ in words:
             emitters.append(inst.t1(emitters[-1]))
-        los = (9, n - switch - block) if inst.tf1_native else (9,)
-        for lo in los:  # emitters[i + 1] emits words[i]
-            tail = len(words) - 1 - lo
+        tails = (2 * block + 37, block + 1, block, block - 1) if inst.tf1_native else (n - 10,)
+        for tail in tails:
+            lo = len(words) - 1 - tail  # emitters[i + 1] emits words[i]
             assert attack._walk_tail(emitters[lo + 1], inst, words, lo) == (True, tail)
-            seams = (switch - 1, switch, switch + 1, switch + 7, 2 * switch - 1, 2 * switch,
-                     2 * switch + 1, 4 * switch, switch + block - 1, switch + block, switch + block + 1)
+            seams = (block - 1, block, block + 1, 2 * block, 2 * block + 1)
             for j in (1, 2, tail // 2, *(j for j in seams if j < tail), tail - 1, tail):
                 flipped = words[: lo + j] + (words[lo + j] ^ 1,) + words[lo + j + 1 :]
                 assert attack._walk_tail(emitters[lo + 1], inst, flipped, lo) == (False, j)

@@ -19,7 +19,7 @@ from tf1crack import (
     state_from_seed,
     tf1_instance,
 )
-from tf1crack import attack, generator, tfcheck
+from tf1crack import _native, attack, generator, tfcheck
 from tf1crack.generator import (
     ColumnPrefix,
     _instance_out,
@@ -51,10 +51,14 @@ def test_params_validation():
 
 
 def test_compute_s_examples():
-    # the step word s = (C + p) xor p, p = a & b & c & d, that the lane kernel reads
-    assert _rows(0, 7, 9, 3, W8.mask, 0, 0, 0x53)[4] == 0x53  # a=0 forces p=0
-    assert _rows(0xFF, 0xFF, 0xFF, 0xFF, W8.mask, 0, 0, 0x53)[4] == 0xAD
-    assert _rows(0xF, 0xF, 0xF, 0xF, W4.mask, 5, 3, 1)[4] == 0xF
+    # the step word s = (C + p) xor p, p = a & b & c & d, read back from the
+    # first row, a' = a ^ s ^ 2c(b | C1)
+    for (a, b, c, d, m, c1, c3, cc), s in (
+        ((0, 7, 9, 3, W8.mask, 0, 0, 0x53), 0x53),  # a=0 forces p=0
+        ((0xFF, 0xFF, 0xFF, 0xFF, W8.mask, 0, 0, 0x53), 0xAD),
+        ((0xF, 0xF, 0xF, 0xF, W4.mask, 5, 3, 1), 0xF),
+    ):
+        assert _rows(a, b, c, d, m, c1, c3, cc)[0] == a ^ s ^ (2 * c * (b | c1)) & m
 
 
 def test_update_zero_state():
@@ -137,8 +141,8 @@ def test_generate_examples():
 def test_generate_matches_stepwise_evaluation():
     params = default_params(W16)
     seed = state_from_seed(123, W16)
-    # the standard instance's lead-in and the demo instance, both through
-    # their word functions
+    # the standard instance, compiled, and the demo instance, through its
+    # word functions
     for inst in (tf1_instance(params), demo_generalized_instance(W16, params)):
         ks = generate_from_instance(seed, inst, 50)
         st = seed
@@ -301,26 +305,26 @@ def test_tf1_instance_reproduces_generator():
     for st in random_states(W8, 3, 300):
         assert instance_output(st, inst) == _out(*st.words(), W8.mask, W8.half)
     seed = state_from_seed(8, W8)
-    # past the lead-in, so the standard instance runs column blocks and its
-    # generic twin its word functions
-    n = 3 * generator._SWITCH_PER_BIT * W8.width + 5
+    # past the first call of the compiled stream, which the standard
+    # instance runs, and its generic twin its word functions
+    n = generator._BLOCK + 5
     want = generate(seed, params, n)
     for instance in (inst, dataclasses.replace(inst)):
         assert generate_from_instance(seed, instance, n) == want
 
 
-def test_column_blocks_match_the_word_function_stream():
-    # The standard generator's stream steps its word functions for `switch`
-    # words, then runs column blocks of _BLOCK words, or of all the words
-    # left when fewer remain, and its word functions again when fewer than
-    # `switch` words are left, at every width.  Each length ends at or next
-    # to one of those seams: the end of the lead-in, the shortest block
-    # (2*switch) and blocks of 3*switch and 7*switch + 37 words.  Random
-    # constants at every width, C even at every third, and every setting of
-    # the low two bits of C1 and C3 between w=4 and w=34.
+def test_compiled_stream_matches_the_word_function_stream():
+    # The standard generator's stream runs the compiled tf1_stream in calls
+    # of _BLOCK words; each length ends at or next to one of their seams.
+    # Random constants at every width, C even at every third, and every
+    # setting of the low two bits of C1 and C3 between w=4 and w=34.  The
+    # generic twin, which steps the word functions, is the reference.
     from tf1crack.rng import SplitMix64
 
+    assert _native.stream() is not None
     rng = SplitMix64(2020)
+    block = generator._BLOCK
+    lengths = (0, 1, block - 1, block, block + 1, 2 * block + 37)
     for idx, w in enumerate(range(4, 66, 2)):
         spec = WordSpec(w)
         draw = [rng.next64() & spec.mask for _ in range(3)]
@@ -331,26 +335,11 @@ def test_column_blocks_match_the_word_function_stream():
             spec=spec,
         )
         native = tf1_instance(params)
-        reference = dataclasses.replace(native)
         seed = state_from_seed(rng.next64(), spec)
-        s = generator._SWITCH_PER_BIT * w
-        lengths = (0, 1, s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 4 * s, 8 * s + 37)
-        want = generate_from_instance(seed, reference, lengths[-1]).words
+        want = generate_from_instance(seed, dataclasses.replace(native), lengths[-1]).words
         for n in lengths:
             assert tuple(_stream(seed, native, n)) == want[:n], (w, n)
-    # blocks held at the cap, at w=4 and w=8: after the lead-in, one block
-    # of _BLOCK - 1, one of _BLOCK, one of _BLOCK and one stepped word, one
-    # of _BLOCK and a stepped remainder of switch - 1 words, and three blocks, the
-    # last of _BLOCK - switch + 101 words
-    block = generator._BLOCK
-    for params in (Tf1Params(c1=0xA, c3=0x5, c=0x6, spec=W4), default_params(WordSpec(8))):
-        spec = params.spec
-        s = generator._SWITCH_PER_BIT * spec.width
-        seed = state_from_seed(3, spec)
-        lengths = (s + block - 1, s + block, s + block + 1, 2 * s + block - 1, 3 * block + 101)
-        want = generate_from_instance(seed, dataclasses.replace(tf1_instance(params)), lengths[-1])
-        for n in lengths:
-            assert generate(seed, params, n).words == want.words[:n], (spec.width, n)
+            assert generate(seed, params, n).words == want[:n], (w, n)
 
 
 def test_state_from_seed_deterministic():

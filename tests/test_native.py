@@ -16,6 +16,7 @@ from tf1crack import (
     cli,
     default_params,
     generate,
+    generator,
     recover,
     state_from_seed,
     tf1_instance,
@@ -29,23 +30,35 @@ TRUTH8 = State(0x88, 0x55, 0x78, 0x05)
 
 @pytest.fixture
 def cold(monkeypatch, tmp_path):
-    """An empty build cache and no kernel loaded in this process; returns the cache."""
+    """An empty build cache and no library loaded or refused in this process;
+    returns the cache."""
     cache = tmp_path / "cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     monkeypatch.setattr(_native, "_LIB", None)
     return cache / "tf1crack"
 
 
-@pytest.fixture
-def stream8(tmp_path):
-    """The w=8 stream that the command-line checks attack, as a file."""
-    path = tmp_path / "ks"
+@pytest.fixture(scope="module")
+def stream8(tmp_path_factory):
+    """The w=8 stream that the command-line checks attack, as a file.  Made
+    before any test's ``cold`` cache, so its generation builds nothing there."""
+    path = tmp_path_factory.mktemp("stream8") / "ks"
     assert cli.run(["gen", "--w", "8", "--random-seed", "1", "--count", "4096", "--out", str(path)]) == 0
     return path
 
 
+def _failing_compiler(tmp_path, log):
+    """A cc that notes each run in ``log``, prints an error and exits 3."""
+    fake = tmp_path / "cc"
+    fake.write_text(f"#!/bin/sh\necho run >> '{log}'\n"
+                    "echo 'fake-cc: error: no vector units today' >&2\nexit 3\n")
+    fake.chmod(0o755)
+    return str(fake)
+
+
 def _check_refused(monkeypatch, cold, stream8, capsys, compiler, says):
     monkeypatch.setattr(_native, "_compiler", lambda: compiler)
+    monkeypatch.setattr(_native, "_LIB", None)
     ks = read_keystream(str(stream8), "hex")
     inst = tf1_instance(default_params(WordSpec(8)))
     with pytest.raises(KernelBuildError, match="enumeration_mode='dfs'") as err:
@@ -73,11 +86,47 @@ def test_a_missing_compiler_is_refused_precisely(monkeypatch, cold, stream8, cap
 
 
 def test_a_failing_compiler_shows_its_stderr(monkeypatch, cold, stream8, capsys, tmp_path):
-    fake = tmp_path / "cc"
-    fake.write_text("#!/bin/sh\necho 'fake-cc: error: no vector units today' >&2\nexit 3\n")
-    fake.chmod(0o755)
-    _check_refused(monkeypatch, cold, stream8, capsys, str(fake),
+    fake = _failing_compiler(tmp_path, tmp_path / "runs")
+    _check_refused(monkeypatch, cold, stream8, capsys, fake,
                    "(exit 3):\nfake-cc: error: no vector units today")
+
+
+def test_without_a_compiler_generate_gives_the_compiled_words(monkeypatch, cold):
+    # the word functions stand in for the compiled stream, across a block
+    # seam and at the widths' extremes; then the compiled path builds
+    cases = [(state_from_seed(seed, spec), default_params(spec), n)
+             for seed, spec, n in ((1, WordSpec(4), 300), (2, WordSpec(16), generator._BLOCK + 3),
+                                   (3, WordSpec(64), 300))]
+    compiler = _native._compiler
+    monkeypatch.setattr(_native, "_compiler", lambda: None)
+    plain = [generate(*case) for case in cases]
+    assert isinstance(_native._LIB, KernelBuildError) and os.listdir(cold) == []
+    monkeypatch.setattr(_native, "_compiler", compiler)
+    monkeypatch.setattr(_native, "_LIB", None)
+    assert [generate(*case) for case in cases] == plain
+    assert len(os.listdir(cold)) == 1 and not isinstance(_native._LIB, KernelBuildError)
+
+
+def test_a_failing_compiler_runs_once_per_process(monkeypatch, cold, stream8, capsys, tmp_path):
+    # generate falls back to the word functions, trivial mode raises the
+    # same error each time and dfs mode recovers, on one compiler run
+    runs = tmp_path / "runs"
+    monkeypatch.setattr(_native, "_compiler", lambda: _failing_compiler(tmp_path, runs))
+    spec = WordSpec(8)
+    params = default_params(spec)
+    ks = generate(state_from_seed(1, spec), params, 4096)
+    assert ks == read_keystream(str(stream8), "hex")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(KernelBuildError, match="exit 3") as err:
+            recover(ks, tf1_instance(params))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert cli.run(["attack", "--in", str(stream8)]) == 2
+    assert cli.run(["gen", "--w", "16", "--random-seed", "1", "--count", "64"]) == 0
+    assert recover(ks, tf1_instance(params), cfg=AttackConfig(enumeration_mode="dfs")).recovered == (TRUTH8,)
+    capsys.readouterr()
+    assert runs.read_text() == "run\n"
 
 
 W12 = """
@@ -106,9 +155,10 @@ def test_two_processes_build_into_one_empty_cache(tmp_path):
 
 
 def test_a_cached_file_that_does_not_load_is_rebuilt_once(monkeypatch, cold):
+    # No test writes over the path of a library that its process has
+    # loaded: the bad file is in place before anything loads the library.
     spec = WordSpec(8)
     params = default_params(spec)
-    ks = generate(state_from_seed(1, spec), params, 4096)
     path = _native._path()
     with open(path, "wb") as f:
         f.write(b"not a shared library")
@@ -120,12 +170,14 @@ def test_a_cached_file_that_does_not_load_is_rebuilt_once(monkeypatch, cold):
         build(path)
 
     monkeypatch.setattr(_native, "_build", counted)
+    ks = generate(state_from_seed(1, spec), params, 4096)
     assert recover(ks, tf1_instance(params)).recovered == (TRUTH8,)
     assert builds == [path]
     with open(path, "rb") as f:
         assert f.read(4) == b"\x7fELF"
-    # a rebuild that still does not load is refused, not retried; in a new
-    # cache, as this process has loaded the library at the old path
+    # a rebuild that still does not load is refused, not retried, and the
+    # refusal stands for the process; in a new cache, as this process has
+    # loaded the library at the old path
     monkeypatch.setenv("XDG_CACHE_HOME", str(cold.parent.parent / "again"))
     monkeypatch.setattr(_native, "_LIB", None)
     path = _native._path()
@@ -139,25 +191,45 @@ def test_a_cached_file_that_does_not_load_is_rebuilt_once(monkeypatch, cold):
     monkeypatch.setattr(_native, "_build", garbage)
     with open(path, "wb") as f:
         f.write(b"not a shared library")
-    with pytest.raises(KernelBuildError, match="does not load"):
-        recover(ks, tf1_instance(params))
+    for _ in range(2):
+        with pytest.raises(KernelBuildError, match="does not load"):
+            recover(ks, tf1_instance(params))
+    assert generate(state_from_seed(1, spec), params, 4096) == ks
     assert builds == [path]
 
 
 def test_importing_the_package_builds_and_loads_nothing(tmp_path):
-    # a fresh process imports tf1crack and runs dfs mode: no cache
-    # directory appears and no kernel is loaded
+    # a fresh process imports tf1crack and runs a generic instance's
+    # generate and dfs attack: no cache directory appears and no library is
+    # loaded
     src = os.path.dirname(os.path.dirname(_native.__file__))
     script = (
-        "import sys\n"
         "from tf1crack import *\n"
         "from tf1crack import _native\n"
         "spec = WordSpec(8)\n"
-        "params = default_params(spec)\n"
-        "ks = generate(state_from_seed(1, spec), params, 4096)\n"
-        "recover(ks, tf1_instance(params), cfg=AttackConfig(enumeration_mode='dfs'))\n"
+        "inst = demo_generalized_instance(spec, default_params(spec))\n"
+        "ks = generate_from_instance(state_from_seed(1, spec), inst, 4096)\n"
+        "recover(ks, inst, cfg=AttackConfig(enumeration_mode='dfs'))\n"
         "assert _native._LIB is None\n"
     )
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
     assert os.listdir(tmp_path) == []
+
+
+def test_a_standard_generate_into_an_empty_cache_builds_once(monkeypatch, cold):
+    builds = []
+    build = _native._build
+
+    def counted(path):
+        builds.append(path)
+        build(path)
+
+    monkeypatch.setattr(_native, "_build", counted)
+    spec = WordSpec(8)
+    params = default_params(spec)
+    for n in (0, 5, 4096):
+        generate(state_from_seed(1, spec), params, n)
+    recover(generate(state_from_seed(1, spec), params, 4096), tf1_instance(params))
+    assert builds == [_native._path()]
+    assert os.listdir(cold) == [os.path.basename(builds[0])]
