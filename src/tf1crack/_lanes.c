@@ -1,6 +1,7 @@
-/* The TF-1 generator's two compiled paths: the standard generator's output
-stream (tf1_stream), and trivial-mode stage 1 of the attack, the
-lane-sliced filter (tf1_lanes).  Both step the update rows of TF1_ROWS.
+/* The TF-1 generator's three compiled paths: the standard generator's output
+stream (tf1_stream), trivial-mode stage 1 of the attack, the lane-sliced
+filter (tf1_lanes), and the attack's stage 2 for the standard generator
+(tf1_complete).  All step the update rows of TF1_ROWS.
 
 Stage 1 takes every k-column candidate (a, b, c, d), k = w/2 + 1, with
 (a + c) mod 2^k = X, steps it once per observed tail bit with the update
@@ -56,6 +57,33 @@ of its lanes are dead.  Rows are uint32: bit j of every row reads only bits
 <= j of its inputs, so the bits above T that wrap do not matter, and k <= 23
 (w <= 44) keeps the index of 3L <= 63 bits in a uint64.  The popcount is a
 SWAR one, so that the step stays in vector registers at any -march.
+
+Stage 2 completes each survivor, an l-column prefix with t2 = X on its
+columns, to the full width, in a depth-first search over the columns, and
+keeps the completions that reproduce the tail.  Its rules:
+
+  - column j = l .. w-1 keeps the 8 of a prefix's 16 one-bit extensions
+    whose column j of a + c is X's: c_j = a_j ^ X_j ^ the carry into
+    column j, for each a_j, b_j and d_j;
+  - from column h = w/2 on, it steps each kept extension's rows mod
+    2^(j+1) and keeps it while output columns 0..j-h of that step match
+    the first tail word: output column t < h reads only columns h..h+t of
+    a'+c' and b'+d'.  At j = w-1 the whole first tail word must match;
+  - the rows need no step per extension.  Mod 2^(j+1), column j of the
+    input reaches neither the step word s, whose column j is C_j xor the
+    carry of C + p into it, nor a doubled product, whose even factor moves
+    it past column j.  So with the prefix stepped once, column j clear,
+    an extension's rows are those with a_j, b_j ^ (s_j & a_j),
+    c_j ^ (s_j & a_j & b_j) and d_j ^ (s_j & a_j & b_j & c_j) xored in at
+    column j;
+  - a completion must emit the event word itself: t2 = X pins only the
+    factor S(X) of it, and the other reads b and d;
+  - each such walker then steps down the tail from the event word, and one
+    that first mismatches at words[index + j] is charged j - 1 steps, the
+    words after the first that it computed; one that matches the whole
+    tail of n words is charged n - 1 and is found.  The caller adds the
+    one step for the first tail word that each of the 8^(w-l) candidates
+    of a survivor costs.
 
 Build: cc -O3 -march=native -shared -fPIC (see _native.py). */
 
@@ -185,6 +213,15 @@ uint64_t tf1_lanes(uint64_t lo, uint64_t hi, uint32_t k, uint32_t c1, uint32_t c
     return n;
 }
 
+/* The output word S(a+c) * (S(b+d) | 1) mod 2^w, m = 2^w - 1 and h = w/2.
+   Bits that x << h and y << h carry to column w and above vanish in the
+   reduced product. */
+static inline uint64_t out_word(uint64_t a, uint64_t b, uint64_t c, uint64_t d, int h, uint64_t m)
+{
+    uint64_t x = (a + c) & m, y = (b + d) & m;
+    return ((x >> h | x << h) * (y >> h | y << h | 1)) & m;
+}
+
 /* The standard generator at width w (4 to 64), stepped n times from
    state[0..3]: writes the n output words S(a+c) * (S(b+d) | 1) to out[]
    and the last state back to state[]. */
@@ -200,13 +237,83 @@ void tf1_stream(uint64_t n, uint32_t w, uint64_t c1, uint64_t c3, uint64_t cc, u
         b = nb & m;
         c = nc & m;
         d = nd & m;
-        /* bits that x << h and y << h carry to column w and above vanish
-           in the reduced product */
-        uint64_t x = (a + c) & m, y = (b + d) & m;
-        out[i] = ((x >> h | x << h) * (y >> h | y << h | 1)) & m;
+        out[i] = out_word(a, b, c, d, h, m);
     }
     state[0] = a;
     state[1] = b;
     state[2] = c;
     state[3] = d;
+}
+
+/* One stage-2 search: the constants, the tail and what it found so far. */
+struct search {
+    int w, h;
+    uint64_t c1, c3, cc, x, mask;
+    const uint64_t *tail; /* the event word, then the n tail words */
+    uint64_t n, *found, cap, count, charge;
+};
+
+/* A full-width completion: check the event word, then walk the tail. */
+static void walk(struct search *q, uint64_t a, uint64_t b, uint64_t c, uint64_t d)
+{
+    const uint64_t m = q->mask, state[4] = {a, b, c, d};
+    if (out_word(a, b, c, d, q->h, m) != q->tail[0])
+        return;
+    for (uint64_t i = 1; i <= q->n; i++) {
+        TF1_ROWS(uint64_t, a, b, c, d, q->c1, q->c3, q->cc);
+        a = na & m;
+        b = nb & m;
+        c = nc & m;
+        d = nd & m;
+        if (out_word(a, b, c, d, q->h, m) != q->tail[i]) {
+            q->charge += i - 1;
+            return;
+        }
+    }
+    q->charge += q->n - 1;
+    for (int i = 0; i < 4 && q->count < q->cap; i++)
+        q->found[4 * q->count + i] = state[i];
+    q->count++;
+}
+
+/* Extend a prefix on columns 0..j-1 by column j, and on to the full width. */
+static void extend(struct search *q, uint64_t a, uint64_t b, uint64_t c, uint64_t d, int j)
+{
+    if (j == q->w) {
+        walk(q, a, b, c, d);
+        return;
+    }
+    const uint64_t m = ~0ull >> (63 - j), bit = 1ull << j;
+    /* the output columns that j + 1 columns pin: 0..j-h, none below h, all
+       at full width */
+    const uint64_t cols = j == q->w - 1 ? q->mask : j < q->h ? 0 : ~0ull >> (63 - j + q->h);
+    /* the rows mod 2^(j+1) with column j clear; then the step word's column
+       j, and c's, which is a's xored with X's and the carry into column j */
+    TF1_ROWS(uint64_t, a, b, c, d, q->c1, q->c3, q->cc);
+    const uint64_t sj = s & bit, flip = ((a + c) ^ q->x) & bit;
+    for (int e = 0; e < 8; e++) {
+        uint64_t aj = e & 4 ? bit : 0, bj = e & 2 ? bit : 0, cj = aj ^ flip, dj = e & 1 ? bit : 0;
+        uint64_t ta = (na ^ aj) & m, tb = (nb ^ bj ^ (sj & aj)) & m;
+        uint64_t tc = (nc ^ cj ^ (sj & aj & bj)) & m, td = (nd ^ dj ^ (sj & aj & bj & cj)) & m;
+        if ((out_word(ta, tb, tc, td, q->h, q->mask) ^ q->tail[1]) & cols)
+            continue;
+        extend(q, a | aj, b | bj, c | cj, d | dj, j + 1);
+    }
+}
+
+/* Stage 2 at width w and inner word x for the standard generator: completes
+   the n_pre l-column prefixes prefixes[4i .. 4i+3] (a, b, c, d) by the rules
+   above, against tail[0], the event word, and the n >= 1 words after it.
+   Writes the first cap states found to found[], four words each, in search
+   order, stores the walks' charge in *charge and returns the number of
+   states found, which may exceed cap. */
+uint64_t tf1_complete(uint64_t n_pre, uint32_t l, uint32_t w, uint64_t c1, uint64_t c3, uint64_t cc,
+                      uint64_t x, const uint64_t *prefixes, const uint64_t *tail, uint64_t n,
+                      uint64_t *found, uint64_t cap, uint64_t *charge)
+{
+    struct search q = {w, w / 2, c1, c3, cc, x, ~0ull >> (64 - w), tail, n, found, cap, 0, 0};
+    for (uint64_t i = 0; i < n_pre; i++)
+        extend(&q, prefixes[4 * i], prefixes[4 * i + 1], prefixes[4 * i + 2], prefixes[4 * i + 3], l);
+    *charge = q.charge;
+    return q.count;
 }

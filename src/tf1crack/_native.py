@@ -1,16 +1,18 @@
 """The one owner of the compiled library of ``_lanes.c``: its build, cache
-and load, the calls of its two entries, their buffers, and the lane layout.
+and load, the calls of its three entries, their buffers, and the lane layout.
 
-Two functions over ints and numpy arrays wrap the entries, so that no
+Three functions over ints and numpy arrays wrap the entries, so that no
 other module imports ctypes or knows an entry's arguments:
 
 - ``stage1`` drives ``tf1_lanes``, trivial mode's stage-1 lane kernel,
   and decodes each survivor's lower-prefix index and lane bits into its
   (a, b, c, d) words;
 - ``stream`` drives ``tf1_stream``, the standard generator's output
-  stream, in calls that start small and double up to _BLOCK words.
+  stream, in calls that start small and double up to _BLOCK words;
+- ``complete`` drives ``tf1_complete``, the standard generator's stage 2:
+  the column search, the first-word pruning and the tail walk.
 
-Nothing here runs at import.  The first call of either builds the library
+Nothing here runs at import.  The first call of any builds the library
 in a process and keeps it: with the system's C compiler, into a per-user
 cache directory, under a name keyed by the source, the flags, the machine
 and the CPU's features.  A cached build loads with no subprocess.  A build
@@ -18,13 +20,15 @@ goes to a temporary name and is published with ``os.replace``, so two
 processes that build at once each load a whole file.  A cached file that
 does not load is rebuilt once.  A build that fails is remembered for the
 rest of the process: every later call of ``stage1`` raises the same
-``KernelBuildError``, and every call of ``stream`` gives None, so the
-compiler runs at most once.  Trivial mode lets the error propagate; the
-stream falls back to the word functions.
+``KernelBuildError``, and every call of ``stream`` or ``complete`` gives
+None, so the compiler runs at most once.  Trivial mode lets the error
+propagate; the stream falls back to the word functions, and stage 2 to the
+column enumerator that every other instance uses.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import os
 import platform
@@ -43,18 +47,21 @@ try:
 except ImportError:
     from _sha256 import sha256
 
-__all__ = ["KernelBuildError", "stage1", "stream"]
+__all__ = ["KernelBuildError", "complete", "stage1", "stream"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lanes.c")
 _FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
-# the loaded entries (tf1_lanes, tf1_stream), or the KernelBuildError of a
-# failed build
+# the loaded entries (tf1_lanes, tf1_stream, tf1_complete), or the
+# KernelBuildError of a failed build
 _LIB = None
 # words in the stream's first call and its largest: each call doubles the
 # last, so a walker that stops at its first mismatch computes few words,
 # and _BLOCK bounds the buffer; neither affects results
 _FIRST = 16
 _BLOCK = 1 << 14
+# the states that stage 2's first call has room for; a call that finds more
+# reports how many, and runs again on a buffer that holds them all
+_STATES = 16
 
 
 class KernelBuildError(RuntimeError):
@@ -116,14 +123,17 @@ def _build(path: str) -> None:
 
 def _load(path: str) -> tuple:
     lib = ctypes.CDLL(path)
-    lanes, stream = lib.tf1_lanes, lib.tf1_stream
-    u64, u32 = ctypes.c_uint64, ctypes.c_uint32
+    lanes, stream, complete = lib.tf1_lanes, lib.tf1_stream, lib.tf1_complete
+    u64, u32, ptr = ctypes.c_uint64, ctypes.c_uint32, ctypes.c_void_p
     lanes.argtypes = [u64, u64, u32, u32, u32, u32, u32, ctypes.c_void_p, u64,
                       ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(u64)]
     lanes.restype = u64
     stream.argtypes = [u64, u32, u64, u64, u64, ctypes.POINTER(u64), ctypes.POINTER(u64)]
     stream.restype = None
-    return lanes, stream
+    complete.argtypes = [u64, u32, u32, u64, u64, u64, u64, ptr, ptr, u64, ptr, u64,
+                         ctypes.POINTER(u64)]
+    complete.restype = u64
+    return lanes, stream, complete
 
 
 def _path() -> str:
@@ -237,3 +247,34 @@ def _words(kernel, w, c1, c3, cc, state, n):
         yield from memoryview(out).cast("B").cast("Q").tolist()
         done += size
         size = min(2 * size, _BLOCK)
+
+
+def complete(w: int, c1: int, c3: int, cc: int, x: int, prefixes, l: int, words, index: int):
+    """Stage 2 for the standard generator at width w and inner word x, by
+    ``tf1_complete``, whose rules the header of ``_lanes.c`` gives; or
+    None where the library cannot be built.
+
+    ``prefixes`` holds the survivors' (a, b, c, d) words as four arrays,
+    l-column prefixes with t2 = x on l columns; the event word is
+    words[index], and the tail runs from it to the end of ``words``, which
+    goes to the entry once, as uint64.  Returns (the states found as (a, b,
+    c, d) rows, in search order; the walks' charge), where the charge
+    leaves out the one step for the first tail word that each candidate
+    costs.
+    """
+    # the entry reads the first tail word, and recurses from column l to w
+    if not 0 <= l <= w or not 0 <= index < len(words) - 1:
+        raise ValueError(f"no stage 2 from {l} of {w} columns at word {index} of {len(words)}")
+    try:
+        kernel = _library()[2]
+    except KernelBuildError:
+        return None
+    pre = np.stack(prefixes, axis=1).astype(np.uint64)
+    tail = np.frombuffer(array.array("Q", words[index:]), np.uint64)
+    found, charge = np.empty((_STATES, 4), np.uint64), ctypes.c_uint64()
+    while True:
+        n = kernel(len(pre), l, w, c1, c3, cc, x, pre.ctypes.data, tail.ctypes.data, tail.size - 1,
+                   found.ctypes.data, len(found), ctypes.byref(charge))
+        if n <= len(found):
+            return found[:n].tolist(), charge.value
+        found = np.empty((n, 4), np.uint64)

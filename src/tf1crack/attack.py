@@ -25,18 +25,20 @@ The enumeration mode chooses stage 1 and nothing else; the instance
 chooses stage 2.  One column enumerator on arrays serves them: it extends
 column prefixes one column at a time, keeping the extensions whose new
 column of the truncated t2 matches the target (about 8 of the 16), and
-gives the t2 preimages, dfs-mode stage 1 and stage 2.  ``trivial`` mode,
-for the standard generator only, takes its stage-1 candidates in the
-closed form c = X - a through the lane-sliced kernel below.  ``dfs`` mode,
-for any instance, takes them from the column enumerator and prunes them
-with a plain array filter on the instance's word functions.  The exhaustive
+gives the t2 preimages, dfs-mode stage 1 and the stage 2 of every
+instance but the compiled standard generator.  ``trivial`` mode, for the
+standard generator only, takes its stage-1 candidates in the closed form
+c = X - a through the lane-sliced kernel below.  ``dfs`` mode, for any
+instance, takes them from the column enumerator and prunes them with a
+plain array filter on the instance's word functions.  The exhaustive
 oracle is the reference up to w = 8.  Above it the tests hold the lane
 kernel to the plain filter on the same candidates and the standard
-generator's pruned stage 2 to that of its generic twin, which does not
-prune.  Every full-state check of a single state reads the generator's
-one output stream, ``_stream``, which steps every instance through its
-word functions and runs the standard generator compiled.  A truncated
-evaluation passes low_mask(l) to the same word functions.
+generator's compiled, pruned stage 2 to that of its generic twin, which
+runs on the column enumerator and does not prune.  Every full-state check
+of a single state reads the generator's one output stream, ``_stream``,
+which steps every instance through its word functions and runs the
+standard generator compiled.  A truncated evaluation passes low_mask(l)
+to the same word functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
 T = k-1: the candidates that share the low k-2 columns of (a, b, d), with
@@ -58,23 +60,26 @@ which the enumerator sizes to _WORKING.  One part loop, in
 the cap, so the counters and the cap are applied in one place for both
 modes.
 
-Stage 2 completes the survivors of an event with the column enumerator,
-in either mode.  For the standard generator it also prunes on the first
-tail word, however stage 1 found the survivors.  The next output is
+Stage 2 completes the survivors of an event, in either mode: the instance
+chooses how.  For the standard generator it runs compiled, in
+``tf1_complete`` through ``_native.complete``, whose rules the header of
+``_lanes.c`` gives: a search over the columns that keeps the extensions
+with t2 = X and prunes them on the first tail word, then walks the tail
+from the completions that emit the event word.  The next output is
 S(x) * (S(y) | 1) with x = a'+c' and y = b'+d', and a product's low
-columns read only its factors' low columns, so output
-column t < h = w/2 reads only columns h..h+t of x and y.  So at column j an
-extension is kept while output columns 0..j-h of the first tail word
-match; at full width the whole word must.  For every instance the
-completions that emit the event word walk the tail from it, one step per
-word, the first tail word included: t2 = X pins only the factor S(X) of
-the event word, and unless X = 0 its other factor reads b and d.  The
-walkers step together as arrays, through the instance's t1_words and
+columns read only its factors' low columns, so output column t < h = w/2
+reads only columns h..h+t of x and y, and j+1 columns pin output columns
+0..j-h.  Every other instance, and the standard generator where the
+library cannot be built, takes every completion from the column
+enumerator.  Those that emit the event word walk the tail from it, one
+step per word, the first tail word included: t2 = X pins only the factor
+S(X) of the event word, and unless X = 0 its other factor reads b and d.
+The walkers step together as arrays, through the instance's t1_words and
 output word, until at most a few are left; each of those then walks on
-alone through ``_stream``.  Each candidate is charged min(first
-mismatching word, tail length), so every other one counts one step, as in
-a walk from every completion, and where the arrays stop changes no
-counter.
+alone through ``_stream``.  On both paths each candidate is charged
+min(first mismatching word, tail length), so every other one counts one
+step, as in a walk from every completion, and neither the pruning nor
+where the arrays stop changes a counter.
 """
 
 from __future__ import annotations
@@ -98,7 +103,6 @@ from .generator import (
     Tf1Params,
     _instance_out,
     _int_state,
-    _out,
     _stream,
     instance_output,
     tf1_instance,
@@ -133,9 +137,10 @@ __all__ = [
 # (BENCH_dfs.json).  In trivial mode, the lower prefixes of one call to the
 # compiled lane kernel, 64 candidates each.  Never affects results.
 _WORKING = 1 << 15
-# stage 2 steps the completions that emit the event word down the tail as
-# arrays until at most this many are left, then walks each one left on its
-# own; never affects results
+# stage 2 on the column enumerator (every instance but the compiled standard
+# generator) steps the completions that emit the event word down the tail
+# as arrays until at most this many are left, then walks each one left on
+# its own; never affects results
 _FEW = 8
 
 
@@ -346,9 +351,9 @@ def stage2_complete(
 
     The survivor holds l columns (1 <= l < w) of a state that emits the zero
     word at ``zero_index``, and a word must follow it.  Completions grow one
-    column at a time; for the standard generator an extension is also
-    dropped at the first column where it disagrees with the next word.  The
-    completions that reproduce the tail are returned sorted.  ``cfg`` is
+    column at a time; for the standard generator, compiled, an extension
+    is also dropped at the first column where it disagrees with the next
+    word.  The completions that reproduce the tail are returned sorted.  ``cfg`` is
     ignored: stage 2 is the same in both enumeration modes, for every
     instance and width.
     """
@@ -598,34 +603,41 @@ def _run_stage2(
     ``prefixes`` holds the survivors' four words as ``word_dtype(w)``
     arrays, all of them l-column prefixes with t2 = x on l columns, in any
     order.  The completions keep t2 = x, and the tail is ``words`` after
-    ``index``, to its end.  The column enumerator builds the completions
-    for every instance.  For the standard generator it also prunes them on
-    the first tail word, and the candidates are counted in closed form:
-    t2 = a + c keeps exactly 8 of each column's 16 extensions, so that
-    count is the unpruned enumerator's.  Every candidate costs one step for
-    the first tail word.  The completions that emit the event word walk
-    from it, and each step reads one tail word, the first one included.
+    ``index``, to its end.  Every candidate costs one step for the first
+    tail word.  The completions that emit the event word walk from it, and
+    each step reads one tail word, the first one included; a walker that
+    first mismatches at words[index + j] is charged j - 1 steps, the words
+    after the first that it computed.
 
-    A batch's walkers step down the tail together as arrays, each dropping
-    out at its first mismatching word, until at most _FEW are left or the
-    tail ends; each one left then goes on alone with ``_walk_tail`` from
-    the word where the arrays stopped, the event word itself included.  A
-    walker that first mismatches at words[index + j] is charged j - 1
-    steps either way, the words after the first that it computed.
+    The standard generator's stage 2 runs compiled, in ``_native.complete``,
+    which also prunes the completions on the first tail word (the header of
+    ``_lanes.c`` gives its rules); its candidates are counted in closed
+    form, as t2 = a + c keeps exactly 8 of each column's 16 extensions.
+    Every other instance, and the standard generator where the library
+    cannot be built, takes every completion from the column enumerator,
+    which builds exactly as many.  A batch's walkers then step down the
+    tail together as arrays, each dropping out at its first mismatching
+    word, until at most _FEW are left or the tail ends; each one left then
+    goes on alone with ``_walk_tail`` from the word where the arrays
+    stopped, the event word itself included, charged as above either way.
     """
     spec = instance.spec
+    if instance.tf1_native:
+        p = instance.params
+        done = _native.complete(spec.width, p.c1, p.c3, p.c, x, prefixes, l, words, index)
+        if done is not None:
+            cands = prefixes[0].size << (3 * (spec.width - l))
+            return sorted(State(*row) for row in done[0]), cands, done[1] + cands
     m = spec.mask
     last = len(words) - 1
-    native = instance.tf1_native
-    batches = _columns(instance, prefixes, l, spec.width, x, words[index + 1] if native else None)
 
     def out(*state):
         return _instance_out(instance.t2_words, instance.f_words, m, spec.half, *state)
 
     states: list[State] = []
-    n_leaves = verifs = 0
-    for batch in batches:
-        n_leaves += batch[0].size
+    cands = verifs = 0
+    for batch in _columns(instance, prefixes, l, spec.width, x):
+        cands += batch[0].size
         # t2 = x pins only S(x) of the event word; its other factor reads b and d
         keep = out(*batch) == words[index]
         # each walker's completion, and its state now, which emits words[j]
@@ -642,7 +654,6 @@ def _run_stage2(
             verifs += j - index - 1 + n
             if ok:
                 states.append(State(*row))
-    cands = prefixes[0].size << (3 * (spec.width - l)) if native else n_leaves
     return sorted(states), cands, verifs + cands
 
 
@@ -652,27 +663,19 @@ def _columns(
     l: int,
     k: int,
     target: int,
-    first: int | None = None,
 ) -> Iterator[tuple]:
     """Extend l-column prefixes to k columns; yields batches of (a, b, c, d) arrays.
 
     ``words`` holds the prefixes' four words as arrays of ``word_dtype(w)``.
     Column j = l .. k-1 tries the 16 one-bit extensions of each prefix and
     keeps one when column j of its t2_words mod 2**(j+1) equals bit j of
-    ``target``.  With ``first`` (the standard generator only), an extension
-    is also dropped at the first output column where its next output
-    disagrees with ``first``: j+1 columns pin output columns 0..j-h, and
-    the whole word at full width (see the module docstring).  The t2 test
-    comes before the update step, which then runs on half as many words.
-    A frontier of more than _WORKING >> 3 prefixes (at least 1) is split
-    and finished piece by piece, so a batch holds at most 2 * _WORKING
-    words, and at most _WORKING where t2 keeps 8 of a column's 16
-    extensions; batches come in depth-first order.
+    ``target``.  A frontier of more than _WORKING >> 3 prefixes (at least
+    1) is split and finished piece by piece, so a batch holds at most
+    2 * _WORKING words, and at most _WORKING where t2 keeps 8 of a column's
+    16 extensions; batches come in depth-first order.
     """
-    spec = instance.spec
-    h = spec.half
     piece = max(1, _WORKING >> 3)
-    ext = np.arange(16, dtype=word_dtype(spec.width))
+    ext = np.arange(16, dtype=word_dtype(instance.spec.width))
     bits = (ext >> 3, (ext >> 2) & 1, (ext >> 1) & 1, ext & 1)
     frontier = [(l, words)]
     while frontier:
@@ -689,11 +692,6 @@ def _columns(
             x = tuple((v[:, None] | (e << j)).ravel() for v, e in zip(pre, bits))
             keep = np.flatnonzero(((instance.t2_words(*x, m) >> j) & 1) == (target >> j) & 1)
             x = tuple(v.take(keep) for v in x)
-            if first is not None and j >= h:
-                cols = spec.mask if j == spec.width - 1 else low_mask(j + 1 - h)
-                out = _out(*instance.t1_words(*x, m), spec.mask, h)
-                keep = np.flatnonzero((out & cols) == first & cols)
-                x = tuple(v.take(keep) for v in x)
             if x[0].size:
                 frontier.append((j + 1, x))
 

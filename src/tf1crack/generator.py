@@ -66,7 +66,10 @@ class State:
 class Tf1Params:
     """The update constants C1, C3, C under one word spec.
 
-    C2 appears in no update row and has no slot here.
+    C2 appears in no update row and has no slot here.  Each constant is
+    stored as an int, as ``operator.index`` gives it, so a numpy integer
+    steps as an int; a float, a bool or a str raises ValueError, as does a
+    constant outside the width.
     """
 
     c1: int
@@ -75,9 +78,12 @@ class Tf1Params:
     spec: WordSpec
 
     def __post_init__(self) -> None:
-        self.spec.check_word(self.c1, "c1")
-        self.spec.check_word(self.c3, "c3")
-        self.spec.check_word(self.c, "c")
+        for name in ("c1", "c3", "c"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no constant
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, self.spec.check_word(operator.index(value), name))
 
 
 def default_params(spec: WordSpec) -> Tf1Params:
@@ -149,13 +155,13 @@ class GeneratorInstance:
     the generic twin that steps the instance's own word functions.  It
     marks the standard generator, whose t2 is the plain column sum a+c
     with the closed-form preimages c = (target - a) mod 2^l; the attack's
-    ``trivial`` mode and its lane-sliced stage-1 kernel, stage 2's pruning
-    on the first tail word, and the compiled path of ``_stream``, the one
-    output stream, serve it alone.  Any instance, this one included, runs
-    ``dfs`` mode, whose stage 1 the tests use as the reference for the
-    lane kernel; the generic twin's stage 2, which does not prune, is the
-    reference for the pruned one, and its stream the reference for the
-    compiled one.
+    ``trivial`` mode and its lane-sliced stage-1 kernel, the compiled
+    stage 2 that prunes on the first tail word, and the compiled path of
+    ``_stream``, the one output stream, serve it alone.  Any instance, this
+    one included, runs ``dfs`` mode, whose stage 1 the tests use as the
+    reference for the lane kernel; the generic twin's stage 2, which does
+    not prune, is the reference for the compiled one, and its stream the
+    reference for the compiled stream.
     """
 
     params: Tf1Params
@@ -304,12 +310,12 @@ def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
     """The first n output words after ``state``: one update and one emit each.
 
     The one stream of a single state: generation and the attack's tail
-    walk read it, each passing the number of words it reads at most.  The
-    standard generator, marked ``tf1_native`` by ``tf1_instance`` alone,
-    runs compiled, through ``_native.stream``, whose calls start small, so
-    a wrong state in the attack's tail walk computes few words past its
-    first mismatch; the walk drops almost all of them on arrays before
-    they reach the stream at all.  Every other instance, a replaced copy
+    walks read it, each passing the number of words it reads at most; the
+    compiled stage 2 walks the standard generator's completions itself.
+    The standard generator, marked ``tf1_native`` by ``tf1_instance``
+    alone, runs compiled, through ``_native.stream``, whose calls start
+    small, so a wrong state in a tail walk computes few words past its
+    first mismatch.  Every other instance, a replaced copy
     of the standard one included, steps plain ints through its own
     ``t1_words`` and ``_instance_out``, and so emits the stream of the maps
     it holds; so does the standard generator where the compiled library

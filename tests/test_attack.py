@@ -439,36 +439,31 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
 
 def test_stage2_prunes_by_instance_not_mode(monkeypatch):
     # stage 2 follows the instance, not the enumeration mode: dfs-mode
-    # recover on the standard generator builds only full-width completions
-    # that emit the first tail word, its generic twin builds all
-    # survivors * 8^(w-k) of them, and both report the same
+    # recover on the standard generator runs the compiled, pruned stage 2,
+    # once for its one event, its generic twin never does, and both report
+    # the same
     ks, zero_index, true_state = make_run(W8, P8, seed=7, n=8192)
     native = tf1_instance(P8)
-    columns = attack._columns
-    built = []
+    complete = _native.complete
+    calls = []
 
-    def spy(instance, words, l, k, target, first=None):
-        for batch in columns(instance, words, l, k, target, first):
-            if k == instance.spec.width:
-                built.extend(prefix_rows(batch))
-            yield batch
+    def spy(*args):
+        calls.append(complete(*args))
+        return calls[-1]
 
-    monkeypatch.setattr(attack, "_columns", spy)
+    monkeypatch.setattr(_native, "complete", spy)
     runs = []
     for inst in (native, dataclasses.replace(native)):
-        built.clear()
+        calls.clear()
         report = recover(ks, inst, cfg=AttackConfig(enumeration_mode="dfs"))
         # one event, the first zero word
         assert report.zero_index == zero_index and true_state in report.recovered
-        runs.append((report, list(built)))
-    (pruned, pruned_rows), (generic, generic_rows) = runs
+        runs.append((report, list(calls)))
+    (pruned, pruned_calls), (generic, generic_calls) = runs
     assert report_core(pruned) == report_core(generic)
-    first = ks.words[zero_index + 1]
-    assert pruned_rows
-    assert all(instance_output(native.t1(State(*row)), native) == first for row in pruned_rows)
-    k = W8.half + 1
-    n_all = generic.counters.stage1_survivors << (3 * (W8.width - k))
-    assert len(pruned_rows) < len(generic_rows) == n_all
+    assert len(pruned_calls) == 1 and pruned_calls[0] is not None
+    assert sorted(State(*row) for row in pruned_calls[0][0]) == list(pruned.recovered)
+    assert generic_calls == []
 
 
 def test_stage2_array_walk_charges_what_the_walk_charges(monkeypatch):

@@ -318,6 +318,26 @@ def test_numpy_integer_state_words_step_as_ints():
         generate(State(1.0, 2, 3, 4), params, 4)
 
 
+def test_numpy_integer_constants_step_as_ints():
+    # Tf1Params stores its constants as ints: numpy integer constants give
+    # the same int stream from the compiled path and the generic twin's
+    # word functions, with no overflow warning, which pyproject turns into
+    # an error; a float, a bool or a str is refused, naming the field
+    consts = default_params(W8)
+    params = Tf1Params(*map(np.uint8, (consts.c1, consts.c3, consts.c)), W8)
+    seed = state_from_seed(3, W8)
+    want = generate(seed, params, 300).words
+    twin = dataclasses.replace(tf1_instance(params))
+    assert generate_from_instance(seed, twin, 300).words == want
+    assert all(type(word) is int for word in want)
+    assert params == consts and all(type(v) is int for v in (params.c1, params.c3, params.c))
+    for name, bad in (("c1", 213.0), ("c3", True), ("c", "5")):
+        fields = dict(c1=consts.c1, c3=consts.c3, c=consts.c, spec=W8)
+        fields[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            Tf1Params(**fields)
+
+
 def test_tf1_instance_reproduces_generator():
     params = default_params(W8)
     inst = tf1_instance(params)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tf1crack import (
@@ -24,8 +25,13 @@ from tf1crack import (
 )
 from tf1crack.cli import read_keystream
 
+from helpers import report_core
+
 PINNED8 = ("zero_index=94", "stage1_filter_steps=68136", "stage1_survivors=8",
            "recovered_0=88:55:78:05")
+# the w=8 dfs-mode counters that CI pins: stage-1 candidates, filter steps,
+# survivors, stage-2 candidates and verifications
+COUNTERS8 = [32768, 68136, 8, 4096, 8196]
 TRUTH8 = State(0x88, 0x55, 0x78, 0x05)
 
 
@@ -256,3 +262,43 @@ def test_trivial_mode_on_two_workers_builds_once_before_the_fork(monkeypatch, co
     assert not runs.exists()
     assert recover(ks, inst, cfg=AttackConfig(workers=2)).recovered == (TRUTH8,)
     assert runs.read_text() == "run\n"
+
+
+def test_stage2_finds_more_states_than_its_first_buffer_holds(monkeypatch):
+    # the compiled stage 2 reports every state it finds, not only those its
+    # buffer holds: with room for one, the four states of a w=12 stream at
+    # C = 1 take a second call, and recover gives the generic twin's report
+    spec = WordSpec(12)
+    params = dataclasses.replace(default_params(spec), c=1)
+    ks = generate(state_from_seed(1, spec), params, 1 << 14)
+    inst = tf1_instance(params)
+    twin = recover(ks, dataclasses.replace(inst), cfg=AttackConfig(enumeration_mode="dfs"))
+    assert len(twin.recovered) == 4
+    monkeypatch.setattr(_native, "_STATES", 1)
+    assert report_core(recover(ks, inst)) == report_core(twin)
+
+
+def test_without_the_library_stage2_falls_back_to_the_column_enumerator(monkeypatch, stream8):
+    # a dfs-mode recover on the standard generator where the library cannot
+    # be built: stage 2 runs unpruned on the column enumerator, with the
+    # pinned counters and the compiled stage 2's report
+    ks = read_keystream(str(stream8), "hex")
+    inst = tf1_instance(default_params(WordSpec(8)))
+    dfs = AttackConfig(enumeration_mode="dfs")
+    compiled = recover(ks, inst, cfg=dfs)
+    monkeypatch.setattr(_native, "_LIB", KernelBuildError("no library in this test"))
+    assert _native.complete(8, 1, 1, 1, 0, (), 5, (0, 1), 0) is None
+    fallback = recover(ks, inst, cfg=dfs)
+    assert report_core(fallback) == report_core(compiled)
+    assert fallback.zero_index == 94 and fallback.recovered == (TRUTH8,)
+    assert list(vars(fallback.counters).values()) == COUNTERS8
+
+
+def test_stage2_refuses_what_its_entry_cannot_run():
+    # the entry reads the word after the event and recurses from column l
+    # up to w: both are checked before any pointer reaches it
+    prefixes = tuple(np.zeros(1, np.uint8) for _ in range(4))
+    for l, words, index in ((9, (0, 1), 0), (-1, (0, 1), 0), (4, (0,), 0), (4, (0, 1), 1)):
+        with pytest.raises(ValueError, match="^no stage 2 from"):
+            _native.complete(8, 1, 1, 1, 0, prefixes, l, words, index)
+    assert _native.complete(8, 1, 1, 1, 0, prefixes, 8, (0, 1), 0) == ([], 0)
