@@ -28,7 +28,6 @@ column enumerator that every other instance uses.
 
 from __future__ import annotations
 
-import array
 import ctypes
 import os
 import platform
@@ -128,7 +127,7 @@ def _load(path: str) -> tuple:
     lanes.argtypes = [u64, u64, u32, u32, u32, u32, u32, ctypes.c_void_p, u64,
                       ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(u64)]
     lanes.restype = u64
-    stream.argtypes = [u64, u32, u64, u64, u64, ctypes.POINTER(u64), ctypes.POINTER(u64)]
+    stream.argtypes = [u64, u32, u64, u64, u64, ctypes.POINTER(u64), ptr]
     stream.restype = None
     complete.argtypes = [u64, u32, u32, u64, u64, u64, u64, ptr, ptr, u64, ptr, u64,
                          ctypes.POINTER(u64)]
@@ -226,25 +225,24 @@ def stream(w: int, c1: int, c3: int, cc: int, state, n: int):
     four words, at width w, by ``tf1_stream``; or None where the library
     cannot be built.
 
-    An iterator of ints, computed in calls of _FIRST words, then twice as
-    many each call up to _BLOCK, each into a buffer of its own size.
+    An iterator of uint64 arrays, one a call: _FIRST words, then twice as
+    many each call up to _BLOCK, each into an array of its own.
     """
     try:
         kernel = _library()[1]
     except KernelBuildError:
         return None
-    return _words(kernel, w, c1, c3, cc, state, n)
+    return _blocks(kernel, w, c1, c3, cc, state, n)
 
 
-def _words(kernel, w, c1, c3, cc, state, n):
+def _blocks(kernel, w, c1, c3, cc, state, n):
     words = (ctypes.c_uint64 * 4)(*state)
     done, size = 0, _FIRST
     while done < n:
         size = min(size, n - done)
-        out = (ctypes.c_uint64 * size)()
-        kernel(size, w, c1, c3, cc, words, out)
-        # a view in the native format, whose tolist() is one C loop
-        yield from memoryview(out).cast("B").cast("Q").tolist()
+        out = np.empty(size, np.uint64)
+        kernel(size, w, c1, c3, cc, words, out.ctypes.data)
+        yield out
         done += size
         size = min(2 * size, _BLOCK)
 
@@ -256,11 +254,12 @@ def complete(w: int, c1: int, c3: int, cc: int, x: int, prefixes, l: int, words,
 
     ``prefixes`` holds the survivors' (a, b, c, d) words as four arrays,
     l-column prefixes with t2 = x on l columns; the event word is
-    words[index], and the tail runs from it to the end of ``words``, which
-    goes to the entry once, as uint64.  Returns (the states found as (a, b,
-    c, d) rows, in search order; the walks' charge), where the charge
-    leaves out the one step for the first tail word that each candidate
-    costs.
+    words[index], and the tail runs from it to the end of ``words``, a
+    keystream's word memoryview or array, which goes to the entry once, as
+    uint64: a view of the words where they are uint64 already (w > 32), a
+    copy of the tail otherwise.  Returns (the states found as (a, b, c, d)
+    rows, in search order; the walks' charge), where the charge leaves out
+    the one step for the first tail word that each candidate costs.
     """
     # the entry reads the first tail word, and recurses from column l to w
     if not 0 <= l <= w or not 0 <= index < len(words) - 1:
@@ -270,7 +269,7 @@ def complete(w: int, c1: int, c3: int, cc: int, x: int, prefixes, l: int, words,
     except KernelBuildError:
         return None
     pre = np.stack(prefixes, axis=1).astype(np.uint64)
-    tail = np.frombuffer(array.array("Q", words[index:]), np.uint64)
+    tail = np.asarray(words[index:], np.uint64)
     found, charge = np.empty((_STATES, 4), np.uint64), ctypes.c_uint64()
     while True:
         n = kernel(len(pre), l, w, c1, c3, cc, x, pre.ctypes.data, tail.ctypes.data, tail.size - 1,

@@ -35,9 +35,10 @@ oracle is the reference up to w = 8.  Above it the tests hold the lane
 kernel to the plain filter on the same candidates and the standard
 generator's compiled, pruned stage 2 to that of its generic twin, which
 runs on the column enumerator and does not prune.  Every full-state check
-of a single state reads the generator's one output stream, ``_stream``,
-which steps every instance through its word functions and runs the
-standard generator compiled.  A truncated evaluation passes low_mask(l)
+of a single state reads the generator's output stream: the standard
+generator's compiled blocks from ``_stream``, compared a block at a time
+with the keystream's word array, or every other instance's words from its
+word functions, one at a time.  A truncated evaluation passes low_mask(l)
 to the same word functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
@@ -76,7 +77,7 @@ step per word, the first tail word included: t2 = X pins only the factor
 S(X) of the event word, and unless X = 0 its other factor reads b and d.
 The walkers step together as arrays, through the instance's t1_words and
 output word, until at most a few are left; each of those then walks on
-alone through ``_stream``.  On both paths each candidate is charged
+alone with ``_walk_tail``.  On both paths each candidate is charged
 min(first mismatching word, tail length), so every other one counts one
 step, as in a walk from every completion, and neither the pruning nor
 where the arrays stop changes a counter.
@@ -84,7 +85,6 @@ where the arrays stop changes a counter.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import time
@@ -103,6 +103,7 @@ from .generator import (
     Tf1Params,
     _instance_out,
     _int_state,
+    _steps,
     _stream,
     instance_output,
     tf1_instance,
@@ -266,14 +267,7 @@ def find_zero_outputs(ks: Keystream, limit: int | None = None) -> list[int]:
     """Ascending positions of exact-zero output words, at most ``limit``."""
     if limit is not None and check_int(limit, "limit") < 1:
         raise ValueError("limit must be >= 1")
-    out = []
-    i = -1
-    # tuple.index scans in C; it raises ValueError past the last zero
-    with contextlib.suppress(ValueError):
-        while limit is None or len(out) < limit:
-            i = ks.words.index(0, i + 1)
-            out.append(i)
-    return out
+    return np.flatnonzero(np.asarray(ks.words) == 0)[:limit].tolist()
 
 
 def enumerate_preimages_dfs(
@@ -436,9 +430,6 @@ def recover(
                 verified_words=tail_len,
                 mode=cfg.enumeration_mode,
             )
-    # no state emits a word outside the width; looked for only on failure,
-    # so a successful recover pays nothing for it
-    spec.check_words(words)
     raise ParamsMismatch(
         "no candidate state reproduces the keystream at any zero position; "
         "the constants or the instance do not match the stream"
@@ -593,7 +584,7 @@ def _run_stage2(
     prefixes: tuple,
     l: int,
     instance: GeneratorInstance,
-    words: tuple[int, ...],
+    words: memoryview,
     index: int,
     x: int,
 ) -> tuple[list[State], int, int]:
@@ -738,11 +729,23 @@ def _walk_tail(
     """Roll ``state``, the emitter of words[lo], forward and match words[lo+1 ..].
 
     Returns (matched, output words computed): (False, j) at the first
-    mismatch, at words[lo+j], else (True, len(words) - 1 - lo).  The words
-    come from the generator's one output stream, one per tail word read.
+    mismatch, at words[lo+j], else (True, len(words) - 1 - lo).  The
+    standard generator's words come from its compiled stream, each block
+    compared with the words it stands for at once; every other instance's
+    come from its word functions, one per tail word read.
     """
-    stream = _stream(state, instance, len(words) - 1 - lo)
-    for j in range(lo + 1, len(words)):
-        if next(stream) != words[j]:
-            return False, j - lo
-    return True, len(words) - 1 - lo
+    tail = words[lo + 1 :]
+    blocks = _stream(state, instance, len(tail))
+    if blocks is None:
+        for j, (got, want) in enumerate(zip(_steps(state, instance, len(tail)), tail), 1):
+            if got != want:
+                return False, j
+        return True, len(tail)
+    tail = np.asarray(tail)
+    done = 0
+    for block in blocks:
+        miss = np.flatnonzero(block != tail[done : done + block.size])
+        if miss.size:
+            return False, done + int(miss[0]) + 1
+        done += block.size
+    return True, done

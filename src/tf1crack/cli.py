@@ -8,12 +8,14 @@ the first line is the header "# w=N"; otherwise the width is inferred from
 the digit count.  The reader takes exactly ceil(w/4) digits [0-9a-fA-F] per
 line: no sign, prefix or underscore.
 
-The bin reader converts the whole payload in one numpy pass; the hex
-reader and both writers convert in blocks of 2**16 words.  A hex line that
-holds exactly ceil(w/4) digits and nothing else is decoded in its block;
-every other line (comments, blank or padded lines, bad lines, the lines
-before the width is known) goes through the per-line rule in line order,
-so the first bad line is the one reported.
+The writers read the keystream's word array, and the readers build one
+array that the keystream keeps: the bin reader converts the whole payload
+in one numpy pass; the hex reader and both writers convert in blocks of
+2**16 words.  A hex line that holds exactly ceil(w/4) digits and nothing
+else is decoded in its block, with no Python int per word; every other
+line (comments, blank or padded lines, bad lines, the lines before the
+width is known) goes through the per-line rule in line order, so the
+first bad line is the one reported.
 
 Exit codes: 0 success, 1 attack-level failure (no zero word, hopeless tail,
 survivor overflow, mismatched constants), 2 usage or input-format problems,
@@ -106,27 +108,20 @@ def write_keystream(ks: Keystream, destination, fmt: str = "bin") -> int:
     """Serialize a keystream; returns the byte count written.
 
     ``destination`` may be a path or '-' for stdout (hex only makes sense
-    there).  A word outside the width raises ValueError before anything
-    is written.
+    there).
     """
-    spec, words = ks.spec, ks.words
+    spec = ks.spec
     dtype = word_dtype(spec.width).newbyteorder("<")
-    # one conversion and one array max; the index is looked for only on
-    # failure, and a negative or container-overflowing word fails the conversion
-    try:
-        array = np.fromiter(words, dtype, len(words))
-    except OverflowError:
-        array = None
-    if array is None or (words and array.max() > spec.mask):
-        spec.check_words(words)
-    blocks = (array[i : i + _BLOCK] for i in range(0, len(words), _BLOCK))
+    # the keystream's own array on a little-endian machine
+    array = np.asarray(ks.words).astype(dtype, copy=False)
+    blocks = (array[i : i + _BLOCK] for i in range(0, array.size, _BLOCK))
     if fmt == "bin":
         nb = _word_bytes(spec.width)
-        head = _HEADER.pack(MAGIC, VERSION, spec.width, 0, len(words))
+        head = _HEADER.pack(MAGIC, VERSION, spec.width, 0, array.size)
         body = (block.view(np.uint8).reshape(-1, dtype.itemsize)[:, :nb].tobytes() for block in blocks)
     elif fmt == "hex":
         digits = spec.hex_digits
-        head = (f"# w={spec.width}\n" if 4 * digits != spec.width or not words else "").encode()
+        head = (f"# w={spec.width}\n" if 4 * digits != spec.width or not array.size else "").encode()
         body = (_hex_lines(block, digits) for block in blocks)
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'bin' or 'hex'")
@@ -194,28 +189,43 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
         if above.size:
             i = int(above[0])
             raise FormatError(f"{source}: word {i} is {int(words[i]):#x}, above the width-{spec.width} mask")
-        return Keystream(spec, words.tolist())
+        return _keep(spec, words)
     if fmt == "hex":
         # read_text decodes and translates line endings as iterating open()
         # does; an undecodable byte becomes U+FFFD, so a data line holding
         # one (a bin file without its magic, say) fails as not hexadecimal.
-        # Line i is text[cuts[i] + 1 : cuts[i + 1]]
+        # Line i ends at ends[i], and the last line at the end of the text
         text = Path(source).read_text(errors="replace").encode()
         chars = np.frombuffer(text, np.uint8)
-        cuts = np.concatenate(([-1], np.flatnonzero(chars == ord("\n")), [len(text)]))
-        line_count = len(cuts) - 1
+        ends = np.flatnonzero(chars == ord("\n"))
+        line_count = len(ends) + 1
+
+        def bounds(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            """Where lines start .. stop-1 begin and end in ``text``."""
+            end = ends[start:stop]
+            if stop == line_count:
+                end = np.append(end, len(text))
+            begin = np.empty_like(end)
+            begin[0] = ends[start - 1] + 1 if start else 0
+            begin[1:] = end[:-1] + 1
+            return begin, end
+
         spec = word = None
         first = 0
         while spec is None and first < line_count:
-            spec, word = _hex_line(source, first + 1, text[cuts[first] + 1 : cuts[first + 1]].decode(), None)
+            begin, end = bounds(first, first + 1)
+            spec, word = _hex_line(source, first + 1, text[begin[0] : end[0]].decode(), None)
             first += 1
         if spec is None:
             raise FormatError(f"{source}: no data lines; width cannot be inferred")
-        words = [] if word is None else [word]
         digits, dtype = spec.hex_digits, word_dtype(spec.width).newbyteorder("<")
+        # room for one word a line; the words fill it from the front
+        words = np.empty(line_count - first + 1, dtype)
+        count = 0
+        if word is not None:
+            words[0], count = word, 1
         for start in range(first, line_count, _BLOCK):
-            stop = min(start + _BLOCK, line_count)
-            begin, end = cuts[start:stop] + 1, cuts[start + 1 : stop + 1]
+            begin, end = bounds(start, min(start + _BLOCK, line_count))
             # regular lines: exactly `digits` hex digits and nothing else
             fits = np.flatnonzero(end - begin == digits)
             at = begin[fits]
@@ -235,9 +245,18 @@ def read_keystream(source, fmt: str = "bin") -> Keystream:
                 _, word = _hex_line(source, start + i + 1, text[begin[i] : end[i]].decode(), spec)
                 if word is not None:
                     block[i], keep[i] = word, True
-            words += block[keep].tolist()
-        return Keystream(spec, words)
+            kept = block[keep]
+            words[count : count + kept.size] = kept
+            count += kept.size
+        return _keep(spec, words[:count])
     raise ValueError(f"unknown format {fmt!r}; expected 'bin' or 'hex'")
+
+
+def _keep(spec: WordSpec, words: np.ndarray) -> Keystream:
+    """A keystream that holds ``words``, an array of the word dtype that
+    nothing else holds, with no copy."""
+    words.flags.writeable = False
+    return Keystream(spec, words)
 
 
 def _parse_hex_fields(text: str, spec: WordSpec, what: str, names) -> list[int]:
@@ -398,7 +417,7 @@ def _read_for(args) -> Keystream:
     with open(args.infile, "rb") as handle:
         fmt = "bin" if handle.read(len(MAGIC)) == MAGIC else "hex"
     ks = read_keystream(args.infile, fmt)
-    if not ks.words:
+    if len(ks) == 0:
         raise ValueError("keystream is empty")
     if args.w is not None and ks.spec.width != args.w:
         raise FormatError(

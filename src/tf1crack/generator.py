@@ -24,9 +24,11 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+import numpy as np
+
 from . import _native
 from .rng import SplitMix64
-from .word import WordSpec, check_int, low_mask
+from .word import WordSpec, check_int, low_mask, word_dtype
 
 __all__ = [
     "State",
@@ -121,16 +123,65 @@ class ColumnPrefix:
 
 @dataclass(frozen=True)
 class Keystream:
-    """An ordered run of output words plus the width they were produced at."""
+    """An ordered run of output words plus the width they were produced at.
+
+    The words are stored once, as a C-contiguous read-only array of
+    ``word_dtype(w)``, and ``words`` is a read-only memoryview of it:
+    indexing and iterating it give ints, a slice copies nothing, ``==``
+    compares the words and gives a bool, and ``np.asarray(ks.words)`` is
+    the array itself.  ``words`` may be given as a tuple, a list, an
+    integer ndarray or a memoryview; a word outside the width raises
+    ValueError naming it.  A read-only array of ``word_dtype(w)`` is kept
+    as it is, and anything else copied once.  A keystream is not hashable,
+    at any width.
+    """
 
     spec: WordSpec
-    words: tuple[int, ...]
+    words: memoryview
+
+    __hash__ = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(self.words))
+        object.__setattr__(self, "words", memoryview(_word_array(self.spec, self.words)))
 
     def __len__(self) -> int:
         return len(self.words)
+
+    def __repr__(self) -> str:
+        return f"Keystream(width={self.spec.width}, {len(self)} words)"
+
+    def __reduce__(self):
+        return Keystream, (self.spec, np.asarray(self.words))
+
+
+def _word_array(spec: WordSpec, words) -> np.ndarray:
+    """``words`` as a C-contiguous read-only array of ``word_dtype(w)``,
+    the array itself where it already is one."""
+    dtype = word_dtype(spec.width)
+    given = np.asarray(words) if isinstance(words, (np.ndarray, memoryview)) else None
+    if given is not None and given.dtype.kind not in "iuO":
+        raise TypeError(f"keystream words must be integers, got an array of {given.dtype}")
+    if given is not None and given.dtype.kind != "O":
+        if given.ndim != 1:
+            raise ValueError(f"keystream words must be one-dimensional, got shape {given.shape}")
+        # only the word dtype itself, at full width, holds no word outside it
+        if given.dtype != dtype or spec.width < 8 * dtype.itemsize:
+            spec.check_words(given)
+        array = given.astype(dtype, order="C", copy=False)
+        if array is given and array.flags.writeable:
+            array = array.copy()
+    else:
+        # a negative or container-overflowing word fails the conversion
+        try:
+            array = np.fromiter(words, dtype, len(words))
+        except OverflowError:
+            spec.check_words(words)
+            raise
+        if spec.width < 8 * dtype.itemsize:
+            spec.check_words(array)
+    array.flags.writeable = False
+    # the native byte-order dtype, whose memoryview format is one letter (H, not <H)
+    return array.view(dtype)
 
 
 @dataclass(frozen=True)
@@ -292,11 +343,24 @@ def instance_output(state: State, instance: GeneratorInstance) -> int:
 def generate_from_instance(seed: State, instance: GeneratorInstance, n: int) -> Keystream:
     """Like ``generate`` but through an instance's word functions.
 
-    A seed word outside the width raises ValueError.
+    The words go straight into one array of ``word_dtype(w)``.  A seed
+    word outside the width raises ValueError.
     """
     if check_int(n, "n") < 0:
         raise ValueError("n must be >= 0")
-    return Keystream(instance.spec, tuple(_stream(_int_state(seed, instance.spec), instance, n)))
+    spec = instance.spec
+    state = _int_state(seed, spec)
+    blocks = _stream(state, instance, n)
+    if blocks is None:
+        words = np.fromiter(_steps(state, instance, n), word_dtype(spec.width), n)
+    else:
+        words = np.empty(n, word_dtype(spec.width))
+        done = 0
+        for block in blocks:
+            words[done : done + block.size] = block
+            done += block.size
+    words.flags.writeable = False
+    return Keystream(spec, words)
 
 
 def _int_state(state: State, spec: WordSpec) -> State:
@@ -306,31 +370,29 @@ def _int_state(state: State, spec: WordSpec) -> State:
     return State(*(spec.check_word(operator.index(v), name) for name, v in zip("abcd", state.words())))
 
 
-def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
-    """The first n output words after ``state``: one update and one emit each.
+def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[np.ndarray] | None:
+    """The standard generator's first n output words after ``state``, one
+    update and one emit each, as uint64 blocks; None for every other
+    instance, whose words ``_steps`` gives.
 
-    The one stream of a single state: generation and the attack's tail
-    walks read it, each passing the number of words it reads at most; the
-    compiled stage 2 walks the standard generator's completions itself.
     The standard generator, marked ``tf1_native`` by ``tf1_instance``
-    alone, runs compiled, through ``_native.stream``, whose calls start
-    small, so a wrong state in a tail walk computes few words past its
-    first mismatch.  Every other instance, a replaced copy
-    of the standard one included, steps plain ints through its own
-    ``t1_words`` and ``_instance_out``, and so emits the stream of the maps
-    it holds; so does the standard generator where the compiled library
-    cannot be built.
+    alone, runs compiled, through ``_native.stream``, whose blocks start at
+    16 words and double, so a wrong state in a tail walk computes few
+    words past its first mismatch.  Where the compiled library cannot be
+    built this is None too, and the standard generator steps its word
+    functions like every other instance, a replaced copy of the standard
+    one included.  Generation and the attack's tail walks read the stream;
+    the compiled stage 2 walks the standard generator's completions itself.
     """
-    if instance.tf1_native:
-        p = instance.params
-        words = _native.stream(p.spec.width, p.c1, p.c3, p.c, state.words(), n)
-        if words is not None:
-            return words
-    return _steps(state, instance, n)
+    if not instance.tf1_native:
+        return None
+    p = instance.params
+    return _native.stream(p.spec.width, p.c1, p.c3, p.c, state.words(), n)
 
 
 def _steps(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
-    """``_stream`` on the instance's word functions."""
+    """The first n output words after ``state`` as ints, from the
+    instance's word functions: the stream of the maps it holds."""
     m, h = instance.spec.mask, instance.spec.half
     a, b, c, d = state.words()
     t1_words, t2_words, f_words = instance.t1_words, instance.t2_words, instance.f_words

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .generator import (
     GeneratorInstance,
     Keystream,
@@ -154,6 +156,6 @@ def zero_frequency(ks: Keystream) -> tuple[int, float]:
     """Count of exact-zero words and their rate; expectation is 2**-w per word."""
     if len(ks) == 0:
         raise ValueError("keystream is empty")
-    zeros = ks.words.count(0)
+    zeros = len(ks) - int(np.count_nonzero(ks.words))
     return zeros, zeros / len(ks)
 

@@ -49,10 +49,18 @@ class WordSpec:
         return x
 
     def check_words(self, words) -> None:
-        """Raise ValueError naming the first of ``words`` outside the width, if any."""
-        for i, x in enumerate(words):
-            if not 0 <= x <= self.mask:
-                raise ValueError(f"word {i} is {x:#x}, outside the width-{self.width} range")
+        """Raise ValueError naming the first of ``words`` outside the width, if
+        any: an integer array, checked by its min and max, which allocate
+        nothing, or a sequence of ints."""
+        if isinstance(words, np.ndarray):
+            first = None
+            if words.size and (words.min() < 0 or words.max() > self.mask):
+                i = int(np.flatnonzero((words < 0) | (words > self.mask))[0])
+                first = i, int(words[i])
+        else:
+            first = next(((i, x) for i, x in enumerate(words) if not 0 <= x <= self.mask), None)
+        if first is not None:
+            raise ValueError(f"word {first[0]} is {first[1]:#x}, outside the width-{self.width} range")
 
 
 def check_int(value, name: str) -> int:

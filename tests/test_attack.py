@@ -328,7 +328,7 @@ def test_walk_tail_counts_the_words_it_computes():
             assert attack._walk_tail(emitters[lo + 1], inst, words, lo) == (True, tail)
             seams = [e + d for e in (*ends[:2], *ends[-3:-1]) for d in (-1, 0, 1)]
             for j in (1, 2, tail // 2, *(j for j in seams if j < tail), tail - 1, tail):
-                flipped = words[: lo + j] + (words[lo + j] ^ 1,) + words[lo + j + 1 :]
+                flipped = Keystream(W8, (*words[: lo + j], words[lo + j] ^ 1, *words[lo + j + 1 :])).words
                 assert attack._walk_tail(emitters[lo + 1], inst, flipped, lo) == (False, j)
         assert attack._walk_tail(emitters[-1], inst, words, len(words) - 1) == (True, 0)
 
@@ -392,7 +392,7 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
         twin = dataclasses.replace(inst)
         x = rng.below(1 << w)
         truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
-        words = (instance_output(truth, inst),) + generate(truth, params, 3).words
+        words = (instance_output(truth, inst), *generate(truth, params, 3).words)
         k = spec.half + 1 if w < 16 else 12
         wrong = dataclasses.replace(state_prefix(truth, k), b_low=truth.b & low_mask(k) ^ 1)
         survivors = [state_prefix(truth, k), wrong]
@@ -430,7 +430,7 @@ def test_stage2_columns_match_dfs_over_random_constants(monkeypatch):
             twin = dataclasses.replace(inst)
             for x in (0, rng.below(1 << w)):
                 truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
-                words = (instance_output(truth, inst),) + generate(truth, params, 2).words
+                words = (instance_output(truth, inst), *generate(truth, params, 2).words)
                 prefixes = attack._to_arrays(spec, [state_prefix(truth, l).words()])
                 want = attack._run_stage2(prefixes, l, twin, words, 0, x)
                 assert attack._run_stage2(prefixes, l, inst, words, 0, x) == want
@@ -512,7 +512,7 @@ def test_stage2_array_walk_charges_what_the_walk_charges(monkeypatch):
                 continue
             x = rng.below(1 << w)
             truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
-            planted = (instance_output(truth, inst),) + generate(truth, params, 3 * k).words
+            planted = (instance_output(truth, inst), *generate(truth, params, 3 * k).words)
             for x, words, at in ((0, ks.words, zero), (x, planted, 0)):
                 bits = [word & 1 for word in words[at + 1 : at + 1 + 3 * k]]
                 survivors = attack._run_stage1(inst, k, x, bits, AttackConfig())[0]
@@ -573,7 +573,7 @@ def test_stage2_complete_rejects_malformed_survivor():
             stage2_complete(wide_a, P8, inst, ks, zero_index, cfg)
     # a state that emits zero, behind a keystream word that is not zero
     truth = next(states_with_inner_word(W8, 99, 1, 0))
-    ks = Keystream(W8, (0x5A,) + generate(truth, P8, 64).words)
+    ks = Keystream(W8, (0x5A, *generate(truth, P8, 64).words))
     assert not verify_state(truth, P8, ks, 0, 64)
     for mode in ("trivial", "dfs"):
         cfg = AttackConfig(enumeration_mode=mode)
@@ -886,13 +886,12 @@ def test_recover_params_mismatch():
 
 
 def test_recover_names_a_keystream_word_outside_the_width():
-    # no state emits 0x3e7 at w=8, so every event fails; the error names
-    # the word rather than the constants, in both modes
+    # no state emits 0x3e7 at w=8; a keystream holding it is refused as it
+    # is built, naming the word rather than the constants, so no recover,
+    # in either mode, ever sees it
     ks = generate(state_from_seed(1, W8), P8, 4096)
-    bad = Keystream(W8, ks.words[:-1] + (0x3E7,))
-    for mode in ("trivial", "dfs"):
-        with pytest.raises(ValueError, match="^word 4095 is 0x3e7, outside the width-8 range$"):
-            recover(bad, tf1_instance(P8), cfg=AttackConfig(enumeration_mode=mode))
+    with pytest.raises(ValueError, match="^word 4095 is 0x3e7, outside the width-8 range$"):
+        Keystream(W8, (*ks.words[:-1], 0x3E7))
 
 
 def test_recover_survivor_overflow(monkeypatch):
@@ -1163,7 +1162,7 @@ def test_event_at_a_nonzero_inner_word_end_to_end():
         twin = dataclasses.replace(inst)
         x = 1 + rng.below(spec.mask)
         truth = next(states_with_inner_word(spec, rng.next64(), 1, x))
-        stream = (instance_output(truth, inst),) + generate(truth, params, 4 * w).words
+        stream = (instance_output(truth, inst), *generate(truth, params, 4 * w).words)
         tails = (len(stream) - 1,)
         if w == 4:
             tails = (1, 2, 3, len(stream) - 1)
@@ -1238,14 +1237,14 @@ def test_trivial_mode_width_limit():
     w64 = WordSpec(64)
     p64 = default_params(w64)
     truth = next(states_with_inner_word(w64, 64, 1, 0))  # emits the zero word
-    ks = Keystream(w64, (0,) + generate(truth, p64, 4).words)
+    ks = Keystream(w64, (0, *generate(truth, p64, 4).words))
     assert truth in stage2_complete(state_prefix(truth, 63), p64, tf1_instance(p64), ks, 0)
     # w=44 is accepted, and the kernels still decode the top of their ranges
     w44 = WordSpec(44)
     p44 = default_params(w44)
     inst = tf1_instance(p44)
     truth = next(states_with_inner_word(w44, 44, 1, 0))  # emits the zero word
-    ks = Keystream(w44, (0,) + generate(truth, p44, 4).words)
+    ks = Keystream(w44, (0, *generate(truth, p44, 4).words))
     last = state_prefix(truth, 43)
     got = stage2_complete(last, p44, inst, ks, 0)
     assert truth in got

@@ -546,7 +546,7 @@ def test_run_oracle_zero_index(tmp_path, capsys):
     ks = generate(state_from_seed(1, W4), default_params(W4), 256)
     path = tmp_path / "k4.bin"
     write_keystream(ks, path, "bin")
-    first = ks.words.index(0)
+    first = list(ks.words).index(0)
     assert run(["oracle", "--in", str(path)]) == 0
     default = capsys.readouterr()
     assert run(["oracle", "--in", str(path), "--zero-index", str(first)]) == 0

@@ -131,7 +131,7 @@ def test_generate_examples():
     p = default_params(W8)
     assert len(generate(State(1, 2, 3, 4), p, 0)) == 0
     p_c1 = Tf1Params(c1=p.c1, c3=p.c3, c=1, spec=W8)
-    assert generate(State(0, 0, 0, 0), p_c1, 1).words == (0x10,)
+    assert tuple(generate(State(0, 0, 0, 0), p_c1, 1).words) == (0x10,)
     a = generate(State(9, 9, 9, 9), p, 64)
     b = generate(State(9, 9, 9, 9), p, 64)
     assert a == b
@@ -381,7 +381,7 @@ def test_compiled_stream_matches_the_word_function_stream():
         seed = state_from_seed(rng.next64(), spec)
         want = generate_from_instance(seed, dataclasses.replace(native), lengths[-1]).words
         for n in lengths:
-            assert tuple(_stream(seed, native, n)) == want[:n], (w, n)
+            assert [word for block in _stream(seed, native, n) for word in block.tolist()] == want[:n].tolist(), (w, n)
             assert generate(seed, params, n).words == want[:n], (w, n)
 
 
@@ -405,8 +405,112 @@ def test_column_prefix_validation():
 def test_keystream_container():
     # ``words`` is the one read path: no indexing or iteration of the container
     ks = Keystream(W8, [1, 2, 3])
-    assert len(ks) == 3 and ks.words == (1, 2, 3)
+    assert len(ks) == 3 and tuple(ks.words) == (1, 2, 3)
     assert not hasattr(ks, "__getitem__") and not hasattr(ks, "__iter__")
+    # a read-only memoryview of one C-contiguous array of word_dtype(w)
+    assert isinstance(ks.words, memoryview) and ks.words.readonly and ks.words.c_contiguous
+    assert np.asarray(ks.words).dtype == np.uint8
+    assert [type(word) for word in ks.words] == [int] * 3 and type(ks.words[0]) is int
+
+
+def test_keystream_words_are_read_only():
+    ks = generate(state_from_seed(1, W16), default_params(W16), 40)
+    with pytest.raises(TypeError):
+        ks.words[0] = 1
+    with pytest.raises(ValueError):
+        np.asarray(ks.words)[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ks.words = memoryview(b"")
+    # a writeable array is copied, so that writing to it later changes nothing
+    source = np.arange(5, dtype=np.uint16)
+    ks = Keystream(W16, source)
+    source[0] = 9
+    assert tuple(ks.words) == (0, 1, 2, 3, 4)
+
+
+def test_keystream_inputs_compare_equal():
+    # a tuple, a list, an ndarray of any integer dtype and a memoryview give
+    # the same keystream; a read-only array of the word dtype is kept as it
+    # is, as is a slice of another keystream's words
+    words = (3, 0, 65535, 7)
+    array = np.array(words, np.uint16)
+    array.flags.writeable = False
+    forms = [words, list(words), np.array(words, np.int64), np.array(words, np.uint64), array,
+             memoryview(array), Keystream(W16, words).words]
+    built = [Keystream(W16, form) for form in forms]
+    assert all(ks == built[0] for ks in built) and all(type(ks == built[0]) is bool for ks in built)
+    assert np.shares_memory(np.asarray(Keystream(W16, array).words), array)
+    whole = Keystream(W16, words)
+    part = Keystream(W16, whole.words[1:3])
+    assert tuple(part.words) == (0, 65535)
+    assert np.shares_memory(np.asarray(part.words), np.asarray(whole.words))
+    assert Keystream(W16, whole.words[::2]) == Keystream(W16, (3, 65535))
+    assert Keystream(W16, words) != Keystream(W16, (3, 0, 65535, 8))
+    # the same words at another width are another keystream
+    assert Keystream(W8, (1, 2)) != Keystream(W16, (1, 2))
+    assert Keystream(W16, (1, 2)) != Keystream(WordSpec(32), (1, 2))
+
+
+def test_keystream_rejects_words_outside_the_width():
+    # every input form names the lowest bad word with the same message
+    w64 = WordSpec(64)
+    cases = [
+        (W8, (1, 300, 2), "word 1 is 0x12c"),
+        (W8, (5, 7, -1), "word 2 is -0x1"),
+        (WordSpec(10), (3, 1024), "word 1 is 0x400"),
+        (w64, (3, 1 << 64, -1), "word 1 is 0x10000000000000000"),
+        (w64, (3, 5, -2), "word 2 is -0x2"),
+    ]
+    for spec, words, shown in cases:
+        forms = [words, list(words)]
+        if all(-(1 << 63) <= x < 1 << 63 for x in words):
+            forms += [np.array(words, np.int64), memoryview(np.array(words, np.int64))]
+        for form in forms:
+            with pytest.raises(ValueError) as err:
+                Keystream(spec, form)
+            assert str(err.value) == f"{shown}, outside the width-{spec.width} range"
+    with pytest.raises(ValueError, match="word 0 is 0x10, outside the width-4 range"):
+        Keystream(W4, np.array([16, 1], np.uint8))
+    with pytest.raises(TypeError, match="must be integers"):
+        Keystream(W8, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Keystream(W8, np.zeros((2, 2), np.uint8))
+
+
+def test_keystream_hash_and_repr_do_not_depend_on_the_width():
+    # unhashable at every width (a memoryview hashes at w=8 alone); the repr
+    # gives the width and the word count, not the memoryview's address
+    for spec in (W8, W16, WordSpec(64)):
+        ks = Keystream(spec, (1, 2, 3))
+        with pytest.raises(TypeError):
+            hash(ks)
+        assert repr(ks) == f"Keystream(width={spec.width}, 3 words)"
+        assert "0x" not in repr(ks)
+
+
+def test_keystream_full_width_words_round_trip():
+    # words of 2**63 and above at w=64, through the container, pickle and copy
+    import copy
+    import pickle
+
+    w64 = WordSpec(64)
+    words = (1 << 63, (1 << 64) - 1, 0, (1 << 63) + 5)
+    ks = Keystream(w64, words)
+    assert tuple(ks.words) == words and ks.words[1] == (1 << 64) - 1
+    assert np.asarray(ks.words).dtype == np.uint64
+    for back in (pickle.loads(pickle.dumps(ks)), copy.deepcopy(ks)):
+        assert back == ks and back.words.readonly
+
+
+def test_generated_stream_array_is_its_words_alone():
+    # 2**24 words at w=24 are one array of 4-byte words, 64 MiB, and no more
+    w24 = WordSpec(24)
+    ks = generate(state_from_seed(1, w24), default_params(w24), 1 << 24)
+    assert np.asarray(ks.words).dtype == np.uint32 and ks.words.nbytes == 64 << 20
+    root = ks.words.obj
+    while root.base is not None:
+        root = root.base
+    assert root.nbytes == 64 << 20
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.integers(min_value=1, max_value=16))
