@@ -1,7 +1,10 @@
 /* The TF-1 generator's three compiled paths: the standard generator's output
 stream (tf1_stream), trivial-mode stage 1 of the attack, the lane-sliced
 filter (tf1_lanes), and the attack's stage 2 for the standard generator
-(tf1_complete).  All step the update rows of TF1_ROWS.
+(tf1_complete), whose tail walk verify_state runs too, on one full-width
+state.  All step the update rows of TF1_ROWS.  The stream and the walk
+write and read a keystream's own words in place, in the narrowest unsigned
+type that holds w bits: 1, 2, 4 or 8 bytes a word, as the caller says.
 
 Stage 1 takes every k-column candidate (a, b, c, d), k = w/2 + 1, with
 (a + c) mod 2^k = X, steps it once per observed tail bit with the update
@@ -83,7 +86,11 @@ keeps the completions that reproduce the tail.  Its rules:
     words after the first that it computed; one that matches the whole
     tail of n words is charged n - 1 and is found.  The caller adds the
     one step for the first tail word that each of the 8^(w-l) candidates
-    of a survivor costs.
+    of a survivor costs;
+  - a prefix of l = w columns is a full state, which goes straight to the
+    walk: verify_state's walk of one state is this call.  The search
+    reads the event word and the first tail word once, so only the walk
+    reads the tail by its word size.
 
 Build: cc -O3 -march=native -shared -fPIC (see _native.py). */
 
@@ -222,11 +229,25 @@ static inline uint64_t out_word(uint64_t a, uint64_t b, uint64_t c, uint64_t d, 
     return ((x >> h | x << h) * (y >> h | y << h | 1)) & m;
 }
 
+/* Word i of an array of words of size bytes each, 1, 2, 4 or 8; a store
+   keeps the low 8 * size bits of v. */
+static inline uint64_t load(const void *p, uint64_t i, int size)
+{
+    return size == 1 ? ((const uint8_t *)p)[i] : size == 2 ? ((const uint16_t *)p)[i]
+         : size == 4 ? ((const uint32_t *)p)[i] : ((const uint64_t *)p)[i];
+}
+
+static inline void store(void *p, uint64_t i, int size, uint64_t v)
+{
+    if (size == 1) ((uint8_t *)p)[i] = v; else if (size == 2) ((uint16_t *)p)[i] = v;
+    else if (size == 4) ((uint32_t *)p)[i] = v; else ((uint64_t *)p)[i] = v;
+}
+
 /* The standard generator at width w (4 to 64), stepped n times from
-   state[0..3]: writes the n output words S(a+c) * (S(b+d) | 1) to out[]
-   and the last state back to state[]. */
-void tf1_stream(uint64_t n, uint32_t w, uint64_t c1, uint64_t c3, uint64_t cc, uint64_t *state,
-                uint64_t *out)
+   state[0..3]: writes the n output words S(a+c) * (S(b+d) | 1) to out[],
+   words of size bytes each, the narrowest that holds w bits. */
+void tf1_stream(uint64_t n, uint32_t w, uint64_t c1, uint64_t c3, uint64_t cc, const uint64_t *state,
+                void *out, uint32_t size)
 {
     const uint64_t m = ~0ull >> (64 - w);
     const int h = w / 2;
@@ -237,19 +258,16 @@ void tf1_stream(uint64_t n, uint32_t w, uint64_t c1, uint64_t c3, uint64_t cc, u
         b = nb & m;
         c = nc & m;
         d = nd & m;
-        out[i] = out_word(a, b, c, d, h, m);
+        store(out, i, size, out_word(a, b, c, d, h, m));
     }
-    state[0] = a;
-    state[1] = b;
-    state[2] = c;
-    state[3] = d;
 }
 
 /* One stage-2 search: the constants, the tail and what it found so far. */
 struct search {
-    int w, h;
+    int w, h, size;
     uint64_t c1, c3, cc, x, mask;
-    const uint64_t *tail; /* the event word, then the n tail words */
+    const void *tail; /* the event word, then the n tail words, of size bytes each */
+    uint64_t event, first; /* tail[0] and tail[1] */
     uint64_t n, *found, cap, count, charge;
 };
 
@@ -257,7 +275,7 @@ struct search {
 static void walk(struct search *q, uint64_t a, uint64_t b, uint64_t c, uint64_t d)
 {
     const uint64_t m = q->mask, state[4] = {a, b, c, d};
-    if (out_word(a, b, c, d, q->h, m) != q->tail[0])
+    if (out_word(a, b, c, d, q->h, m) != q->event)
         return;
     for (uint64_t i = 1; i <= q->n; i++) {
         TF1_ROWS(uint64_t, a, b, c, d, q->c1, q->c3, q->cc);
@@ -265,7 +283,7 @@ static void walk(struct search *q, uint64_t a, uint64_t b, uint64_t c, uint64_t 
         b = nb & m;
         c = nc & m;
         d = nd & m;
-        if (out_word(a, b, c, d, q->h, m) != q->tail[i]) {
+        if (out_word(a, b, c, d, q->h, m) != load(q->tail, i, q->size)) {
             q->charge += i - 1;
             return;
         }
@@ -295,7 +313,7 @@ static void extend(struct search *q, uint64_t a, uint64_t b, uint64_t c, uint64_
         uint64_t aj = e & 4 ? bit : 0, bj = e & 2 ? bit : 0, cj = aj ^ flip, dj = e & 1 ? bit : 0;
         uint64_t ta = (na ^ aj) & m, tb = (nb ^ bj ^ (sj & aj)) & m;
         uint64_t tc = (nc ^ cj ^ (sj & aj & bj)) & m, td = (nd ^ dj ^ (sj & aj & bj & cj)) & m;
-        if ((out_word(ta, tb, tc, td, q->h, q->mask) ^ q->tail[1]) & cols)
+        if ((out_word(ta, tb, tc, td, q->h, q->mask) ^ q->first) & cols)
             continue;
         extend(q, a | aj, b | bj, c | cj, d | dj, j + 1);
     }
@@ -303,15 +321,16 @@ static void extend(struct search *q, uint64_t a, uint64_t b, uint64_t c, uint64_
 
 /* Stage 2 at width w and inner word x for the standard generator: completes
    the n_pre l-column prefixes prefixes[4i .. 4i+3] (a, b, c, d) by the rules
-   above, against tail[0], the event word, and the n >= 1 words after it.
-   Writes the first cap states found to found[], four words each, in search
+   above, against tail[0], the event word, and the n >= 1 words after it,
+   words of size bytes each.  Writes the first cap states found to found[], four words each, in search
    order, stores the walks' charge in *charge and returns the number of
    states found, which may exceed cap. */
 uint64_t tf1_complete(uint64_t n_pre, uint32_t l, uint32_t w, uint64_t c1, uint64_t c3, uint64_t cc,
-                      uint64_t x, const uint64_t *prefixes, const uint64_t *tail, uint64_t n,
+                      uint64_t x, const uint64_t *prefixes, const void *tail, uint32_t size, uint64_t n,
                       uint64_t *found, uint64_t cap, uint64_t *charge)
 {
-    struct search q = {w, w / 2, c1, c3, cc, x, ~0ull >> (64 - w), tail, n, found, cap, 0, 0};
+    struct search q = {w, w / 2, size, c1, c3, cc, x, ~0ull >> (64 - w), tail, load(tail, 0, size),
+                       load(tail, 1, size), n, found, cap, 0, 0};
     for (uint64_t i = 0; i < n_pre; i++)
         extend(&q, prefixes[4 * i], prefixes[4 * i + 1], prefixes[4 * i + 2], prefixes[4 * i + 3], l);
     *charge = q.charge;

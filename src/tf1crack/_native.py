@@ -8,9 +8,17 @@ other module imports ctypes or knows an entry's arguments:
   and decodes each survivor's lower-prefix index and lane bits into its
   (a, b, c, d) words;
 - ``stream`` drives ``tf1_stream``, the standard generator's output
-  stream, in calls that start small and double up to _BLOCK words;
+  stream, in one call that writes the caller's array of ``word_dtype(w)``;
 - ``complete`` drives ``tf1_complete``, the standard generator's stage 2:
-  the column search, the first-word pruning and the tail walk.
+  the column search, the first-word pruning and the tail walk, which
+  ``verify_state`` also runs, on one full-width state.
+
+The keystream's words cross into C as they are stored, an array of
+``word_dtype(w)`` whose item size, 1, 2, 4 or 8 bytes, goes with the
+pointer; the entries read and write those words in place.  This module is
+the one place that checks what reaches C: a C-contiguous unsigned array of
+one of those sizes, any other input converted first and any other output
+array refused.
 
 Nothing here runs at import.  The first call of any builds the library
 in a process and keeps it: with the system's C compiler, into a per-user
@@ -20,10 +28,11 @@ goes to a temporary name and is published with ``os.replace``, so two
 processes that build at once each load a whole file.  A cached file that
 does not load is rebuilt once.  A build that fails is remembered for the
 rest of the process: every later call of ``stage1`` raises the same
-``KernelBuildError``, and every call of ``stream`` or ``complete`` gives
-None, so the compiler runs at most once.  Trivial mode lets the error
-propagate; the stream falls back to the word functions, and stage 2 to the
-column enumerator that every other instance uses.
+``KernelBuildError``, and every call of ``stream`` gives False and of
+``complete`` None, so the compiler runs at most once.  Trivial mode lets
+the error propagate; the stream and the tail walk fall back to the word
+functions, and stage 2 to the column enumerator that every other instance
+uses.
 """
 
 from __future__ import annotations
@@ -53,11 +62,6 @@ _FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 # the loaded entries (tf1_lanes, tf1_stream, tf1_complete), or the
 # KernelBuildError of a failed build
 _LIB = None
-# words in the stream's first call and its largest: each call doubles the
-# last, so a walker that stops at its first mismatch computes few words,
-# and _BLOCK bounds the buffer; neither affects results
-_FIRST = 16
-_BLOCK = 1 << 14
 # the states that stage 2's first call has room for; a call that finds more
 # reports how many, and runs again on a buffer that holds them all
 _STATES = 16
@@ -127,9 +131,9 @@ def _load(path: str) -> tuple:
     lanes.argtypes = [u64, u64, u32, u32, u32, u32, u32, ctypes.c_void_p, u64,
                       ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(u64)]
     lanes.restype = u64
-    stream.argtypes = [u64, u32, u64, u64, u64, ctypes.POINTER(u64), ptr]
+    stream.argtypes = [u64, u32, u64, u64, u64, ctypes.POINTER(u64), ptr, u32]
     stream.restype = None
-    complete.argtypes = [u64, u32, u32, u64, u64, u64, u64, ptr, ptr, u64, ptr, u64,
+    complete.argtypes = [u64, u32, u32, u64, u64, u64, u64, ptr, ptr, u32, u64, ptr, u64,
                          ctypes.POINTER(u64)]
     complete.restype = u64
     return lanes, stream, complete
@@ -220,31 +224,20 @@ def stage1(w: int, k: int, c1: int, c3: int, cc: int, x: int, tail_bits, working
     return part
 
 
-def stream(w: int, c1: int, c3: int, cc: int, state, n: int):
-    """The standard generator's first n output words after ``state``, its
-    four words, at width w, by ``tf1_stream``; or None where the library
-    cannot be built.
-
-    An iterator of uint64 arrays, one a call: _FIRST words, then twice as
-    many each call up to _BLOCK, each into an array of its own.
-    """
+def stream(w: int, c1: int, c3: int, cc: int, state, out: np.ndarray) -> bool:
+    """Fill ``out``, a writable C-contiguous array of ``word_dtype(w)``,
+    with the standard generator's first ``out.size`` output words after
+    ``state``, its four words, at width w, in one call of ``tf1_stream``;
+    False where the library cannot be built.  Any other array raises
+    ValueError."""
+    if out.dtype != word_dtype(w) or not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"no stream at width {w} into a {out.dtype} array")
     try:
         kernel = _library()[1]
     except KernelBuildError:
-        return None
-    return _blocks(kernel, w, c1, c3, cc, state, n)
-
-
-def _blocks(kernel, w, c1, c3, cc, state, n):
-    words = (ctypes.c_uint64 * 4)(*state)
-    done, size = 0, _FIRST
-    while done < n:
-        size = min(size, n - done)
-        out = np.empty(size, np.uint64)
-        kernel(size, w, c1, c3, cc, words, out.ctypes.data)
-        yield out
-        done += size
-        size = min(2 * size, _BLOCK)
+        return False
+    kernel(out.size, w, c1, c3, cc, (ctypes.c_uint64 * 4)(*state), out.ctypes.data, out.itemsize)
+    return True
 
 
 def complete(w: int, c1: int, c3: int, cc: int, x: int, prefixes, l: int, words, index: int):
@@ -254,12 +247,16 @@ def complete(w: int, c1: int, c3: int, cc: int, x: int, prefixes, l: int, words,
 
     ``prefixes`` holds the survivors' (a, b, c, d) words as four arrays,
     l-column prefixes with t2 = x on l columns; the event word is
-    words[index], and the tail runs from it to the end of ``words``, a
-    keystream's word memoryview or array, which goes to the entry once, as
-    uint64: a view of the words where they are uint64 already (w > 32), a
-    copy of the tail otherwise.  Returns (the states found as (a, b, c, d)
-    rows, in search order; the walks' charge), where the charge leaves out
-    the one step for the first tail word that each candidate costs.
+    words[index], and the tail runs from it to the end of ``words``.  The
+    entry reads the tail in place where it is a C-contiguous unsigned
+    array, as a keystream's words are; any other ``words``, a tuple for
+    one, is converted to ``word_dtype(w)`` first.  Returns (the states
+    found as (a, b, c, d) rows, in search order; the walks' charge), where
+    the charge leaves out the one step for the first tail word that each
+    candidate costs.  ``verify_state``'s walk is the call with the one
+    state as a prefix of l = w columns: a mismatch at words[index + j]
+    returns ([], j - 1), and a match of the whole tail its charge plus 1
+    words computed.
     """
     # the entry reads the first tail word, and recurses from column l to w
     if not 0 <= l <= w or not 0 <= index < len(words) - 1:
@@ -269,11 +266,13 @@ def complete(w: int, c1: int, c3: int, cc: int, x: int, prefixes, l: int, words,
     except KernelBuildError:
         return None
     pre = np.stack(prefixes, axis=1).astype(np.uint64)
-    tail = np.asarray(words[index:], np.uint64)
+    tail = np.asarray(words[index:])
+    if tail.dtype.kind != "u" or not tail.dtype.isnative or not tail.flags.c_contiguous:
+        tail = np.ascontiguousarray(words[index:], word_dtype(w))
     found, charge = np.empty((_STATES, 4), np.uint64), ctypes.c_uint64()
     while True:
-        n = kernel(len(pre), l, w, c1, c3, cc, x, pre.ctypes.data, tail.ctypes.data, tail.size - 1,
-                   found.ctypes.data, len(found), ctypes.byref(charge))
+        n = kernel(len(pre), l, w, c1, c3, cc, x, pre.ctypes.data, tail.ctypes.data, tail.itemsize,
+                   tail.size - 1, found.ctypes.data, len(found), ctypes.byref(charge))
         if n <= len(found):
             return found[:n].tolist(), charge.value
         found = np.empty((n, 4), np.uint64)

@@ -35,10 +35,10 @@ oracle is the reference up to w = 8.  Above it the tests hold the lane
 kernel to the plain filter on the same candidates and the standard
 generator's compiled, pruned stage 2 to that of its generic twin, which
 runs on the column enumerator and does not prune.  Every full-state check
-of a single state reads the generator's output stream: the standard
-generator's compiled blocks from ``_stream``, compared a block at a time
-with the keystream's word array, or every other instance's words from its
-word functions, one at a time.  A truncated evaluation passes low_mask(l)
+of a single state, ``_walk_tail``, walks as stage 2 does: the standard
+generator's in ``tf1_complete``, with the state as a full-width prefix, on
+the keystream's own words, and every other instance's through its word
+functions, one word at a time.  A truncated evaluation passes low_mask(l)
 to the same word functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
@@ -104,7 +104,6 @@ from .generator import (
     _instance_out,
     _int_state,
     _steps,
-    _stream,
     instance_output,
     tf1_instance,
 )
@@ -730,22 +729,21 @@ def _walk_tail(
 
     Returns (matched, output words computed): (False, j) at the first
     mismatch, at words[lo+j], else (True, len(words) - 1 - lo).  The
-    standard generator's words come from its compiled stream, each block
-    compared with the words it stands for at once; every other instance's
-    come from its word functions, one per tail word read.
+    standard generator walks compiled, as stage 2 walks its completions:
+    ``_native.complete`` with the one state as a full-width prefix, whose
+    charge is the words computed less one.  Every other instance, and the
+    standard generator where the library cannot be built, steps its word
+    functions, one per tail word read.
     """
-    tail = words[lo + 1 :]
-    blocks = _stream(state, instance, len(tail))
-    if blocks is None:
-        for j, (got, want) in enumerate(zip(_steps(state, instance, len(tail)), tail), 1):
-            if got != want:
-                return False, j
-        return True, len(tail)
-    tail = np.asarray(tail)
-    done = 0
-    for block in blocks:
-        miss = np.flatnonzero(block != tail[done : done + block.size])
-        if miss.size:
-            return False, done + int(miss[0]) + 1
-        done += block.size
-    return True, done
+    n = len(words) - 1 - lo
+    if instance.tf1_native and n:
+        p, w = instance.params, instance.spec.width
+        prefix = tuple(np.array([v], np.uint64) for v in state.words())
+        x = (state.a + state.c) & instance.spec.mask
+        done = _native.complete(w, p.c1, p.c3, p.c, x, prefix, w, words, lo)
+        if done is not None:
+            return bool(done[0]), done[1] + 1
+    for j, (got, want) in enumerate(zip(_steps(state, instance, n), words[lo + 1 :]), 1):
+        if got != want:
+            return False, j
+    return True, n

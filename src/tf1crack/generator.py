@@ -13,8 +13,9 @@ word with any T-function t2, and the odd-making factor with any function f
 at all; the output is ``S(t2(A)) * (f(A) | 1)``.
 
 The standard generator's output stream runs compiled where a C compiler
-can build ``_lanes.c``; ``_native`` makes its calls, and this module
-imports no ctypes.  Every other instance, and the standard generator
+can build ``_lanes.c``: ``generate`` hands ``_native.stream`` the
+keystream's own array of ``word_dtype(w)``, which one call fills, and this
+module imports no ctypes.  Every other instance, and the standard generator
 without a compiler, steps its word functions.
 """
 
@@ -131,7 +132,8 @@ class Keystream:
     compares the words and gives a bool, and ``np.asarray(ks.words)`` is
     the array itself.  ``words`` may be given as a tuple, a list, an
     integer ndarray or a memoryview; a word outside the width raises
-    ValueError naming it.  A read-only array of ``word_dtype(w)`` is kept
+    ValueError naming it, and one that is no integer, a float or a bool,
+    TypeError.  A read-only array of ``word_dtype(w)`` is kept
     as it is, and anything else copied once.  A keystream is not hashable,
     at any width.
     """
@@ -171,6 +173,10 @@ def _word_array(spec: WordSpec, words) -> np.ndarray:
         if array is given and array.flags.writeable:
             array = array.copy()
     else:
+        # np.fromiter would truncate a float and take a bool as 0 or 1
+        for word in words:
+            if isinstance(word, bool) or not hasattr(word, "__index__"):
+                raise TypeError(f"keystream words must be integers, got {type(word).__name__} {word!r}")
         # a negative or container-overflowing word fails the conversion
         try:
             array = np.fromiter(words, dtype, len(words))
@@ -207,8 +213,8 @@ class GeneratorInstance:
     marks the standard generator, whose t2 is the plain column sum a+c
     with the closed-form preimages c = (target - a) mod 2^l; the attack's
     ``trivial`` mode and its lane-sliced stage-1 kernel, the compiled
-    stage 2 that prunes on the first tail word, and the compiled path of
-    ``_stream``, the one output stream, serve it alone.  Any instance, this
+    stage 2 that prunes on the first tail word and walks the tail, and the
+    compiled output stream of ``generate`` serve it alone.  Any instance, this
     one included, runs ``dfs`` mode, whose stage 1 the tests use as the
     reference for the lane kernel; the generic twin's stage 2, which does
     not prune, is the reference for the compiled one, and its stream the
@@ -343,22 +349,21 @@ def instance_output(state: State, instance: GeneratorInstance) -> int:
 def generate_from_instance(seed: State, instance: GeneratorInstance, n: int) -> Keystream:
     """Like ``generate`` but through an instance's word functions.
 
-    The words go straight into one array of ``word_dtype(w)``.  A seed
-    word outside the width raises ValueError.
+    The words go straight into one array of ``word_dtype(w)``.  The
+    standard generator, marked ``tf1_native`` by ``tf1_instance`` alone,
+    fills it in one compiled call, ``_native.stream``.  Every other
+    instance, a replaced copy of the standard one included, and the
+    standard generator where the compiled library cannot be built, step
+    their word functions, ``_steps``.  A seed word outside the width
+    raises ValueError.
     """
     if check_int(n, "n") < 0:
         raise ValueError("n must be >= 0")
-    spec = instance.spec
+    spec, p = instance.spec, instance.params
     state = _int_state(seed, spec)
-    blocks = _stream(state, instance, n)
-    if blocks is None:
+    words = np.empty(n, word_dtype(spec.width))
+    if not (instance.tf1_native and _native.stream(spec.width, p.c1, p.c3, p.c, state.words(), words)):
         words = np.fromiter(_steps(state, instance, n), word_dtype(spec.width), n)
-    else:
-        words = np.empty(n, word_dtype(spec.width))
-        done = 0
-        for block in blocks:
-            words[done : done + block.size] = block
-            done += block.size
     words.flags.writeable = False
     return Keystream(spec, words)
 
@@ -370,29 +375,10 @@ def _int_state(state: State, spec: WordSpec) -> State:
     return State(*(spec.check_word(operator.index(v), name) for name, v in zip("abcd", state.words())))
 
 
-def _stream(state: State, instance: GeneratorInstance, n: int) -> Iterator[np.ndarray] | None:
-    """The standard generator's first n output words after ``state``, one
-    update and one emit each, as uint64 blocks; None for every other
-    instance, whose words ``_steps`` gives.
-
-    The standard generator, marked ``tf1_native`` by ``tf1_instance``
-    alone, runs compiled, through ``_native.stream``, whose blocks start at
-    16 words and double, so a wrong state in a tail walk computes few
-    words past its first mismatch.  Where the compiled library cannot be
-    built this is None too, and the standard generator steps its word
-    functions like every other instance, a replaced copy of the standard
-    one included.  Generation and the attack's tail walks read the stream;
-    the compiled stage 2 walks the standard generator's completions itself.
-    """
-    if not instance.tf1_native:
-        return None
-    p = instance.params
-    return _native.stream(p.spec.width, p.c1, p.c3, p.c, state.words(), n)
-
-
 def _steps(state: State, instance: GeneratorInstance, n: int) -> Iterator[int]:
     """The first n output words after ``state`` as ints, from the
-    instance's word functions: the stream of the maps it holds."""
+    instance's word functions: the stream of the maps it holds, which
+    every instance but the compiled standard generator runs."""
     m, h = instance.spec.mask, instance.spec.half
     a, b, c, d = state.words()
     t1_words, t2_words, f_words = instance.t1_words, instance.t2_words, instance.f_words

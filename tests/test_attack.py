@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import multiprocessing
 import os
 import platform
@@ -298,62 +297,71 @@ def test_verify_state_routes_agree():
     )
 
 
-def _stream_ends(calls):
-    """Where the compiled stream's first ``calls`` calls end: they start at
-    _FIRST words and double up to _BLOCK."""
-    return list(itertools.accumulate(min(_native._FIRST << i, _native._BLOCK) for i in range(calls)))
-
-
 def test_walk_tail_counts_the_words_it_computes():
-    # (True, words after lo) on a match, (False, j) at a mismatch at lo + j.
-    # The standard generator's stream runs compiled, in calls that double
-    # from _FIRST words up to _BLOCK: its walks end at the end of the last
-    # doubled call, next to it, or past it in the first full call, and
-    # mismatch at and next to the ends of the first two calls and of the
-    # last two doubled ones.  The demo instance steps its word functions,
-    # on 600 words only.
-    ends = _stream_ends(12)
-    last = ends[-2]
-    assert _native._FIRST << 10 == _native._BLOCK and last == 2 * _native._BLOCK - _native._FIRST
-    for inst in (tf1_instance(P8), demo_generalized_instance(W8, P8)):
-        start = state_from_seed(21, W8)
-        n = 10 + last + 37 if inst.tf1_native else 600
-        words = generate_from_instance(start, inst, n).words
+    # (True, words after lo) on a match, (False, j) at a mismatch at lo + j,
+    # for j = 1, 2, the middle, tail - 1 and tail.  The standard generator
+    # walks compiled, on its keystream's own words of 1, 2, 4 and 8 bytes;
+    # the demo instance steps its word functions.
+    cases = [tf1_instance(default_params(WordSpec(w))) for w in (8, 16, 24, 64)]
+    cases.append(demo_generalized_instance(W8, P8))
+    for inst in cases:
+        spec = inst.spec
+        start = state_from_seed(21, spec)
+        words = generate_from_instance(start, inst, 700).words
         emitters = [start]
         for _ in words:
             emitters.append(inst.t1(emitters[-1]))
-        tails = (last + 37, last + 1, last, last - 1) if inst.tf1_native else (n - 10,)
-        for tail in tails:
+        for tail in (690, 2, 1):
             lo = len(words) - 1 - tail  # emitters[i + 1] emits words[i]
             assert attack._walk_tail(emitters[lo + 1], inst, words, lo) == (True, tail)
-            seams = [e + d for e in (*ends[:2], *ends[-3:-1]) for d in (-1, 0, 1)]
-            for j in (1, 2, tail // 2, *(j for j in seams if j < tail), tail - 1, tail):
-                flipped = Keystream(W8, (*words[: lo + j], words[lo + j] ^ 1, *words[lo + j + 1 :])).words
-                assert attack._walk_tail(emitters[lo + 1], inst, flipped, lo) == (False, j)
+            for j in sorted({j for j in (1, 2, tail // 2, tail - 1, tail) if 1 <= j <= tail}):
+                flipped = np.array(words)
+                flipped[lo + j] ^= 1
+                flipped = Keystream(spec, flipped).words
+                assert attack._walk_tail(emitters[lo + 1], inst, flipped, lo) == (False, j), (spec, tail, j)
         assert attack._walk_tail(emitters[-1], inst, words, len(words) - 1) == (True, 0)
 
 
 def test_a_wrong_walker_computes_few_words(monkeypatch):
-    # A walker that mismatches at the 2nd word of a 2^15-word tail: the
-    # compiled stream's first call is small, so it computes a few dozen
-    # words, not a whole block of 2^14.  The spy counts the words that each
-    # call of the compiled entry asks for.
+    # A walker that first mismatches at word j of a 2^15-word tail computes
+    # exactly j words.  The compiled walk's charge is j - 1, the words after
+    # the first, and no stream is computed for it: the spy refuses any call
+    # of the stream entry.  The demo instance steps its update j times.
     w16 = WordSpec(16)
     params = default_params(w16)
     start = state_from_seed(5, w16)
-    words = list(generate(start, params, 1 + (1 << 15)).words)
-    words[2] ^= 1
+    words = np.array(generate(start, params, 1 + (1 << 15)).words)
     entries = _native._library()
-    asked = []
 
-    def spy(n, *rest):
-        asked.append(n)
-        return entries[1](n, *rest)
+    def spy(*args):
+        raise AssertionError("the walk computed a stream")
 
-    monkeypatch.setattr(_native, "_LIB", (entries[0], spy))
+    monkeypatch.setattr(_native, "_LIB", (entries[0], spy, entries[2]))
     inst = tf1_instance(params)
-    assert attack._walk_tail(inst.t1(start), inst, words, 0) == (False, 2)
-    assert asked and sum(asked) <= 64, asked
+    state = inst.t1(start)
+    prefix = tuple(np.array([v], np.uint64) for v in state.words())
+    x = (state.a + state.c) & w16.mask
+    demo = demo_generalized_instance(w16, params)
+    demo_words = np.array(generate_from_instance(start, demo, 1 + (1 << 15)).words)
+    steps = []
+
+    def t1_words(*args):
+        steps.append(1)
+        return demo.t1_words(*args)
+
+    counted = dataclasses.replace(demo, t1_words=t1_words)
+    for j in (1, 2, 17, 1 << 14, (1 << 15) - 1, 1 << 15):
+        flipped = words.copy()
+        flipped[j] ^= 1
+        assert _native.complete(16, params.c1, params.c3, params.c, x, prefix, 16, flipped, 0) == ([], j - 1)
+        assert attack._walk_tail(state, inst, flipped, 0) == (False, j)
+        flipped = demo_words.copy()
+        flipped[j] ^= 1
+        steps.clear()
+        assert attack._walk_tail(demo.t1(start), counted, flipped, 0) == (False, j)
+        assert len(steps) == j
+    assert _native.complete(16, params.c1, params.c3, params.c, x, prefix, 16, words, 0) == (
+        [list(state.words())], (1 << 15) - 1)
 
 
 def test_stage2_complete_contains_truth():

@@ -26,11 +26,10 @@ from tf1crack.generator import (
     _instance_out,
     _out,
     _rows,
-    _stream,
     instance_output,
     state_prefix,
 )
-from tf1crack.word import low_mask
+from tf1crack.word import low_mask, word_dtype
 
 from helpers import random_states
 
@@ -344,30 +343,25 @@ def test_tf1_instance_reproduces_generator():
     for st in random_states(W8, 3, 300):
         assert instance_output(st, inst) == _out(*st.words(), W8.mask, W8.half)
     seed = state_from_seed(8, W8)
-    # past the first call of the compiled stream, which the standard
-    # instance runs, and its generic twin its word functions
-    n = _native._BLOCK + 5
+    # the compiled stream, which the standard instance runs, and its generic
+    # twin's word functions
+    n = (1 << 14) + 5
     want = generate(seed, params, n)
     for instance in (inst, dataclasses.replace(inst)):
         assert generate_from_instance(seed, instance, n) == want
 
 
 def test_compiled_stream_matches_the_word_function_stream():
-    # The standard generator's stream runs the compiled tf1_stream in calls
-    # that double from _FIRST words up to _BLOCK; each length ends at or
-    # next to the end of the first, the second or the last doubled call, or
-    # in the first full one.  Random constants at every width, C even at
-    # every third, and every setting of the low two bits of C1 and C3
-    # between w=4 and w=34.  The generic twin, which steps the word
-    # functions, is the reference.
+    # The standard generator's stream runs the compiled tf1_stream in one
+    # call into the keystream's own array, of 1, 2, 4 or 8 bytes a word.
+    # Lengths 0, 1, 2 and 2^15 + 1 at every even width, random constants,
+    # C even at every third width, and every setting of the low two bits of
+    # C1 and C3 between w=4 and w=34.  The generic twin, which steps the
+    # word functions, is the reference.
     from tf1crack.rng import SplitMix64
 
-    assert _native.stream(8, 1, 1, 1, (0, 0, 0, 0), 0) is not None
     rng = SplitMix64(2020)
-    first = _native._FIRST
-    last = 2 * _native._BLOCK - first
-    lengths = (0, 1, first - 1, first, first + 1, 3 * first, 3 * first + 1, last - 1, last, last + 1,
-               last + 37)
+    lengths = (0, 1, 2, (1 << 15) + 1)
     for idx, w in enumerate(range(4, 66, 2)):
         spec = WordSpec(w)
         draw = [rng.next64() & spec.mask for _ in range(3)]
@@ -377,12 +371,20 @@ def test_compiled_stream_matches_the_word_function_stream():
             c=draw[2] & ~1 | (idx % 3 != 0),
             spec=spec,
         )
-        native = tf1_instance(params)
         seed = state_from_seed(rng.next64(), spec)
-        want = generate_from_instance(seed, dataclasses.replace(native), lengths[-1]).words
+        want = generate_from_instance(seed, dataclasses.replace(tf1_instance(params)), lengths[-1]).words
         for n in lengths:
-            assert [word for block in _stream(seed, native, n) for word in block.tolist()] == want[:n].tolist(), (w, n)
-            assert generate(seed, params, n).words == want[:n], (w, n)
+            out = np.empty(n, word_dtype(w))
+            assert _native.stream(w, params.c1, params.c3, params.c, seed.words(), out), (w, n)
+            assert out.tolist() == want[:n].tolist(), (w, n)
+            ks = generate(seed, params, n)
+            assert ks.words == want[:n] and np.asarray(ks.words).dtype == word_dtype(w), (w, n)
+    # the entry writes only a writable C-contiguous array of the word dtype
+    read_only = np.zeros(4, np.uint8)
+    read_only.flags.writeable = False
+    for out in (np.empty(4, np.uint16), np.empty(4, np.int8), np.empty(8, np.uint8)[::2], read_only):
+        with pytest.raises(ValueError, match="^no stream at width 8 into a"):
+            _native.stream(8, 1, 1, 1, (0, 0, 0, 0), out)
 
 
 def test_state_from_seed_deterministic():
@@ -475,6 +477,19 @@ def test_keystream_rejects_words_outside_the_width():
         Keystream(W8, np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="one-dimensional"):
         Keystream(W8, np.zeros((2, 2), np.uint8))
+
+
+def test_keystream_refuses_a_word_that_is_no_integer():
+    # a tuple or list of words is refused as a float array is, where
+    # np.fromiter would truncate a float and take a bool as 0 or 1; numpy
+    # integers are integers
+    for words, shown in (([1.5, 2.9], "float 1.5"), ((1, 2.0), "float 2.0"), ([3, True], "bool True"),
+                         ((np.float64(1.0),), "float64 np.float64(1.0)"), (["7"], "str '7'"),
+                         (np.array([1, 0.5], object), "float 0.5")):
+        with pytest.raises(TypeError) as err:
+            Keystream(W8, words)
+        assert str(err.value) == f"keystream words must be integers, got {shown}"
+    assert tuple(Keystream(W8, [np.uint8(1), np.int64(2), 3]).words) == (1, 2, 3)
 
 
 def test_keystream_hash_and_repr_do_not_depend_on_the_width():

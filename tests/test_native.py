@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,10 +100,10 @@ def test_a_failing_compiler_shows_its_stderr(monkeypatch, cold, stream8, capsys,
 
 
 def test_without_a_compiler_generate_gives_the_compiled_words(monkeypatch, cold):
-    # the word functions stand in for the compiled stream, across a block
-    # seam and at the widths' extremes; then the compiled path builds
+    # the word functions stand in for the compiled stream, at the widths'
+    # extremes; then the compiled path builds
     cases = [(state_from_seed(seed, spec), default_params(spec), n)
-             for seed, spec, n in ((1, WordSpec(4), 300), (2, WordSpec(16), _native._BLOCK + 3),
+             for seed, spec, n in ((1, WordSpec(4), 300), (2, WordSpec(16), (1 << 14) + 3),
                                    (3, WordSpec(64), 300))]
     compiler = _native._compiler
     monkeypatch.setattr(_native, "_compiler", lambda: None)
@@ -302,3 +303,25 @@ def test_stage2_refuses_what_its_entry_cannot_run():
         with pytest.raises(ValueError, match="^no stage 2 from"):
             _native.complete(8, 1, 1, 1, 0, prefixes, l, words, index)
     assert _native.complete(8, 1, 1, 1, 0, prefixes, 8, (0, 1), 0) == ([], 0)
+
+
+def test_stage2_reads_the_tail_in_place():
+    # The entry reads a keystream's own words where they lie: walking the
+    # true state down a 2^20-word w=16 keystream, 2 MB of words, allocates
+    # less than 1 MB, where a uint64 copy of the tail would take 8 MB.
+    spec = WordSpec(16)
+    params = default_params(spec)
+    start = state_from_seed(1, spec)
+    ks = generate(start, params, 1 << 20)
+    state = tf1_instance(params).t1(start)
+    prefix = tuple(np.array([v], np.uint64) for v in state.words())
+    args = (16, params.c1, params.c3, params.c, (state.a + state.c) & spec.mask, prefix, 16, ks.words, 0)
+    want = ([list(state.words())], (1 << 20) - 2)
+    assert _native.complete(*args) == want
+    tracemalloc.start()
+    try:
+        assert _native.complete(*args) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
