@@ -10,8 +10,9 @@ other module imports ctypes or knows an entry's arguments:
 - ``stream`` drives ``tf1_stream``, the standard generator's output
   stream, in one call that writes the caller's array of ``word_dtype(w)``;
 - ``complete`` drives ``tf1_complete``, the standard generator's stage 2:
-  the column search, the first-word pruning and the tail walk, which
-  ``verify_state`` also runs, on one full-width state.
+  the column search, the first-word pruning and the tail walk.  Stage 2
+  in ``attack`` is its one caller, and ``verify_state`` reaches it there,
+  with the one state as a full-width prefix.
 
 The keystream's words cross into C as they are stored, an array of
 ``word_dtype(w)`` whose item size, 1, 2, 4 or 8 bytes, goes with the
@@ -30,9 +31,9 @@ does not load is rebuilt once.  A build that fails is remembered for the
 rest of the process: every later call of ``stage1`` raises the same
 ``KernelBuildError``, and every call of ``stream`` gives False and of
 ``complete`` None, so the compiler runs at most once.  Trivial mode lets
-the error propagate; the stream and the tail walk fall back to the word
-functions, and stage 2 to the column enumerator that every other instance
-uses.
+the error propagate; the stream falls back to the word functions, and
+stage 2, ``verify_state``'s included, to the column enumerator that every
+other instance uses.
 """
 
 from __future__ import annotations
@@ -253,10 +254,9 @@ def complete(w: int, c1: int, c3: int, cc: int, x: int, prefixes, l: int, words,
     one, is converted to ``word_dtype(w)`` first.  Returns (the states
     found as (a, b, c, d) rows, in search order; the walks' charge), where
     the charge leaves out the one step for the first tail word that each
-    candidate costs.  ``verify_state``'s walk is the call with the one
-    state as a prefix of l = w columns: a mismatch at words[index + j]
-    returns ([], j - 1), and a match of the whole tail its charge plus 1
-    words computed.
+    candidate costs.  ``verify_state``'s walk is ``attack._run_stage2``'s
+    call with the one state as a prefix of l = w columns: a mismatch at
+    words[index + j] returns ([], j - 1).
     """
     # the entry reads the first tail word, and recurses from column l to w
     if not 0 <= l <= w or not 0 <= index < len(words) - 1:

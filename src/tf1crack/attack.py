@@ -34,12 +34,10 @@ plain array filter on the instance's word functions.  The exhaustive
 oracle is the reference up to w = 8.  Above it the tests hold the lane
 kernel to the plain filter on the same candidates and the standard
 generator's compiled, pruned stage 2 to that of its generic twin, which
-runs on the column enumerator and does not prune.  Every full-state check
-of a single state, ``_walk_tail``, walks as stage 2 does: the standard
-generator's in ``tf1_complete``, with the state as a full-width prefix, on
-the keystream's own words, and every other instance's through its word
-functions, one word at a time.  A truncated evaluation passes low_mask(l)
-to the same word functions.
+runs on the column enumerator and does not prune.  Every check of a full
+state against a tail, ``verify_state`` included, is stage 2 itself,
+``_run_stage2``, on the state as a prefix of all w columns.  A truncated
+evaluation passes low_mask(l) to the same word functions.
 
 The stage-1 kernel is lane-sliced over the top two columns, U = k-2 and
 T = k-1: the candidates that share the low k-2 columns of (a, b, d), with
@@ -77,10 +75,10 @@ step per word, the first tail word included: t2 = X pins only the factor
 S(X) of the event word, and unless X = 0 its other factor reads b and d.
 The walkers step together as arrays, through the instance's t1_words and
 output word, until at most a few are left; each of those then walks on
-alone with ``_walk_tail``.  On both paths each candidate is charged
-min(first mismatching word, tail length), so every other one counts one
-step, as in a walk from every completion, and neither the pruning nor
-where the arrays stop changes a counter.
+alone through the word functions, one word at a time.  On both paths
+each candidate is charged min(first mismatching word, tail length), so
+every other one counts one step, as in a walk from every completion, and
+neither the pruning nor where the arrays stop changes a counter.
 """
 
 from __future__ import annotations
@@ -135,12 +133,14 @@ __all__ = [
 # their time in numpy's per-call overhead: w = 10..14 ran 1.2-1.7x faster
 # than on batches of up to 8192, and 2^14 and 2^17 slower than 2^15
 # (BENCH_dfs.json).  In trivial mode, the lower prefixes of one call to the
-# compiled lane kernel, 64 candidates each.  Never affects results.
+# compiled lane kernel, 64 candidates each.  In find_zero_outputs, the words
+# scanned at once.  Never affects results.
 _WORKING = 1 << 15
 # stage 2 on the column enumerator (every instance but the compiled standard
 # generator) steps the completions that emit the event word down the tail
 # as arrays until at most this many are left, then walks each one left on
-# its own; never affects results
+# its own through the word functions, as it walks the one state that
+# verify_state hands it; never affects results
 _FEW = 8
 
 
@@ -263,10 +263,19 @@ def no_zero_error(params: Tf1Params, message: str) -> NeedMoreKeystream:
 
 
 def find_zero_outputs(ks: Keystream, limit: int | None = None) -> list[int]:
-    """Ascending positions of exact-zero output words, at most ``limit``."""
+    """Ascending positions of exact-zero output words, at most ``limit``.
+
+    The words are scanned _WORKING at a time, and the scan stops at the
+    slice that holds the last position wanted.
+    """
     if limit is not None and check_int(limit, "limit") < 1:
         raise ValueError("limit must be >= 1")
-    return np.flatnonzero(np.asarray(ks.words) == 0)[:limit].tolist()
+    words, found = np.asarray(ks.words), []
+    for lo in range(0, words.size, _WORKING):
+        found += (np.flatnonzero(words[lo : lo + _WORKING] == 0) + lo).tolist()
+        if limit is not None and len(found) >= limit:
+            break
+    return found[:limit]
 
 
 def enumerate_preimages_dfs(
@@ -327,9 +336,14 @@ def verify_state(
     _check_width(ks, instance.spec)
     state = _int_state(state, instance.spec)
     _check_window(ks, zero_index, n_words, "n_words")
-    if instance_output(state, instance) != ks.words[zero_index]:
-        return False
-    return _walk_tail(state, instance, ks.words[: zero_index + n_words + 1], zero_index)[0]
+    emits = instance_output(state, instance) == ks.words[zero_index]
+    if not (emits and n_words):
+        return emits
+    # stage 2 on the state itself: one prefix of all w columns, whose inner word is its own
+    x = instance.t2_words(*state.words(), instance.spec.mask)
+    prefix = _to_arrays(instance.spec, [state.words()])
+    words = ks.words[: zero_index + n_words + 1]
+    return bool(_run_stage2(prefix, instance.spec.width, instance, words, zero_index, x)[0])
 
 
 def stage2_complete(
@@ -590,6 +604,10 @@ def _run_stage2(
     """Complete the survivors of the event (index, x); returns (verified
     states sorted, candidates, verification steps).
 
+    The one check of states against a tail: ``recover`` and
+    ``stage2_complete`` pass stage-1 survivors, and ``verify_state`` one
+    full state as a prefix of l = w columns, one candidate whose
+    verification steps are the output words its walk computes.
     ``prefixes`` holds the survivors' four words as ``word_dtype(w)``
     arrays, all of them l-column prefixes with t2 = x on l columns, in any
     order.  The completions keep t2 = x, and the tail is ``words`` after
@@ -608,8 +626,9 @@ def _run_stage2(
     which builds exactly as many.  A batch's walkers then step down the
     tail together as arrays, each dropping out at its first mismatching
     word, until at most _FEW are left or the tail ends; each one left then
-    goes on alone with ``_walk_tail`` from the word where the arrays
-    stopped, the event word itself included, charged as above either way.
+    steps on alone through the word functions from the word where the
+    arrays stopped, the event word itself included, until its first
+    mismatch, charged as above either way.
     """
     spec = instance.spec
     if instance.tf1_native:
@@ -640,10 +659,14 @@ def _run_stage2(
             verifs += (origin[0].size - keep.size) * (j - index - 1)
             origin, now = (tuple(v.take(keep) for v in vs) for vs in (origin, now))
         for row, at in zip(zip(*(v.tolist() for v in origin)), zip(*(v.tolist() for v in now))):
-            ok, n = _walk_tail(State(*at), instance, words, j)
-            verifs += j - index - 1 + n
-            if ok:
+            n = last - j
+            for i, (got, want) in enumerate(zip(_steps(State(*at), instance, n), words[j + 1 :]), 1):
+                if got != want:
+                    n = i
+                    break
+            else:
                 states.append(State(*row))
+            verifs += j - index - 1 + n
     return sorted(states), cands, verifs + cands
 
 
@@ -718,32 +741,3 @@ def _concat(spec: WordSpec, batches: list) -> tuple:
     empty = np.empty(0, word_dtype(spec.width))
     return tuple(np.concatenate([empty, *(b[i] for b in batches)]) for i in range(4))
 
-
-def _walk_tail(
-    state: State,
-    instance: GeneratorInstance,
-    words: Sequence[int],
-    lo: int,
-) -> tuple[bool, int]:
-    """Roll ``state``, the emitter of words[lo], forward and match words[lo+1 ..].
-
-    Returns (matched, output words computed): (False, j) at the first
-    mismatch, at words[lo+j], else (True, len(words) - 1 - lo).  The
-    standard generator walks compiled, as stage 2 walks its completions:
-    ``_native.complete`` with the one state as a full-width prefix, whose
-    charge is the words computed less one.  Every other instance, and the
-    standard generator where the library cannot be built, steps its word
-    functions, one per tail word read.
-    """
-    n = len(words) - 1 - lo
-    if instance.tf1_native and n:
-        p, w = instance.params, instance.spec.width
-        prefix = tuple(np.array([v], np.uint64) for v in state.words())
-        x = (state.a + state.c) & instance.spec.mask
-        done = _native.complete(w, p.c1, p.c3, p.c, x, prefix, w, words, lo)
-        if done is not None:
-            return bool(done[0]), done[1] + 1
-    for j, (got, want) in enumerate(zip(_steps(state, instance, n), words[lo + 1 :]), 1):
-        if got != want:
-            return False, j
-    return True, n

@@ -10,9 +10,9 @@ of them finishes the window alone, stepped on plain ints: a few states on
 arrays would pay numpy's per-call cost at every word.  It shares only the
 generator's two formulas with the code it certifies: ``_rows`` (the
 update) and ``_out`` (the output word), on arrays and on ints.  The
-attack's search, the tail walk that stage 2 and ``verify_state`` share,
-and the output stream that ``generate`` runs are not used, so a fault in
-any of them shows up as a disagreement.  The standard generator's stream
+attack's search, its stage 2, which ``verify_state`` runs too, and the
+output stream that ``generate`` runs are not used, so a fault in any of
+them shows up as a disagreement.  The standard generator's stream
 and walk read neither formula where a compiler is found: they run the
 compiled rows of ``_lanes.c``, which the oracle never calls.
 Every width the oracle

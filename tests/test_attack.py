@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tf1crack import _native, attack
 from tf1crack import (
     AttackConfig,
     InsufficientTail,
+    KernelBuildError,
     Keystream,
     NeedMoreKeystream,
     ParamsMismatch,
@@ -63,7 +65,7 @@ def make_run(spec, params, seed, n):
     return ks, zeros[0], true_state
 
 
-def test_find_zero_outputs():
+def test_find_zero_outputs(monkeypatch):
     ks = Keystream(W8, (3, 0x10, 0, 7))
     assert find_zero_outputs(ks) == [2]
     assert find_zero_outputs(Keystream(W8, (3, 1, 9))) == []
@@ -80,6 +82,32 @@ def test_find_zero_outputs():
     assert find_zero_outputs(ks) == every
     for limit in (1, 2, 7, len(every), len(every) + 1):
         assert find_zero_outputs(ks, limit) == every[:limit]
+    # the scan reads _WORKING words at a time: zeros on the slices' edges
+    # and at both ends, with every limit up to one past their count
+    for working in (1, 3, 64):
+        monkeypatch.setattr(attack, "_WORKING", working)
+        assert find_zero_outputs(ks) == every
+        for limit in (1, 2, 7, len(every), len(every) + 1):
+            assert find_zero_outputs(ks, limit) == every[:limit]
+        edges = sorted({0, working - 1, working, 2 * working - 1, 2 * working, 199})
+        on_edges = Keystream(W4, [0 if i in edges else 5 for i in range(200)])
+        for limit in (None, *range(1, len(edges) + 2)):
+            assert find_zero_outputs(on_edges, limit) == edges[:limit], (working, limit)
+
+
+def test_find_zero_outputs_stops_at_the_limit():
+    # a zero near the front of a 2^20-word stream: the scan holds one slice
+    # of _WORKING words, not a mask of the whole stream (1 MB at w=16)
+    words = np.ones(1 << 20, np.uint16)
+    words[5] = 0
+    ks = Keystream(WordSpec(16), words)
+    tracemalloc.start()
+    try:
+        assert find_zero_outputs(ks, 1) == [5]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 17, peak
 
 
 def _unfiltered(spec, params, x):
@@ -276,20 +304,29 @@ def test_verify_state_instance_path():
     assert not verify_state(State(1, 0, 3, 0), P4, ks, zero_index, 2, instance=inst)
 
 
-def test_verify_state_routes_agree():
-    # instance=None, the standard instance (its compiled stream) and its
-    # twin without the native flag (word functions all the way);
+def test_verify_state_routes_agree(monkeypatch):
+    # instance=None and the standard instance (its compiled stage 2 on the
+    # one full-width prefix), its twin without the native flag and the
+    # standard instance with no library (the column enumerator and the walk
+    # through the word functions), at every window, the empty one included;
     # trivial-mode stage 2 against the twin's dfs-mode completion
     ks, zero_index, true_state = make_run(W8, P8, seed=3, n=4096)
     native = tf1_instance(P8)
     twin = dataclasses.replace(native)
     routes = (None, native, twin)
     tail = len(ks) - zero_index - 1
+
+    def without_library(st, n_words):
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "_LIB", KernelBuildError("no library in this test"))
+            return verify_state(st, P8, ks, zero_index, n_words, native)
+
     # random states with a+c = 0 emit the zero word, so every route walks the tail
     zero_emitters = list(states_with_inner_word(W8, 17, 1000, 0))
     for st in [true_state] + zero_emitters:
-        for n_words in (tail, 2):
-            assert len({verify_state(st, P8, ks, zero_index, n_words, i) for i in routes}) == 1
+        for n_words in (tail, 2, 0):
+            verdicts = {verify_state(st, P8, ks, zero_index, n_words, i) for i in routes}
+            assert verdicts == {without_library(st, n_words)}, (st, n_words)
     assert verify_state(true_state, P8, ks, zero_index, tail, native)
     survivor = state_prefix(true_state, 5)
     assert stage2_complete(survivor, P8, native, ks, zero_index) == stage2_complete(
@@ -297,11 +334,24 @@ def test_verify_state_routes_agree():
     )
 
 
+def _walk(state, inst, words, lo):
+    """Stage 2 on ``state``, the emitter of words[lo], as one full-width
+    prefix: (whether it reproduces words[lo+1 ..], verification steps)."""
+    prefix = attack._to_arrays(inst.spec, [state.words()])
+    x = inst.t2_words(*state.words(), inst.spec.mask)
+    found, cands, verifs = attack._run_stage2(prefix, inst.spec.width, inst, words, lo, x)
+    assert cands == 1 and found in ([], [state])
+    return bool(found), verifs
+
+
 def test_walk_tail_counts_the_words_it_computes():
-    # (True, words after lo) on a match, (False, j) at a mismatch at lo + j,
-    # for j = 1, 2, the middle, tail - 1 and tail.  The standard generator
-    # walks compiled, on its keystream's own words of 1, 2, 4 and 8 bytes;
-    # the demo instance steps its word functions.
+    # Stage 2 on one full-width state, as verify_state runs it: (True, words
+    # after lo) on a match, (False, j) at a mismatch at lo + j, for j = 1,
+    # 2, the middle, tail - 1 and tail, so its verification steps are the
+    # words the walk computes.  The standard generator walks compiled, on
+    # its keystream's own words of 1, 2, 4 and 8 bytes; the demo instance
+    # steps its word functions.  The empty tail, which the compiled entry
+    # refuses, is verify_state's at n_words = 0.
     cases = [tf1_instance(default_params(WordSpec(w))) for w in (8, 16, 24, 64)]
     cases.append(demo_generalized_instance(W8, P8))
     for inst in cases:
@@ -313,20 +363,23 @@ def test_walk_tail_counts_the_words_it_computes():
             emitters.append(inst.t1(emitters[-1]))
         for tail in (690, 2, 1):
             lo = len(words) - 1 - tail  # emitters[i + 1] emits words[i]
-            assert attack._walk_tail(emitters[lo + 1], inst, words, lo) == (True, tail)
+            assert _walk(emitters[lo + 1], inst, words, lo) == (True, tail)
             for j in sorted({j for j in (1, 2, tail // 2, tail - 1, tail) if 1 <= j <= tail}):
                 flipped = np.array(words)
                 flipped[lo + j] ^= 1
                 flipped = Keystream(spec, flipped).words
-                assert attack._walk_tail(emitters[lo + 1], inst, flipped, lo) == (False, j), (spec, tail, j)
-        assert attack._walk_tail(emitters[-1], inst, words, len(words) - 1) == (True, 0)
+                assert _walk(emitters[lo + 1], inst, flipped, lo) == (False, j), (spec, tail, j)
+        ks = Keystream(spec, words)
+        assert verify_state(emitters[-1], inst.params, ks, len(words) - 1, 0, inst)
 
 
 def test_a_wrong_walker_computes_few_words(monkeypatch):
     # A walker that first mismatches at word j of a 2^15-word tail computes
     # exactly j words.  The compiled walk's charge is j - 1, the words after
-    # the first, and no stream is computed for it: the spy refuses any call
-    # of the stream entry.  The demo instance steps its update j times.
+    # the first, stage 2 on the state as one full-width prefix counts j
+    # verification steps, and no stream is computed for it: the spy refuses
+    # any call of the stream entry.  The demo instance steps its update j
+    # times.
     w16 = WordSpec(16)
     params = default_params(w16)
     start = state_from_seed(5, w16)
@@ -354,11 +407,11 @@ def test_a_wrong_walker_computes_few_words(monkeypatch):
         flipped = words.copy()
         flipped[j] ^= 1
         assert _native.complete(16, params.c1, params.c3, params.c, x, prefix, 16, flipped, 0) == ([], j - 1)
-        assert attack._walk_tail(state, inst, flipped, 0) == (False, j)
+        assert _walk(state, inst, flipped, 0) == (False, j)
         flipped = demo_words.copy()
         flipped[j] ^= 1
         steps.clear()
-        assert attack._walk_tail(demo.t1(start), counted, flipped, 0) == (False, j)
+        assert _walk(demo.t1(start), counted, flipped, 0) == (False, j)
         assert len(steps) == j
     assert _native.complete(16, params.c1, params.c3, params.c, x, prefix, 16, words, 0) == (
         [list(state.words())], (1 << 15) - 1)
@@ -477,7 +530,7 @@ def test_stage2_prunes_by_instance_not_mode(monkeypatch):
 def test_stage2_array_walk_charges_what_the_walk_charges(monkeypatch):
     # Stage 2 steps its emitting completions as arrays until at most _FEW are
     # left.  _FEW = 0 keeps them on arrays until they die or the tail ends,
-    # and a huge _FEW hands each to _walk_tail at the event word; the
+    # and a huge _FEW walks each alone from the event word; the
     # reports must not differ.  Random constants and C = 1 (four states) at
     # w = 6..12, on streams cut 300 words after their first zero: trivial
     # mode, and up to w=10 also dfs mode and the generic twin (stage 2 does
