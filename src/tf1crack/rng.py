@@ -57,12 +57,12 @@ def trial_rng(seed: int, index: int) -> SplitMix64:
     return SplitMix64((mix64(seed) + index * _TRIAL_STRIDE) & _MASK64)
 
 
-def trial_draws(seed: int, start: int, stop: int, n: int) -> list[list[int]]:
+def trial_draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """The first ``n`` draws of ``trial_rng(seed, i)`` for every i in [start, stop).
 
-    Returns ``n`` lists of plain ints; entry t of list j is draw j of trial
-    ``start + t``.  All trials are mixed at once on uint64 arrays, and each
+    Returns one uint64 array of shape (n, stop - start); entry [j, t] is
+    draw j of trial ``start + t``.  All trials are mixed at once, and each
     value equals the one the trial's own ``SplitMix64`` would give.
     """
     base = np.arange(start, stop, dtype=np.uint64) * _TRIAL_STRIDE + mix64(seed)
-    return [mix64(base + ((j + 1) * _GOLDEN & _MASK64)).tolist() for j in range(n)]
+    return mix64(base + np.arange(1, n + 1, dtype=np.uint64)[:, None] * _GOLDEN)

@@ -4,10 +4,11 @@ from typing import Iterator
 
 import numpy as np
 
-from tf1crack import State, Tf1Params, WordSpec, _native, attack, tf1_instance
+from tf1crack import State, Tf1Params, WordSpec, _native, attack, tf1_instance, tfcheck
 from tf1crack.generator import _out
-from tf1crack.rng import SplitMix64
-from tf1crack.word import word_dtype
+from tf1crack.rng import SplitMix64, trial_draws
+from tf1crack.tfcheck import PropertyReport
+from tf1crack.word import low_mask, word_dtype
 
 
 def roll_forward(seed: State, params: Tf1Params, steps: int) -> State:
@@ -92,3 +93,59 @@ def _scan_states_scalar(spec: WordSpec, word: int) -> Iterator[State]:
                 for d in rng:
                     if _out(a, b, c, d, m, h) == word:
                         yield State(a, b, c, d)
+
+
+def _trial_by_trial(counts, rng_seed: int, n_draws: int, trial) -> list[PropertyReport]:
+    """The report of the first n trials for each n in ``counts``, from one
+    run of ``trial(*draws)`` on each trial's draws as ints up to the
+    largest; ``trial`` returns None on success and a witness on failure."""
+    draws = trial_draws(rng_seed, 0, max(counts), n_draws).tolist()
+    found = [trial(*row) for row in zip(*draws)]
+    reports = []
+    for n in counts:
+        witnesses = [f for f in found[:n] if f is not None]
+        reports.append(PropertyReport(n, len(witnesses), witnesses[0] if witnesses else None))
+    return reports
+
+
+def reference_tfunction_reports(target, spec: WordSpec, params: Tf1Params, counts, rng_seed: int):
+    """``check_tfunction_property`` one trial at a time on ints, for each
+    trial count in ``counts``: the tests' reference for its batches of word
+    arrays."""
+    fn = tfcheck._resolve_target(target, spec, params)
+    w, mask = spec.width, spec.mask
+
+    def trial(a, b, c, d, k_draw, ya, yb, yc, yd):
+        k = 1 + k_draw % w
+        keep = low_mask(k)
+        flip = mask & ~keep
+        x = State(a & mask, b & mask, c & mask, d & mask)
+        y = State((a & keep) | (ya & flip), (b & keep) | (yb & flip),
+                  (c & keep) | (yc & flip), (d & keep) | (yd & flip))
+        fx, fy = fn(x), fn(y)
+        if isinstance(fx, State):
+            diff = (fx.a ^ fy.a) | (fx.b ^ fy.b) | (fx.c ^ fy.c) | (fx.d ^ fy.d)
+        else:
+            diff = fx ^ fy
+        return None if diff & keep == 0 else (x, y, k)
+
+    return _trial_by_trial(counts, rng_seed, 9, trial)
+
+
+def reference_truncation_reports(instance, spec: WordSpec, counts, rng_seed: int):
+    """``check_truncation_consistency`` one trial at a time on ints, for
+    each trial count in ``counts``: the tests' reference for its batches of
+    word arrays."""
+    w, mask = spec.width, spec.mask
+    t1_words, t2_words = instance.t1_words, instance.t2_words
+
+    def trial(a, b, c, d, l_draw):
+        x = (a & mask, b & mask, c & mask, d & mask)
+        l = 1 + l_draw % w
+        m = low_mask(l)
+        low = [v & m for v in x]
+        t1_ok = list(t1_words(*low, m)) == [v & m for v in t1_words(*x, mask)]
+        t2_ok = t2_words(*low, m) == t2_words(*x, mask) & m
+        return None if t1_ok and t2_ok else (State(*x), l)
+
+    return _trial_by_trial(counts, rng_seed, 5, trial)

@@ -712,6 +712,16 @@ target=t2_demo trials=300 failures=0
 instance=tf1 trials=300 failures=0
 instance=demo trials=300 failures=0
 """, ""),
+    # uint64 words, where low_mask(k) of a 64-column word is the whole mask
+    ("check tfunc --w 64 --trials 5000", 0, """\
+target=t1 trials=5000 failures=0
+target=t2 trials=5000 failures=0
+target=t2_demo trials=5000 failures=0
+""", ""),
+    ("check trunc --w 64 --trials 5000", 0, """\
+instance=tf1 trials=5000 failures=0
+instance=demo trials=5000 failures=0
+""", ""),
     ("check stats --w 8 --count 20000", 0, """\
 words=20000 zeros=88 rate=4.400e-03 expected_rate=3.906e-03
 """, ""),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tf1crack import (
     generate,
     state_from_seed,
     tf1_instance,
+    tfcheck,
 )
 from tf1crack.rng import SplitMix64, mix64, trial_draws, trial_rng
 from tf1crack.tfcheck import (
@@ -20,6 +22,8 @@ from tf1crack.tfcheck import (
     check_truncation_consistency,
     zero_frequency,
 )
+
+from helpers import reference_tfunction_reports, reference_truncation_reports
 
 W4 = WordSpec(4)
 W8 = WordSpec(8)
@@ -85,7 +89,7 @@ def test_trial_streams_are_partition_stable():
     # the bulk draws are the per-trial streams, transposed
     seed = (1 << 64) - 1
     streams = [trial_rng(seed, i) for i in range(3, 40)]
-    assert trial_draws(seed, 3, 40, 9) == [[rng.next64() for rng in streams] for _ in range(9)]
+    assert trial_draws(seed, 3, 40, 9).tolist() == [[rng.next64() for rng in streams] for _ in range(9)]
     words = [0, 1, 1 << 63, (1 << 63) + 12345, (1 << 64) - 1]
     array = np.array(words, dtype=np.uint64)
     array.flags.writeable = False  # mix64 must not write to its input
@@ -114,6 +118,79 @@ def test_truncation_consistency_catches_a_map_that_is_not_a_tfunction():
     m = (1 << l) - 1
     low = [v & m for v in x.words()]
     assert inst.t2_words(*low, m) != inst.t2_words(*x.words(), W8.mask) & m
+
+
+def _shift_state(st):
+    return State(st.a >> 1, st.b >> 1, st.c >> 1, st.d >> 1)
+
+
+def _shifted_t2_instance():
+    # column k of this t2 reads column k+1 of b, which a truncation drops
+    return dataclasses.replace(
+        tf1_instance(default_params(W8)), t2_words=lambda a, b, c, d, m: ((a + c) & m) ^ (b >> 1)
+    )
+
+
+def _witness_ints(witness):
+    """Every word of a witness and its column count, flattened."""
+    return [v for part in witness for v in (part.words() if isinstance(part, State) else (part,))]
+
+
+# uint8 words narrower than their dtype, and uint64 words, where low_mask(64)
+# is the whole word; every other even width runs with -m slow
+@pytest.mark.parametrize(
+    "w", [pytest.param(w, marks=() if w in (4, 64) else pytest.mark.slow) for w in range(4, 65, 2)]
+)
+def test_batched_checks_match_the_per_trial_reference(w):
+    spec = WordSpec(w)
+    params = default_params(spec)
+    counts = (1, 2_000, 4_097)  # one trial, one batch and part of one, two batches and one trial
+    for seed in (0, 1, w, (1 << 64) - 1):
+        for target in ("t1", "t2", "t2_demo"):
+            want = reference_tfunction_reports(target, spec, params, counts, seed)
+            assert [check_tfunction_property(target, spec, params, n, seed) for n in counts] == want
+        for inst in (tf1_instance(params), demo_generalized_instance(spec, params)):
+            want = reference_truncation_reports(inst, spec, counts, seed)
+            assert [check_truncation_consistency(inst, spec, n, seed) for n in counts] == want
+
+
+def test_broken_targets_match_the_reference_across_batches(monkeypatch):
+    params = default_params(W8)
+    inst = _shifted_t2_instance()
+    counts = (1, 10, 2_000)
+    want_tf = reference_tfunction_reports(_shift_state, W8, params, counts, 1)
+    want_tr = reference_truncation_reports(inst, W8, counts, 1)
+    assert (want_tf[-1].failures, want_tr[-1].failures) == (1662, 877)
+    for batch in (1, 3, 7, tfcheck._BATCH):
+        monkeypatch.setattr(tfcheck, "_BATCH", batch)
+        got_tf = [check_tfunction_property(_shift_state, W8, params, n, 1) for n in counts]
+        got_tr = [check_truncation_consistency(inst, W8, n, 1) for n in counts]
+        assert (got_tf, got_tr) == (want_tf, want_tr)
+        # State(np.uint8(114), ...) == State(114, ...), so equality alone
+        # would pass numpy scalars
+        for report in (*got_tf, *got_tr):
+            if report.first_witness is not None:
+                assert all(type(v) is int for v in _witness_ints(report.first_witness))
+
+
+def test_rng_seed_must_be_an_int_reduced_mod_2_64():
+    params = default_params(W8)
+    inst = _shifted_t2_instance()
+    for bad in (2.5, "1", True, np.uint64(5)):
+        message = re.escape(f"rng_seed must be an int, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            check_tfunction_property("t1", W8, params, 10, bad)
+        with pytest.raises(ValueError, match=message):
+            check_truncation_consistency(inst, W8, 10, bad)
+    # the seed is taken mod 2**64, as it always was
+    checks = (
+        lambda seed: check_tfunction_property(_shift_state, W8, params, 300, seed),
+        lambda seed: check_truncation_consistency(inst, W8, 300, seed),
+    )
+    for seed, same in ((-1, (1 << 64) - 1), (1 << 70, 0)):
+        for check in checks:
+            report = check(seed)
+            assert report == check(same) and report.failures > 0
 
 
 def test_truncation_consistency_spec_mismatch():
